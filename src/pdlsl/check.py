@@ -27,7 +27,7 @@ from .core import (
     ground_atom,
 )
 from .errors import ParseError, SourceSpan, UnknownState
-from .model import ThreeVal, UtteranceModel, atom_value, eval_formula
+from .model import ThreeVal, UtteranceModel, _Labeler, _members, atom_value
 from .parsing import LexiconFile, parse_atom
 
 
@@ -162,31 +162,27 @@ def verify(
     overrides = list(overrides)
     if overrides:
         model = apply_overrides(model, overrides, handedness)
-    grounded = [(entry.name, ground(entry.formula, handedness)) for entry in lexicon.entries]
-
-    per_state: list[tuple[Proposal, ...]] = []
-    for state in model.states():
-        matches: list[Proposal] = []
-        possibles: list[Proposal] = []
-        for name, formula in grounded:
-            anchors = anchor_atoms(formula)
-            anchor_values = [atom_value(model, state, atom) for atom in anchors]
-            if use_prefilter:
-                if any(v is ThreeVal.FALSE for v in anchor_values):
-                    continue
-                verdict = eval_formula(model, state, formula)
-            else:
-                verdict = eval_formula(model, state, formula)
-                if any(v is ThreeVal.FALSE for v in anchor_values):
-                    continue
-            if verdict is ThreeVal.FALSE:
-                continue
-            anchored = all(v is ThreeVal.TRUE for v in anchor_values)
-            if verdict is ThreeVal.TRUE and anchored:
-                matches.append(Proposal(name, MATCH))
-            else:
-                possibles.append(Proposal(name, POSSIBLE))
-        per_state.append(tuple(matches) + tuple(possibles))
+    labels = _Labeler(model)
+    matches: list[list[Proposal]] = [[] for _ in model.states()]
+    possibles: list[list[Proposal]] = [[] for _ in model.states()]
+    for entry in lexicon.entries:
+        formula = ground(entry.formula, handedness)
+        lo, hi = labels.formula(formula)
+        for atom in anchor_atoms(formula):
+            atom_lo, atom_hi = labels.atom(atom)
+            lo &= atom_lo
+            hi &= atom_hi
+        as_match, as_possible = Proposal(entry.name, MATCH), Proposal(entry.name, POSSIBLE)
+        for state in _members(lo):
+            matches[state].append(as_match)
+        for state in _members(hi & ~lo):
+            possibles[state].append(as_possible)
+    # States with equal proposals share one tuple.
+    shared: dict[tuple[Proposal, ...], tuple[Proposal, ...]] = {}
+    per_state = []
+    for state_matches, state_possibles in zip(matches, possibles):
+        proposals = tuple(state_matches + state_possibles)
+        per_state.append(shared.setdefault(proposals, proposals))
 
     thresholds = model.meta.get("segmentation", {}) if isinstance(model.meta, Mapping) else {}
     return ProposalReport(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterator, Mapping
 
 from .core import (
     And,
@@ -53,33 +53,6 @@ class ThreeVal(Enum):
 
     def __str__(self) -> str:
         return self.value.capitalize()
-
-
-def kleene_not(v: ThreeVal) -> ThreeVal:
-    if v is ThreeVal.TRUE:
-        return ThreeVal.FALSE
-    if v is ThreeVal.FALSE:
-        return ThreeVal.TRUE
-    return ThreeVal.UNKNOWN
-
-
-def kleene_and(a: ThreeVal, b: ThreeVal) -> ThreeVal:
-    if a is ThreeVal.FALSE or b is ThreeVal.FALSE:
-        return ThreeVal.FALSE
-    if a is ThreeVal.UNKNOWN or b is ThreeVal.UNKNOWN:
-        return ThreeVal.UNKNOWN
-    return ThreeVal.TRUE
-
-
-def kleene_all(values: Iterable[ThreeVal]) -> ThreeVal:
-    """Conjunction over a possibly empty collection; vacuously True."""
-    out = ThreeVal.TRUE
-    for v in values:
-        if v is ThreeVal.FALSE:
-            return ThreeVal.FALSE
-        if v is ThreeVal.UNKNOWN:
-            out = ThreeVal.UNKNOWN
-    return out
 
 
 _EMPTY_OBSERVED: frozenset[Articulator] = frozenset()
@@ -139,36 +112,6 @@ class UtteranceModel:
         return self.config_observed[state] if state < len(self.config_observed) else _NO_CONFIGS
 
 
-def _compose(a: frozenset[Pair], b: frozenset[Pair]) -> frozenset[Pair]:
-    by_src: dict[int, list[int]] = {}
-    for x, y in b:
-        by_src.setdefault(x, []).append(y)
-    return frozenset((x, z) for x, y in a for z in by_src.get(y, ()))
-
-
-def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
-    """The set of state pairs the action relates. Star is the reflexive
-    transitive closure, with identity pairs over every state."""
-    match action:
-        case Atomic(a):
-            return model.action_interp.get(a, frozenset())
-        case Concurrent(l, r):
-            return interpret_action(model, l) & interpret_action(model, r)
-        case Choice(l, r):
-            return interpret_action(model, l) | interpret_action(model, r)
-        case Seq(l, r):
-            return _compose(interpret_action(model, l), interpret_action(model, r))
-        case Star(body):
-            base = interpret_action(model, body)
-            closure = frozenset((s, s) for s in model.states()) | base
-            while True:
-                grown = closure | _compose(closure, base)
-                if grown == closure:
-                    return closure
-                closure = grown
-    raise TypeError(f"not an action node: {action!r}")
-
-
 def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
     """Valuation lookup with the documented default for unlisted atoms."""
     if not (0 <= state < model.state_count):
@@ -194,66 +137,129 @@ def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
     raise TypeError(f"not an atom: {atom!r}")
 
 
-def _require_grounded(formula: Formula) -> None:
+# --- Labeling ----------------------------------------------------------------
+
+
+class _Labeler:
+    """Labels every state of one model at once. A grounded formula's label
+    is a pair of bitsets over states: `lo` holds the True states and `hi`
+    the True-or-Unknown ones; an action's label lists each state's successor
+    bitset. With `closed_world` set, atoms collapse to `lo` (`hi` if False)."""
+
+    def __init__(self, model: UtteranceModel, closed_world: bool | None = None):
+        self.model = model
+        self.full = (1 << model.state_count) - 1
+        self.closed_world = closed_world
+        self._atoms: dict[Atom, tuple[int, int]] = {}
+        self._actions: dict[Action, list[int]] = {}
+
+    def atom(self, atom: Atom) -> tuple[int, int]:
+        if atom not in self._atoms:
+            values = [atom_value(self.model, s, atom) for s in self.model.states()]
+            lo = sum(1 << s for s, v in enumerate(values) if v is ThreeVal.TRUE)
+            hi = sum(1 << s for s, v in enumerate(values) if v is not ThreeVal.FALSE)
+            if self.closed_world is not None:
+                lo = hi = lo if self.closed_world else hi
+            self._atoms[atom] = (lo, hi)
+        return self._atoms[atom]
+
+    def formula(self, formula: Formula) -> tuple[int, int]:
+        match formula:
+            case Top():
+                return self.full, self.full
+            case AtomF(atom):
+                return self.atom(atom)
+            case Not(body):
+                lo, hi = self.formula(body)
+                return self.full ^ hi, self.full ^ lo
+            case And(l, r):
+                l_lo, l_hi = self.formula(l)
+                r_lo, r_hi = self.formula(r)
+                return l_lo & r_lo, l_hi & r_hi
+            case Box(action, body):
+                succ = self.successors(action)
+                lo, hi = self.formula(body)
+                return _inside(succ, lo), _inside(succ, hi)
+        raise TypeError(f"not a formula node: {formula!r}")
+
+    def successors(self, action: Action) -> list[int]:
+        if action in self._actions:
+            return self._actions[action]
+        match action:
+            case Atomic(a):
+                succ = [0] * self.model.state_count
+                for s, t in self.model.action_interp.get(a, ()):
+                    succ[s] |= 1 << t
+            case Concurrent(l, r):
+                succ = [x & y for x, y in zip(self.successors(l), self.successors(r))]
+            case Choice(l, r):
+                succ = [x | y for x, y in zip(self.successors(l), self.successors(r))]
+            case Seq(l, r):
+                succ = _compose(self.successors(l), self.successors(r))
+            case Star(body):
+                # Square the reflexive closure until it stops growing.
+                succ = [bits | 1 << s for s, bits in enumerate(self.successors(body))]
+                while (grown := _compose(succ, succ)) != succ:
+                    succ = grown
+            case _:
+                raise TypeError(f"not an action node: {action!r}")
+        self._actions[action] = succ
+        return succ
+
+
+def _inside(succ: list[int], target: int) -> int:
+    """The states whose successors all lie in `target`."""
+    outside = ~target
+    return sum(1 << s for s, bits in enumerate(succ) if not bits & outside)
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The states of a bitset, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _compose(first: list[int], then: list[int]) -> list[int]:
+    out = []
+    for bits in first:
+        reached = 0
+        for t in _members(bits):
+            reached |= then[t]
+        out.append(reached)
+    return out
+
+
+def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
+    """The set of state pairs the action relates. Star is the reflexive
+    transitive closure, with identity pairs over every state."""
+    succ = _Labeler(model).successors(action)
+    return frozenset((s, t) for s, bits in enumerate(succ) for t in _members(bits))
+
+
+def _value_at(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:
     if contains_alias(formula):
         raise UngroundedFormula("formula mentions D or W; ground it first")
+    if not (0 <= state < labeler.model.state_count):
+        raise UnknownState(f"state {state} outside 0..{labeler.model.state_count - 1}")
+    lo, hi = labeler.formula(formula)
+    if lo >> state & 1:
+        return ThreeVal.TRUE
+    return ThreeVal.UNKNOWN if hi >> state & 1 else ThreeVal.FALSE
 
 
 def eval_formula(model: UtteranceModel, state: int, formula: Formula) -> ThreeVal:
     """Three-valued truth of a grounded formula at a state."""
-    _require_grounded(formula)
-    if not (0 <= state < model.state_count):
-        raise UnknownState(f"state {state} outside 0..{model.state_count - 1}")
-    return _eval(model, state, formula)
-
-
-def _eval(model: UtteranceModel, state: int, formula: Formula) -> ThreeVal:
-    match formula:
-        case Top():
-            return ThreeVal.TRUE
-        case AtomF(atom):
-            return atom_value(model, state, atom)
-        case Not(body):
-            return kleene_not(_eval(model, state, body))
-        case And(l, r):
-            left = _eval(model, state, l)
-            if left is ThreeVal.FALSE:
-                return ThreeVal.FALSE
-            return kleene_and(left, _eval(model, state, r))
-        case Box(action, body):
-            pairs = interpret_action(model, action)
-            return kleene_all(_eval(model, t, body) for s, t in pairs if s == state)
-    raise TypeError(f"not a formula node: {formula!r}")
+    return _value_at(_Labeler(model), state, formula)
 
 
 def eval_two_valued(
     model: UtteranceModel, state: int, formula: Formula, closed_world: bool = True
 ) -> bool:
     """Classical evaluation: Unknown atoms collapse to False under the
-    closed-world flag (to True with it unset) before the usual recursion."""
-    _require_grounded(formula)
-    if not (0 <= state < model.state_count):
-        raise UnknownState(f"state {state} outside 0..{model.state_count - 1}")
-    return _eval2(model, state, formula, closed_world)
-
-
-def _eval2(model: UtteranceModel, state: int, formula: Formula, closed_world: bool) -> bool:
-    match formula:
-        case Top():
-            return True
-        case AtomF(atom):
-            v = atom_value(model, state, atom)
-            if v is ThreeVal.UNKNOWN:
-                return not closed_world
-            return v is ThreeVal.TRUE
-        case Not(body):
-            return not _eval2(model, state, body, closed_world)
-        case And(l, r):
-            return _eval2(model, state, l, closed_world) and _eval2(model, state, r, closed_world)
-        case Box(action, body):
-            pairs = interpret_action(model, action)
-            return all(_eval2(model, t, body, closed_world) for s, t in pairs if s == state)
-    raise TypeError(f"not a formula node: {formula!r}")
+    closed-world flag (to True with it unset), then the formula is labeled."""
+    return _value_at(_Labeler(model, closed_world), state, formula) is ThreeVal.TRUE
 
 
 # --- Serialization -----------------------------------------------------------
