@@ -14,7 +14,7 @@ from typing import Any, Mapping, Sequence
 
 from .check import ProposalReport, parse_overrides, verify
 from .core import Formula, Handedness, ground
-from .errors import ConfigError, ParseError, PdlslError, SchemaError
+from .errors import ConfigError, ParseError, PdlslError, SchemaError, read_json
 from .extract import Diagnostic, SegmentationParams, extract_model, tracking_from_json
 from .geometry import DEFAULT_PLACE_MAP, PlaceMap, Vec2, load_place_map
 from .model import eval_formula, model_from_json, model_to_json
@@ -61,11 +61,7 @@ def load_config(path: str | None) -> RunConfig:
     config = RunConfig()
     if path is None:
         return config
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON: {exc}") from None
+    obj = read_json(path, lambda message: ConfigError(f"invalid config JSON: {message}"))
     if not isinstance(obj, Mapping):
         raise ConfigError("config file must be a JSON object")
     for key in obj:
@@ -137,11 +133,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str) -> Any:
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"invalid JSON in {path}: {exc}") from None
+    return read_json(path, lambda message: SchemaError("", f"invalid JSON in {path}: {message}"))
 
 
 def _emit_diagnostics(diagnostics: Sequence[Diagnostic]) -> None:

@@ -1,8 +1,12 @@
-"""Exception types and source positions shared across the toolkit."""
+"""Exception types, source positions and the strict JSON reader shared
+across the toolkit."""
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
+from typing import Any, Callable
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,3 +109,27 @@ class UngroundedFormula(PdlslError):
 class AliasCollision(PdlslError):
     """Grounding collapsed the two articulators of a pairwise atom onto the
     same hand (e.g. touch(D,R) for a right-dominant signer)."""
+
+
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def read_json(path: str, error: Callable[[str], PdlslError]) -> Any:
+    """Parse a JSON input file. Python's `json` accepts NaN and Infinity and
+    reads literals such as 1e999 as infinity; both are refused here, so every
+    number that reaches the toolkit is finite. Any defect of the file's
+    content, nesting too deep for the decoder included, raises
+    `error(message)`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
+        except (ValueError, RecursionError) as exc:
+            raise error(str(exc)) from None

@@ -7,13 +7,12 @@ containment. All functions are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import CANONICAL_DIRECTIONS, Direction, Place, Rect
-from .errors import CoincidentPoints, SchemaError, ZeroVector
+from .errors import CoincidentPoints, SchemaError, ZeroVector, read_json
 
 # Angles closer than this are treated as equal when classifying directions,
 # so exact 22.5 degree boundaries resolve by canonical order on every platform.
@@ -170,9 +169,5 @@ def place_map_from_json(obj: object) -> PlaceMap:
 
 
 def load_place_map(path: str) -> PlaceMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from None
+    obj = read_json(path, lambda message: SchemaError("", f"invalid JSON: {message}"))
     return place_map_from_json(obj)

@@ -71,6 +71,11 @@ class UtteranceModel:
     were observed and Unknown otherwise, configuration atoms default to
     False only against an observed different label, and orientation atoms
     default to Unknown.
+
+    Construction checks that the fields agree with each other: every edge,
+    action edge and valued state lies inside the state range, the relation
+    is serial, and `observed` and `config_observed` list no more states than
+    the model has.
     """
 
     state_count: int
@@ -96,6 +101,17 @@ class UtteranceModel:
                     raise ValueError(
                         f"{print_atomic_action(action)} maps edge {pair} outside the relation"
                     )
+        for s, atom in self.valuation:
+            if not 0 <= s < self.state_count:
+                raise ValueError(
+                    f"{print_atom(atom)} is valued at state {s}, "
+                    f"outside 0..{self.state_count - 1}"
+                )
+        for name, per_state in (("observed", self.observed), ("configs", self.config_observed)):
+            if len(per_state) > self.state_count:
+                raise ValueError(
+                    f"{name} lists {len(per_state)} states, the model has {self.state_count}"
+                )
 
     def _check_pair(self, pair: Pair) -> None:
         s, t = pair

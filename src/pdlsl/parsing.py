@@ -25,8 +25,10 @@ Formula grammar (low to high precedence):
     DIR      := "N" | "NE" | "E" | "SE" | "S" | "SW" | "W" | "NW"
 
 Implication, disjunction and the diamond are sugar and never appear in a
-stored tree. Lexicon files hold entries `sign NAME := <formula> .` with `#`
-line comments and an optional leading `format: 1` marker.
+stored tree. Nesting is limited to MAX_DEPTH levels, so every walk over a
+parsed tree stays well inside Python's recursion limit. Lexicon files hold
+entries `sign NAME := <formula> .` with `#` line comments and an optional
+leading `format: 1` marker.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ __all__ = [
     "LexiconEntry",
     "LexiconFile",
     "LintIssue",
+    "MAX_DEPTH",
     "parse_formula",
     "parse_action",
     "parse_atom",
@@ -177,6 +180,12 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+#: Deepest nesting a formula may have. Each parenthesis, `!`, modality,
+#: implication arrow and action parenthesis the parser enters counts one
+#: level, and so does each level of the tree it builds, so long flat `/\`
+#: and `;` chains count too. Leaves have height 0.
+MAX_DEPTH = 100
+
 _ARTICULATORS = {a.value: a for a in Articulator}
 _DIRECTIONS = {d.name: d for d in Direction}
 _ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
@@ -186,6 +195,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # nested constructs currently open
 
     # -- token plumbing --
 
@@ -220,6 +230,22 @@ class _Parser:
     def _at_word(self, *words: str) -> bool:
         return self.cur.kind == "IDENT" and self.cur.text in words
 
+    def _enter(self) -> _Token:
+        """Open a nested construct at the current token and consume it."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self._too_deep(self.cur)
+        return self._advance()
+
+    def _node(self, node, height: int, tok: _Token):
+        """A built node with its height, refused past MAX_DEPTH at `tok`."""
+        if height > MAX_DEPTH:
+            raise self._too_deep(tok)
+        return node, height
+
+    def _too_deep(self, tok: _Token) -> ParseError:
+        return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", tok.span)
+
     def _articulator(self) -> Articulator:
         tok = self._expect("IDENT", "articulator")
         art = _ARTICULATORS.get(tok.text)
@@ -242,53 +268,65 @@ class _Parser:
         return self._expect("IDENT", "name").text
 
     # -- formulas --
+    # Each level returns the node it parsed together with the node's height.
 
-    def formula(self) -> Formula:
-        left = self.or_level()
+    def formula(self) -> tuple[Formula, int]:
+        left, height = self.or_level()
         if self.cur.kind == "ARROW":
-            self._advance()
-            return implies(left, self.formula())
-        return left
+            tok = self._enter()
+            right, right_height = self.formula()
+            self.depth -= 1
+            return self._node(implies(left, right), max(height, right_height + 1) + 2, tok)
+        return left, height
 
-    def or_level(self) -> Formula:
-        node = self.and_level()
+    def or_level(self) -> tuple[Formula, int]:
+        node, height = self.and_level()
         while self.cur.kind == "OROP":
-            self._advance()
-            node = or_(node, self.and_level())
-        return node
+            tok = self._advance()
+            right, right_height = self.and_level()
+            node, height = self._node(or_(node, right), max(height, right_height) + 3, tok)
+        return node, height
 
-    def and_level(self) -> Formula:
-        node = self.unary()
+    def and_level(self) -> tuple[Formula, int]:
+        node, height = self.unary()
         while self.cur.kind == "ANDOP":
-            self._advance()
-            node = And(node, self.unary())
-        return node
+            tok = self._advance()
+            right, right_height = self.unary()
+            node, height = self._node(And(node, right), max(height, right_height) + 1, tok)
+        return node, height
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok = self.cur
         if tok.kind == "BANG":
-            self._advance()
-            return Not(self.unary())
+            self._enter()
+            body, height = self.unary()
+            self.depth -= 1
+            return self._node(Not(body), height + 1, tok)
         if tok.kind == "LBRACKET":
-            self._advance()
-            action = self.action()
+            self._enter()
+            action, action_height = self.action()
             self._expect("RBRACKET", "]")
-            return Box(action, self.unary())
+            body, height = self.unary()
+            self.depth -= 1
+            return self._node(Box(action, body), max(action_height, height) + 1, tok)
         if tok.kind == "LANGLE":
-            self._advance()
-            action = self.action()
+            self._enter()
+            action, action_height = self.action()
             self._expect("RANGLE", ">")
-            return diamond(action, self.unary())
+            body, height = self.unary()
+            self.depth -= 1
+            return self._node(diamond(action, body), max(action_height, height + 1) + 2, tok)
         if tok.kind == "LPAREN":
-            self._advance()
-            node = self.formula()
+            self._enter()
+            node, height = self.formula()
             self._expect("RPAREN", ")")
-            return node
+            self.depth -= 1
+            return node, height
         if self._at_word("true"):
             self._advance()
-            return TOP
+            return TOP, 0
         if self._at_word(*_ATOM_HEADS):
-            return AtomF(self.atom())
+            return AtomF(self.atom()), 0
         raise ParseError(
             f"unexpected {tok.text or 'end of input'!r}",
             tok.span,
@@ -345,43 +383,47 @@ class _Parser:
 
     # -- actions --
 
-    def action(self) -> Action:
-        node = self.par_level()
+    def action(self) -> tuple[Action, int]:
+        node, height = self.par_level()
         while self.cur.kind == "SEMI":
-            self._advance()
-            node = Seq(node, self.par_level())
-        return node
+            tok = self._advance()
+            right, right_height = self.par_level()
+            node, height = self._node(Seq(node, right), max(height, right_height) + 1, tok)
+        return node, height
 
-    def par_level(self) -> Action:
-        node = self.choice_level()
+    def par_level(self) -> tuple[Action, int]:
+        node, height = self.choice_level()
         while self.cur.kind == "AMP":
-            self._advance()
-            node = Concurrent(node, self.choice_level())
-        return node
+            tok = self._advance()
+            right, right_height = self.choice_level()
+            node, height = self._node(Concurrent(node, right), max(height, right_height) + 1, tok)
+        return node, height
 
-    def choice_level(self) -> Action:
-        node = self.star_level()
+    def choice_level(self) -> tuple[Action, int]:
+        node, height = self.star_level()
         while self.cur.kind == "PIPE":
-            self._advance()
-            node = Choice(node, self.star_level())
-        return node
+            tok = self._advance()
+            right, right_height = self.star_level()
+            node, height = self._node(Choice(node, right), max(height, right_height) + 1, tok)
+        return node, height
 
-    def star_level(self) -> Action:
-        node = self.prim()
+    def star_level(self) -> tuple[Action, int]:
+        node, height = self.prim()
         if self.cur.kind == "STAR":
-            self._advance()
-            node = Star(node)
-        return node
+            tok = self._advance()
+            node, height = self._node(Star(node), height + 1, tok)
+        return node, height
 
-    def prim(self) -> Action:
+    def prim(self) -> tuple[Action, int]:
         tok = self.cur
         if tok.kind == "LPAREN":
-            self._advance()
-            node = self.action()
+            self._enter()
+            node, height = self.action()
             self._expect("RPAREN", ")")
-            return node
+            self.depth -= 1
+            return node, height
         if self._at_word("move", "thrill"):
-            return Atomic(self.atomic_action())
+            return Atomic(self.atomic_action()), 0
         raise ParseError(
             f"unexpected {tok.text or 'end of input'!r}",
             tok.span,
@@ -417,14 +459,14 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse one formula; the result is fully desugared."""
     p = _Parser(text)
-    node = p.formula()
+    node, _ = p.formula()
     p._expect_eof()
     return node
 
 
 def parse_action(text: str) -> Action:
     p = _Parser(text)
-    node = p.action()
+    node, _ = p.action()
     p._expect_eof()
     return node
 
@@ -497,7 +539,7 @@ def parse_lexicon(text: str) -> LexiconFile:
         if name_tok.text in spans:
             raise DuplicateSign(name_tok.text, spans[name_tok.text], name_tok.span)
         p._expect("ASSIGN", ":=")
-        formula = p.formula()
+        formula, _ = p.formula()
         p._expect("DOT", ".")
         entries.append(LexiconEntry(name_tok.text, formula, name_tok.span))
         spans[name_tok.text] = name_tok.span

@@ -1,0 +1,161 @@
+"""Hostile inputs end in a one-line `pdlsl:` diagnostic and exit code 1 or
+2, never in a traceback: formulas nested past the parser's depth limit,
+non-finite numbers or deep nesting in JSON files, and model files whose
+fields disagree."""
+
+import json
+import pathlib
+
+import pytest
+
+from pdlsl import Articulator, ThreeVal, Touch, UtteranceModel
+from pdlsl.cli import main
+from pdlsl.parsing import MAX_DEPTH
+
+from conftest import EXAMPLES
+
+TRACKING = EXAMPLES / "route_clean.tracking.json"
+MODEL = pathlib.Path(__file__).resolve().parent / "golden" / "route_clean.model.json"
+ATOM = "touch(R,L)"
+MOVE = "move(R,E)"
+
+# Formula shapes whose nesting is exactly `n` levels.
+SHAPES = {
+    "negations": lambda n: "!" * n + ATOM,
+    "parentheses": lambda n: "(" * n + ATOM + ")" * n,
+    "conjunction chain": lambda n: " /\\ ".join([ATOM] * (n + 1)),
+    "boxes": lambda n: f"[{MOVE}] " * n + ATOM,
+    "sequence chain": lambda n: "[" + " ; ".join([MOVE] * n) + "] true",
+    "action parentheses": lambda n: "[" + "(" * (n - 1) + MOVE + ")" * (n - 1) + "] true",
+}
+
+
+def run(argv, capsys):
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+def one_line_error(err, prefix="pdlsl: "):
+    return err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
+def write_sign(tmp_path, formula):
+    path = tmp_path / "deep.pdlsl"
+    path.write_text(f"sign DEEP := {formula} .\n", encoding="utf-8")
+    return path
+
+
+# --- formula depth ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_at_the_limit_is_accepted(shape, tmp_path, capsys):
+    formula = SHAPES[shape](MAX_DEPTH)
+    lexicon = write_sign(tmp_path, formula)
+    assert run(["lint", lexicon], capsys) == (0, "")
+    assert run(["check", MODEL, lexicon], capsys)[0] == 0
+    assert run(["eval", MODEL, formula, 0], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_past_the_limit_is_a_parse_error(shape, tmp_path, capsys):
+    formula = SHAPES[shape](MAX_DEPTH + 1)
+    lexicon = write_sign(tmp_path, formula)
+    code, err = run(["lint", lexicon], capsys)
+    assert code == 1 and f"error: formula nests deeper than {MAX_DEPTH} levels" in err
+    for argv in (["check", MODEL, lexicon], ["eval", MODEL, formula, 0]):
+        code, err = run(argv, capsys)
+        assert code == 1 and one_line_error(err, "pdlsl: parse error: ")
+
+
+@pytest.mark.parametrize("formula", [
+    "!" * 5000 + ATOM,
+    " /\\ ".join([ATOM] * 1500),
+    "[" + " ; ".join([MOVE] * 1500) + "] true",
+])
+def test_deep_lexicons_fail_cleanly(formula, tmp_path, capsys):
+    lexicon = write_sign(tmp_path, formula)
+    assert run(["lint", lexicon], capsys)[0] == 1
+    code, err = run(["check", MODEL, lexicon], capsys)
+    assert code == 1 and one_line_error(err, "pdlsl: parse error: ")
+
+
+# --- non-finite JSON numbers ----------------------------------------------------
+
+
+def tracking_with_fps(tmp_path, literal):
+    text = json.dumps(json.loads(TRACKING.read_text())).replace(
+        '"fps": 25.0', f'"fps": {literal}', 1
+    )
+    assert literal in text
+    path = tmp_path / "tracking.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_tracking_file_with_non_finite_fps(literal, tmp_path, capsys):
+    code, err = run(["extract", tracking_with_fps(tmp_path, literal)], capsys)
+    assert code == 1 and one_line_error(err)
+
+
+def test_tracking_file_nested_too_deep_for_the_decoder(tmp_path, capsys):
+    path = tmp_path / "tracking.json"
+    path.write_text('{"fps": 25, "frames": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, err = run(["extract", path], capsys)
+    assert code == 1 and one_line_error(err)
+
+
+def test_config_file_with_nan_body_origin_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"body_origin": [NaN, 0]}', encoding="utf-8")
+    code, err = run(["extract", TRACKING, "--config", config], capsys)
+    assert code == 2 and one_line_error(err)
+
+
+def test_placemap_file_with_infinite_bound(tmp_path, capsys):
+    placemap = tmp_path / "placemap.json"
+    placemap.write_text('{"places": {"FACE": [-Infinity, 0.3, 0.9, 1.5]}}', encoding="utf-8")
+    code, err = run(["extract", TRACKING, "--placemap", placemap], capsys)
+    assert code == 1 and one_line_error(err)
+
+
+def test_model_file_with_overflowing_number(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(MODEL.read_text().replace('"max_jump": 0.5', '"max_jump": 1e999'))
+    code, err = run(["check", model, EXAMPLES / "route.pdlsl"], capsys)
+    assert code == 1 and one_line_error(err)
+
+
+# --- model cross-field consistency --------------------------------------------------
+
+
+def inconsistent_model(tmp_path, change):
+    doc = json.loads(MODEL.read_text())
+    change(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc["valuation"].append({"state": 7, "atom": ATOM, "value": "true"}),
+    lambda doc: doc["valuation"].append({"state": -1, "atom": ATOM, "value": "true"}),
+    lambda doc: doc.update(observed=[["R", "L"]] * 5),
+    lambda doc: doc.update(configs=[{"R": None, "L": None}] * 3),
+], ids=["valuation state 7", "valuation state -1", "5 observed", "3 configs"])
+def test_inconsistent_model_file_is_refused(change, tmp_path, capsys):
+    code, err = run(["check", inconsistent_model(tmp_path, change), EXAMPLES / "route.pdlsl"],
+                    capsys)
+    assert code == 1 and one_line_error(err)
+
+
+def test_model_refuses_valuation_outside_its_states():
+    # Checked at construction, so every way of building a model is covered.
+    with pytest.raises(ValueError, match="state 2"):
+        UtteranceModel(
+            state_count=2,
+            relation=frozenset({(0, 1), (1, 1)}),
+            action_interp={},
+            valuation={(2, Touch(Articulator.RIGHT, Articulator.LEFT)): ThreeVal.TRUE},
+        )
