@@ -1,12 +1,13 @@
-"""The verification loop: ground the lexicon, evaluate every sign at every
-state, and emit per-state proposals.
+"""The verification loop: ground the lexicon, label every sign over all
+states at once, and emit per-state proposals.
 
 A sign is proposed at a state only when the state can anchor it: the
 positive atoms of the sign's opening conjunction (the antecedent, for
 implication-shaped descriptions) must not be refuted there. On top of the
 anchor test, three-valued evaluation decides the verdict: Match when the
 formula is true and the anchor atoms are all established, Possible when
-partial tracking information leaves either undetermined.
+partial tracking information leaves either undetermined. Both tests read
+the True and True-or-Unknown state sets of the model's labeler.
 """
 
 from __future__ import annotations
@@ -154,10 +155,13 @@ def verify(
     overrides: Iterable[Override] = (),
     use_prefilter: bool = True,
 ) -> ProposalReport:
-    """Evaluate every sign at every state and collect the proposals.
+    """Label every sign over all states at once and collect the proposals.
 
-    `use_prefilter` only controls whether refuted anchors skip evaluation;
-    the report is identical either way.
+    A sign matches where it and all its anchor atoms are True, and is
+    possible where none of them is False but it does not match.
+    `use_prefilter` has no effect and is kept for compatibility: refuted
+    anchors are read off the same labels as the verdict, so there is no
+    separate path to switch, and the report is identical either way.
     """
     overrides = list(overrides)
     if overrides:
@@ -177,7 +181,7 @@ def verify(
             matches[state].append(as_match)
         for state in _members(hi & ~lo):
             possibles[state].append(as_possible)
-    # States with equal proposals share one tuple.
+    # States with equal proposals share one tuple, which keeps reports small.
     shared: dict[tuple[Proposal, ...], tuple[Proposal, ...]] = {}
     per_state = []
     for state_matches, state_possibles in zip(matches, possibles):

@@ -2,9 +2,16 @@
 
 A model is a finite serial transition system over integer states, with an
 interpretation of atomic actions as edge sets and a three-valued atomic
-valuation. Formula evaluation follows standard relational box semantics
-with strong Kleene connectives, so missing tracking data degrades answers
-to Unknown instead of guessing.
+valuation. Formulas follow standard relational box semantics with strong
+Kleene connectives, so missing tracking data degrades answers to Unknown
+instead of guessing.
+
+One labeler evaluates formulas, labeling every state at once in the manner
+of CTL labeling (Clarke, Emerson & Sistla 1986). Three-valued truth is the
+pair of two-valued passes of Bruns & Godefroid (1999): a bitset of the
+states where a formula is True and one of those where it is True or
+Unknown. `eval_formula`, `eval_two_valued`, `interpret_action` and the
+verification loop in `check` all read its labels.
 """
 
 from __future__ import annotations
