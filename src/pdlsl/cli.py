@@ -129,7 +129,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise PdlslError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_json(path: str) -> Any:
@@ -270,6 +273,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"pdlsl: file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        verb = "write" if exc.filename == getattr(args, "output", None) else "read"
+        print(f"pdlsl: cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"pdlsl: parse error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ the synthetic fixtures deterministic; they are not tuned to any corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Iterable, Mapping
 
 from .core import (
@@ -612,18 +612,24 @@ def transition_action(
     large enough; otherwise a burst of velocity reversals at speed marks a
     thrill; otherwise the hand contributes nothing. Both hands combine
     concurrently; with no contribution at all the label is the epsilon move.
+
+    Only the transition's own window, the frame before it through its last
+    frame, is read: velocities are computed over that slice alone, so
+    labeling every transition of a sequence costs time linear in frames.
     """
     if transition.kind != SegmentKind.TRANSITION:
         raise ValueError("action labels are defined on transitions")
     params = params or SegmentationParams()
-    velocities = compute_velocities(seq)
     window_first = max(transition.first - 1, 0)
+    window = seq.frames[window_first : transition.last + 1]
+    # A velocity at frame i reads only frames i-1 and i, so the window's own
+    # velocities at first..last equal the whole sequence's; at first == 0 the
+    # window starts at frame 0, which keeps its zero velocity.
+    velocities = compute_velocities(replace(seq, frames=window))
+    first, last = transition.first - window_first, transition.last - window_first
     contributions: list[Action] = []
     for hand in _HANDS:
-        positions = [
-            seq.frames[i].hand(hand).pos
-            for i in range(window_first, transition.last + 1)
-        ]
+        positions = [f.hand(hand).pos for f in window]
         present = [p for p in positions if p is not None]
         if len(present) < 2:
             continue
@@ -631,14 +637,10 @@ def transition_action(
         if net.norm >= params.thrill_net_disp:
             contributions.append(Atomic(Move(hand, classify_direction(net))))
             continue
-        speeds = [
-            velocities[hand][i].norm
-            for i in range(transition.first, transition.last + 1)
-            if velocities[hand][i] is not None
-        ]
+        speeds = [v.norm for v in velocities[hand][first : last + 1] if v is not None]
         mean_speed = sum(speeds) / len(speeds) if speeds else 0.0
         if mean_speed >= params.tau_still and _reversal_burst(
-            velocities[hand], transition.first, transition.last, params
+            velocities[hand], first, last, params
         ):
             contributions.append(Atomic(Thrill(hand)))
     if not contributions:

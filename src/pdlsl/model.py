@@ -358,6 +358,7 @@ def model_from_json(obj: Any) -> UtteranceModel:
             raise SchemaError(f"{path}/action", str(exc)) from None
         interp[action] = _pairs_from_json(entry.get("edges"), f"{path}/edges")
     valuation: dict[tuple[int, Atom], ThreeVal] = {}
+    atoms: dict[str, Atom] = {}  # each distinct atom text is parsed once
     valuation_obj = obj.get("valuation", [])
     if not isinstance(valuation_obj, list):
         raise SchemaError("/valuation", "expected a list")
@@ -370,10 +371,13 @@ def model_from_json(obj: Any) -> UtteranceModel:
             and entry.get("value") in ("true", "false", "unknown")
         ):
             raise SchemaError(path, "expected {state, atom, value}")
-        try:
-            atom = parse_atom(entry["atom"])
-        except Exception as exc:
-            raise SchemaError(f"{path}/atom", str(exc)) from None
+        text = entry["atom"]
+        atom = atoms.get(text)
+        if atom is None:
+            try:
+                atom = atoms[text] = parse_atom(text)
+            except Exception as exc:
+                raise SchemaError(f"{path}/atom", str(exc)) from None
         valuation[(entry["state"], atom)] = ThreeVal(entry["value"])
     observed_obj = obj.get("observed", [])
     if not isinstance(observed_obj, list):
@@ -405,6 +409,8 @@ def model_from_json(obj: Any) -> UtteranceModel:
     meta = obj.get("meta", {})
     if not isinstance(meta, Mapping):
         raise SchemaError("/meta", "expected an object")
+    if not isinstance(meta.get("segmentation", {}), Mapping):
+        raise SchemaError("/meta/segmentation", "expected an object")
     try:
         return UtteranceModel(
             state_count=states,

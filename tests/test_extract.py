@@ -2,6 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import pdlsl.extract
 
 from pdlsl import (
     Articulator,
@@ -16,6 +19,7 @@ from pdlsl import (
     NonMonotoneTimestamps,
     Orient,
     RelDir,
+    Segment,
     SegmentKind,
     SegmentationParams,
     ThreeVal,
@@ -36,7 +40,7 @@ from pdlsl import (
     validate_sequence,
 )
 from pdlsl.errors import SchemaError
-from pdlsl.geometry import DEFAULT_PLACE_MAP
+from pdlsl.geometry import DEFAULT_PLACE_MAP, classify_direction
 
 R, L = Articulator.RIGHT, Articulator.LEFT
 T, F, U = ThreeVal.TRUE, ThreeVal.FALSE, ThreeVal.UNKNOWN
@@ -526,3 +530,121 @@ def test_monotone_degradation_voiding_positions(route_tracking_doc):
                     continue
                 after = atom_value(degraded, state, atom)
                 assert after in (value, U), (idx, key, state, atom, value, after)
+
+
+# --- linear, windowed transition labeling -------------------------------------------------
+
+
+def posture_walk(postures, rng, hold=8, move=6):
+    """Two-hand sequence of `postures` key postures, each held `hold` frames
+    and joined by `move`-frame straight moves of both hands."""
+    frames = []
+    rpos, lpos = Vec2(0.3, 0.0), Vec2(-0.3, 0.0)
+
+    def emit():
+        frames.append(mk_frame(len(frames), right=hand(rpos.x, rpos.y), left=hand(lpos.x, lpos.y)))
+
+    for p in range(postures):
+        if p:
+            rstep = Vec2(rng.uniform(-0.08, 0.08), rng.choice((-0.06, 0.06)))
+            lstep = Vec2(rng.choice((-0.06, 0.06)), rng.uniform(-0.08, 0.08))
+            for _ in range(move):
+                rpos, lpos = rpos + rstep, lpos + lstep
+                emit()
+        for _ in range(hold):
+            emit()
+    return seq_of(frames)
+
+
+def test_build_model_reads_velocities_of_each_frame_a_bounded_number_of_times(monkeypatch):
+    seq = posture_walk(80, random.Random(3))
+    frames_read = []
+
+    def counting(s):
+        frames_read.append(len(s.frames))
+        return compute_velocities(s)
+
+    monkeypatch.setattr(pdlsl.extract, "compute_velocities", counting)
+    model = build_model(seq)
+    assert model.state_count == 80
+    assert sum(frames_read) <= 3 * len(seq.frames)
+
+
+def _reference_reversal_burst(velocities, first, last, params):
+    reversals = []
+    for i in range(first + 1, last + 1):
+        v_prev, v_cur = velocities[i - 1], velocities[i]
+        if v_prev is None or v_cur is None:
+            continue
+        if v_prev.x * v_cur.x + v_prev.y * v_cur.y < 0:
+            reversals.append(i)
+    for j, frame_idx in enumerate(reversals):
+        in_window = sum(1 for r in reversals[j:] if r < frame_idx + params.thrill_window)
+        if in_window >= params.thrill_min_reversals:
+            return True
+    return False
+
+
+def reference_transition_action(seq, transition, params):
+    """The label computed from whole-sequence velocities."""
+    velocities = compute_velocities(seq)
+    window_first = max(transition.first - 1, 0)
+    contributions = []
+    for h in (R, L):
+        positions = [seq.frames[i].hand(h).pos for i in range(window_first, transition.last + 1)]
+        present = [p for p in positions if p is not None]
+        if len(present) < 2:
+            continue
+        net = present[-1] - present[0]
+        if net.norm >= params.thrill_net_disp:
+            contributions.append(Atomic(Move(h, classify_direction(net))))
+            continue
+        speeds = [
+            velocities[h][i].norm
+            for i in range(transition.first, transition.last + 1)
+            if velocities[h][i] is not None
+        ]
+        mean_speed = sum(speeds) / len(speeds) if speeds else 0.0
+        if mean_speed >= params.tau_still and _reference_reversal_burst(
+            velocities[h], transition.first, transition.last, params
+        ):
+            contributions.append(Atomic(Thrill(h)))
+    if not contributions:
+        return EPSILON_MOVE
+    if len(contributions) == 1:
+        return contributions[0]
+    return Concurrent(contributions[0], contributions[1])
+
+
+def random_transition(seed):
+    """A two-hand sequence of up to 40 frames mixing oscillation, drift and
+    dropouts (often at the frame before the window), and one transition in
+    it, starting at frame 0 about a third of the time."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    first = 0 if rng.random() < 0.3 else rng.randrange(1, n)
+    last = rng.randrange(first, n)
+    positions = {R: Vec2(0.3, 0.0), L: Vec2(-0.3, 0.0)}
+    frames = []
+    for t in range(n):
+        observed = {}
+        for h in (R, L):
+            if rng.random() < 0.5:
+                step = Vec2(0.02 if t % 2 else -0.02, 0.0)
+            else:
+                step = Vec2(rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03))
+            positions[h] = positions[h] + step
+            dropped = rng.random() < 0.15 or (t == first - 1 and rng.random() < 0.5)
+            observed[h] = hand() if dropped else hand(positions[h].x, positions[h].y)
+        frames.append(mk_frame(t, right=observed[R], left=observed[L]))
+    params = SegmentationParams(thrill_net_disp=rng.choice((0.03, 0.1, 1.0)))
+    return seq_of(frames), Segment(SegmentKind.TRANSITION, first, last), params
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_transition_action_matches_whole_sequence_reference(seed):
+    seq, transition, params = random_transition(seed)
+    assert transition_action(seq, transition, params) == reference_transition_action(
+        seq, transition, params
+    )

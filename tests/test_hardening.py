@@ -1,12 +1,17 @@
 """Hostile inputs end in a one-line `pdlsl:` diagnostic and exit code 1 or
 2, never in a traceback: formulas nested past the parser's depth limit,
-non-finite numbers or deep nesting in JSON files, and model files whose
-fields disagree."""
+non-finite numbers or deep nesting in JSON files, model files whose fields
+disagree, directories and non-UTF-8 files in place of inputs, and randomly
+mutated copies of the shipped inputs."""
 
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdlsl import Articulator, ThreeVal, Touch, UtteranceModel
 from pdlsl.cli import main
@@ -16,6 +21,8 @@ from conftest import EXAMPLES
 
 TRACKING = EXAMPLES / "route_clean.tracking.json"
 MODEL = pathlib.Path(__file__).resolve().parent / "golden" / "route_clean.model.json"
+LEXICON = EXAMPLES / "route.pdlsl"
+OVERRIDES = EXAMPLES / "route.overrides"
 ATOM = "touch(R,L)"
 MOVE = "move(R,E)"
 
@@ -150,6 +157,13 @@ def test_inconsistent_model_file_is_refused(change, tmp_path, capsys):
     assert code == 1 and one_line_error(err)
 
 
+@pytest.mark.parametrize("segmentation", [None, 3, "x", [1]])
+def test_model_file_with_non_object_segmentation_is_refused(segmentation, tmp_path, capsys):
+    path = inconsistent_model(tmp_path, lambda doc: doc["meta"].update(segmentation=segmentation))
+    code, err = run(["check", path, EXAMPLES / "route.pdlsl"], capsys)
+    assert code == 1 and one_line_error(err) and "/meta/segmentation" in err
+
+
 def test_model_refuses_valuation_outside_its_states():
     # Checked at construction, so every way of building a model is covered.
     with pytest.raises(ValueError, match="state 2"):
@@ -159,3 +173,91 @@ def test_model_refuses_valuation_outside_its_states():
             action_interp={},
             valuation={(2, Touch(Articulator.RIGHT, Articulator.LEFT)): ThreeVal.TRUE},
         )
+
+
+# --- unreadable files -----------------------------------------------------------------
+
+
+def not_utf8(tmp_path, source):
+    path = tmp_path / source.name
+    path.write_bytes(source.read_bytes().replace(b"(", b"(\xff", 1))
+    return path
+
+
+@pytest.mark.parametrize("argv, verb", [
+    (lambda d: ["lint", d], "read"),
+    (lambda d: ["check", d, LEXICON], "read"),
+    (lambda d: ["check", MODEL, d], "read"),
+    (lambda d: ["extract", TRACKING, "-o", d], "write"),
+], ids=["lint DIR", "check DIR lexicon", "check model DIR", "extract -o DIR"])
+def test_directory_in_place_of_a_file(argv, verb, tmp_path, capsys):
+    code, err = run(argv(tmp_path), capsys)
+    assert code == 1 and one_line_error(err)
+    assert err.startswith(f"pdlsl: cannot {verb} {tmp_path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: ["lint", not_utf8(t, LEXICON)],
+    lambda t: ["check", MODEL, not_utf8(t, LEXICON)],
+    lambda t: ["check", MODEL, LEXICON, "--overrides", not_utf8(t, OVERRIDES)],
+], ids=["lint lexicon", "check lexicon", "check overrides"])
+def test_text_file_that_is_not_utf8(argv, tmp_path, capsys):
+    code, err = run(argv(tmp_path), capsys)
+    assert code == 1 and one_line_error(err)
+    assert "not UTF-8 text" in err and str(tmp_path) in err
+
+
+# --- mutated fixtures -----------------------------------------------------------------
+
+# Each shipped input, and the command line that reads a copy of it at path `p`.
+FUZZ_TARGETS = {
+    "tracking": (TRACKING, lambda p: ["extract", p]),
+    "config": (EXAMPLES / "config.json", lambda p: ["extract", TRACKING, "--config", p]),
+    "model": (MODEL, lambda p: ["check", p, LEXICON]),
+    "eval model": (MODEL, lambda p: ["eval", p, "[move(D,E)] touch(D,W)", "0"]),
+    "lexicon": (LEXICON, lambda p: ["check", MODEL, p]),
+    "lint lexicon": (LEXICON, lambda p: ["lint", p]),
+    "overrides": (OVERRIDES, lambda p: ["check", MODEL, LEXICON, "--overrides", p]),
+}
+WRONG_VALUES = (None, True, -1, 0, 2**70, 1.5, "", "x", [], {}, [[]], {"a": 1})
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON document."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+def mutate(source, data):
+    raw = source.read_bytes()
+    kind = data.draw(st.sampled_from(
+        ("truncate", "stray bytes") + (("drop key", "wrong type") if source.suffix == ".json" else ())
+    ))
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "stray bytes":
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + data.draw(st.binary(min_size=1, max_size=4)) + raw[at:]
+    doc = json.loads(raw)
+    container, key = data.draw(st.sampled_from(list(_slots(doc))))
+    if kind == "drop key":
+        del container[key]
+    else:
+        container[key] = data.draw(st.sampled_from(WRONG_VALUES))
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FUZZ_TARGETS)), st.data())
+def test_cli_on_mutated_fixtures_exits_cleanly(target, data):
+    source, argv = FUZZ_TARGETS[target]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / source.name
+        path.write_bytes(mutate(source, data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv(path)])
+    assert code in (0, 1, 2), err.getvalue()

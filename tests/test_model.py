@@ -1,7 +1,10 @@
 import json
+import pathlib
 import random
 
 import pytest
+
+import pdlsl.model
 
 from pdlsl import (
     TOP,
@@ -403,3 +406,45 @@ def test_model_json_schema_errors():
     bad = dict(good, actions=[{"action": "noise(R)", "edges": []}])
     with pytest.raises(SchemaError):
         model_from_json(bad)
+
+
+# --- loading extracted models ----------------------------------------------------------------
+
+GOLDEN_MODELS = sorted((pathlib.Path(__file__).resolve().parent / "golden").glob("*.model.json"))
+
+
+def _golden_doc(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_MODELS, ids=lambda p: p.name)
+def test_model_from_json_parses_each_atom_text_once(path, monkeypatch):
+    doc = _golden_doc(path)
+    texts = []
+    parse = pdlsl.model.parse_atom
+
+    def counting(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(pdlsl.model, "parse_atom", counting)
+    model = model_from_json(doc)
+    distinct = {entry["atom"] for entry in doc["valuation"]}
+    assert len(doc["valuation"]) > len(distinct)
+    assert sorted(texts) == sorted(distinct)
+    assert len(model.valuation) == len(doc["valuation"])
+
+
+def test_model_from_json_reports_the_first_malformed_atom_row():
+    doc = _golden_doc(GOLDEN_MODELS[0])
+    doc["valuation"][7]["atom"] = "touch(R,"
+    doc["valuation"][9]["atom"] = "touch(R,"
+    with pytest.raises(SchemaError) as info:
+        model_from_json(doc)
+    assert info.value.path == "/valuation/7/atom"
+
+
+@pytest.mark.parametrize("path", GOLDEN_MODELS, ids=lambda p: p.name)
+def test_fixture_models_survive_a_json_round_trip(path):
+    model = model_from_json(_golden_doc(path))
+    assert model_from_json(model_to_json(model)) == model
