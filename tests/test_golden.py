@@ -7,7 +7,10 @@ with a file under `tests/golden/`:
 * `<fixture>.<dominant>.report.json` - `pdlsl check` of that model with
   `route.pdlsl` and `route.overrides`, for both dominant hands;
 * `eval.tsv` - `pdlsl eval` of ROUTE sub-formulas at every state of each
-  model, one `fixture, dominant, state, formula, output` row per line.
+  model, one `fixture, dominant, state, formula, output` row per line;
+* `parse.tsv` - about 1,500 seeded inputs built from grammar fragments,
+  with the outcome of each parser entry point: the printed tree, or
+  `Class line:col+len message (expected ...)` for a parse error.
 
 After a deliberate change of output, rewrite the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -15,10 +18,24 @@ After a deliberate change of output, rewrite the files with
 
 import json
 import pathlib
+import random
 
 import pytest
 
 from pdlsl.cli import main
+from pdlsl.errors import ParseError
+from pdlsl.parsing import (
+    MAX_DEPTH,
+    parse_action,
+    parse_atom,
+    parse_atomic_action,
+    parse_formula,
+    parse_lexicon,
+    print_action,
+    print_atom,
+    print_atomic_action,
+    print_formula,
+)
 
 from conftest import EXAMPLES
 
@@ -74,6 +91,139 @@ def _eval_rows(run) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _print_lexicon(lexicon) -> str:
+    return " ".join(
+        f"{e.name}@{e.span.line}:{e.span.column}+{e.span.length} := {print_formula(e.formula)} ."
+        for e in lexicon.entries
+    ) or "(no entries)"
+
+
+PARSE_ENTRIES = (
+    ("formula", parse_formula, print_formula),
+    ("action", parse_action, print_action),
+    ("atom", parse_atom, print_atom),
+    ("atomic_action", parse_atomic_action, print_atomic_action),
+    ("lexicon", parse_lexicon, _print_lexicon),
+)
+ARTS = ("R", "L", "D", "W")
+DIRS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
+NAMES = ("FACE", "CHEST", "CLAMP", "B_2", "x1")
+SEPARATORS = (" ", " ", " ", "", "  ", "\t", "\n", "\r\n", "\r", " # note\n", "\n#\n")
+FRAGMENTS = (
+    "true", "dir(R,L,E)", "at(R,FACE)", "touch(R,L)", "cfg(L,CLAMP)", "orient(W,NW)",
+    "move(D,S)", "thrill(W)", "touch(R,R)", "dir(R,R,E)", "dir(Q,L,E)", "move(R,X)",
+    "!", "(", ")", "[", "]", "<", ">", "/\\", "\\/", "->", ";", "&", "|", "*", ",", ".",
+    ":", ":=", "sign", "S1", "format", "1", "2", "²", "٣", "/", "\\", "-", "#", "é",
+    "dir", "move", "Q", "\t", "\r", "\n", " ", "\u00a0", "\x0b",
+)
+MUTATION_CHARS = "()[]<>!/\\-:=,.;&|*# \t\r\n²٣é_RLQXE1"
+
+
+def _leaf_text(rng: random.Random, heads: tuple[str, ...]) -> str:
+    head = rng.choice(heads)
+    kinds = {"dir": "aad", "at": "an", "touch": "aa", "cfg": "an", "orient": "ad", "move": "ad",
+             "thrill": "a"}[head]
+    pools = {"a": ARTS, "n": NAMES, "d": DIRS}
+    return f"{head}({','.join(rng.choice(pools[k]) for k in kinds)})"
+
+
+def _action_text(rng: random.Random, depth: int) -> str:
+    sub = lambda: _action_text(rng, depth - 1)  # noqa: E731
+    if depth <= 0 or rng.random() < 0.3:
+        return _leaf_text(rng, ("move", "thrill"))
+    return rng.choice((
+        lambda: f"{sub()} ; {sub()}", lambda: f"{sub()} & {sub()}", lambda: f"{sub()} | {sub()}",
+        lambda: f"{sub()}*", lambda: f"( {sub()} )",
+    ))()
+
+
+def _formula_text(rng: random.Random, depth: int) -> str:
+    sub = lambda: _formula_text(rng, depth - 1)  # noqa: E731
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(("true", _leaf_text(rng, ("dir", "at", "touch", "cfg", "orient"))))
+    return rng.choice((
+        lambda: f"!{sub()}", lambda: f"( {sub()} )", lambda: f"{sub()} /\\ {sub()}",
+        lambda: f"{sub()} \\/ {sub()}", lambda: f"{sub()} -> {sub()}",
+        lambda: f"[{_action_text(rng, depth - 1)}] {sub()}",
+        lambda: f"<{_action_text(rng, depth - 1)}> {sub()}",
+    ))()
+
+
+def _lexicon_text(rng: random.Random) -> str:
+    head = rng.choice(("", "", "format: 1\n", "format: 2\n", "format:1 "))
+    signs = (f"sign {rng.choice(('A', 'B', 'ROUTE'))} := {_formula_text(rng, 3)} ."
+             for _ in range(rng.randint(0, 3)))
+    return head + "\n".join(signs)
+
+
+def _spaced(rng: random.Random, text: str) -> str:
+    return "".join(rng.choice(SEPARATORS) if ch == " " else ch for ch in text)
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    i = rng.randint(0, len(text))
+    return rng.choice((
+        lambda: text[:i] + text[i + 1:],
+        lambda: text[:i] + rng.choice(FRAGMENTS) + text[i:],
+        lambda: text[:i] + rng.choice(MUTATION_CHARS) + text[i + 1:],
+        lambda: text[:i],
+    ))()
+
+
+def _deep_inputs() -> list[str]:
+    inputs = []
+    for n in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1):
+        moves = ["move(R,E)"] * n
+        inputs += [
+            "!" * n + "true", "(" * n + "true" + ")" * n, "[move(R,E)]" * n + "true",
+            "<thrill(L)>" * n + "true", "true -> " * n + "true",
+            " /\\ ".join(["touch(R,L)"] * n), "\\/".join(["true"] * (n // 3)),
+            ";".join(moves), " & ".join(moves), "|".join(moves),
+            "(" * n + "move(R,E)" + ")" * n, "(" * n + "move(R,E)" + ")*" * n,
+            "[" + ";".join(moves) + "] true", "[" + "(" * n + "thrill(R)" + ")" * n + "] true",
+            "sign DEEP := " + "!" * n + "true .", "sign DEEP := " + "/\\".join(["true"] * n) + " .",
+        ]
+    return inputs
+
+
+def _parse_inputs() -> list[str]:
+    rng = random.Random(4404)
+    inputs = ["", " ", "#", "true # trailing", "true\n# trailing", "\t\rtrue\r\n", "²", "٣",
+              "1²٣", "abc²", "format: ²", "format: ٣", "format: 01", "/", "\\", "a / b",
+              "true \\ x", "touch(R,R)", "dir(R,R,E)", "é", "\u00a0true", "true\x0b",
+              *FRAGMENTS, *_deep_inputs()]
+    makers = (
+        lambda: _formula_text(rng, 4), lambda: _action_text(rng, 4),
+        lambda: _leaf_text(rng, ("dir", "at", "touch", "cfg", "orient")),
+        lambda: _leaf_text(rng, ("move", "thrill")), lambda: _lexicon_text(rng),
+    )
+    generated = [_spaced(rng, rng.choice(makers)()) for _ in range(450)]
+    inputs += generated
+    inputs += [_mutated(rng, rng.choice(generated)) for _ in range(650)]
+    inputs += ["".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(1, 8))) for _ in range(280)]
+    return inputs
+
+
+def _parse_outcome(parse, show, text: str) -> str:
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        s = exc.span
+        out = f"{type(exc).__name__} {s.line}:{s.column}+{s.length} {exc.args[0]}"
+        return out + (f" (expected {', '.join(sorted(exc.expected))})" if exc.expected else "")
+    return show(result)
+
+
+def _parse_rows() -> str:
+    lines = ["\t".join(("input", *(name for name, _, _ in PARSE_ENTRIES)))]
+    for text in _parse_inputs():
+        cells = [json.dumps(text, ensure_ascii=False)]
+        cells += [_parse_outcome(parse, show, text) for _, parse, show in PARSE_ENTRIES]
+        assert not any("\t" in c or "\n" in c for c in cells)
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_extract_matches_golden(fixture, tmp_path):
     got = _extract(fixture, tmp_path / "model.json")
@@ -90,6 +240,10 @@ def test_check_matches_golden(fixture, dominant, tmp_path):
 def test_eval_matches_golden(capsys):
     got = _eval_rows(lambda argv: _run(argv, capsys))
     assert got.encode("utf-8") == (GOLDEN / "eval.tsv").read_bytes()
+
+
+def test_parse_matches_golden():
+    assert _parse_rows().encode("utf-8") == (GOLDEN / "parse.tsv").read_bytes()
 
 
 def regenerate() -> None:
@@ -111,6 +265,7 @@ def regenerate() -> None:
             for dominant in DOMINANTS:
                 _check(fixture, dominant, GOLDEN / f"{fixture}.{dominant}.report.json")
     (GOLDEN / "eval.tsv").write_bytes(_eval_rows(run).encode("utf-8"))
+    (GOLDEN / "parse.tsv").write_bytes(_parse_rows().encode("utf-8"))
 
 
 if __name__ == "__main__":
