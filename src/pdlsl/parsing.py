@@ -33,7 +33,10 @@ leading `format: 1` marker.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .core import (
     TOP,
@@ -94,89 +97,54 @@ __all__ = [
 
 # --- Tokens ------------------------------------------------------------------
 
-_PUNCT = {
-    "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
-    "<": "LANGLE", ">": "RANGLE", ",": "COMMA", ";": "SEMI",
-    "&": "AMP", "|": "PIPE", "*": "STAR", "!": "BANG",
-    ".": "DOT", ":": "COLON",
-}
+# Token kinds and their patterns, tried in this order: two-character
+# operators before their one-character prefixes, and both slash operators
+# before the stray-slash error. Digits have no pattern of their own: a digit
+# run is scanned with str.isdigit, so digits such as "²" make INT tokens too.
+_TOKENS = (
+    ("NEWLINE", r"\n"), ("SPACE", r"[ \t\r]+"), ("COMMENT", r"\#[^\n]*"),
+    ("ARROW", "->"), ("ASSIGN", ":="), ("ANDOP", r"/\\"), ("OROP", r"\\/"), ("STRAY", r"[/\\]"),
+    ("LPAREN", r"\("), ("RPAREN", r"\)"), ("LBRACKET", r"\["), ("RBRACKET", r"\]"),
+    ("LANGLE", "<"), ("RANGLE", ">"), ("COMMA", ","), ("SEMI", ";"), ("AMP", "&"),
+    ("PIPE", r"\|"), ("STAR", r"\*"), ("BANG", "!"), ("DOT", r"\."), ("COLON", ":"),
+    ("IDENT", "[A-Za-z_][A-Za-z0-9_]*"), ("OTHER", "."),
+)
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKENS))
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     span: SourceSpan
 
 
+_SKIPPED = frozenset({"NEWLINE", "SPACE", "COMMENT"})
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        two = text[i : i + 2]
-        if two == "->":
-            tokens.append(_Token("ARROW", two, SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if two == ":=":
-            tokens.append(_Token("ASSIGN", two, SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if two == "/\\":
-            tokens.append(_Token("ANDOP", two, SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if two == "\\/":
-            tokens.append(_Token("OROP", two, SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in "/\\":
-            raise ParseError(f"stray {ch!r}", span, frozenset({"/\\", "\\/"}))
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(_Token("IDENT", word, SourceSpan(line, col, len(word))))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            word = text[i:j]
-            tokens.append(_Token("INT", word, SourceSpan(line, col, len(word))))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(_Token("EOF", "", SourceSpan(line, col)))
+    line, line_start, pos, n = 1, 0, 0, len(text)
+    match = _TOKEN_RE.match
+    while pos < n:
+        m = match(text, pos)
+        kind, end, col = m.lastgroup, m.end(), pos - line_start + 1
+        if kind == "OTHER" and text[pos].isdigit():
+            while end < n and text[end].isdigit():
+                end += 1
+            kind = "INT"
+        elif kind == "OTHER":
+            raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(line, col))
+        elif kind == "STRAY":
+            raise ParseError(f"stray {text[pos]!r}", SourceSpan(line, col), frozenset({"/\\", "\\/"}))
+        elif kind == "NEWLINE":
+            line, line_start = line + 1, end
+        if kind not in _SKIPPED:
+            tokens.append(_Token(kind, text[pos:end], SourceSpan(line, col, end - pos)))
+        pos = end
+    # A comment on the last line runs to the end, which stays at its "#".
+    comment = text.find("#", line_start)
+    end_col = (n if comment < 0 else comment) - line_start + 1
+    tokens.append(_Token("EOF", "", SourceSpan(line, end_col)))
     return tokens
 
 
@@ -188,7 +156,21 @@ MAX_DEPTH = 100
 
 _ARTICULATORS = {a.value: a for a in Articulator}
 _DIRECTIONS = {d.name: d for d in Direction}
+#: Each leaf head: its node type and fields in argument order. A `direction`
+#: field reads a compass name, `place` and `label` read a free name, and
+#: every other field reads an articulator. Mind the order of dir(b1,b2,d):
+#: b1 is the subject, lying in direction d of the anchor b2.
+_LEAVES = {
+    "dir": (RelDir, ("subject", "anchor", "direction")),
+    "at": (At, ("articulator", "place")),
+    "touch": (Touch, ("a", "b")),
+    "cfg": (Config, ("articulator", "label")),
+    "orient": (Orient, ("articulator", "direction")),
+    "move": (Move, ("articulator", "direction")),
+    "thrill": (Thrill, ("articulator",)),
+}
 _ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
+_ACTION_HEADS = ("move", "thrill")
 
 
 class _Parser:
@@ -209,22 +191,13 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def _unexpected(self, *expected: str) -> ParseError:
+        tok = self.cur
+        return ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.span, frozenset(expected))
+
     def _expect(self, kind: str, what: str | None = None) -> _Token:
         if self.cur.kind != kind:
-            raise ParseError(
-                f"unexpected {self.cur.text or 'end of input'!r}",
-                self.cur.span,
-                frozenset({what or kind}),
-            )
-        return self._advance()
-
-    def _expect_word(self, word: str) -> _Token:
-        if self.cur.kind != "IDENT" or self.cur.text != word:
-            raise ParseError(
-                f"unexpected {self.cur.text or 'end of input'!r}",
-                self.cur.span,
-                frozenset({word}),
-            )
+            raise self._unexpected(what or kind)
         return self._advance()
 
     def _at_word(self, *words: str) -> bool:
@@ -246,26 +219,15 @@ class _Parser:
     def _too_deep(self, tok: _Token) -> ParseError:
         return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", tok.span)
 
-    def _articulator(self) -> Articulator:
-        tok = self._expect("IDENT", "articulator")
-        art = _ARTICULATORS.get(tok.text)
-        if art is None:
-            raise UnknownArticulator(
-                f"unknown articulator {tok.text!r}", tok.span, frozenset(_ARTICULATORS)
-            )
-        return art
-
-    def _direction(self) -> Direction:
-        tok = self._expect("IDENT", "direction")
-        d = _DIRECTIONS.get(tok.text)
-        if d is None:
-            raise UnknownDirection(
-                f"unknown direction {tok.text!r}", tok.span, frozenset(_DIRECTIONS)
-            )
-        return d
-
-    def _name(self) -> str:
-        return self._expect("IDENT", "name").text
+    def _chain(self, operand, kind: str, build, cost: int = 1):
+        """A left-associative chain of `operand`s joined by `kind` tokens;
+        each join adds `cost` to the height (`\\/` desugars to three nodes)."""
+        node, height = operand()
+        while self.cur.kind == kind:
+            tok = self._advance()
+            right, right_height = operand()
+            node, height = self._node(build(node, right), max(height, right_height) + cost, tok)
+        return node, height
 
     # -- formulas --
     # Each level returns the node it parsed together with the node's height.
@@ -280,20 +242,10 @@ class _Parser:
         return left, height
 
     def or_level(self) -> tuple[Formula, int]:
-        node, height = self.and_level()
-        while self.cur.kind == "OROP":
-            tok = self._advance()
-            right, right_height = self.and_level()
-            node, height = self._node(or_(node, right), max(height, right_height) + 3, tok)
-        return node, height
+        return self._chain(self.and_level, "OROP", or_, 3)
 
     def and_level(self) -> tuple[Formula, int]:
-        node, height = self.unary()
-        while self.cur.kind == "ANDOP":
-            tok = self._advance()
-            right, right_height = self.unary()
-            node, height = self._node(And(node, right), max(height, right_height) + 1, tok)
-        return node, height
+        return self._chain(self.unary, "ANDOP", And)
 
     def unary(self) -> tuple[Formula, int]:
         tok = self.cur
@@ -327,85 +279,21 @@ class _Parser:
             return TOP, 0
         if self._at_word(*_ATOM_HEADS):
             return AtomF(self.atom()), 0
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}",
-            tok.span,
-            frozenset({"!", "[", "<", "(", "true", *_ATOM_HEADS}),
-        )
+        raise self._unexpected("!", "[", "<", "(", "true", *_ATOM_HEADS)
 
     def atom(self) -> Atom:
-        head = self._expect("IDENT", "atom").text
-        self._expect("LPAREN", "(")
-        if head == "dir":
-            subject = self._articulator()
-            self._expect("COMMA", ",")
-            anchor = self._articulator()
-            self._expect("COMMA", ",")
-            direction = self._direction()
-            self._close_args()
-            try:
-                return RelDir(subject, direction, anchor)
-            except ValueError as exc:
-                raise ParseError(str(exc), self.tokens[self.pos - 1].span) from None
-        if head == "at":
-            art = self._articulator()
-            self._expect("COMMA", ",")
-            place = self._name()
-            self._close_args()
-            return At(art, place)
-        if head == "touch":
-            a = self._articulator()
-            self._expect("COMMA", ",")
-            b = self._articulator()
-            self._close_args()
-            try:
-                return Touch(a, b)
-            except ValueError as exc:
-                raise ParseError(str(exc), self.tokens[self.pos - 1].span) from None
-        if head == "cfg":
-            art = self._articulator()
-            self._expect("COMMA", ",")
-            label = self._name()
-            self._close_args()
-            return Config(art, label)
-        if head == "orient":
-            art = self._articulator()
-            self._expect("COMMA", ",")
-            direction = self._direction()
-            self._close_args()
-            return Orient(art, direction)
-        raise ParseError(
-            f"unknown atom {head!r}", self.tokens[self.pos - 2].span, frozenset(_ATOM_HEADS)
-        )
-
-    def _close_args(self) -> None:
-        self._expect("RPAREN", ")")
+        return self._leaf(_ATOM_HEADS, "atom", "atom")
 
     # -- actions --
 
     def action(self) -> tuple[Action, int]:
-        node, height = self.par_level()
-        while self.cur.kind == "SEMI":
-            tok = self._advance()
-            right, right_height = self.par_level()
-            node, height = self._node(Seq(node, right), max(height, right_height) + 1, tok)
-        return node, height
+        return self._chain(self.par_level, "SEMI", Seq)
 
     def par_level(self) -> tuple[Action, int]:
-        node, height = self.choice_level()
-        while self.cur.kind == "AMP":
-            tok = self._advance()
-            right, right_height = self.choice_level()
-            node, height = self._node(Concurrent(node, right), max(height, right_height) + 1, tok)
-        return node, height
+        return self._chain(self.choice_level, "AMP", Concurrent)
 
     def choice_level(self) -> tuple[Action, int]:
-        node, height = self.star_level()
-        while self.cur.kind == "PIPE":
-            tok = self._advance()
-            right, right_height = self.star_level()
-            node, height = self._node(Choice(node, right), max(height, right_height) + 1, tok)
-        return node, height
+        return self._chain(self.star_level, "PIPE", Choice)
 
     def star_level(self) -> tuple[Action, int]:
         node, height = self.prim()
@@ -415,74 +303,76 @@ class _Parser:
         return node, height
 
     def prim(self) -> tuple[Action, int]:
-        tok = self.cur
-        if tok.kind == "LPAREN":
+        if self.cur.kind == "LPAREN":
             self._enter()
             node, height = self.action()
             self._expect("RPAREN", ")")
             self.depth -= 1
             return node, height
-        if self._at_word("move", "thrill"):
+        if self._at_word(*_ACTION_HEADS):
             return Atomic(self.atomic_action()), 0
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}",
-            tok.span,
-            frozenset({"move", "thrill", "("}),
-        )
+        raise self._unexpected(*_ACTION_HEADS, "(")
 
     def atomic_action(self) -> AtomicAction:
-        head = self._expect("IDENT", "move or thrill").text
-        self._expect("LPAREN", "(")
-        if head == "move":
-            art = self._articulator()
-            self._expect("COMMA", ",")
-            direction = self._direction()
-            self._close_args()
-            return Move(art, direction)
-        if head == "thrill":
-            art = self._articulator()
-            self._close_args()
-            return Thrill(art)
-        raise ParseError(
-            f"unknown action {head!r}",
-            self.tokens[self.pos - 2].span,
-            frozenset({"move", "thrill"}),
-        )
+        return self._leaf(_ACTION_HEADS, "move or thrill", "action")
 
-    def _expect_eof(self) -> None:
-        if self.cur.kind != "EOF":
-            raise ParseError(
-                f"trailing input {self.cur.text!r}", self.cur.span, frozenset({"end of input"})
-            )
+    # -- leaves --
+
+    def _leaf(self, heads: tuple[str, ...], what: str, noun: str):
+        head_tok = self._expect("IDENT", what)
+        self._expect("LPAREN", "(")
+        if head_tok.text not in heads:
+            raise ParseError(f"unknown {noun} {head_tok.text!r}", head_tok.span, frozenset(heads))
+        node, fields = _LEAVES[head_tok.text]
+        args = {}
+        for i, field in enumerate(fields):
+            if i:
+                self._expect("COMMA", ",")
+            args[field] = self._argument(field)
+        self._expect("RPAREN", ")")
+        try:
+            return node(**args)
+        except ValueError as exc:  # dir and touch need two distinct articulators
+            raise ParseError(str(exc), self.tokens[self.pos - 1].span) from None
+
+    def _argument(self, field: str):
+        if field in ("place", "label"):
+            return self._expect("IDENT", "name").text
+        what, table, error = (
+            ("direction", _DIRECTIONS, UnknownDirection) if field == "direction"
+            else ("articulator", _ARTICULATORS, UnknownArticulator)
+        )
+        tok = self._expect("IDENT", what)
+        if tok.text not in table:
+            raise error(f"unknown {what} {tok.text!r}", tok.span, frozenset(table))
+        return table[tok.text]
+
+
+def _parse_all(text: str, rule):
+    """Parse the whole text with one rule of the grammar."""
+    parser = _Parser(text)
+    node = rule(parser)
+    tok = parser.cur
+    if tok.kind != "EOF":
+        raise ParseError(f"trailing input {tok.text!r}", tok.span, frozenset({"end of input"}))
+    return node
 
 
 def parse_formula(text: str) -> Formula:
     """Parse one formula; the result is fully desugared."""
-    p = _Parser(text)
-    node, _ = p.formula()
-    p._expect_eof()
-    return node
+    return _parse_all(text, _Parser.formula)[0]
 
 
 def parse_action(text: str) -> Action:
-    p = _Parser(text)
-    node, _ = p.action()
-    p._expect_eof()
-    return node
+    return _parse_all(text, _Parser.action)[0]
 
 
 def parse_atom(text: str) -> Atom:
-    p = _Parser(text)
-    node = p.atom()
-    p._expect_eof()
-    return node
+    return _parse_all(text, _Parser.atom)
 
 
 def parse_atomic_action(text: str) -> AtomicAction:
-    p = _Parser(text)
-    node = p.atomic_action()
-    p._expect_eof()
-    return node
+    return _parse_all(text, _Parser.atomic_action)
 
 
 # --- Lexicon files -----------------------------------------------------------
@@ -534,7 +424,9 @@ def parse_lexicon(text: str) -> LexiconFile:
     entries: list[LexiconEntry] = []
     spans: dict[str, SourceSpan] = {}
     while p.cur.kind != "EOF":
-        p._expect_word("sign")
+        if not p._at_word("sign"):
+            raise p._unexpected("sign")
+        p._advance()
         name_tok = p._expect("IDENT", "sign name")
         if name_tok.text in spans:
             raise DuplicateSign(name_tok.text, spans[name_tok.text], name_tok.span)
@@ -553,15 +445,26 @@ def parse_lexicon(text: str) -> LexiconFile:
 _F_AND, _F_UNARY = 0, 1
 # Action levels, loosest to tightest: ";", "&", "|", star, primitive.
 _A_SEQ, _A_PAR, _A_CHOICE, _A_STAR, _A_PRIM = 0, 1, 2, 3, 4
+_HEADS = {node: head for head, (node, _) in _LEAVES.items()}
+# Printing spells an articulator by its letter, a direction by its compass
+# name and a place or label as it is: "dir(%s,%s,%s)" % (subject.value, ...).
+_SPELLING = {"direction": ".name", "place": "", "label": ""}
+_PRINTERS = {
+    node: (f"{head}({','.join(['%s'] * len(fields))})",
+           attrgetter(*(f + _SPELLING.get(f, ".value") for f in fields)))
+    for head, (node, fields) in _LEAVES.items()
+}
+
+
+def _print_leaf(leaf: Atom | AtomicAction) -> str:
+    template, spell = _PRINTERS[type(leaf)]
+    return template % spell(leaf)
 
 
 def print_atomic_action(action: AtomicAction) -> str:
-    match action:
-        case Move(articulator=b, direction=d):
-            return f"move({b.value},{d.name})"
-        case Thrill(articulator=b):
-            return f"thrill({b.value})"
-    raise TypeError(f"not an atomic action: {action!r}")
+    if _HEADS.get(type(action)) not in _ACTION_HEADS:
+        raise TypeError(f"not an atomic action: {action!r}")
+    return _print_leaf(action)
 
 
 def _print_action(action: Action, min_level: int) -> str:
@@ -590,18 +493,9 @@ def print_action(action: Action) -> str:
 
 
 def print_atom(atom: Atom) -> str:
-    match atom:
-        case RelDir(subject=s, direction=d, anchor=a):
-            return f"dir({s.value},{a.value},{d.name})"
-        case At(articulator=b, place=p):
-            return f"at({b.value},{p})"
-        case Touch(a=a, b=b):
-            return f"touch({a.value},{b.value})"
-        case Config(articulator=b, label=c):
-            return f"cfg({b.value},{c})"
-        case Orient(articulator=b, direction=d):
-            return f"orient({b.value},{d.name})"
-    raise TypeError(f"not an atom: {atom!r}")
+    if _HEADS.get(type(atom)) not in _ATOM_HEADS:
+        raise TypeError(f"not an atom: {atom!r}")
+    return _print_leaf(atom)
 
 
 def _print_formula(formula: Formula, min_level: int) -> str:
