@@ -28,7 +28,7 @@ from .core import (
     ground_atom,
 )
 from .errors import ParseError, SourceSpan, UnknownState
-from .model import ThreeVal, UtteranceModel, _Labeler, _members, atom_value
+from .model import ThreeVal, UtteranceModel, _Labeler, _members
 from .parsing import LexiconFile, parse_atom
 
 
@@ -83,15 +83,6 @@ def anchor_atoms(formula: Formula) -> frozenset[Atom]:
             return frozenset()
 
 
-def prefilter(model: UtteranceModel, state: int, grounded: Formula) -> bool:
-    """False when some anchor atom is already refuted at the state, in which
-    case evaluation can be skipped without changing the report."""
-    return all(
-        atom_value(model, state, atom) is not ThreeVal.FALSE
-        for atom in anchor_atoms(grounded)
-    )
-
-
 def lexicon_hash(lexicon: LexiconFile) -> str:
     return hashlib.sha256(lexicon.canonical_text().encode("utf-8")).hexdigest()
 
@@ -122,7 +113,11 @@ def parse_overrides(text: str) -> list[Override]:
                 "expected 'state <id>: <atom> = true|false|unknown'",
                 SourceSpan(lineno, 1, max(len(line.rstrip()), 1)),
             )
-        atom = parse_atom(m.group(2))
+        try:
+            atom = parse_atom(m.group(2))
+        except ParseError as exc:  # point into the file, not into the atom text
+            span = SourceSpan(lineno, m.start(2) + exc.span.column, exc.span.length)
+            raise type(exc)(exc.args[0], span, exc.expected) from None
         overrides.append(Override(int(m.group(1)), atom, ThreeVal(m.group(3))))
     return overrides
 
@@ -153,15 +148,11 @@ def verify(
     lexicon: LexiconFile,
     handedness: Handedness,
     overrides: Iterable[Override] = (),
-    use_prefilter: bool = True,
 ) -> ProposalReport:
     """Label every sign over all states at once and collect the proposals.
 
     A sign matches where it and all its anchor atoms are True, and is
     possible where none of them is False but it does not match.
-    `use_prefilter` has no effect and is kept for compatibility: refuted
-    anchors are read off the same labels as the verdict, so there is no
-    separate path to switch, and the report is identical either way.
     """
     overrides = list(overrides)
     if overrides:

@@ -34,7 +34,6 @@ from .core import (
     iter_atomic_actions,
 )
 from .errors import (
-    CoincidentPoints,
     EmptySequence,
     NoKeyPosture,
     NonMonotoneTimestamps,
@@ -524,13 +523,7 @@ def posture_valuation(
         (Articulator.RIGHT, Articulator.LEFT, right, left),
         (Articulator.LEFT, Articulator.RIGHT, left, right),
     ):
-        if pair_known:
-            try:
-                winner = relative_direction(s_pos, a_pos)
-            except CoincidentPoints:  # unreachable given pair_known
-                winner = None
-        else:
-            winner = None
+        winner = relative_direction(s_pos, a_pos) if pair_known else None
         for d in Direction:
             atom = RelDir(subject, d, anchor)
             if winner is None:

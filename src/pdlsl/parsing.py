@@ -63,6 +63,7 @@ from .core import (
     Thrill,
     Top,
     Touch,
+    config_labels,
     diamond,
     implies,
     iter_atoms,
@@ -402,12 +403,7 @@ class LexiconFile:
         return None
 
     def config_labels(self) -> frozenset[str]:
-        labels: set[str] = set()
-        for e in self.entries:
-            for atom in iter_atoms(e.formula):
-                if isinstance(atom, Config):
-                    labels.add(atom.label)
-        return frozenset(labels)
+        return frozenset().union(*(config_labels(e.formula) for e in self.entries))
 
     def canonical_text(self) -> str:
         return "\n".join(f"sign {e.name} := {print_formula(e.formula)} ." for e in self.entries)

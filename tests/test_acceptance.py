@@ -60,6 +60,7 @@ from pdlsl import (
 
 import _gen
 from conftest import EXAMPLES
+from test_oracle import reference_verdicts
 
 R, L = Articulator.RIGHT, Articulator.LEFT
 D, W = Articulator.DOMINANT, Articulator.WEAK
@@ -328,12 +329,13 @@ def _fixture_models():
         yield model, lexicon
 
 
-@criterion(8, "prefilter soundness (fixtures + 200 random pairs)")
+@criterion(8, "anchor pruning soundness: verify equals the per-state reference "
+              "(fixtures + 200 random pairs)")
 def test_prefilter_soundness():
     for model, lexicon in _fixture_models():
-        with_f = verify(model, lexicon, RIGHT_DOM, use_prefilter=True)
-        without = verify(model, lexicon, RIGHT_DOM, use_prefilter=False)
-        assert with_f.to_json() == without.to_json()
+        assert report_shape(verify(model, lexicon, RIGHT_DOM)) == reference_verdicts(
+            model, lexicon, RIGHT_DOM
+        )
     rng = random.Random(8088)
     for _ in range(200):
         model = _gen.gen_model(rng, allow_unknown=True)
@@ -342,9 +344,9 @@ def test_prefilter_soundness():
             for i in range(rng.randint(1, 4))
         )
         lexicon = LexiconFile(entries)
-        with_f = verify(model, lexicon, RIGHT_DOM, use_prefilter=True)
-        without = verify(model, lexicon, RIGHT_DOM, use_prefilter=False)
-        assert with_f.to_json() == without.to_json()
+        assert report_shape(verify(model, lexicon, RIGHT_DOM)) == reference_verdicts(
+            model, lexicon, RIGHT_DOM
+        )
 
 
 # --- 9 -------------------------------------------------------------------------

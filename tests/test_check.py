@@ -16,15 +16,16 @@ from pdlsl import (
     SourceSpan,
     ThreeVal,
     Touch,
+    UnknownArticulator,
     UnknownState,
     anchor_atoms,
     apply_overrides,
     extract_model,
     lexicon_hash,
+    parse_atom,
     parse_formula,
     parse_lexicon,
     parse_overrides,
-    prefilter,
     tracking_from_json,
     verify,
 )
@@ -71,15 +72,6 @@ def test_anchor_atoms_trivial_cases():
     assert anchor_atoms(parse_formula("touch(R,L) /\\ at(R,FACE)")) == frozenset(
         {Touch(R, L), At(R, "FACE")}
     )
-
-
-def test_prefilter_route(route_setup):
-    model, lexicon = route_setup
-    from pdlsl import ground
-
-    formula = ground(lexicon.get("ROUTE"), RIGHT_DOM)
-    assert prefilter(model, 0, formula) is True
-    assert prefilter(model, 1, formula) is False  # at(R,FACE) refuted at s1
 
 
 # --- verify -------------------------------------------------------------------------
@@ -141,26 +133,6 @@ def test_verify_grounds_lexicon_with_handedness(route_setup):
     assert report_shape(report_left)[0] == [("PULL_APART", "match")]
 
 
-def test_verify_prefilter_equivalence_on_fixtures(route_setup):
-    model, lexicon = route_setup
-    with_f = verify(model, lexicon, RIGHT_DOM, use_prefilter=True)
-    without = verify(model, lexicon, RIGHT_DOM, use_prefilter=False)
-    assert with_f.to_json() == without.to_json()
-
-
-def test_verify_prefilter_equivalence_random():
-    rng = random.Random(501)
-    for _ in range(60):
-        model = _gen.gen_model(rng, allow_unknown=True)
-        entries = [
-            (f"SIGN{i}", _gen.gen_formula(rng, 3)) for i in range(rng.randint(1, 4))
-        ]
-        lexicon = lexicon_of(*entries)
-        a = verify(model, lexicon, RIGHT_DOM, use_prefilter=True)
-        b = verify(model, lexicon, RIGHT_DOM, use_prefilter=False)
-        assert a.to_json() == b.to_json()
-
-
 def test_verify_deterministic(route_setup):
     model, lexicon = route_setup
     a = json.dumps(verify(model, lexicon, RIGHT_DOM).to_json())
@@ -190,6 +162,25 @@ def test_parse_overrides_bad_line():
     with pytest.raises(ParseError) as exc:
         parse_overrides("state zero: touch(R,L) = true")
     assert exc.value.span.line == 1
+
+
+@pytest.mark.parametrize(
+    ("atom", "error", "column", "message"),
+    [
+        ("dir(R,Q,E)", UnknownArticulator, 18, "unknown articulator 'Q'"),
+        ("touch(R,R)", ParseError, 21, "touch needs two distinct articulators"),
+    ],
+)
+def test_parse_overrides_bad_atom_points_into_file(atom, error, column, message):
+    text = f"# corrections\nstate 0: touch(R,L) = true\n\nstate 1:   {atom} = true\n"
+    with pytest.raises(ParseError) as exc:
+        parse_overrides(text)
+    assert type(exc.value) is error
+    assert exc.value.args[0] == message
+    assert exc.value.span == SourceSpan(4, column, 1)
+    with pytest.raises(error) as inner:
+        parse_atom(atom)
+    assert exc.value.expected == inner.value.expected
 
 
 def test_overrides_change_verdict(route_setup):

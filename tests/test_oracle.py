@@ -20,8 +20,10 @@ from pdlsl import (
     ThreeVal,
     UtteranceModel,
     anchor_atoms,
+    atom_value,
     eval_formula,
     eval_two_valued,
+    ground,
     implies,
     interpret_action,
     verify,
@@ -126,21 +128,24 @@ def test_interpret_action_matches_relation_oracle(seed):
             assert interpret_action(model, action) == _gen.ref_action_pairs(model, action)
 
 
-def reference_verdicts(model, lexicon):
-    """Per state: a sign is dropped where an anchor atom or the formula is
-    False, matches where both are all True, and is possible otherwise."""
+def reference_verdicts(model, lexicon, handedness=Handedness.RIGHT_DOMINANT):
+    """Per state, with each sign grounded for the handedness: a sign is
+    dropped where an anchor atom or the formula is False, matches where
+    both are all True, and is possible otherwise. Every (state, sign) pair
+    is evaluated in full, with no pruning."""
+    signs = [(entry.name, ground(entry.formula, handedness)) for entry in lexicon.entries]
     per_state = []
     for state in model.states():
         matches, possibles = [], []
-        for entry in lexicon.entries:
-            value = _gen.ref_eval_three(model, state, entry.formula)
-            anchors = [model.valuation[(state, a)] for a in anchor_atoms(entry.formula)]
+        for name, formula in signs:
+            value = _gen.ref_eval_three(model, state, formula)
+            anchors = [atom_value(model, state, a) for a in anchor_atoms(formula)]
             if value is F or F in anchors:
                 continue
             if value is T and all(v is T for v in anchors):
-                matches.append((entry.name, "match"))
+                matches.append((name, "match"))
             else:
-                possibles.append((entry.name, "possible"))
+                possibles.append((name, "possible"))
         per_state.append(matches + possibles)
     return per_state
 
