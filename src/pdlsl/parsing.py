@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -136,7 +137,8 @@ def _tokenize(text: str) -> list[_Token]:
         elif kind == "OTHER":
             raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(line, col))
         elif kind == "STRAY":
-            raise ParseError(f"stray {text[pos]!r}", SourceSpan(line, col), frozenset({"/\\", "\\/"}))
+            expected = frozenset({"/\\", "\\/"})
+            raise ParseError(f"stray {text[pos]!r}", SourceSpan(line, col), expected)
         elif kind == "NEWLINE":
             line, line_start = line + 1, end
         if kind not in _SKIPPED:
@@ -194,7 +196,8 @@ class _Parser:
 
     def _unexpected(self, *expected: str) -> ParseError:
         tok = self.cur
-        return ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.span, frozenset(expected))
+        message = f"unexpected {tok.text or 'end of input'!r}"
+        return ParseError(message, tok.span, frozenset(expected))
 
     def _expect(self, kind: str, what: str | None = None) -> _Token:
         if self.cur.kind != kind:
@@ -220,33 +223,17 @@ class _Parser:
     def _too_deep(self, tok: _Token) -> ParseError:
         return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", tok.span)
 
-    def _chain(self, operand, kind: str, build, cost: int = 1):
-        """A left-associative chain of `operand`s joined by `kind` tokens;
-        each join adds `cost` to the height (`\\/` desugars to three nodes)."""
-        node, height = operand()
-        while self.cur.kind == kind:
-            tok = self._advance()
-            right, right_height = operand()
-            node, height = self._node(build(node, right), max(height, right_height) + cost, tok)
-        return node, height
-
     # -- formulas --
     # Each level returns the node it parsed together with the node's height.
 
     def formula(self) -> tuple[Formula, int]:
-        left, height = self.or_level()
+        left, height = _or_level(self)
         if self.cur.kind == "ARROW":
             tok = self._enter()
             right, right_height = self.formula()
             self.depth -= 1
             return self._node(implies(left, right), max(height, right_height + 1) + 2, tok)
         return left, height
-
-    def or_level(self) -> tuple[Formula, int]:
-        return self._chain(self.and_level, "OROP", or_, 3)
-
-    def and_level(self) -> tuple[Formula, int]:
-        return self._chain(self.unary, "ANDOP", And)
 
     def unary(self) -> tuple[Formula, int]:
         tok = self.cur
@@ -257,14 +244,14 @@ class _Parser:
             return self._node(Not(body), height + 1, tok)
         if tok.kind == "LBRACKET":
             self._enter()
-            action, action_height = self.action()
+            action, action_height = _action(self)
             self._expect("RBRACKET", "]")
             body, height = self.unary()
             self.depth -= 1
             return self._node(Box(action, body), max(action_height, height) + 1, tok)
         if tok.kind == "LANGLE":
             self._enter()
-            action, action_height = self.action()
+            action, action_height = _action(self)
             self._expect("RANGLE", ">")
             body, height = self.unary()
             self.depth -= 1
@@ -287,15 +274,6 @@ class _Parser:
 
     # -- actions --
 
-    def action(self) -> tuple[Action, int]:
-        return self._chain(self.par_level, "SEMI", Seq)
-
-    def par_level(self) -> tuple[Action, int]:
-        return self._chain(self.choice_level, "AMP", Concurrent)
-
-    def choice_level(self) -> tuple[Action, int]:
-        return self._chain(self.star_level, "PIPE", Choice)
-
     def star_level(self) -> tuple[Action, int]:
         node, height = self.prim()
         if self.cur.kind == "STAR":
@@ -306,7 +284,7 @@ class _Parser:
     def prim(self) -> tuple[Action, int]:
         if self.cur.kind == "LPAREN":
             self._enter()
-            node, height = self.action()
+            node, height = _action(self)
             self._expect("RPAREN", ")")
             self.depth -= 1
             return node, height
@@ -349,6 +327,28 @@ class _Parser:
         return table[tok.text]
 
 
+def _chain(operand, kind: str, build, cost: int, parser: _Parser):
+    """A left-associative chain of `operand(parser)`s joined by `kind`
+    tokens; each join adds `cost` to the height (`\\/` desugars to three
+    nodes)."""
+    node, height = operand(parser)
+    while parser.cur.kind == kind:
+        tok = parser._advance()
+        right, right_height = operand(parser)
+        node, height = parser._node(build(node, right), max(height, right_height) + cost, tok)
+    return node, height
+
+
+# The left-associative levels, loosest first. They are partials rather than
+# methods, so that a level costs one Python frame and nesting to MAX_DEPTH
+# stays far inside the interpreter's recursion limit.
+_and_level = partial(_chain, _Parser.unary, "ANDOP", And, 1)
+_or_level = partial(_chain, _and_level, "OROP", or_, 3)
+_choice_level = partial(_chain, _Parser.star_level, "PIPE", Choice, 1)
+_par_level = partial(_chain, _choice_level, "AMP", Concurrent, 1)
+_action = partial(_chain, _par_level, "SEMI", Seq, 1)
+
+
 def _parse_all(text: str, rule):
     """Parse the whole text with one rule of the grammar."""
     parser = _Parser(text)
@@ -365,7 +365,7 @@ def parse_formula(text: str) -> Formula:
 
 
 def parse_action(text: str) -> Action:
-    return _parse_all(text, _Parser.action)[0]
+    return _parse_all(text, _action)[0]
 
 
 def parse_atom(text: str) -> Atom:
@@ -441,26 +441,31 @@ def parse_lexicon(text: str) -> LexiconFile:
 _F_AND, _F_UNARY = 0, 1
 # Action levels, loosest to tightest: ";", "&", "|", star, primitive.
 _A_SEQ, _A_PAR, _A_CHOICE, _A_STAR, _A_PRIM = 0, 1, 2, 3, 4
-_HEADS = {node: head for head, (node, _) in _LEAVES.items()}
 # Printing spells an articulator by its letter, a direction by its compass
 # name and a place or label as it is: "dir(%s,%s,%s)" % (subject.value, ...).
 _SPELLING = {"direction": ".name", "place": "", "label": ""}
-_PRINTERS = {
-    node: (f"{head}({','.join(['%s'] * len(fields))})",
-           attrgetter(*(f + _SPELLING.get(f, ".value") for f in fields)))
-    for head, (node, fields) in _LEAVES.items()
-}
 
 
-def _print_leaf(leaf: Atom | AtomicAction) -> str:
-    template, spell = _PRINTERS[type(leaf)]
-    return template % spell(leaf)
+def _printers(heads: tuple[str, ...]) -> dict[type, tuple[str, attrgetter]]:
+    """The template and field getter of the leaf type of each head."""
+    return {
+        node: (f"{head}({','.join(['%s'] * len(fields))})",
+               attrgetter(*(f + _SPELLING.get(f, ".value") for f in fields)))
+        for head in heads
+        for node, fields in (_LEAVES[head],)
+    }
+
+
+_ATOM_PRINTERS = _printers(_ATOM_HEADS)
+_ACTION_PRINTERS = _printers(_ACTION_HEADS)
 
 
 def print_atomic_action(action: AtomicAction) -> str:
-    if _HEADS.get(type(action)) not in _ACTION_HEADS:
+    printer = _ACTION_PRINTERS.get(type(action))
+    if printer is None:
         raise TypeError(f"not an atomic action: {action!r}")
-    return _print_leaf(action)
+    template, spell = printer
+    return template % spell(action)
 
 
 def _print_action(action: Action, min_level: int) -> str:
@@ -489,9 +494,11 @@ def print_action(action: Action) -> str:
 
 
 def print_atom(atom: Atom) -> str:
-    if _HEADS.get(type(atom)) not in _ATOM_HEADS:
+    printer = _ATOM_PRINTERS.get(type(atom))
+    if printer is None:
         raise TypeError(f"not an atom: {atom!r}")
-    return _print_leaf(atom)
+    template, spell = printer
+    return template % spell(atom)
 
 
 def _print_formula(formula: Formula, min_level: int) -> str:

@@ -181,7 +181,8 @@ def _deep_inputs() -> list[str]:
             ";".join(moves), " & ".join(moves), "|".join(moves),
             "(" * n + "move(R,E)" + ")" * n, "(" * n + "move(R,E)" + ")*" * n,
             "[" + ";".join(moves) + "] true", "[" + "(" * n + "thrill(R)" + ")" * n + "] true",
-            "sign DEEP := " + "!" * n + "true .", "sign DEEP := " + "/\\".join(["true"] * n) + " .",
+            "sign DEEP := " + "!" * n + "true .",
+            "sign DEEP := " + "/\\".join(["true"] * n) + " .",
         ]
     return inputs
 
@@ -200,7 +201,8 @@ def _parse_inputs() -> list[str]:
     generated = [_spaced(rng, rng.choice(makers)()) for _ in range(450)]
     inputs += generated
     inputs += [_mutated(rng, rng.choice(generated)) for _ in range(650)]
-    inputs += ["".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(1, 8))) for _ in range(280)]
+    inputs += ["".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(1, 8)))
+               for _ in range(280)]
     return inputs
 
 
