@@ -112,15 +112,13 @@ _TOKENS = (
     ("IDENT", "[A-Za-z_][A-Za-z0-9_]*"), ("OTHER", "."),
 )
 _TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKENS))
+_SKIPPED = frozenset({"NEWLINE", "SPACE", "COMMENT"})
 
 
 class _Token(NamedTuple):
     kind: str
     text: str
     span: SourceSpan
-
-
-_SKIPPED = frozenset({"NEWLINE", "SPACE", "COMMENT"})
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -144,7 +142,7 @@ def _tokenize(text: str) -> list[_Token]:
         if kind not in _SKIPPED:
             tokens.append(_Token(kind, text[pos:end], SourceSpan(line, col, end - pos)))
         pos = end
-    # A comment on the last line runs to the end, which stays at its "#".
+    # A comment on the last line leaves the end of input at its "#".
     comment = text.find("#", line_start)
     end_col = (n if comment < 0 else comment) - line_start + 1
     tokens.append(_Token("EOF", "", SourceSpan(line, end_col)))
