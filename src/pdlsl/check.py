@@ -27,9 +27,9 @@ from .core import (
     ground,
     ground_atom,
 )
-from .errors import ParseError, SourceSpan, UnknownState
+from .errors import AliasCollision, ParseError, SourceSpan, UnknownState
 from .model import ThreeVal, UtteranceModel, _Labeler, _members
-from .parsing import LexiconFile, parse_atom
+from .parsing import LexiconFile, parse_atom, print_atom
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +102,10 @@ _OVERRIDE_RE = re.compile(
 
 
 def parse_overrides(text: str) -> list[Override]:
+    """Override lines, numbered as in lexicon files: only a line feed ends
+    a line, and a carriage return before it is whitespace."""
     overrides = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
@@ -131,7 +133,11 @@ def apply_overrides(
     for ov in overrides:
         if not (0 <= ov.state < model.state_count):
             raise UnknownState(f"override targets state {ov.state}")
-        valuation[(ov.state, ground_atom(ov.atom, handedness))] = ov.value
+        try:
+            valuation[(ov.state, ground_atom(ov.atom, handedness))] = ov.value
+        except AliasCollision as exc:
+            message = f"override for state {ov.state} uses {print_atom(ov.atom)}: {exc}"
+            raise AliasCollision(message, ov.atom) from None
     return UtteranceModel(
         state_count=model.state_count,
         relation=model.relation,
@@ -161,7 +167,11 @@ def verify(
     matches: list[list[Proposal]] = [[] for _ in model.states()]
     possibles: list[list[Proposal]] = [[] for _ in model.states()]
     for entry in lexicon.entries:
-        formula = ground(entry.formula, handedness)
+        try:
+            formula = ground(entry.formula, handedness)
+        except AliasCollision as exc:
+            message = f"sign {entry.name!r} uses {print_atom(exc.atom)}: {exc}"
+            raise AliasCollision(message, exc.atom) from None
         lo, hi = labels.formula(formula)
         for atom in anchor_atoms(formula):
             atom_lo, atom_hi = labels.atom(atom)

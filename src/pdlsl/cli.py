@@ -14,11 +14,11 @@ from typing import Any, Mapping, Sequence
 
 from .check import ProposalReport, parse_overrides, verify
 from .core import Formula, Handedness, ground
-from .errors import ConfigError, ParseError, PdlslError, SchemaError, read_json
+from .errors import AliasCollision, ConfigError, ParseError, PdlslError, SchemaError, read_json
 from .extract import Diagnostic, SegmentationParams, extract_model, tracking_from_json
 from .geometry import DEFAULT_PLACE_MAP, PlaceMap, Vec2, load_place_map
 from .model import eval_formula, model_from_json, model_to_json
-from .parsing import lint_lexicon, parse_formula, parse_lexicon
+from .parsing import lint_lexicon, parse_formula, parse_lexicon, print_atom
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     model = model_from_json(_read_json(args.model))
     formula: Formula = parse_formula(args.formula)
-    grounded = ground(formula, config.handedness)
+    try:
+        grounded = ground(formula, config.handedness)
+    except AliasCollision as exc:
+        raise AliasCollision(f"formula uses {print_atom(exc.atom)}: {exc}", exc.atom) from None
     value = eval_formula(model, args.state, grounded)
     print(str(value))
     return 0

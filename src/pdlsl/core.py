@@ -385,7 +385,8 @@ def _resolve_pair(
     if r1 is r2:
         raise AliasCollision(
             f"{b1.value} and {b2.value} are the same hand for a "
-            f"{handedness.value}-dominant signer in {atom!r}"
+            f"{handedness.value}-dominant signer",
+            atom,
         )
     return r1, r2
 

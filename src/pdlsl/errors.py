@@ -108,7 +108,12 @@ class UngroundedFormula(PdlslError):
 
 class AliasCollision(PdlslError):
     """Grounding collapsed the two articulators of a pairwise atom onto the
-    same hand (e.g. touch(D,R) for a right-dominant signer)."""
+    same hand (e.g. touch(D,R) for a right-dominant signer). `atom` is the
+    atom as written, for messages that spell it."""
+
+    def __init__(self, message: str, atom: Any = None):
+        super().__init__(message)
+        self.atom = atom
 
 
 def _refuse_constant(name: str) -> float:

@@ -34,10 +34,10 @@ leading `format: 1` marker.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import NamedTuple
 
 from .core import (
     TOP,
@@ -55,6 +55,7 @@ from .core import (
     Config,
     Direction,
     Formula,
+    Handedness,
     Move,
     Not,
     Orient,
@@ -66,11 +67,13 @@ from .core import (
     Touch,
     config_labels,
     diamond,
+    ground_atom,
     implies,
     iter_atoms,
     or_,
 )
 from .errors import (
+    AliasCollision,
     DuplicateSign,
     ParseError,
     SourceSpan,
@@ -99,53 +102,67 @@ __all__ = [
 
 # --- Tokens ------------------------------------------------------------------
 
-# Token kinds and their patterns, tried in this order: two-character
-# operators before their one-character prefixes, and both slash operators
-# before the stray-slash error. Digits have no pattern of their own: a digit
-# run is scanned with str.isdigit, so digits such as "²" make INT tokens too.
+# Token kinds and their patterns, tried in this order: ":=" before ":", both
+# slash operators before the stray-slash error, and OTHER last. No other two
+# patterns can match at the same place, so the rest are ordered by how often
+# a lexicon uses them, which saves the regex engine failed alternatives.
+# Digits have no pattern of their own: OTHER characters that pass
+# str.isdigit and touch are joined into one INT token, so digits such as
+# "²" make INT tokens too.
 _TOKENS = (
-    ("NEWLINE", r"\n"), ("SPACE", r"[ \t\r]+"), ("COMMENT", r"\#[^\n]*"),
-    ("ARROW", "->"), ("ASSIGN", ":="), ("ANDOP", r"/\\"), ("OROP", r"\\/"), ("STRAY", r"[/\\]"),
-    ("LPAREN", r"\("), ("RPAREN", r"\)"), ("LBRACKET", r"\["), ("RBRACKET", r"\]"),
-    ("LANGLE", "<"), ("RANGLE", ">"), ("COMMA", ","), ("SEMI", ";"), ("AMP", "&"),
-    ("PIPE", r"\|"), ("STAR", r"\*"), ("BANG", "!"), ("DOT", r"\."), ("COLON", ":"),
-    ("IDENT", "[A-Za-z_][A-Za-z0-9_]*"), ("OTHER", "."),
+    ("IDENT", "[A-Za-z_][A-Za-z0-9_]*"), ("SPACE", r"[ \t\r]+"),
+    ("LPAREN", r"\("), ("RPAREN", r"\)"), ("COMMA", ","), ("NEWLINE", r"\n"),
+    ("ANDOP", r"/\\"), ("ASSIGN", ":="), ("DOT", r"\."), ("ARROW", "->"),
+    ("LBRACKET", r"\["), ("RBRACKET", r"\]"), ("BANG", "!"), ("PIPE", r"\|"), ("AMP", "&"),
+    ("SEMI", ";"), ("STAR", r"\*"), ("LANGLE", "<"), ("RANGLE", ">"), ("COMMENT", r"\#[^\n]*"),
+    ("OROP", r"\\/"), ("STRAY", r"[/\\]"), ("COLON", ":"), ("OTHER", "."),
 )
 _TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKENS))
 _SKIPPED = frozenset({"NEWLINE", "SPACE", "COMMENT"})
 
+# A token is a plain tuple (kind, text, offset, length); its SourceSpan is
+# built only when one is read, by _span.
+_Token = tuple[str, str, int, int]
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    span: SourceSpan
+
+def _line_breaks(text: str) -> list[int]:
+    """-1, then the offset of each line break: line k starts after entry k-1."""
+    return [-1, *(m.start() for m in re.finditer("\n", text))]
+
+
+def _span(breaks: list[int], offset: int, length: int = 1) -> SourceSpan:
+    """The 1-based line and column of `offset`, given the text's line breaks."""
+    line = bisect_left(breaks, offset)
+    return SourceSpan(line, offset - breaks[line - 1], length)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, line_start, pos, n = 1, 0, 0, len(text)
-    match = _TOKEN_RE.match
-    while pos < n:
-        m = match(text, pos)
-        kind, end, col = m.lastgroup, m.end(), pos - line_start + 1
-        if kind == "OTHER" and text[pos].isdigit():
-            while end < n and text[end].isdigit():
-                end += 1
-            kind = "INT"
-        elif kind == "OTHER":
-            raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(line, col))
+    append = tokens.append
+    digits_end = -1  # end of the last INT token, which a next digit extends
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind in _SKIPPED:
+            continue
+        start, end = m.span()
+        if kind == "OTHER":
+            char = m[0]
+            if not char.isdigit():
+                raise ParseError(f"unexpected character {char!r}", _span(_line_breaks(text), start))
+            if start == digits_end:
+                _, run, run_start, _ = tokens.pop()
+                append(("INT", run + char, run_start, end - run_start))
+            else:
+                append(("INT", char, start, 1))
+            digits_end = end
         elif kind == "STRAY":
             expected = frozenset({"/\\", "\\/"})
-            raise ParseError(f"stray {text[pos]!r}", SourceSpan(line, col), expected)
-        elif kind == "NEWLINE":
-            line, line_start = line + 1, end
-        if kind not in _SKIPPED:
-            tokens.append(_Token(kind, text[pos:end], SourceSpan(line, col, end - pos)))
-        pos = end
+            raise ParseError(f"stray {m[0]!r}", _span(_line_breaks(text), start), expected)
+        else:
+            append((kind, m[0], start, end - start))
     # A comment on the last line leaves the end of input at its "#".
-    comment = text.find("#", line_start)
-    end_col = (n if comment < 0 else comment) - line_start + 1
-    tokens.append(_Token("EOF", "", SourceSpan(line, end_col)))
+    comment = text.find("#", text.rfind("\n") + 1)
+    append(("EOF", "", len(text) if comment < 0 else comment, 1))
     return tokens
 
 
@@ -176,34 +193,40 @@ _ACTION_HEADS = ("move", "thrill")
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        # Every caller checks the current token's kind before consuming it,
+        # and no rule consumes EOF, so reading never runs past the end.
+        self._next = iter(_tokenize(text)).__next__
+        self.cur = self._next()  # the first token not consumed yet
         self.depth = 0  # nested constructs currently open
+        self.breaks: list[int] | None = None  # _line_breaks(text), found on first use
 
     # -- token plumbing --
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def span(self, tok: _Token) -> SourceSpan:
+        if self.breaks is None:
+            self.breaks = _line_breaks(self.text)
+        return _span(self.breaks, tok[2], tok[3])
 
     def _advance(self) -> _Token:
         tok = self.cur
-        if tok.kind != "EOF":
-            self.pos += 1
+        self.cur = self._next()
         return tok
 
     def _unexpected(self, *expected: str) -> ParseError:
         tok = self.cur
-        message = f"unexpected {tok.text or 'end of input'!r}"
-        return ParseError(message, tok.span, frozenset(expected))
+        message = f"unexpected {tok[1] or 'end of input'!r}"
+        return ParseError(message, self.span(tok), frozenset(expected))
 
     def _expect(self, kind: str, what: str | None = None) -> _Token:
-        if self.cur.kind != kind:
+        tok = self.cur
+        if tok[0] != kind:
             raise self._unexpected(what or kind)
-        return self._advance()
+        self.cur = self._next()
+        return tok
 
     def _at_word(self, *words: str) -> bool:
-        return self.cur.kind == "IDENT" and self.cur.text in words
+        return self.cur[0] == "IDENT" and self.cur[1] in words
 
     def _enter(self) -> _Token:
         """Open a nested construct at the current token and consume it."""
@@ -219,14 +242,14 @@ class _Parser:
         return node, height
 
     def _too_deep(self, tok: _Token) -> ParseError:
-        return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", tok.span)
+        return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", self.span(tok))
 
     # -- formulas --
     # Each level returns the node it parsed together with the node's height.
 
     def formula(self) -> tuple[Formula, int]:
         left, height = _or_level(self)
-        if self.cur.kind == "ARROW":
+        if self.cur[0] == "ARROW":
             tok = self._enter()
             right, right_height = self.formula()
             self.depth -= 1
@@ -235,26 +258,27 @@ class _Parser:
 
     def unary(self) -> tuple[Formula, int]:
         tok = self.cur
-        if tok.kind == "BANG":
+        kind = tok[0]
+        if kind == "BANG":
             self._enter()
             body, height = self.unary()
             self.depth -= 1
             return self._node(Not(body), height + 1, tok)
-        if tok.kind == "LBRACKET":
+        if kind == "LBRACKET":
             self._enter()
             action, action_height = _action(self)
             self._expect("RBRACKET", "]")
             body, height = self.unary()
             self.depth -= 1
             return self._node(Box(action, body), max(action_height, height) + 1, tok)
-        if tok.kind == "LANGLE":
+        if kind == "LANGLE":
             self._enter()
             action, action_height = _action(self)
             self._expect("RANGLE", ">")
             body, height = self.unary()
             self.depth -= 1
             return self._node(diamond(action, body), max(action_height, height + 1) + 2, tok)
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
             self._enter()
             node, height = self.formula()
             self._expect("RPAREN", ")")
@@ -274,13 +298,13 @@ class _Parser:
 
     def star_level(self) -> tuple[Action, int]:
         node, height = self.prim()
-        if self.cur.kind == "STAR":
+        if self.cur[0] == "STAR":
             tok = self._advance()
             node, height = self._node(Star(node), height + 1, tok)
         return node, height
 
     def prim(self) -> tuple[Action, int]:
-        if self.cur.kind == "LPAREN":
+        if self.cur[0] == "LPAREN":
             self._enter()
             node, height = _action(self)
             self._expect("RPAREN", ")")
@@ -298,31 +322,33 @@ class _Parser:
     def _leaf(self, heads: tuple[str, ...], what: str, noun: str):
         head_tok = self._expect("IDENT", what)
         self._expect("LPAREN", "(")
-        if head_tok.text not in heads:
-            raise ParseError(f"unknown {noun} {head_tok.text!r}", head_tok.span, frozenset(heads))
-        node, fields = _LEAVES[head_tok.text]
+        head = head_tok[1]
+        if head not in heads:
+            raise ParseError(f"unknown {noun} {head!r}", self.span(head_tok), frozenset(heads))
+        node, fields = _LEAVES[head]
         args = {}
         for i, field in enumerate(fields):
             if i:
                 self._expect("COMMA", ",")
             args[field] = self._argument(field)
-        self._expect("RPAREN", ")")
+        close = self._expect("RPAREN", ")")
         try:
             return node(**args)
         except ValueError as exc:  # dir and touch need two distinct articulators
-            raise ParseError(str(exc), self.tokens[self.pos - 1].span) from None
+            raise ParseError(str(exc), self.span(close)) from None
 
     def _argument(self, field: str):
         if field in ("place", "label"):
-            return self._expect("IDENT", "name").text
+            return self._expect("IDENT", "name")[1]
         what, table, error = (
             ("direction", _DIRECTIONS, UnknownDirection) if field == "direction"
             else ("articulator", _ARTICULATORS, UnknownArticulator)
         )
         tok = self._expect("IDENT", what)
-        if tok.text not in table:
-            raise error(f"unknown {what} {tok.text!r}", tok.span, frozenset(table))
-        return table[tok.text]
+        word = tok[1]
+        if word not in table:
+            raise error(f"unknown {what} {word!r}", self.span(tok), frozenset(table))
+        return table[word]
 
 
 def _chain(operand, kind: str, build, cost: int, parser: _Parser):
@@ -330,7 +356,7 @@ def _chain(operand, kind: str, build, cost: int, parser: _Parser):
     tokens; each join adds `cost` to the height (`\\/` desugars to three
     nodes)."""
     node, height = operand(parser)
-    while parser.cur.kind == kind:
+    while parser.cur[0] == kind:
         tok = parser._advance()
         right, right_height = operand(parser)
         node, height = parser._node(build(node, right), max(height, right_height) + cost, tok)
@@ -352,8 +378,8 @@ def _parse_all(text: str, rule):
     parser = _Parser(text)
     node = rule(parser)
     tok = parser.cur
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.span, frozenset({"end of input"}))
+    if tok[0] != "EOF":
+        raise ParseError(f"trailing input {tok[1]!r}", parser.span(tok), frozenset({"end of input"}))
     return node
 
 
@@ -413,22 +439,23 @@ def parse_lexicon(text: str) -> LexiconFile:
         p._advance()
         p._expect("COLON", ":")
         version = p._expect("INT", "format version")
-        if version.text != "1":
-            raise ParseError(f"unsupported format version {version.text}", version.span)
+        if version[1] != "1":
+            raise ParseError(f"unsupported format version {version[1]}", p.span(version))
     entries: list[LexiconEntry] = []
     spans: dict[str, SourceSpan] = {}
-    while p.cur.kind != "EOF":
+    while p.cur[0] != "EOF":
         if not p._at_word("sign"):
             raise p._unexpected("sign")
         p._advance()
         name_tok = p._expect("IDENT", "sign name")
-        if name_tok.text in spans:
-            raise DuplicateSign(name_tok.text, spans[name_tok.text], name_tok.span)
+        name, span = name_tok[1], p.span(name_tok)
+        if name in spans:
+            raise DuplicateSign(name, spans[name], span)
         p._expect("ASSIGN", ":=")
         formula, _ = p.formula()
         p._expect("DOT", ".")
-        entries.append(LexiconEntry(name_tok.text, formula, name_tok.span))
-        spans[name_tok.text] = name_tok.span
+        entries.append(LexiconEntry(name, formula, span))
+        spans[name] = span
     return LexiconFile(tuple(entries))
 
 
@@ -537,7 +564,8 @@ class LintIssue:
 def lint_lexicon(text: str) -> tuple[LexiconFile | None, list[LintIssue]]:
     """Parse a lexicon and collect diagnostics. Parse failures yield a
     single error issue and no lexicon; warnings flag atoms that planar
-    tracking can never decide."""
+    tracking can never decide and pairwise atoms whose two articulators are
+    one hand for a signer of either handedness, which `check` refuses."""
     try:
         lexicon = parse_lexicon(text)
     except DuplicateSign as exc:
@@ -549,16 +577,24 @@ def lint_lexicon(text: str) -> tuple[LexiconFile | None, list[LintIssue]]:
         return None, [LintIssue("error", str(exc.args[0]), exc.span)]
     issues: list[LintIssue] = []
     for entry in lexicon.entries:
-        for atom in iter_atoms(entry.formula):
-            if isinstance(atom, Orient):
-                issues.append(
-                    LintIssue(
-                        "warning",
-                        f"sign {entry.name!r} uses {print_atom(atom)}: orientation is "
-                        "undecidable from planar tracking and stays unknown unless the "
-                        "input carries orientation labels",
-                        entry.span,
-                    )
+        atoms = dict.fromkeys(iter_atoms(entry.formula))
+        orient = next((atom for atom in atoms if isinstance(atom, Orient)), None)
+        if orient is not None:
+            issues.append(
+                LintIssue(
+                    "warning",
+                    f"sign {entry.name!r} uses {print_atom(orient)}: orientation is "
+                    "undecidable from planar tracking and stays unknown unless the "
+                    "input carries orientation labels",
+                    entry.span,
                 )
-                break
+            )
+        for atom in atoms:
+            for handedness in Handedness:
+                try:
+                    ground_atom(atom, handedness)
+                except AliasCollision as exc:
+                    message = (f"sign {entry.name!r} uses {print_atom(atom)}: {exc}; "
+                               "check refuses this lexicon for such a signer")
+                    issues.append(LintIssue("warning", message, entry.span))
     return lexicon, issues

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pdlsl import (
+    AliasCollision,
     Articulator,
     At,
     AtomF,
@@ -31,6 +32,7 @@ from pdlsl import (
 )
 
 import _gen
+from conftest import EXAMPLES
 
 R, L = Articulator.RIGHT, Articulator.LEFT
 RIGHT_DOM = Handedness.RIGHT_DOMINANT
@@ -181,6 +183,54 @@ def test_parse_overrides_bad_atom_points_into_file(atom, error, column, message)
     with pytest.raises(error) as inner:
         parse_atom(atom)
     assert exc.value.expected == inner.value.expected
+
+
+@pytest.mark.parametrize("separator", ["\f", "\u2028", "\r"])
+def test_parse_overrides_ends_lines_at_line_feed_only(separator):
+    # str.splitlines() would also break at these, so what an editor that
+    # breaks only at "\n" shows as line 1 used to be reported as line 2.
+    with pytest.raises(ParseError) as exc:
+        parse_overrides(f"state 0: touch(R,L) = true{separator}state 1: dir(R,Q,E) = true")
+    assert exc.value.span.line == 1
+    # A comment runs to the line feed, across the separator.
+    text = f"# note{separator}state 0: no value\nstate 1: dir(R,Q,E) = true\n"
+    with pytest.raises(UnknownArticulator) as exc:
+        parse_overrides(text)
+    assert exc.value.span == SourceSpan(2, 16, 1)
+
+
+def test_parse_overrides_crlf_reads_like_lf():
+    text = (EXAMPLES / "route.overrides").read_text() + "state 1:\tat(L,FACE) = unknown  # edited\n"
+    crlf = text.replace("\n", "\r\n")
+    assert "\r\n" in crlf
+    assert parse_overrides(crlf) == parse_overrides(text)
+    assert len(parse_overrides(text)) == 3
+    with pytest.raises(UnknownArticulator) as exc:
+        parse_overrides(crlf + "state 1: dir(R,Q,E) = true\r\n")
+    assert exc.value.span == SourceSpan(5, 16, 1)
+
+
+def test_verify_names_the_sign_of_an_alias_collision(route_setup):
+    model, _ = route_setup
+    lexicon = parse_lexicon("sign OK := true .\nsign X := at(D,FACE) /\\ touch(D,R) .")
+    with pytest.raises(AliasCollision) as exc:
+        verify(model, lexicon, RIGHT_DOM)
+    assert str(exc.value) == (
+        "sign 'X' uses touch(D,R): D and R are the same hand for a right-dominant signer"
+    )
+    assert exc.value.atom == Touch(Articulator.DOMINANT, R)
+    # The same lexicon grounds without a collision for a left-dominant signer.
+    verify(model, lexicon, Handedness.LEFT_DOMINANT)
+
+
+def test_override_alias_collision_names_the_state(route_setup):
+    model, _ = route_setup
+    with pytest.raises(AliasCollision) as exc:
+        apply_overrides(model, parse_overrides("state 1: dir(W,L,E) = true"), RIGHT_DOM)
+    assert str(exc.value) == (
+        "override for state 1 uses dir(W,L,E): W and L are the same hand for a "
+        "right-dominant signer"
+    )
 
 
 def test_overrides_change_verdict(route_setup):

@@ -200,6 +200,33 @@ def test_lint_orientation_warning(tmp_path, capsys):
     assert "orientation" in capsys.readouterr().err
 
 
+def test_alias_collision_check_error_and_lint_warning(model_path, tmp_path, capsys):
+    lex = tmp_path / "collide.pdlsl"
+    lex.write_text("sign OK := true .\nsign X := touch(D,R) .\n")
+    assert main(["check", model_path, str(lex)]) == 1
+    assert capsys.readouterr().err == (
+        "pdlsl: sign 'X' uses touch(D,R): D and R are the same hand for a "
+        "right-dominant signer\n"
+    )
+    assert main(["check", model_path, str(lex), "--dominant", "left"]) == 0
+    capsys.readouterr()
+    # lint warns, naming the handedness, and accepts what check accepts for
+    # some signer.
+    assert main(["lint", str(lex)]) == 0
+    assert capsys.readouterr().err == (
+        f"{lex}:2:6: warning: sign 'X' uses touch(D,R): D and R are the same hand "
+        "for a right-dominant signer; check refuses this lexicon for such a signer\n"
+    )
+
+
+def test_eval_alias_collision_spells_the_atom(model_path, capsys):
+    assert main(["eval", model_path, "true /\\ dir(W,R,N)", "0", "--dominant", "left"]) == 1
+    assert capsys.readouterr().err == (
+        "pdlsl: formula uses dir(W,R,N): W and R are the same hand for a "
+        "left-dominant signer\n"
+    )
+
+
 # --- configuration ------------------------------------------------------------------
 
 

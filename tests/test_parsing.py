@@ -33,6 +33,7 @@ from pdlsl import (
     print_formula,
 )
 
+from pdlsl import parsing
 from test_core import formulas  # hypothesis strategy
 
 R, L = Articulator.RIGHT, Articulator.LEFT
@@ -230,6 +231,31 @@ def test_lexicon_order_comments_crlf():
     assert lex.names() == ("B", "A")
 
 
+def test_parse_lexicon_builds_spans_only_when_read(monkeypatch, route_lexicon_text):
+    # A clean parse reads one span per sign name; building one per token,
+    # as the parser once did, made tokenizing most of parse_lexicon's time.
+    text = route_lexicon_text + "".join(
+        f"\n# sign {i}\r\nsign S{i} :=\n\t[move(D,N)*]\n  (touch(R,L) /\\ at(L,FACE)) ."
+        for i in range(40)
+    )
+    built = []
+    real = parsing.SourceSpan
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parsing, "SourceSpan", counting)
+    lexicon = parse_lexicon(text)
+    assert len(lexicon.entries) == 41
+    assert len(built) <= 2 * len(lexicon.entries)
+    lines = text.split("\n")
+    assert lexicon.entries[0].span == real(7, 6, 5)
+    for entry in lexicon.entries:
+        line, column, length = entry.span.line, entry.span.column, entry.span.length
+        assert lines[line - 1][column - 1 : column - 1 + length + 1] == entry.name + " "
+
+
 def test_lexicon_format_header():
     assert parse_lexicon("format: 1\nsign X := true .").names() == ("X",)
     with pytest.raises(ParseError):
@@ -263,6 +289,19 @@ def test_lint_flags_orientation_atoms():
     assert lex is not None
     assert len(issues) == 1
     assert issues[0].severity == "warning"
+
+
+def test_lint_warns_of_alias_collisions_per_handedness():
+    text = "sign X := touch(D,L) /\\ [move(D,N)] dir(W,L,E) .\nsign Y := touch(D,W) ."
+    lex, issues = lint_lexicon(text)
+    assert lex is not None
+    assert [(str(i.span), i.severity) for i in issues] == [("1:6", "warning")] * 2
+    assert [i.message for i in issues] == [
+        f"sign 'X' uses {atom}: {hands} are the same hand for a {side}-dominant signer; "
+        "check refuses this lexicon for such a signer"
+        for atom, hands, side in (("touch(D,L)", "D and L", "left"),
+                                  ("dir(W,L,E)", "W and L", "right"))
+    ]
 
 
 def test_lint_duplicate_is_error():
