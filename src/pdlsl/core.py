@@ -24,6 +24,11 @@ class Articulator(Enum):
     RIGHT = "R"
     LEFT = "L"
 
+    # Members are singletons that compare by identity, so they can hash by
+    # identity too; that keeps the hash of every atom, a key of the model's
+    # valuation, out of Python-level `Enum.__hash__` calls.
+    __hash__ = object.__hash__
+
     @property
     def is_alias(self) -> bool:
         return self in (Articulator.DOMINANT, Articulator.WEAK)
@@ -48,6 +53,8 @@ class Direction(Enum):
     SW = (-_DIAG, -_DIAG)
     W = (-1.0, 0.0)
     NW = (-_DIAG, _DIAG)
+
+    __hash__ = object.__hash__  # as for Articulator
 
     @property
     def unit(self) -> tuple[float, float]:

@@ -13,8 +13,9 @@ the synthetic fixtures deterministic; they are not tuned to any corpus.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from .core import (
     Action,

@@ -10,15 +10,22 @@ One labeler evaluates formulas, labeling every state at once in the manner
 of CTL labeling (Clarke, Emerson & Sistla 1986). Three-valued truth is the
 pair of two-valued passes of Bruns & Godefroid (1999): a bitset of the
 states where a formula is True and one of those where it is True or
-Unknown. `eval_formula`, `eval_two_valued`, `interpret_action` and the
-verification loop in `check` all read its labels.
+Unknown. Atoms read per-model bitsets. Boxes are labeled by the PDL box
+reductions, with `[α*]` as backward reachability (Lange 2006, "Model
+checking propositional dynamic logic with all extras"; Cleaveland & Steffen
+1993, "A linear-time model-checking algorithm for the alternation-free
+modal mu-calculus"); a closure is built only for `interpret_action` and
+for `*` under `&`. `eval_formula`, `eval_two_valued`, `interpret_action`
+and the verification loop in `check` all read its labels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator, Mapping
+from functools import cached_property
+from typing import Any
 
 from .core import (
     And,
@@ -134,30 +141,86 @@ class UtteranceModel:
     def config_at(self, state: int) -> Mapping[Articulator, str | None]:
         return self.config_observed[state] if state < len(self.config_observed) else _NO_CONFIGS
 
+    @cached_property
+    def atom_index(self) -> _AtomIndex:
+        """The valuation and observation records as bitsets, built the first
+        time they are read."""
+        return _AtomIndex(self)
+
 
 def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
     """Valuation lookup with the documented default for unlisted atoms."""
     if not (0 <= state < model.state_count):
         raise UnknownState(f"state {state} outside 0..{model.state_count - 1}")
-    listed = model.valuation.get((state, atom))
-    if listed is not None:
-        return listed
-    observed = model.observed_at(state)
-    match atom:
-        case RelDir(subject=b1, anchor=b2) | Touch(a=b1, b=b2):
-            if b1 in observed and b2 in observed:
-                return ThreeVal.FALSE
-            return ThreeVal.UNKNOWN
-        case At(articulator=b):
-            return ThreeVal.FALSE if b in observed else ThreeVal.UNKNOWN
-        case Config(articulator=b, label=c):
-            seen = model.config_at(state).get(b)
-            if seen is not None and seen != c:
-                return ThreeVal.FALSE
-            return ThreeVal.UNKNOWN
-        case Orient():
-            return ThreeVal.UNKNOWN
-    raise TypeError(f"not an atom: {atom!r}")
+    lo, hi = model.atom_index.bits(atom)
+    if lo >> state & 1:
+        return ThreeVal.TRUE
+    return ThreeVal.UNKNOWN if hi >> state & 1 else ThreeVal.FALSE
+
+
+class _AtomIndex:
+    """Bitsets over a model's states, built in one pass over its valuation,
+    `observed` and `config_observed`: per atom the states listed True,
+    Unknown and False; per hand the states that observed it, that saw a
+    hand-shape label, and that saw each label. An atom's `(lo, hi)` pair
+    (True states, True-or-Unknown states) applies the documented defaults
+    to these bitsets, once per atom."""
+
+    def __init__(self, model: UtteranceModel):
+        n = model.state_count
+        self.full = (1 << n) - 1
+        cells: dict[Atom, tuple[list[int], list[int], list[int]]] = {}
+        for (s, atom), value in model.valuation.items():
+            states = cells.get(atom)
+            if states is None:
+                states = cells[atom] = ([], [], [])
+            if value is ThreeVal.TRUE:
+                states[0].append(s)
+            elif value is ThreeVal.UNKNOWN:
+                states[1].append(s)
+            else:
+                states[2].append(s)
+        observed: dict[Articulator, list[int]] = {}
+        for s, hands in enumerate(model.observed):
+            for hand in hands:
+                observed.setdefault(hand, []).append(s)
+        seen: dict[Articulator, list[int]] = {}
+        labels: dict[tuple[Articulator, str], list[int]] = {}
+        for s, per_hand in enumerate(model.config_observed):
+            for hand, label in per_hand.items():
+                if label is not None:
+                    seen.setdefault(hand, []).append(s)
+                    labels.setdefault((hand, label), []).append(s)
+        self.listed = {
+            atom: tuple(_bitset(states, n) for states in by_value)
+            for atom, by_value in cells.items()
+        }
+        self.observed = {hand: _bitset(states, n) for hand, states in observed.items()}
+        self.config_seen = {hand: _bitset(states, n) for hand, states in seen.items()}
+        self.config_label = {key: _bitset(states, n) for key, states in labels.items()}
+        self._pairs: dict[Atom, tuple[int, int]] = {}
+
+    def bits(self, atom: Atom) -> tuple[int, int]:
+        pair = self._pairs.get(atom)
+        if pair is None:
+            pair = self._pairs[atom] = self._pair(atom)
+        return pair
+
+    def _pair(self, atom: Atom) -> tuple[int, int]:
+        observed = self.observed
+        match atom:
+            case RelDir(subject=b1, anchor=b2) | Touch(a=b1, b=b2):
+                default_false = observed.get(b1, 0) & observed.get(b2, 0)
+            case At(articulator=b):
+                default_false = observed.get(b, 0)
+            case Config(articulator=b, label=c):
+                default_false = self.config_seen.get(b, 0) & ~self.config_label.get((b, c), 0)
+            case Orient():
+                default_false = 0
+            case _:
+                raise TypeError(f"not an atom: {atom!r}")
+        true, unknown, false = self.listed.get(atom, (0, 0, 0))
+        return true, self.full & ~(false | default_false & ~(true | unknown))
 
 
 # --- Labeling ----------------------------------------------------------------
@@ -166,25 +229,29 @@ def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
 class _Labeler:
     """Labels every state of one model at once. A grounded formula's label
     is a pair of bitsets over states: `lo` holds the True states and `hi`
-    the True-or-Unknown ones; an action's label lists each state's successor
-    bitset. With `closed_world` set, atoms collapse to `lo` (`hi` if False)."""
+    the True-or-Unknown ones. With `closed_world` set, atoms collapse to
+    `lo` (`hi` if False).
+
+    A box is labeled by the PDL reductions `[α;β]X = [α][β]X`,
+    `[α|β]X = [α]X /\\ [β]X` and `[α*]X = νY. X /\\ [α]Y`, the last as
+    backward reachability from the states outside X (Lange 2006; Cleaveland
+    & Steffen 1993). Atomic and `&` actions keep sparse successor maps that
+    hold only their non-empty rows; a relation for `*` (its reflexive
+    transitive closure) is built only under `&` and for `interpret_action`."""
 
     def __init__(self, model: UtteranceModel, closed_world: bool | None = None):
         self.model = model
         self.full = (1 << model.state_count) - 1
         self.closed_world = closed_world
-        self._atoms: dict[Atom, tuple[int, int]] = {}
-        self._actions: dict[Action, list[int]] = {}
+        self._atoms = model.atom_index
+        self._succ: dict[Action, dict[int, int]] = {}
+        self._pred: dict[Action, tuple[dict[int, int], int]] = {}
 
     def atom(self, atom: Atom) -> tuple[int, int]:
-        if atom not in self._atoms:
-            values = [atom_value(self.model, s, atom) for s in self.model.states()]
-            lo = sum(1 << s for s, v in enumerate(values) if v is ThreeVal.TRUE)
-            hi = sum(1 << s for s, v in enumerate(values) if v is not ThreeVal.FALSE)
-            if self.closed_world is not None:
-                lo = hi = lo if self.closed_world else hi
-            self._atoms[atom] = (lo, hi)
-        return self._atoms[atom]
+        lo, hi = self._atoms.bits(atom)
+        if self.closed_world is None:
+            return lo, hi
+        return (lo, lo) if self.closed_world else (hi, hi)
 
     def formula(self, formula: Formula) -> tuple[int, int]:
         match formula:
@@ -200,65 +267,150 @@ class _Labeler:
                 r_lo, r_hi = self.formula(r)
                 return l_lo & r_lo, l_hi & r_hi
             case Box(action, body):
-                succ = self.successors(action)
                 lo, hi = self.formula(body)
-                return _inside(succ, lo), _inside(succ, hi)
+                return self.box(action, lo), self.box(action, hi)
         raise TypeError(f"not a formula node: {formula!r}")
 
-    def successors(self, action: Action) -> list[int]:
-        if action in self._actions:
-            return self._actions[action]
+    def box(self, action: Action, bits: int) -> int:
+        """[α]X: the states whose α-successors all lie in `bits`."""
+        match action:
+            case Seq(l, r):
+                return self.box(l, self.box(r, bits))
+            case Choice(l, r):
+                return self.box(l, bits) & self.box(r, bits)
+            case Star(body):
+                return self.full ^ self.reach(body, self.full ^ bits)
+        outside = self.full ^ bits
+        refuted = 0
+        for s, row in self.successors(action).items():
+            if row & outside:
+                refuted |= 1 << s
+        return self.full ^ refuted
+
+    def reach(self, action: Action, targets: int) -> int:
+        """<α*>Y: the states with an α-path into `targets`. Each state joins
+        the frontier at most once."""
+        reached = frontier = targets
+        while frontier:
+            frontier = self.pre(action, frontier) & ~reached
+            reached |= frontier
+        return reached
+
+    def pre(self, action: Action, targets: int) -> int:
+        """<α>Y: the states with an α-successor in `targets`."""
+        match action:
+            case Seq(l, r):
+                return self.pre(l, self.pre(r, targets))
+            case Choice(l, r):
+                return self.pre(l, targets) | self.pre(r, targets)
+            case Star(body):
+                return self.reach(body, targets)
+        pred = self._pred.get(action)
+        if pred is None:
+            pred = self._pred[action] = _transpose(self.successors(action))
+        rows, has_pred = pred
+        found = 0
+        for t in _members(targets & has_pred):
+            found |= rows[t]
+        return found
+
+    def successors(self, action: Action) -> dict[int, int]:
+        """The action's relation as a map from each state to its non-empty
+        successor bitset."""
+        succ = self._succ.get(action)
+        if succ is not None:
+            return succ
         match action:
             case Atomic(a):
-                succ = [0] * self.model.state_count
+                succ = {}
                 for s, t in self.model.action_interp.get(a, ()):
-                    succ[s] |= 1 << t
+                    succ[s] = succ.get(s, 0) | 1 << t
             case Concurrent(l, r):
-                succ = [x & y for x, y in zip(self.successors(l), self.successors(r))]
+                right = self.successors(r)
+                succ = {
+                    s: both
+                    for s, bits in self.successors(l).items()
+                    if (both := bits & right.get(s, 0))
+                }
             case Choice(l, r):
-                succ = [x | y for x, y in zip(self.successors(l), self.successors(r))]
+                succ = dict(self.successors(l))
+                for s, bits in self.successors(r).items():
+                    succ[s] = succ.get(s, 0) | bits
             case Seq(l, r):
                 succ = _compose(self.successors(l), self.successors(r))
             case Star(body):
-                # Square the reflexive closure until it stops growing.
-                succ = [bits | 1 << s for s, bits in enumerate(self.successors(body))]
-                while (grown := _compose(succ, succ)) != succ:
-                    succ = grown
+                succ = _star_closure(self.successors(body), self.model.state_count)
             case _:
                 raise TypeError(f"not an action node: {action!r}")
-        self._actions[action] = succ
+        self._succ[action] = succ
         return succ
 
 
-def _inside(succ: list[int], target: int) -> int:
-    """The states whose successors all lie in `target`."""
-    outside = ~target
-    return sum(1 << s for s, bits in enumerate(succ) if not bits & outside)
+_WORD = (1 << 64) - 1
+
+
+def _bitset(states: list[int], state_count: int) -> int:
+    """The bitset of the listed states, in one pass: OR-ing them in one by
+    one would copy a growing integer per state."""
+    digits = bytearray(b"0" * state_count)
+    for s in states:
+        digits[state_count - 1 - s] = 49  # ord("1")
+    return int(digits, 2)
 
 
 def _members(bits: int) -> Iterator[int]:
-    """The states of a bitset, in increasing order."""
+    """The states of a bitset, in increasing order. It skips to the lowest
+    non-empty 64-bit word and walks that word, so a dense bitset costs
+    operations on the whole integer once per word, not once per state."""
+    base = 0
     while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+        skip = ((bits & -bits).bit_length() - 1) & ~63
+        bits >>= skip
+        base += skip
+        word = bits & _WORD
+        while word:
+            low = word & -word
+            yield base + low.bit_length() - 1
+            word ^= low
+        bits >>= 64
+        base += 64
 
 
-def _compose(first: list[int], then: list[int]) -> list[int]:
-    out = []
-    for bits in first:
+def _transpose(succ: dict[int, int]) -> tuple[dict[int, int], int]:
+    """The predecessor map of a successor map, and the bitset of states that
+    have a predecessor."""
+    pred: dict[int, int] = {}
+    for s, bits in succ.items():
+        for t in _members(bits):
+            pred[t] = pred.get(t, 0) | 1 << s
+    return pred, sum(1 << t for t in pred)
+
+
+def _compose(first: dict[int, int], then: dict[int, int]) -> dict[int, int]:
+    out = {}
+    for s, bits in first.items():
         reached = 0
         for t in _members(bits):
-            reached |= then[t]
-        out.append(reached)
+            reached |= then.get(t, 0)
+        if reached:
+            out[s] = reached
     return out
+
+
+def _star_closure(succ: dict[int, int], state_count: int) -> dict[int, int]:
+    """The reflexive transitive closure of a successor map, by squaring the
+    reflexive closure until it stops growing."""
+    closure = {s: succ.get(s, 0) | 1 << s for s in range(state_count)}
+    while (grown := _compose(closure, closure)) != closure:
+        closure = grown
+    return closure
 
 
 def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
     """The set of state pairs the action relates. Star is the reflexive
     transitive closure, with identity pairs over every state."""
     succ = _Labeler(model).successors(action)
-    return frozenset((s, t) for s, bits in enumerate(succ) for t in _members(bits))
+    return frozenset((s, t) for s, bits in succ.items() for t in _members(bits))
 
 
 def _value_at(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:
@@ -335,7 +487,13 @@ def _pairs_from_json(obj: Any, path: str) -> frozenset[Pair]:
     return frozenset(pairs)
 
 
+_THREE_VALUES = {v.value: v for v in ThreeVal}
+
+
 def model_from_json(obj: Any) -> UtteranceModel:
+    """A model from its JSON structure. A file that lists one `(state, atom)`
+    cell twice with different values, or one action twice with different
+    edges, is refused."""
     if not isinstance(obj, Mapping):
         raise SchemaError("", "model file must be a JSON object")
     if obj.get("format") != 1:
@@ -356,7 +514,9 @@ def model_from_json(obj: Any) -> UtteranceModel:
             action = parse_atomic_action(entry["action"])
         except Exception as exc:
             raise SchemaError(f"{path}/action", str(exc)) from None
-        interp[action] = _pairs_from_json(entry.get("edges"), f"{path}/edges")
+        edges = _pairs_from_json(entry.get("edges"), f"{path}/edges")
+        if interp.setdefault(action, edges) != edges:
+            raise SchemaError(path, f"{entry['action']} is listed again with other edges")
     valuation: dict[tuple[int, Atom], ThreeVal] = {}
     atoms: dict[str, Atom] = {}  # each distinct atom text is parsed once
     valuation_obj = obj.get("valuation", [])
@@ -368,7 +528,8 @@ def model_from_json(obj: Any) -> UtteranceModel:
             isinstance(entry, Mapping)
             and isinstance(entry.get("state"), int)
             and isinstance(entry.get("atom"), str)
-            and entry.get("value") in ("true", "false", "unknown")
+            and isinstance(raw := entry.get("value"), str)
+            and (value := _THREE_VALUES.get(raw)) is not None
         ):
             raise SchemaError(path, "expected {state, atom, value}")
         text = entry["atom"]
@@ -378,7 +539,9 @@ def model_from_json(obj: Any) -> UtteranceModel:
                 atom = atoms[text] = parse_atom(text)
             except Exception as exc:
                 raise SchemaError(f"{path}/atom", str(exc)) from None
-        valuation[(entry["state"], atom)] = ThreeVal(entry["value"])
+        state = entry["state"]
+        if valuation.setdefault((state, atom), value) is not value:
+            raise SchemaError(path, f"{text} at state {state} is listed again with another value")
     observed_obj = obj.get("observed", [])
     if not isinstance(observed_obj, list):
         raise SchemaError("/observed", "expected a list")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,7 @@ def model_path(tmp_path):
 
 
 def test_extract_writes_model(model_path):
-    doc = json.loads(open(model_path).read())
+    doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
     assert doc["format"] == 1
     assert doc["states"] == 2
     model = model_from_json(doc)
@@ -130,8 +131,8 @@ def test_pipeline_composition_matches_in_process(fixture, tmp_path, capsys):
     assert main(["check", str(model_file), LEXICON]) == 0
     cli_text = capsys.readouterr().out
 
-    lexicon = parse_lexicon(open(LEXICON).read())
-    seq = tracking_from_json(json.load(open(tracking)))
+    lexicon = parse_lexicon(Path(LEXICON).read_text(encoding="utf-8"))
+    seq = tracking_from_json(json.loads(Path(tracking).read_text(encoding="utf-8")))
     model, _ = extract_model(seq)
     report = verify(model, lexicon, Handedness.RIGHT_DOMINANT)
     in_process = json.dumps(report.to_json(), indent=2) + "\n"

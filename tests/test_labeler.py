@@ -1,0 +1,288 @@
+"""The labeler's box reductions and per-atom bitsets against references.
+
+Star-heavy formulas and actions are compared with the independent oracles
+of `_gen` on seeded 30-60 state models. The per-atom bitsets and
+`atom_value` are compared with the documented defaults, written out state
+by state in `_reference_atom_value`. A counting test checks that `verify`
+builds the closure of a star only where the star sits under `&`.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import pdlsl.model
+from pdlsl import (
+    And,
+    Articulator,
+    At,
+    Atom,
+    AtomF,
+    Atomic,
+    Box,
+    Choice,
+    Concurrent,
+    Config,
+    Direction,
+    Handedness,
+    LexiconEntry,
+    LexiconFile,
+    Move,
+    Not,
+    Orient,
+    Override,
+    RelDir,
+    Seq,
+    SourceSpan,
+    Star,
+    ThreeVal,
+    Touch,
+    UtteranceModel,
+    apply_overrides,
+    atom_value,
+    diamond,
+    eval_formula,
+    eval_two_valued,
+    interpret_action,
+    parse_lexicon,
+    verify,
+)
+from pdlsl.errors import UnknownState
+
+import _gen
+from test_oracle import gen_large_model, memoized_oracles, reference_verdicts
+
+R, L = Articulator.RIGHT, Articulator.LEFT
+D, W = Articulator.DOMINANT, Articulator.WEAK
+T, F, U = ThreeVal.TRUE, ThreeVal.FALSE, ThreeVal.UNKNOWN
+A, B = (Atomic(a) for a in _gen.ACTION_POOL)
+
+
+# --- stars against the oracles ----------------------------------------------------------
+
+
+def star_action(rng: random.Random, depth: int):
+    """A random action that leans towards stars, with `;`, `|` and `&`
+    around and under them."""
+    if depth <= 0:
+        return rng.choice((A, B))
+    kind = rng.choice(("star", "star", "seq", "choice", "concurrent", "atomic"))
+    if kind == "atomic":
+        return rng.choice((A, B))
+    if kind == "star":
+        return Star(star_action(rng, depth - 1))
+    left, right = star_action(rng, depth - 1), star_action(rng, depth - 1)
+    return {"seq": Seq, "choice": Choice, "concurrent": Concurrent}[kind](left, right)
+
+
+def star_formulas(rng: random.Random):
+    """One formula per required shape, over random subactions and bodies:
+    nested stars, `;` under `*`, `*` under `&`, `*` under `!`, and `[α*]`
+    inside `[β*]`; then a few random star-leaning ones."""
+    x, y = star_action(rng, 1), star_action(rng, 1)
+
+    def body():
+        return _gen.gen_formula(rng, 1)
+
+    shapes = [
+        Box(Star(Star(x)), body()),
+        Box(Star(Choice(Star(x), y)), body()),
+        Box(Star(Seq(Star(x), y)), body()),
+        Box(Star(Seq(x, y)), body()),
+        Box(Seq(Star(Seq(A, B)), x), body()),
+        Box(Concurrent(Star(x), y), body()),
+        Box(Concurrent(Star(Seq(A, B)), Star(y)), body()),
+        Not(Box(Star(x), body())),
+        diamond(Star(Seq(x, y)), body()),
+        Box(Star(x), Box(Star(y), body())),
+        Box(Star(x), And(body(), Not(Box(Star(Choice(x, y)), body())))),
+    ]
+    return shapes + [Box(star_action(rng, 3), body()) for _ in range(3)]
+
+
+STARS = settings(max_examples=8, deadline=None, derandomize=True)
+
+
+@STARS
+@given(st.integers(0, 2**32 - 1))
+def test_star_formulas_match_the_oracles(seed):
+    rng = random.Random(seed)
+    model = gen_large_model(rng)
+    formulas = star_formulas(rng)
+    lexicon = LexiconFile(tuple(
+        LexiconEntry(f"SIGN{i}", f, SourceSpan(1, 1)) for i, f in enumerate(formulas)
+    ))
+    report = verify(model, lexicon, Handedness.RIGHT_DOMINANT)
+    got = [[(p.sign, p.verdict) for p in proposals] for proposals in report.per_state]
+    with memoized_oracles():
+        assert got == reference_verdicts(model, lexicon)
+        for formula in formulas:
+            for state in model.states():
+                assert eval_formula(model, state, formula) is _gen.ref_eval_three(
+                    model, state, formula
+                )
+                assert eval_two_valued(model, state, formula) == _gen.ref_eval_bool(
+                    model, state, formula
+                )
+
+
+@STARS
+@given(st.integers(0, 2**32 - 1))
+def test_star_actions_match_the_relation_oracle(seed):
+    rng = random.Random(seed)
+    model = gen_large_model(rng)
+    x, y = star_action(rng, 1), star_action(rng, 1)
+    actions = [Star(Star(x)), Star(Seq(x, y)), Concurrent(Star(x), y),
+               Seq(Star(x), Star(y)), star_action(rng, 3)]
+    with memoized_oracles():
+        for action in actions:
+            assert interpret_action(model, action) == _gen.ref_action_pairs(model, action)
+
+
+def chain(n: int) -> UtteranceModel:
+    """A move(R,E) chain of n states with a final self-loop, touch(R,L) True
+    at every third state and at(R,FACE) True at every other one."""
+    edges = frozenset((s, s + 1) for s in range(n - 1))
+    valuation = {}
+    for s in range(n):
+        valuation[(s, Touch(R, L))] = T if s % 3 == 2 else F
+        valuation[(s, At(R, "FACE"))] = T if s % 2 == 0 else U
+    return UtteranceModel(
+        state_count=n,
+        relation=edges | {(n - 1, n - 1)},
+        action_interp={Move(R, Direction.E): edges},
+        valuation=valuation,
+        observed=(frozenset((R, L)),) * n,
+    )
+
+
+STAR_SIGNS = """format: 1
+sign STAY_APART := [move(R,E)*] !touch(R,L) .
+sign MEET_LATER := <move(R,E)*> touch(R,L) .
+sign FACE_EVERY_OTHER := [(move(R,E) ; move(R,E))*] at(R,FACE) .
+"""
+STAR_UNDER_CONCURRENT = "sign STEP := [move(R,E)* & (move(R,E) ; move(R,E))] at(R,FACE) .\n"
+
+
+def test_verify_builds_a_star_closure_only_under_concurrent(monkeypatch):
+    built = []
+    closure = pdlsl.model._star_closure
+
+    def counting(succ, state_count):
+        built.append(state_count)
+        return closure(succ, state_count)
+
+    monkeypatch.setattr(pdlsl.model, "_star_closure", counting)
+    model = chain(40)
+    report = verify(model, parse_lexicon(STAR_SIGNS), Handedness.RIGHT_DOMINANT)
+    assert built == []
+    with memoized_oracles():
+        assert [[(p.sign, p.verdict) for p in ps] for ps in report.per_state] == (
+            reference_verdicts(model, parse_lexicon(STAR_SIGNS))
+        )
+    verify(model, parse_lexicon(STAR_SIGNS + STAR_UNDER_CONCURRENT), Handedness.RIGHT_DOMINANT)
+    assert built == [40]
+
+
+# --- atom bitsets and the documented defaults ---------------------------------------------
+
+
+def _reference_atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
+    """`atom_value` as it read the valuation dict and the observation
+    records state by state, before the per-atom bitsets."""
+    if not (0 <= state < model.state_count):
+        raise UnknownState(f"state {state} outside 0..{model.state_count - 1}")
+    listed = model.valuation.get((state, atom))
+    if listed is not None:
+        return listed
+    observed = model.observed_at(state)
+    match atom:
+        case RelDir(subject=b1, anchor=b2) | Touch(a=b1, b=b2):
+            if b1 in observed and b2 in observed:
+                return ThreeVal.FALSE
+            return ThreeVal.UNKNOWN
+        case At(articulator=b):
+            return ThreeVal.FALSE if b in observed else ThreeVal.UNKNOWN
+        case Config(articulator=b, label=c):
+            seen = model.config_at(state).get(b)
+            if seen is not None and seen != c:
+                return ThreeVal.FALSE
+            return ThreeVal.UNKNOWN
+        case Orient():
+            return ThreeVal.UNKNOWN
+    raise TypeError(f"not an atom: {atom!r}")
+
+
+ATOMS: tuple[Atom, ...] = (
+    RelDir(R, Direction.E, L),
+    RelDir(L, Direction.NW, R),
+    Touch(R, L),
+    Touch(L, R),
+    At(R, "FACE"),
+    At(L, "HEAD"),
+    Config(R, "CLAMP"),
+    Config(L, "FLAT"),
+    Config(R, "FIST"),  # a label no state sees
+    Orient(R, Direction.N),
+    Touch(D, W),
+    At(W, "FACE"),
+    Config(D, "CLAMP"),
+)
+LABELS = (None, "CLAMP", "FLAT")
+
+
+def gen_partial_model(rng: random.Random) -> UtteranceModel:
+    """About a third of the cells listed; `observed` and `configs` cover a
+    random prefix of the states, with hands missing, null labels and
+    labels that differ from the atoms'."""
+    n = rng.randint(1, 40)
+    relation = frozenset((s, rng.randrange(n)) for s in range(n))
+    valuation = {
+        (s, atom): rng.choice((T, F, U))
+        for s in range(n)
+        for atom in ATOMS
+        if rng.random() < 0.3
+    }
+    observed = tuple(
+        frozenset(h for h in (R, L) if rng.random() < 0.6) for _ in range(rng.randint(0, n))
+    )
+    configs = tuple(
+        {h: rng.choice(LABELS) for h in (R, L) if rng.random() < 0.8}
+        for _ in range(rng.randint(0, n))
+    )
+    return UtteranceModel(
+        state_count=n,
+        relation=relation,
+        action_interp={},
+        valuation=valuation,
+        observed=observed,
+        config_observed=configs,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_atom_bitsets_follow_the_documented_defaults(seed):
+    rng = random.Random(seed)
+    model = gen_partial_model(rng)
+    if rng.random() < 0.5:
+        overrides = [
+            Override(rng.randrange(model.state_count), rng.choice(ATOMS), rng.choice((T, F, U)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        model = apply_overrides(model, overrides, rng.choice(tuple(Handedness)))
+    for atom in ATOMS:
+        expected = [_reference_atom_value(model, s, atom) for s in model.states()]
+        lo = sum(1 << s for s, v in enumerate(expected) if v is T)
+        hi = sum(1 << s for s, v in enumerate(expected) if v is not F)
+        assert model.atom_index.bits(atom) == (lo, hi), atom
+        assert [atom_value(model, s, atom) for s in model.states()] == expected, atom
+
+
+def test_atom_value_keeps_its_errors():
+    model = chain(3)
+    with pytest.raises(UnknownState):
+        atom_value(model, 3, Touch(R, L))
+    with pytest.raises(TypeError):
+        atom_value(model, 0, AtomF(Touch(R, L)))

@@ -448,3 +448,45 @@ def test_model_from_json_reports_the_first_malformed_atom_row():
 def test_fixture_models_survive_a_json_round_trip(path):
     model = model_from_json(_golden_doc(path))
     assert model_from_json(model_to_json(model)) == model
+
+
+def _route_clean_doc():
+    return _golden_doc(GOLDEN_MODELS[0].parent / "route_clean.model.json")
+
+
+def test_model_from_json_refuses_a_cell_listed_twice_with_another_value():
+    doc = _route_clean_doc()
+    first = doc["valuation"][3]
+    other = next(v for v in ("true", "false", "unknown") if v != first["value"])
+    doc["valuation"].append(dict(first, value=other))
+    with pytest.raises(SchemaError) as info:
+        model_from_json(doc)
+    assert info.value.path == f"/valuation/{len(doc['valuation']) - 1}"
+    assert first["atom"] in str(info.value)
+
+
+def test_model_from_json_accepts_a_cell_repeated_with_the_same_value():
+    doc = _route_clean_doc()
+    expected = model_from_json(doc)
+    doc["valuation"].insert(5, dict(doc["valuation"][3]))
+    assert model_from_json(doc) == expected
+
+
+def test_model_from_json_refuses_an_action_listed_again_with_other_edges():
+    doc = _route_clean_doc()
+    entry = next(e for e in doc["actions"] if e["edges"])
+    # An empty repeat used to empty the action without a word.
+    for edges in ([], entry["edges"] + [[1, 1]]):
+        bad = dict(doc, actions=doc["actions"] + [{"action": entry["action"], "edges": edges}])
+        with pytest.raises(SchemaError) as info:
+            model_from_json(bad)
+        assert info.value.path == f"/actions/{len(doc['actions'])}"
+        assert entry["action"] in str(info.value)
+
+
+def test_model_from_json_accepts_an_action_repeated_with_the_same_edges():
+    doc = _route_clean_doc()
+    expected = model_from_json(doc)
+    entry = doc["actions"][0]
+    doc["actions"].append({"action": entry["action"], "edges": list(reversed(entry["edges"]))})
+    assert model_from_json(doc) == expected
