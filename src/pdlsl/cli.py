@@ -9,16 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Sequence
 
 from .check import ProposalReport, parse_overrides, verify
 from .core import Formula, Handedness, ground
-from .errors import AliasCollision, ConfigError, ParseError, PdlslError, SchemaError, read_json
+from .errors import AliasCollision, ConfigError, ParseError, PdlslError, read_json
 from .extract import Diagnostic, SegmentationParams, extract_model, tracking_from_json
-from .geometry import DEFAULT_PLACE_MAP, PlaceMap, Vec2, load_place_map
-from .model import eval_formula, model_from_json, model_to_json
+from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, load_place_map
+from .model import SEGMENTATION_FIELDS, eval_formula, model_from_json, model_to_json
 from .parsing import lint_lexicon, parse_formula, parse_lexicon, print_atom
+from .schema import boolean, check, choice, number, optional, string, table
 
 
 @dataclass(frozen=True)
@@ -32,99 +33,29 @@ class RunConfig:
     body_scale: float | None = None
 
 
-_SEG_FIELDS = {f.name: f for f in fields(SegmentationParams)}
-_CONFIG_KEYS = ("dominant", "mirrored", "placemap", "segmentation", "format",
-                "body_origin", "body_scale")
-
-
-def _segmentation_from_obj(obj: Any, base: SegmentationParams) -> SegmentationParams:
-    if not isinstance(obj, Mapping):
-        raise ConfigError("config key 'segmentation' must be an object")
-    updates: dict[str, Any] = {}
-    for key, value in obj.items():
-        spec = _SEG_FIELDS.get(key)
-        if spec is None:
-            raise ConfigError(f"unknown segmentation key {key!r}")
-        if spec.type in ("int", int):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"segmentation key {key!r} must be an integer")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"segmentation key {key!r} must be a number")
-        updates[key] = value
-    try:
-        return replace(base, **updates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def load_config(path: str | None) -> RunConfig:
-    config = RunConfig()
-    if path is None:
-        return config
-    obj = read_json(path, lambda message: ConfigError(f"invalid config JSON: {message}"))
-    if not isinstance(obj, Mapping):
-        raise ConfigError("config file must be a JSON object")
-    for key in obj:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-    if "dominant" in obj:
-        config = replace(config, handedness=_handedness(obj["dominant"]))
-    if "mirrored" in obj:
-        if not isinstance(obj["mirrored"], bool):
-            raise ConfigError("config key 'mirrored' must be a boolean")
-        config = replace(config, mirrored=obj["mirrored"])
-    if "placemap" in obj:
-        if not isinstance(obj["placemap"], str):
-            raise ConfigError("config key 'placemap' must be a file path")
-        config = replace(config, placemap=load_place_map(obj["placemap"]))
-    if "segmentation" in obj:
-        config = replace(
-            config, segmentation=_segmentation_from_obj(obj["segmentation"], config.segmentation)
-        )
-    if "format" in obj:
-        config = replace(config, output_format=_output_format(obj["format"]))
-    if "body_origin" in obj:
-        raw = obj["body_origin"]
-        if not (isinstance(raw, list) and len(raw) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
-            raise ConfigError("config key 'body_origin' must be [x, y]")
-        config = replace(config, body_origin=Vec2(float(raw[0]), float(raw[1])))
-    if "body_scale" in obj:
-        raw = obj["body_scale"]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw <= 0:
-            raise ConfigError("config key 'body_scale' must be a positive number")
-        config = replace(config, body_scale=float(raw))
-    return config
-
-
-def _handedness(value: Any) -> Handedness:
-    if value == "right":
-        return Handedness.RIGHT_DOMINANT
-    if value == "left":
-        return Handedness.LEFT_DOMINANT
-    raise ConfigError(f"dominant hand must be 'right' or 'left', got {value!r}")
-
-
-def _output_format(value: Any) -> str:
-    if value in ("json", "table"):
-        return value
-    raise ConfigError(f"format must be 'json' or 'table', got {value!r}")
-
-
-def _apply_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "dominant", None) is not None:
-        config = replace(config, handedness=_handedness(args.dominant))
-    if getattr(args, "mirrored", False):
-        config = replace(config, mirrored=True)
-    if getattr(args, "placemap", None) is not None:
-        config = replace(config, placemap=load_place_map(args.placemap))
-    if getattr(args, "format", None) is not None:
-        config = replace(config, output_format=_output_format(args.format))
-    return config
+# In RunConfig's field order, which the table passes its values in.
+_CONFIG = table("config", {
+    "dominant": optional(choice({h.value: h for h in Handedness}), RunConfig.handedness),
+    "mirrored": optional(boolean()),
+    "placemap": optional(string(load_place_map), RunConfig.placemap),
+    "segmentation": optional(
+        table("segmentation", SEGMENTATION_FIELDS, SegmentationParams), RunConfig.segmentation
+    ),
+    "format": optional(choice({"json": "json", "table": "table"}), RunConfig.output_format),
+    "body_origin": optional(VEC),
+    "body_scale": optional(number(positive=True, build=float)),
+}, RunConfig)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    return _apply_flags(load_config(getattr(args, "config", None)), args)
+    """Flags over the config file over the defaults: the flags given join
+    the file's keys, and the config table checks the result."""
+    doc = read_json(args.config, ConfigError) if args.config else {}
+    flags = {"dominant": args.dominant, "mirrored": args.mirrored or None,
+             "placemap": args.placemap, "format": args.format}
+    if isinstance(doc, dict):
+        doc.update((key, value) for key, value in flags.items() if value is not None)
+    return check(_CONFIG, doc, ConfigError)
 
 
 def _read_text(path: str) -> str:
@@ -133,10 +64,6 @@ def _read_text(path: str) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise PdlslError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _read_json(path: str) -> Any:
-    return read_json(path, lambda message: SchemaError("", f"invalid JSON in {path}: {message}"))
 
 
 def _emit_diagnostics(diagnostics: Sequence[Diagnostic]) -> None:
@@ -161,7 +88,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    raw = tracking_from_json(_read_json(args.tracking))
+    raw = tracking_from_json(read_json(args.tracking))
     if config.mirrored is not None:
         raw = replace(raw, mirrored=config.mirrored)
     model, diagnostics = extract_model(
@@ -188,7 +115,7 @@ def _render_table(report: ProposalReport) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    model = model_from_json(_read_json(args.model))
+    model = model_from_json(read_json(args.model))
     lexicon = parse_lexicon(_read_text(args.lexicon))
     overrides = parse_overrides(_read_text(args.overrides)) if args.overrides else []
     report = verify(model, lexicon, config.handedness, overrides=overrides)
@@ -201,7 +128,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    model = model_from_json(_read_json(args.model))
+    model = model_from_json(read_json(args.model))
     formula: Formula = parse_formula(args.formula)
     try:
         grounded = ground(formula, config.handedness)

@@ -327,22 +327,25 @@ def _iter_formula_actions(formula: Formula) -> Iterator[Action]:
             return
 
 
-def _atom_articulators(atom: Atom) -> tuple[Articulator, ...]:
-    match atom:
+def articulators(leaf: Atom | AtomicAction) -> tuple[Articulator, ...]:
+    """The articulators an atom or atomic action names."""
+    match leaf:
         case RelDir(subject=s, anchor=a):
             return (s, a)
         case At(articulator=b) | Config(articulator=b) | Orient(articulator=b):
             return (b,)
         case Touch(a=a, b=b):
             return (a, b)
-    raise TypeError(f"not an atom: {atom!r}")
+        case Move(articulator=b) | Thrill(articulator=b):
+            return (b,)
+    raise TypeError(f"not an atom or atomic action: {leaf!r}")
 
 
 def contains_alias(formula: Formula) -> bool:
     """True when the formula mentions the dominant or weak hand anywhere,
     in atoms or in modality actions."""
     for atom in iter_atoms(formula):
-        if any(b.is_alias for b in _atom_articulators(atom)):
+        if any(b.is_alias for b in articulators(atom)):
             return True
     for action in _iter_formula_actions(formula):
         for a in iter_atomic_actions(action):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,15 +68,15 @@ class DuplicateSign(ParseError):
 
 
 class SchemaError(PdlslError):
-    """A structured input file violates its schema. `path` is a
-    JSON-pointer-style location of the offending field."""
+    """A structured input file violates its schema. `path` is the RFC 6901
+    JSON pointer of the offending value, "" for the whole document."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path or '/'}: {message}")
         self.path = path
 
 
-class ConfigError(PdlslError):
+class ConfigError(SchemaError):
     """Bad run configuration (unknown keys, bad values). Treated as a
     usage error by the command line."""
 
@@ -127,14 +127,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def read_json(path: str, error: Callable[[str], PdlslError]) -> Any:
+def read_json(path: str, error: type[SchemaError] = SchemaError) -> Any:
     """Parse a JSON input file. Python's `json` accepts NaN and Infinity and
     reads literals such as 1e999 as infinity; both are refused here, so every
-    number that reaches the toolkit is finite. Any defect of the file's
-    content, nesting too deep for the decoder included, raises
-    `error(message)`."""
+    float that reaches the toolkit is finite. Any defect of the file's
+    content, nesting too deep for the decoder included, raises `error` at
+    the document root, naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
         except (ValueError, RecursionError) as exc:
-            raise error(str(exc)) from None
+            raise error("", f"invalid JSON in {path}: {exc}") from None

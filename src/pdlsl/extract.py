@@ -8,12 +8,15 @@ transition, and assembles the serial transition system.
 
 All thresholds live in SegmentationParams. The defaults are chosen to make
 the synthetic fixtures deterministic; they are not tuned to any corpus.
+
+A tracking file is read by `tracking_from_json`, which checks it against
+the tracking table of `schema` and builds the frames in the same walk.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -34,14 +37,10 @@ from .core import (
     Touch,
     iter_atomic_actions,
 )
-from .errors import (
-    EmptySequence,
-    NoKeyPosture,
-    NonMonotoneTimestamps,
-    SchemaError,
-)
+from .errors import EmptySequence, NoKeyPosture, NonMonotoneTimestamps
 from .geometry import (
     DEFAULT_PLACE_MAP,
+    VEC,
     BodyFrame,
     PlaceMap,
     Vec2,
@@ -49,7 +48,8 @@ from .geometry import (
     normalize,
     relative_direction,
 )
-from .model import ThreeVal, UtteranceModel
+from .model import SegmentationParams, ThreeVal, UtteranceModel
+from .schema import array, boolean, check, choice, const, integer, number, optional, string, table
 
 _HANDS = (Articulator.RIGHT, Articulator.LEFT)
 
@@ -118,32 +118,6 @@ class Segment:
 
 
 @dataclass(frozen=True, slots=True)
-class SegmentationParams:
-    tau_still: float = 0.02  # body units per frame below which a hand rests
-    min_still: int = 3  # frames a rest must span to count as a posture
-    tau_touch: float = 0.05  # hand distance below which Touch holds
-    touch_unknown_band: float = 0.05  # extra distance where Touch is unknown
-    thrill_window: int = 5  # frames a reversal burst may spread over
-    thrill_net_disp: float = 0.03  # net displacement below which Move is off
-    thrill_min_reversals: int = 2  # reversals within the window for a thrill
-    max_jump: float = 0.5  # per-frame displacement treated as a tracker error
-
-    def __post_init__(self) -> None:
-        positives = (
-            self.tau_still,
-            self.tau_touch,
-            self.thrill_net_disp,
-            self.max_jump,
-        )
-        if any(not (math.isfinite(v) and v > 0) for v in positives):
-            raise ValueError("thresholds must be positive")
-        if self.touch_unknown_band < 0:
-            raise ValueError("touch_unknown_band must be nonnegative")
-        if self.min_still < 1 or self.thrill_window < 1 or self.thrill_min_reversals < 1:
-            raise ValueError("frame counts must be at least 1")
-
-
-@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """Machine-readable note about a repaired or suspicious input."""
 
@@ -185,79 +159,30 @@ TransitionLabel = Action | EpsilonMove
 # --- Input parsing -----------------------------------------------------------
 
 
-def _vec_from_json(obj: Any, path: str) -> Vec2:
-    if not (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
-        raise SchemaError(path, "expected [x, y]")
-    try:
-        return Vec2(float(obj[0]), float(obj[1]))
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
-
-
-def _hand_from_json(obj: Any, path: str) -> HandObservation:
-    if obj is None:
-        return _NO_HAND
-    if not isinstance(obj, Mapping):
-        raise SchemaError(path, "expected an object")
-    for key in obj:
-        if key not in ("pos", "config", "orient"):
-            raise SchemaError(f"{path}/{key}", "unknown hand field")
-    pos = None if obj.get("pos") is None else _vec_from_json(obj["pos"], f"{path}/pos")
-    config = obj.get("config")
-    if config is not None and not isinstance(config, str):
-        raise SchemaError(f"{path}/config", "expected a string")
-    orient_raw = obj.get("orient")
-    orient = None
-    if orient_raw is not None:
-        if not isinstance(orient_raw, str) or orient_raw not in Direction.__members__:
-            raise SchemaError(f"{path}/orient", "expected a compass direction name")
-        orient = Direction[orient_raw]
-    return HandObservation(pos=pos, config=config, orient=orient)
+# Every field of a hand and of a frame but `t` may be missing or null: a
+# tracker dropout.
+_HAND = table("hand", {
+    "pos": optional(VEC, null=True),
+    "config": optional(string(), null=True),
+    "orient": optional(choice(Direction.__members__), null=True),
+}, HandObservation)
+_TRACKING = table("tracking", {
+    "format": optional(const(1)),
+    "fps": number(positive=True, build=float),
+    "mirrored": optional(boolean(), False),
+    "frames": array(table("frame", {
+        "t": integer(0),
+        "head": optional(VEC, null=True),
+        "right": optional(_HAND, _NO_HAND, null=True),
+        "left": optional(_HAND, _NO_HAND, null=True),
+    }, TrackingFrame), non_empty=True),
+}, lambda _format, fps, mirrored, frames: TrackingSequence(tuple(frames), fps, mirrored))
 
 
 def tracking_from_json(obj: Any) -> TrackingSequence:
-    """Build a raw tracking sequence from the parsed input file structure."""
-    if not isinstance(obj, Mapping):
-        raise SchemaError("", "tracking file must be a JSON object")
-    for key in obj:
-        if key not in ("format", "fps", "mirrored", "frames"):
-            raise SchemaError(f"/{key}", "unknown tracking key")
-    if "format" in obj and obj["format"] != 1:
-        raise SchemaError("/format", "unsupported tracking format (expected 1)")
-    fps = obj.get("fps")
-    if not isinstance(fps, (int, float)) or isinstance(fps, bool) or not fps > 0:
-        raise SchemaError("/fps", "expected a positive number")
-    mirrored = obj.get("mirrored", False)
-    if not isinstance(mirrored, bool):
-        raise SchemaError("/mirrored", "expected a boolean")
-    frames_obj = obj.get("frames")
-    if not isinstance(frames_obj, list) or not frames_obj:
-        raise SchemaError("/frames", "expected a non-empty list")
-    frames = []
-    for i, fobj in enumerate(frames_obj):
-        path = f"/frames/{i}"
-        if not isinstance(fobj, Mapping):
-            raise SchemaError(path, "expected an object")
-        for key in fobj:
-            if key not in ("t", "head", "right", "left"):
-                raise SchemaError(f"{path}/{key}", "unknown frame field")
-        t = fobj.get("t")
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise SchemaError(f"{path}/t", "expected a nonnegative integer")
-        head = None if fobj.get("head") is None else _vec_from_json(fobj["head"], f"{path}/head")
-        frames.append(
-            TrackingFrame(
-                t=t,
-                head=head,
-                right=_hand_from_json(fobj.get("right"), f"{path}/right"),
-                left=_hand_from_json(fobj.get("left"), f"{path}/left"),
-            )
-        )
-    return TrackingSequence(frames=tuple(frames), fps=float(fps), mirrored=mirrored)
+    """Build a raw tracking sequence from the parsed input file structure,
+    checked against the tracking table."""
+    return check(_TRACKING, obj)
 
 
 # --- Normalization -----------------------------------------------------------

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import CANONICAL_DIRECTIONS, Direction, Place, Rect
-from .errors import CoincidentPoints, SchemaError, ZeroVector, read_json
+from .errors import CoincidentPoints, ZeroVector, read_json
+from .schema import check, const, fixed, mapping, number, optional, table
 
 # Angles closer than this are treated as equal when classifying directions,
 # so exact 22.5 degree boundaries resolve by canonical order on every platform.
@@ -42,6 +43,10 @@ class Vec2:
     @property
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
+
+
+#: `[x, y]`, as a tracking file and a run configuration give a point.
+VEC = fixed("[x, y]", 2, number(), build=lambda xy: Vec2(*map(float, xy)))
 
 
 def rotation_angle(v1: Vec2, v2: Vec2) -> float:
@@ -144,30 +149,21 @@ def _default_places() -> tuple[Place, ...]:
 DEFAULT_PLACE_MAP = PlaceMap(_default_places())
 
 
+_PLACE_MAP = table("placemap", {
+    "format": optional(const(1)),
+    "places": mapping(
+        fixed("[x_min, x_max, y_min, y_max]", 4, number(), build=lambda b: Rect(*map(float, b))),
+        non_empty=True,
+    ),
+}, lambda _format, places: PlaceMap(Place(name, rect) for name, rect in places.items()))
+
+
 def place_map_from_json(obj: object) -> PlaceMap:
     """Build a PlaceMap from the parsed placemap file structure:
-    {"places": {NAME: [x_min, x_max, y_min, y_max], ...}}."""
-    if not isinstance(obj, Mapping):
-        raise SchemaError("", "placemap file must be a JSON object")
-    places_obj = obj.get("places")
-    if not isinstance(places_obj, Mapping) or not places_obj:
-        raise SchemaError("/places", "expected a non-empty object of place rectangles")
-    for key in obj:
-        if key not in ("places", "format"):
-            raise SchemaError(f"/{key}", "unknown placemap key")
-    places = []
-    for name, bounds in places_obj.items():
-        path = f"/places/{name}"
-        if not (isinstance(bounds, list) and len(bounds) == 4
-                and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bounds)):
-            raise SchemaError(path, "expected [x_min, x_max, y_min, y_max]")
-        try:
-            places.append(Place(str(name), Rect(*[float(b) for b in bounds])))
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from None
-    return PlaceMap(places)
+    {"places": {NAME: [x_min, x_max, y_min, y_max], ...}}, with an optional
+    `"format": 1`."""
+    return check(_PLACE_MAP, obj)
 
 
 def load_place_map(path: str) -> PlaceMap:
-    obj = read_json(path, lambda message: SchemaError("", f"invalid JSON: {message}"))
-    return place_map_from_json(obj)
+    return place_map_from_json(read_json(path))

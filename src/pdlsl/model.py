@@ -17,14 +17,20 @@ checking propositional dynamic logic with all extras"; Cleaveland & Steffen
 modal mu-calculus"); a closure is built only for `interpret_action` and
 for `*` under `&`. `eval_formula`, `eval_two_valued`, `interpret_action`
 and the verification loop in `check` all read its labels.
+
+A model file is read by `model_from_json`, which checks it against the
+model table of `schema` and builds the model in the same walk; what is not
+about shape (a cell or action listed twice with different contents, the
+hand aliases, atom syntax, seriality and state ranges) is checked here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+import math
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any
 
 from .core import (
@@ -48,10 +54,25 @@ from .core import (
     Top,
     Touch,
     Action,
+    articulators,
     contains_alias,
 )
-from .errors import SchemaError, UngroundedFormula, UnknownState
+from .errors import ParseError, UngroundedFormula, UnknownState
 from .parsing import parse_atom, parse_atomic_action, print_atom, print_atomic_action
+from .schema import (
+    Invalid,
+    array,
+    boolean,
+    check,
+    choice,
+    const,
+    fixed,
+    integer,
+    number,
+    optional,
+    string,
+    table,
+)
 
 Pair = tuple[int, int]
 
@@ -67,6 +88,35 @@ class ThreeVal(Enum):
 
     def __str__(self) -> str:
         return self.value.capitalize()
+
+
+@dataclass(frozen=True, slots=True)
+class SegmentationParams:
+    """The thresholds of extraction (see `extract`). They are defined here
+    because a model records them in its `meta`, which this module reads."""
+
+    tau_still: float = 0.02  # body units per frame below which a hand rests
+    min_still: int = 3  # frames a rest must span to count as a posture
+    tau_touch: float = 0.05  # hand distance below which Touch holds
+    touch_unknown_band: float = 0.05  # extra distance where Touch is unknown
+    thrill_window: int = 5  # frames a reversal burst may spread over
+    thrill_net_disp: float = 0.03  # net displacement below which Move is off
+    thrill_min_reversals: int = 2  # reversals within the window for a thrill
+    max_jump: float = 0.5  # per-frame displacement treated as a tracker error
+
+    def __post_init__(self) -> None:
+        positives = (
+            self.tau_still,
+            self.tau_touch,
+            self.thrill_net_disp,
+            self.max_jump,
+        )
+        if any(not (math.isfinite(v) and v > 0) for v in positives):
+            raise ValueError("thresholds must be positive")
+        if self.touch_unknown_band < 0:
+            raise ValueError("touch_unknown_band must be nonnegative")
+        if self.min_still < 1 or self.thrill_window < 1 or self.thrill_min_reversals < 1:
+            raise ValueError("frame counts must be at least 1")
 
 
 _EMPTY_OBSERVED: frozenset[Articulator] = frozenset()
@@ -472,117 +522,79 @@ def model_to_json(model: UtteranceModel) -> dict[str, Any]:
     }
 
 
-def _pairs_from_json(obj: Any, path: str) -> frozenset[Pair]:
-    if not isinstance(obj, list):
-        raise SchemaError(path, "expected a list of [src, dst] pairs")
-    pairs = set()
-    for i, item in enumerate(obj):
-        if not (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise SchemaError(f"{path}/{i}", "expected [src, dst] of integers")
-        pairs.add((item[0], item[1]))
-    return frozenset(pairs)
+def _hands_only(parse: Callable[[str], Any], text: str) -> Atom | AtomicAction:
+    """`parse(text)`, refused if it names the hand alias D or W."""
+    try:
+        leaf = parse(text)
+    except ParseError as exc:
+        raise Invalid(str(exc)) from None
+    if any(b.is_alias for b in articulators(leaf)):
+        raise Invalid(f"{text} names the hand D or W; a model names the hands R and L")
+    return leaf
 
 
-_THREE_VALUES = {v.value: v for v in ThreeVal}
-
-
-def model_from_json(obj: Any) -> UtteranceModel:
-    """A model from its JSON structure. A file that lists one `(state, atom)`
-    cell twice with different values, or one action twice with different
-    edges, is refused."""
-    if not isinstance(obj, Mapping):
-        raise SchemaError("", "model file must be a JSON object")
-    if obj.get("format") != 1:
-        raise SchemaError("/format", "unsupported or missing model format (expected 1)")
-    states = obj.get("states")
-    if not isinstance(states, int) or isinstance(states, bool) or states < 1:
-        raise SchemaError("/states", "expected a positive integer")
-    relation = _pairs_from_json(obj.get("relation"), "/relation")
+def _actions(entries: list[tuple[AtomicAction, frozenset[Pair]]]) -> dict:
     interp: dict[AtomicAction, frozenset[Pair]] = {}
-    actions_obj = obj.get("actions", [])
-    if not isinstance(actions_obj, list):
-        raise SchemaError("/actions", "expected a list")
-    for i, entry in enumerate(actions_obj):
-        path = f"/actions/{i}"
-        if not (isinstance(entry, Mapping) and isinstance(entry.get("action"), str)):
-            raise SchemaError(path, "expected {action, edges}")
-        try:
-            action = parse_atomic_action(entry["action"])
-        except Exception as exc:
-            raise SchemaError(f"{path}/action", str(exc)) from None
-        edges = _pairs_from_json(entry.get("edges"), f"{path}/edges")
+    for i, (action, edges) in enumerate(entries):
         if interp.setdefault(action, edges) != edges:
-            raise SchemaError(path, f"{entry['action']} is listed again with other edges")
+            raise Invalid(f"{print_atomic_action(action)} is listed again with other edges", i)
+    return interp
+
+
+def _valuation(cells: list[tuple[int, str, ThreeVal]]) -> dict:
     valuation: dict[tuple[int, Atom], ThreeVal] = {}
     atoms: dict[str, Atom] = {}  # each distinct atom text is parsed once
-    valuation_obj = obj.get("valuation", [])
-    if not isinstance(valuation_obj, list):
-        raise SchemaError("/valuation", "expected a list")
-    for i, entry in enumerate(valuation_obj):
-        path = f"/valuation/{i}"
-        if not (
-            isinstance(entry, Mapping)
-            and isinstance(entry.get("state"), int)
-            and isinstance(entry.get("atom"), str)
-            and isinstance(raw := entry.get("value"), str)
-            and (value := _THREE_VALUES.get(raw)) is not None
-        ):
-            raise SchemaError(path, "expected {state, atom, value}")
-        text = entry["atom"]
+    for i, (state, text, value) in enumerate(cells):
         atom = atoms.get(text)
         if atom is None:
             try:
-                atom = atoms[text] = parse_atom(text)
-            except Exception as exc:
-                raise SchemaError(f"{path}/atom", str(exc)) from None
-        state = entry["state"]
+                atom = atoms[text] = _hands_only(parse_atom, text)
+            except Invalid as exc:
+                exc.where += ["atom", i]
+                raise
         if valuation.setdefault((state, atom), value) is not value:
-            raise SchemaError(path, f"{text} at state {state} is listed again with another value")
-    observed_obj = obj.get("observed", [])
-    if not isinstance(observed_obj, list):
-        raise SchemaError("/observed", "expected a list")
-    observed = []
-    for i, entry in enumerate(observed_obj):
-        if not (isinstance(entry, list) and all(isinstance(v, str) for v in entry)):
-            raise SchemaError(f"/observed/{i}", "expected a list of articulator names")
-        try:
-            observed.append(frozenset(Articulator(v) for v in entry))
-        except ValueError:
-            raise SchemaError(f"/observed/{i}", "unknown articulator") from None
-    configs_obj = obj.get("configs", [])
-    if not isinstance(configs_obj, list):
-        raise SchemaError("/configs", "expected a list")
-    configs = []
-    for i, entry in enumerate(configs_obj):
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"/configs/{i}", "expected an object")
-        per_hand: dict[Articulator, str | None] = {}
-        for key, value in entry.items():
-            if value is not None and not isinstance(value, str):
-                raise SchemaError(f"/configs/{i}/{key}", "expected a string or null")
-            try:
-                per_hand[Articulator(key)] = value
-            except ValueError:
-                raise SchemaError(f"/configs/{i}/{key}", "unknown articulator") from None
-        configs.append(per_hand)
-    meta = obj.get("meta", {})
-    if not isinstance(meta, Mapping):
-        raise SchemaError("/meta", "expected an object")
-    if not isinstance(meta.get("segmentation", {}), Mapping):
-        raise SchemaError("/meta/segmentation", "expected an object")
-    try:
-        return UtteranceModel(
-            state_count=states,
-            relation=relation,
-            action_interp=interp,
-            valuation=valuation,
-            observed=tuple(observed),
-            config_observed=tuple(configs),
-            meta=dict(meta),
-        )
-    except ValueError as exc:
-        raise SchemaError("", str(exc)) from None
+            raise Invalid(f"{text} at state {state} is listed again with another value", i)
+    return valuation
+
+
+def _model(_format, states, relation, actions, valuation, observed, configs, meta) -> UtteranceModel:
+    return UtteranceModel(states, relation, actions, valuation, observed, configs, dict(meta))
+
+
+_PAIRS = array(fixed("[src, dst]", 2, integer()), build=frozenset)
+_HAND = choice({h.value: h for h in _HANDS})
+#: The segmentation thresholds a model's `meta` records, and a run
+#: configuration sets; every key is optional and defaults as in
+#: `SegmentationParams`.
+SEGMENTATION_FIELDS = {
+    f.name: optional(integer() if f.type in ("int", int) else number(), f.default)
+    for f in fields(SegmentationParams)
+}
+_MODEL = table("model", {
+    "format": const(1),
+    "states": integer(1),
+    "relation": _PAIRS,
+    "actions": optional(array(table("action", {
+        "action": string(partial(_hands_only, parse_atomic_action)), "edges": _PAIRS,
+    }, tuple), build=_actions), {}),
+    "valuation": optional(array(table("valuation", {
+        "state": integer(), "atom": string(), "value": choice({v.value: v for v in ThreeVal}),
+    }, tuple), build=_valuation), {}),
+    "observed": optional(array(array(_HAND, build=frozenset), build=tuple), ()),
+    "configs": optional(array(table("configs", {
+        "R": optional(string(), null=True), "L": optional(string(), null=True),
+    }, lambda r, l: {Articulator.RIGHT: r, Articulator.LEFT: l}), build=tuple), ()),
+    "meta": optional(table("meta", {
+        "fps": optional(number(positive=True)),
+        "mirrored": optional(boolean()),
+        "segmentation": optional(table("segmentation", SEGMENTATION_FIELDS)),
+    }), {}),
+}, _model)
+
+
+def model_from_json(obj: Any) -> UtteranceModel:
+    """A model from its JSON structure, checked against the model table.
+    Beyond shape, a file that lists one `(state, atom)` cell twice with
+    different values, or one action twice with different edges, is refused,
+    and so are the hand aliases `D` and `W`, which a model never uses."""
+    return check(_MODEL, obj)

@@ -1,10 +1,12 @@
 """Hostile inputs end in a one-line `pdlsl:` diagnostic and exit code 1 or
 2, never in a traceback: formulas nested past the parser's depth limit,
 non-finite numbers or deep nesting in JSON files, model files whose fields
-disagree, directories and non-UTF-8 files in place of inputs, and randomly
-mutated copies of the shipped inputs."""
+disagree, directories and non-UTF-8 files in place of inputs, randomly
+mutated copies of the shipped inputs, and an unknown key anywhere in a
+shipped JSON input."""
 
 import contextlib
+import copy
 import io
 import json
 import pathlib
@@ -20,6 +22,8 @@ from pdlsl.parsing import MAX_DEPTH
 from conftest import EXAMPLES
 
 TRACKING = EXAMPLES / "route_clean.tracking.json"
+CONFIG = EXAMPLES / "config.json"
+PLACEMAP = EXAMPLES / "placemap.json"
 MODEL = pathlib.Path(__file__).resolve().parent / "golden" / "route_clean.model.json"
 LEXICON = EXAMPLES / "route.pdlsl"
 OVERRIDES = EXAMPLES / "route.overrides"
@@ -134,6 +138,24 @@ def test_model_file_with_overflowing_number(tmp_path, capsys):
     assert code == 1 and one_line_error(err)
 
 
+HUGE = "1" + "0" * 400  # an integer literal no double can hold
+
+
+@pytest.mark.parametrize("argv, text, literal, code", [
+    (lambda p: ["extract", p], TRACKING, '"fps": 25.0', 1),
+    (lambda p: ["extract", p], TRACKING, "-0.02", 1),
+    (lambda p: ["extract", TRACKING, "--config", p], CONFIG, '"tau_still": 0.02', 2),
+    (lambda p: ["extract", TRACKING, "--placemap", p], PLACEMAP, "0.35", 1),
+], ids=["tracking fps", "tracking position", "config threshold", "placemap bound"])
+def test_integer_too_large_for_a_double(argv, text, literal, code, tmp_path, capsys):
+    source = json.dumps(json.loads(text.read_text()))
+    assert literal in source
+    path = tmp_path / text.name
+    path.write_text(source.replace(literal, literal.replace(literal.split()[-1], HUGE), 1))
+    got, err = run(argv(path), capsys)
+    assert got == code and one_line_error(err) and "too large" in err
+
+
 # --- model cross-field consistency --------------------------------------------------
 
 
@@ -212,7 +234,8 @@ def test_text_file_that_is_not_utf8(argv, tmp_path, capsys):
 # Each shipped input, and the command line that reads a copy of it at path `p`.
 FUZZ_TARGETS = {
     "tracking": (TRACKING, lambda p: ["extract", p]),
-    "config": (EXAMPLES / "config.json", lambda p: ["extract", TRACKING, "--config", p]),
+    "config": (CONFIG, lambda p: ["extract", TRACKING, "--config", p]),
+    "placemap": (PLACEMAP, lambda p: ["extract", TRACKING, "--placemap", p]),
     "model": (MODEL, lambda p: ["check", p, LEXICON]),
     "eval model": (MODEL, lambda p: ["eval", p, "[move(D,E)] touch(D,W)", "0"]),
     "lexicon": (LEXICON, lambda p: ["check", MODEL, p]),
@@ -233,15 +256,26 @@ def _slots(node):
 
 def mutate(source, data):
     raw = source.read_bytes()
-    kind = data.draw(st.sampled_from(
-        ("truncate", "stray bytes") + (("drop key", "wrong type") if source.suffix == ".json" else ())
-    ))
+    kinds = ("truncate", "stray bytes")
+    if source.suffix == ".json":
+        doc = json.loads(raw)
+        lists = [c[k] for c, k in _slots(doc) if isinstance(c[k], list) and c[k]]
+        kinds += ("drop key", "wrong type") + (("duplicate entry",) if lists else ())
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "truncate":
         return raw[: data.draw(st.integers(0, len(raw) - 1))]
     if kind == "stray bytes":
         at = data.draw(st.integers(0, len(raw)))
         return raw[:at] + data.draw(st.binary(min_size=1, max_size=4)) + raw[at:]
-    doc = json.loads(raw)
+    if kind == "duplicate entry":
+        # A copy of one element, as it is or with one value changed.
+        target = data.draw(st.sampled_from(lists))
+        entry = copy.deepcopy(data.draw(st.sampled_from(target)))
+        if isinstance(entry, (dict, list)) and entry and data.draw(st.booleans()):
+            container, key = data.draw(st.sampled_from(list(_slots(entry))))
+            container[key] = data.draw(st.sampled_from(WRONG_VALUES))
+        target.append(entry)
+        return json.dumps(doc).encode()
     container, key = data.draw(st.sampled_from(list(_slots(doc))))
     if kind == "drop key":
         del container[key]
@@ -261,3 +295,42 @@ def test_cli_on_mutated_fixtures_exits_cleanly(target, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv(path)])
     assert code in (0, 1, 2), err.getvalue()
+
+
+# --- unknown keys ---------------------------------------------------------------------
+
+# Each shipped JSON input, the command line that reads a copy of it at path
+# `p`, and the exit code that refuses it.
+JSON_INPUTS = {
+    "tracking": (TRACKING, lambda p: ["extract", p], 1),
+    "model": (MODEL, lambda p: ["check", p, LEXICON], 1),
+    "config": (CONFIG, lambda p: ["extract", TRACKING, "--config", p], 2),
+    "placemap": (PLACEMAP, lambda p: ["extract", TRACKING, "--placemap", p], 1),
+}
+
+
+def _objects(node, at=""):
+    """Every object inside a JSON document, with its JSON pointer (the
+    shipped inputs have no key that needs escaping)."""
+    if isinstance(node, dict):
+        yield node, at
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ():
+        yield from _objects(child, f"{at}/{key}")
+
+
+@pytest.mark.parametrize("name", sorted(JSON_INPUTS))
+def test_unknown_key_in_any_object_is_refused_at_its_pointer(name, tmp_path):
+    source, argv, expected_code = JSON_INPUTS[name]
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    objects = list(_objects(doc))
+    assert len(objects) >= 2  # the root and at least one nested object
+    path = tmp_path / source.name
+    for obj, at in objects:
+        obj["bogus"] = 1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        del obj["bogus"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv(path)])
+        assert code == expected_code and err.getvalue().startswith(f"pdlsl: {at}/bogus: "), (
+            at, err.getvalue())
