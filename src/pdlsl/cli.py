@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .check import ProposalReport, parse_overrides, verify
 from .core import Formula, Handedness, ground
-from .errors import AliasCollision, ConfigError, ParseError, PdlslError, read_json
+from .errors import AliasCollision, ConfigError, ParseError, PdlslError, load_json
 from .extract import Diagnostic, SegmentationParams, extract_model, tracking_from_json
 from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, load_place_map
 from .model import SEGMENTATION_FIELDS, eval_formula, model_from_json, model_to_json
@@ -50,12 +50,15 @@ _CONFIG = table("config", {
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Flags over the config file over the defaults: the flags given join
     the file's keys, and the config table checks the result."""
-    doc = read_json(args.config, ConfigError) if args.config else {}
     flags = {"dominant": args.dominant, "mirrored": args.mirrored or None,
              "placemap": args.placemap, "format": args.format}
-    if isinstance(doc, dict):
-        doc.update((key, value) for key, value in flags.items() if value is not None)
-    return check(_CONFIG, doc, ConfigError)
+
+    def resolve(doc: Any) -> RunConfig:
+        if isinstance(doc, dict):
+            doc.update((key, value) for key, value in flags.items() if value is not None)
+        return check(_CONFIG, doc, ConfigError)
+
+    return load_json(args.config, resolve, ConfigError) if args.config else resolve({})
 
 
 def _read_text(path: str) -> str:
@@ -88,7 +91,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    raw = tracking_from_json(read_json(args.tracking))
+    raw = load_json(args.tracking, tracking_from_json)
     if config.mirrored is not None:
         raw = replace(raw, mirrored=config.mirrored)
     model, diagnostics = extract_model(
@@ -115,7 +118,7 @@ def _render_table(report: ProposalReport) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    model = model_from_json(read_json(args.model))
+    model = load_json(args.model, model_from_json)
     lexicon = parse_lexicon(_read_text(args.lexicon))
     overrides = parse_overrides(_read_text(args.overrides)) if args.overrides else []
     report = verify(model, lexicon, config.handedness, overrides=overrides)
@@ -128,7 +131,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    model = model_from_json(read_json(args.model))
+    model = load_json(args.model, model_from_json)
     formula: Formula = parse_formula(args.formula)
     try:
         grounded = ground(formula, config.handedness)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -127,14 +128,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def read_json(path: str, error: type[SchemaError] = SchemaError) -> Any:
-    """Parse a JSON input file. Python's `json` accepts NaN and Infinity and
-    reads literals such as 1e999 as infinity; both are refused here, so every
-    float that reaches the toolkit is finite. Any defect of the file's
-    content, nesting too deep for the decoder included, raises `error` at
-    the document root, naming the file."""
+def load_json(path: str, build: Callable[[Any], Any], error: type[SchemaError] = SchemaError) -> Any:
+    """`build` applied to the JSON input file at `path`. Python's `json`
+    accepts NaN and Infinity and reads literals such as 1e999 as infinity;
+    both are refused here, so every float that reaches the toolkit is
+    finite. Any defect of the file's content, nesting too deep for the
+    decoder included, raises `error` at the document root, naming the file;
+    an `error` that `build` raises gets the file's name before its pointer."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
+            doc = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
         except (ValueError, RecursionError) as exc:
             raise error("", f"invalid JSON in {path}: {exc}") from None
+    try:
+        return build(doc)
+    except error as exc:  # `error` only: a place map a config file names has named itself
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import CANONICAL_DIRECTIONS, Direction, Place, Rect
-from .errors import CoincidentPoints, ZeroVector, read_json
+from .errors import CoincidentPoints, ZeroVector, load_json
 from .schema import check, const, fixed, mapping, number, optional, table
 
 # Angles closer than this are treated as equal when classifying directions,
@@ -166,4 +166,4 @@ def place_map_from_json(obj: object) -> PlaceMap:
 
 
 def load_place_map(path: str) -> PlaceMap:
-    return place_map_from_json(read_json(path))
+    return load_json(path, place_map_from_json)

@@ -10,13 +10,14 @@ One labeler evaluates formulas, labeling every state at once in the manner
 of CTL labeling (Clarke, Emerson & Sistla 1986). Three-valued truth is the
 pair of two-valued passes of Bruns & Godefroid (1999): a bitset of the
 states where a formula is True and one of those where it is True or
-Unknown. Atoms read per-model bitsets. Boxes are labeled by the PDL box
-reductions, with `[α*]` as backward reachability (Lange 2006, "Model
-checking propositional dynamic logic with all extras"; Cleaveland & Steffen
-1993, "A linear-time model-checking algorithm for the alternation-free
-modal mu-calculus"); a closure is built only for `interpret_action` and
-for `*` under `&`. `eval_formula`, `eval_two_valued`, `interpret_action`
-and the verification loop in `check` all read its labels.
+Unknown. Atoms read per-model bitsets. Its one modal operator, `<α>`,
+follows the PDL reductions with `<α*>` as backward reachability (Lange
+2006, "Model checking propositional dynamic logic with all extras";
+Cleaveland & Steffen 1993, "A linear-time model-checking algorithm for the
+alternation-free modal mu-calculus"); boxes are its duals. It keeps only
+predecessor rows, and reads any other relation per target state.
+`eval_formula`, `eval_two_valued`, `interpret_action` and the verification
+loop in `check` all read its labels.
 
 A model file is read by `model_from_json`, which checks it against the
 model table of `schema` and builds the model in the same walk; what is not
@@ -30,7 +31,7 @@ import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Any
 
 from .core import (
@@ -282,20 +283,19 @@ class _Labeler:
     the True-or-Unknown ones. With `closed_world` set, atoms collapse to
     `lo` (`hi` if False).
 
-    A box is labeled by the PDL reductions `[α;β]X = [α][β]X`,
-    `[α|β]X = [α]X /\\ [β]X` and `[α*]X = νY. X /\\ [α]Y`, the last as
-    backward reachability from the states outside X (Lange 2006; Cleaveland
-    & Steffen 1993). Atomic and `&` actions keep sparse successor maps that
-    hold only their non-empty rows; a relation for `*` (its reflexive
-    transitive closure) is built only under `&` and for `interpret_action`."""
+    The one modal operator is `<α>`, labeled by `pre`; a box is its dual,
+    `[α]X = !<α>!X`. `<α;β>Y = <α><β>Y`, `<α|β>Y = <α>Y \\/ <β>Y` and
+    `<α*>Y` is backward reachability from Y (Lange 2006; Cleaveland &
+    Steffen 1993). The only stored relations are the predecessor rows of
+    atomic and `&` actions; the rows of any other action, such as a star
+    under `&`, are read per target state `t` as `<α>{t}`."""
 
     def __init__(self, model: UtteranceModel, closed_world: bool | None = None):
         self.model = model
         self.full = (1 << model.state_count) - 1
         self.closed_world = closed_world
         self._atoms = model.atom_index
-        self._succ: dict[Action, dict[int, int]] = {}
-        self._pred: dict[Action, tuple[dict[int, int], int]] = {}
+        self._pred: dict[Action, tuple[dict[int, int], int, int]] = {}
 
     def atom(self, atom: Atom) -> tuple[int, int]:
         lo, hi = self._atoms.bits(atom)
@@ -318,24 +318,9 @@ class _Labeler:
                 return l_lo & r_lo, l_hi & r_hi
             case Box(action, body):
                 lo, hi = self.formula(body)
-                return self.box(action, lo), self.box(action, hi)
+                full = self.full
+                return full ^ self.pre(action, full ^ lo), full ^ self.pre(action, full ^ hi)
         raise TypeError(f"not a formula node: {formula!r}")
-
-    def box(self, action: Action, bits: int) -> int:
-        """[α]X: the states whose α-successors all lie in `bits`."""
-        match action:
-            case Seq(l, r):
-                return self.box(l, self.box(r, bits))
-            case Choice(l, r):
-                return self.box(l, bits) & self.box(r, bits)
-            case Star(body):
-                return self.full ^ self.reach(body, self.full ^ bits)
-        outside = self.full ^ bits
-        refuted = 0
-        for s, row in self.successors(action).items():
-            if row & outside:
-                refuted |= 1 << s
-        return self.full ^ refuted
 
     def reach(self, action: Action, targets: int) -> int:
         """<α*>Y: the states with an α-path into `targets`. Each state joins
@@ -357,43 +342,37 @@ class _Labeler:
                 return self.reach(body, targets)
         pred = self._pred.get(action)
         if pred is None:
-            pred = self._pred[action] = _transpose(self.successors(action))
-        rows, has_pred = pred
+            rows = self.rows(action)
+            has_pred = _bitset(list(rows), self.model.state_count)
+            pred = self._pred[action] = rows, has_pred, reduce(int.__or__, rows.values(), 0)
+        rows, has_pred, has_succ = pred
+        if targets & has_pred == has_pred:  # Y holds every state with a predecessor
+            return has_succ
         found = 0
         for t in _members(targets & has_pred):
             found |= rows[t]
         return found
 
-    def successors(self, action: Action) -> dict[int, int]:
-        """The action's relation as a map from each state to its non-empty
-        successor bitset."""
-        succ = self._succ.get(action)
-        if succ is not None:
-            return succ
+    def rows(self, action: Action) -> dict[int, int]:
+        """α's predecessor rows: each state with an α-predecessor, mapped to
+        the bitset of its predecessors. Built from an atomic action's edges,
+        intersected for `&`, and read per target state `t` as `<α>{t}` for
+        any other action; `pre` keeps the rows it reads."""
         match action:
             case Atomic(a):
-                succ = {}
+                rows = {}
                 for s, t in self.model.action_interp.get(a, ()):
-                    succ[s] = succ.get(s, 0) | 1 << t
+                    rows[t] = rows.get(t, 0) | 1 << s
+                return rows
             case Concurrent(l, r):
-                right = self.successors(r)
-                succ = {
-                    s: both
-                    for s, bits in self.successors(l).items()
-                    if (both := bits & right.get(s, 0))
+                right = self.rows(r)
+                return {
+                    t: both for t, bits in self.rows(l).items() if (both := bits & right.get(t, 0))
                 }
-            case Choice(l, r):
-                succ = dict(self.successors(l))
-                for s, bits in self.successors(r).items():
-                    succ[s] = succ.get(s, 0) | bits
-            case Seq(l, r):
-                succ = _compose(self.successors(l), self.successors(r))
-            case Star(body):
-                succ = _star_closure(self.successors(body), self.model.state_count)
-            case _:
-                raise TypeError(f"not an action node: {action!r}")
-        self._succ[action] = succ
-        return succ
+            case Seq() | Choice() | Star():
+                pre = self.pre
+                return {t: bits for t in self.model.states() if (bits := pre(action, 1 << t))}
+        raise TypeError(f"not an action node: {action!r}")
 
 
 _WORD = (1 << 64) - 1
@@ -426,41 +405,11 @@ def _members(bits: int) -> Iterator[int]:
         base += 64
 
 
-def _transpose(succ: dict[int, int]) -> tuple[dict[int, int], int]:
-    """The predecessor map of a successor map, and the bitset of states that
-    have a predecessor."""
-    pred: dict[int, int] = {}
-    for s, bits in succ.items():
-        for t in _members(bits):
-            pred[t] = pred.get(t, 0) | 1 << s
-    return pred, sum(1 << t for t in pred)
-
-
-def _compose(first: dict[int, int], then: dict[int, int]) -> dict[int, int]:
-    out = {}
-    for s, bits in first.items():
-        reached = 0
-        for t in _members(bits):
-            reached |= then.get(t, 0)
-        if reached:
-            out[s] = reached
-    return out
-
-
-def _star_closure(succ: dict[int, int], state_count: int) -> dict[int, int]:
-    """The reflexive transitive closure of a successor map, by squaring the
-    reflexive closure until it stops growing."""
-    closure = {s: succ.get(s, 0) | 1 << s for s in range(state_count)}
-    while (grown := _compose(closure, closure)) != closure:
-        closure = grown
-    return closure
-
-
 def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
     """The set of state pairs the action relates. Star is the reflexive
     transitive closure, with identity pairs over every state."""
-    succ = _Labeler(model).successors(action)
-    return frozenset((s, t) for s, bits in succ.items() for t in _members(bits))
+    rows = _Labeler(model).rows(action)
+    return frozenset((s, t) for t, bits in rows.items() for s in _members(bits))
 
 
 def _value_at(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:

@@ -332,5 +332,5 @@ def test_unknown_key_in_any_object_is_refused_at_its_pointer(name, tmp_path):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv(path)])
-        assert code == expected_code and err.getvalue().startswith(f"pdlsl: {at}/bogus: "), (
+        assert code == expected_code and err.getvalue().startswith(f"pdlsl: {path}: {at}/bogus: "), (
             at, err.getvalue())

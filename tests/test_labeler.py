@@ -1,10 +1,12 @@
 """The labeler's box reductions and per-atom bitsets against references.
 
 Star-heavy formulas and actions are compared with the independent oracles
-of `_gen` on seeded 30-60 state models. The per-atom bitsets and
+of `_gen` on seeded 30-60 state models, and `&` over `*`, `;` and `|`, and
+`*` over `&`, on seeded 100-150 state models. The per-atom bitsets and
 `atom_value` are compared with the documented defaults, written out state
 by state in `_reference_atom_value`. A counting test checks that `verify`
-builds the closure of a star only where the star sits under `&`.
+stores predecessor rows only for atomic and `&` actions and reads a number
+of rows linear in the length of a star chain.
 """
 
 import random
@@ -165,24 +167,104 @@ sign FACE_EVERY_OTHER := [(move(R,E) ; move(R,E))*] at(R,FACE) .
 STAR_UNDER_CONCURRENT = "sign STEP := [move(R,E)* & (move(R,E) ; move(R,E))] at(R,FACE) .\n"
 
 
-def test_verify_builds_a_star_closure_only_under_concurrent(monkeypatch):
-    built = []
-    closure = pdlsl.model._star_closure
+def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
+    """`verify` of the star signs stores predecessor rows only for atomic
+    and `&` actions, never for a star, `;` or `|`, and reads a number of
+    rows that grows linearly with the chain; a star under `&` is read per
+    target state and still matches the oracle."""
+    labelers, read = [], [0]
+    init, members = pdlsl.model._Labeler.__init__, pdlsl.model._members
 
-    def counting(succ, state_count):
-        built.append(state_count)
-        return closure(succ, state_count)
+    def recording(labeler, *args):
+        init(labeler, *args)
+        labelers.append(labeler)
 
-    monkeypatch.setattr(pdlsl.model, "_star_closure", counting)
+    def counting(bits):
+        for state in members(bits):
+            read[0] += 1
+            yield state
+
+    def stored():
+        return {type(action) for labeler in labelers for action in labeler._pred}
+
+    monkeypatch.setattr(pdlsl.model._Labeler, "__init__", recording)
+    monkeypatch.setattr(pdlsl.model, "_members", counting)
+
+    def rows_read(n: int) -> int:
+        read[0] = 0
+        verify(chain(n), parse_lexicon(STAR_SIGNS), Handedness.RIGHT_DOMINANT)
+        return read[0]
+
     model = chain(40)
-    report = verify(model, parse_lexicon(STAR_SIGNS), Handedness.RIGHT_DOMINANT)
-    assert built == []
+    for text, kinds in ((STAR_SIGNS, {Atomic}), (STAR_SIGNS + STAR_UNDER_CONCURRENT,
+                                                 {Atomic, Concurrent})):
+        labelers.clear()
+        report = verify(model, parse_lexicon(text), Handedness.RIGHT_DOMINANT)
+        assert stored() == kinds
+        with memoized_oracles():
+            assert [[(p.sign, p.verdict) for p in ps] for ps in report.per_state] == (
+                reference_verdicts(model, parse_lexicon(text))
+            )
+    labelers.clear()
+    assert rows_read(6400) <= 8.8 * rows_read(800)
+    assert stored() == {Atomic}
+
+
+def gen_segmented_model(rng: random.Random) -> UtteranceModel:
+    """100-150 states cut into runs of 1-30 consecutive states. Both pool
+    actions label forward steps, skips and back edges inside a run only,
+    so paths are up to 30 states long while every relation the oracle
+    closes stays small; the relation adds edges between runs."""
+    n = rng.randint(100, 150)
+    run_of, start = [], 0
+    while start < n:
+        length = min(rng.randint(1, 30), n - start)
+        run_of += [(start, start + length)] * length
+        start += length
+    inside = set()
+    for s, (first, end) in enumerate(run_of):
+        if s + 1 < end:
+            inside.add((s, s + 1))
+        if rng.random() < 0.3:
+            inside.add((s, rng.randrange(first, end)))
+    relation = frozenset(inside | {(s, rng.randrange(n)) for s in range(n)})
+    interp = {
+        a: frozenset(p for p in sorted(inside) if rng.random() < 0.7) for a in _gen.ACTION_POOL
+    }
+    valuation = {
+        (s, atom): rng.choice((T, F, U)) for s in range(n) for atom in _gen.ATOM_POOL
+    }
+    return UtteranceModel(
+        state_count=n, relation=relation, action_interp=interp, valuation=valuation
+    )
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_composite_actions_match_the_oracles_on_larger_models(seed):
+    rng = random.Random(seed)
+    model = gen_segmented_model(rng)
+    x, y, z = (star_action(rng, 1) for _ in range(3))
+    actions = [
+        Concurrent(Star(x), y),
+        Concurrent(y, Star(Seq(x, z))),
+        Concurrent(Seq(x, y), z),
+        Concurrent(Choice(x, y), z),
+        Star(Concurrent(x, y)),
+        Star(Concurrent(Star(x), Choice(y, z))),
+    ]
+    formulas = [Box(action, _gen.gen_formula(rng, 1)) for action in actions]
+    formulas += [diamond(action, _gen.gen_formula(rng, 1)) for action in actions]
+    lexicon = LexiconFile(tuple(
+        LexiconEntry(f"SIGN{i}", f, SourceSpan(1, 1)) for i, f in enumerate(formulas)
+    ))
+    report = verify(model, lexicon, Handedness.RIGHT_DOMINANT)
     with memoized_oracles():
+        for action in actions:
+            assert interpret_action(model, action) == _gen.ref_action_pairs(model, action)
         assert [[(p.sign, p.verdict) for p in ps] for ps in report.per_state] == (
-            reference_verdicts(model, parse_lexicon(STAR_SIGNS))
+            reference_verdicts(model, lexicon)
         )
-    verify(model, parse_lexicon(STAR_SIGNS + STAR_UNDER_CONCURRENT), Handedness.RIGHT_DOMINANT)
-    assert built == [40]
 
 
 # --- atom bitsets and the documented defaults ---------------------------------------------

@@ -233,7 +233,7 @@ def test_place_map_pointer_escapes_place_names(name, path, tmp_path, capsys):
     placemap = tmp_path / "placemap.json"
     placemap.write_text(json.dumps(doc), encoding="utf-8")
     code, err = run(["extract", TRACKING, "--placemap", placemap], capsys)
-    assert code == 1 and err.startswith(f"pdlsl: {path}: ")
+    assert code == 1 and err.startswith(f"pdlsl: {placemap}: {path}: ")
 
 
 def test_place_map_decode_error_names_the_file(tmp_path, capsys):
@@ -262,7 +262,7 @@ def test_config_errors_carry_a_pointer(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     code, err = run(["extract", TRACKING, "--config", path], capsys)
-    assert (code, err) == (2, f"pdlsl: {message}\n")
+    assert (code, err) == (2, f"pdlsl: {path}: {message}\n")
 
 
 def test_config_decode_error_names_the_file(tmp_path, capsys):
@@ -270,3 +270,35 @@ def test_config_decode_error_names_the_file(tmp_path, capsys):
     path.write_text("{", encoding="utf-8")
     code, err = run(["extract", TRACKING, "--config", path], capsys)
     assert code == 2 and err.startswith(f"pdlsl: /: invalid JSON in {path}: ")
+
+
+# --- the file an error is about ----------------------------------------------------
+
+
+MODEL = GOLDEN / "route_clean.model.json"
+LEXICON = EXAMPLES / "route.pdlsl"
+
+
+@pytest.mark.parametrize("kind, doc, error", [
+    ("tracking", changed(TRACKING_DOC, lambda d: d.update(fps=0)),
+     "/fps: expected a positive number"),
+    ("model", changed(MODEL_DOC, lambda d: d.update(bogus=1)), "/bogus: unknown model key"),
+    ("config", {"dominant": "middle"}, "/dominant: expected one of right, left"),
+    ("placemap", {"places": {"A/B": [0, 1, 0]}},
+     "/places/A~1B: expected [x_min, x_max, y_min, y_max]"),
+])
+def test_schema_errors_name_their_file(kind, doc, error, tmp_path, capsys):
+    """A command reads several files; a schema error names the one it is
+    about, also when that is a place map the config file names."""
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"placemap": str(bad)} if kind == "placemap" else {}))
+    argv = {
+        "tracking": ["extract", bad, "--config", config],
+        "model": ["check", bad, LEXICON, "--config", config],
+        "config": ["check", MODEL, LEXICON, "--config", bad],
+        "placemap": ["check", MODEL, LEXICON, "--config", config],
+    }[kind]
+    code, err = run(argv, capsys)
+    assert (code, err) == (2 if kind == "config" else 1, f"pdlsl: {bad}: {error}\n")
