@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 from .core import (
@@ -138,15 +138,7 @@ def apply_overrides(
         except AliasCollision as exc:
             message = f"override for state {ov.state} uses {print_atom(ov.atom)}: {exc}"
             raise AliasCollision(message, ov.atom) from None
-    return UtteranceModel(
-        state_count=model.state_count,
-        relation=model.relation,
-        action_interp=model.action_interp,
-        valuation=valuation,
-        observed=model.observed,
-        config_observed=model.config_observed,
-        meta=model.meta,
-    )
+    return replace(model, valuation=valuation)
 
 
 def verify(

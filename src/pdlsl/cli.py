@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .check import ProposalReport, parse_overrides, verify
 from .core import Formula, Handedness, ground
-from .errors import AliasCollision, ConfigError, ParseError, PdlslError, load_json
+from .errors import AliasCollision, ConfigError, ParseError, PdlslError, load_json, load_text
 from .extract import Diagnostic, SegmentationParams, extract_model, tracking_from_json
 from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, load_place_map
 from .model import SEGMENTATION_FIELDS, eval_formula, model_from_json, model_to_json
@@ -59,14 +59,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         return check(_CONFIG, doc, ConfigError)
 
     return load_json(args.config, resolve, ConfigError) if args.config else resolve({})
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise PdlslError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _emit_diagnostics(diagnostics: Sequence[Diagnostic]) -> None:
@@ -119,8 +111,8 @@ def _render_table(report: ProposalReport) -> str:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     model = load_json(args.model, model_from_json)
-    lexicon = parse_lexicon(_read_text(args.lexicon))
-    overrides = parse_overrides(_read_text(args.overrides)) if args.overrides else []
+    lexicon = load_text(args.lexicon, parse_lexicon)
+    overrides = load_text(args.overrides, parse_overrides) if args.overrides else []
     report = verify(model, lexicon, config.handedness, overrides=overrides)
     if config.output_format == "table":
         _write_output(_render_table(report), args.output)
@@ -143,7 +135,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    lexicon, issues = lint_lexicon(_read_text(args.lexicon))
+    lexicon, issues = load_text(args.lexicon, lint_lexicon)
     for issue in issues:
         print(f"{args.lexicon}:{issue}", file=sys.stderr)
     return 0 if lexicon is not None else 1

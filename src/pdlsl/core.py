@@ -67,16 +67,9 @@ class Direction(Enum):
 #: Canonical iteration order; first entry wins ties elsewhere.
 CANONICAL_DIRECTIONS: tuple[Direction, ...] = tuple(Direction)
 
-_MIRROR = {
-    Direction.N: Direction.N,
-    Direction.NE: Direction.NW,
-    Direction.E: Direction.W,
-    Direction.SE: Direction.SW,
-    Direction.S: Direction.S,
-    Direction.SW: Direction.SE,
-    Direction.W: Direction.E,
-    Direction.NW: Direction.NE,
-}
+#: Each direction's mirror image, the direction of its vector with x negated;
+#: -0.0 equals 0.0, so N and S are their own images.
+_MIRROR = {d: Direction((-d.unit[0], d.unit[1])) for d in Direction}
 
 
 class Handedness(Enum):
@@ -194,6 +187,21 @@ class Thrill:
 
 
 AtomicAction = Union[Move, Thrill]
+
+#: The fields of each atom and atomic action type in argument order, which
+#: the parser reads and the printer spells. A `direction` field holds a
+#: compass direction, `place` and `label` a free name, and every other field
+#: an articulator. Mind RelDir's order: the subject lies in direction
+#: `direction` of the anchor.
+LEAF_FIELDS: dict[type, tuple[str, ...]] = {
+    RelDir: ("subject", "anchor", "direction"),
+    At: ("articulator", "place"),
+    Touch: ("a", "b"),
+    Config: ("articulator", "label"),
+    Orient: ("articulator", "direction"),
+    Move: ("articulator", "direction"),
+    Thrill: ("articulator",),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,45 +321,22 @@ def iter_atomic_actions(action: Action) -> Iterator[AtomicAction]:
             raise TypeError(f"not an action node: {action!r}")
 
 
-def _iter_formula_actions(formula: Formula) -> Iterator[Action]:
-    match formula:
-        case Box(action, body):
-            yield action
-            yield from _iter_formula_actions(body)
-        case Not(body):
-            yield from _iter_formula_actions(body)
-        case And(left, right):
-            yield from _iter_formula_actions(left)
-            yield from _iter_formula_actions(right)
-        case _:
-            return
-
-
 def articulators(leaf: Atom | AtomicAction) -> tuple[Articulator, ...]:
-    """The articulators an atom or atomic action names."""
-    match leaf:
-        case RelDir(subject=s, anchor=a):
-            return (s, a)
-        case At(articulator=b) | Config(articulator=b) | Orient(articulator=b):
-            return (b,)
-        case Touch(a=a, b=b):
-            return (a, b)
-        case Move(articulator=b) | Thrill(articulator=b):
-            return (b,)
-    raise TypeError(f"not an atom or atomic action: {leaf!r}")
+    """The articulators an atom or atomic action names, in argument order."""
+    fields = LEAF_FIELDS.get(type(leaf))
+    if fields is None:
+        raise TypeError(f"not an atom or atomic action: {leaf!r}")
+    return tuple(getattr(leaf, f) for f in fields if f not in ("direction", "place", "label"))
 
 
 def contains_alias(formula: Formula) -> bool:
     """True when the formula mentions the dominant or weak hand anywhere,
-    in atoms or in modality actions."""
-    for atom in iter_atoms(formula):
-        if any(b.is_alias for b in articulators(atom)):
-            return True
-    for action in _iter_formula_actions(formula):
-        for a in iter_atomic_actions(action):
-            if a.articulator.is_alias:
-                return True
-    return False
+    in atoms or in modality actions: grounding for a right-dominant signer,
+    which renames D and W and nothing else, changes it or refuses it."""
+    try:
+        return ground(formula, Handedness.RIGHT_DOMINANT) != formula
+    except AliasCollision:
+        return True
 
 
 def config_labels(formula: Formula) -> frozenset[str]:

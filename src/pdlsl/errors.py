@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -23,7 +24,18 @@ class SourceSpan:
 
 
 class PdlslError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. `file` names the input file an
+    error is about, and its message then starts with it; the loader that
+    read the file sets it."""
+
+    file: str | None = None
+
+    def __str__(self) -> str:
+        text = self.describe()
+        return text if self.file is None else f"{self.file}: {text}"
+
+    def describe(self) -> str:
+        return super().__str__()
 
 
 class ZeroVector(PdlslError):
@@ -32,6 +44,12 @@ class ZeroVector(PdlslError):
 
 class CoincidentPoints(PdlslError):
     """A relative direction was requested for two identical points."""
+
+
+class NonFinite(PdlslError, ValueError):
+    """A coordinate or scale is not a finite number, such as a difference of
+    two finite coordinates that overflows. It is a ValueError too, so a
+    schema builder reports it at its JSON pointer."""
 
 
 class ParseError(PdlslError):
@@ -43,7 +61,7 @@ class ParseError(PdlslError):
         self.span = span
         self.expected = expected
 
-    def __str__(self) -> str:
+    def describe(self) -> str:
         base = f"{self.span}: {self.args[0]}"
         if self.expected:
             base += f" (expected {', '.join(sorted(self.expected))})"
@@ -128,20 +146,39 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@contextmanager
+def _about(path: str) -> Iterator[None]:
+    """Names `path` in a toolkit error raised inside, unless the error names
+    a file already, as one about a place map that a config file names does."""
+    try:
+        yield
+    except PdlslError as exc:
+        if exc.file is None:
+            exc.file = path
+        raise
+
+
+def load_text(path: str, build: Callable[[str], Any]) -> Any:
+    """`build` applied to the text of the UTF-8 file at `path`. A toolkit
+    error raised on the way, such as a `ParseError`, names the file."""
+    with _about(path), open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PdlslError(f"not UTF-8 text ({exc.reason})") from None
+        return build(text)
+
+
 def load_json(path: str, build: Callable[[Any], Any], error: type[SchemaError] = SchemaError) -> Any:
     """`build` applied to the JSON input file at `path`. Python's `json`
     accepts NaN and Infinity and reads literals such as 1e999 as infinity;
     both are refused here, so every float that reaches the toolkit is
     finite. Any defect of the file's content, nesting too deep for the
-    decoder included, raises `error` at the document root, naming the file;
-    an `error` that `build` raises gets the file's name before its pointer."""
-    with open(path, "r", encoding="utf-8") as fh:
+    decoder included, raises `error` at the document root. A toolkit error
+    raised on the way names the file."""
+    with _about(path), open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
         except (ValueError, RecursionError) as exc:
-            raise error("", f"invalid JSON in {path}: {exc}") from None
-    try:
+            raise error("", f"invalid JSON: {exc}") from None
         return build(doc)
-    except error as exc:  # `error` only: a place map a config file names has named itself
-        exc.args = (f"{path}: {exc}",)
-        raise

@@ -138,14 +138,7 @@ class Diagnostic:
 class EpsilonMove:
     """Label of a transition in which no hand met the movement criteria.
     The edge keeps consecutive states connected but belongs to no atomic
-    action's interpretation."""
-
-    _instance: "EpsilonMove | None" = None
-
-    def __new__(cls) -> "EpsilonMove":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    action's interpretation. Its one instance is EPSILON_MOVE."""
 
     def __repr__(self) -> str:
         return "EPSILON_MOVE"
@@ -602,34 +595,24 @@ def build_model(
     if not postures:
         raise NoKeyPosture("segmentation produced no key posture")
 
-    def state_data(posture: Segment):
-        frame = seq.frames[_representative(posture)]
-        valuation = posture_valuation(seq, posture, place_map, params, labels)
-        observed = frozenset(h for h in _HANDS if frame.hand(h).pos is not None)
-        configs = {h: frame.hand(h).config for h in _HANDS}
-        return valuation, observed, configs
-
     valuations: list[dict[Atom, ThreeVal]] = []
     observed: list[frozenset[Articulator]] = []
     configs: list[dict[Articulator, str | None]] = []
     edges: list[tuple[int, int, TransitionLabel]] = []
-
-    first_val, first_obs, first_cfg = state_data(postures[0])
-    valuations.append(first_val)
-    observed.append(first_obs)
-    configs.append(first_cfg)
-
-    for transition, posture in zip(transitions, postures[1:]):
-        label = transition_action(seq, transition, params)
-        valuation, obs, cfg = state_data(posture)
+    # The first posture has no transition before it.
+    for transition, posture in zip((None, *transitions), postures):
+        valuation = posture_valuation(seq, posture, place_map, params, labels)
         current = len(valuations) - 1
-        if _is_pure_thrill(label) and valuation == valuations[current]:
-            edges.append((current, current, label))
-            continue
+        if transition is not None:
+            label = transition_action(seq, transition, params)
+            if _is_pure_thrill(label) and valuation == valuations[current]:
+                edges.append((current, current, label))
+                continue
+            edges.append((current, current + 1, label))
+        frame = seq.frames[_representative(posture)]
         valuations.append(valuation)
-        observed.append(obs)
-        configs.append(cfg)
-        edges.append((current, current + 1, label))
+        observed.append(frozenset(h for h in _HANDS if frame.hand(h).pos is not None))
+        configs.append({h: frame.hand(h).config for h in _HANDS})
 
     state_count = len(valuations)
     relation = {(s, t) for s, t, _ in edges}

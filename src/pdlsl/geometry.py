@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import CANONICAL_DIRECTIONS, Direction, Place, Rect
-from .errors import CoincidentPoints, ZeroVector, load_json
+from .errors import CoincidentPoints, NonFinite, ZeroVector, load_json
 from .schema import check, const, fixed, mapping, number, optional, table
 
 # Angles closer than this are treated as equal when classifying directions,
@@ -29,7 +29,7 @@ class Vec2:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("coordinates must be finite")
+            raise NonFinite("coordinates must be finite")
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -91,7 +91,7 @@ class BodyFrame:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("body frame scale must be positive")
+            raise NonFinite("body frame scale must be finite and positive")
 
 
 def normalize(raw: Vec2, frame: BodyFrame, mirrored: bool = False) -> Vec2:

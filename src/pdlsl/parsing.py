@@ -40,6 +40,7 @@ from functools import partial
 from operator import attrgetter
 
 from .core import (
+    LEAF_FIELDS,
     TOP,
     Action,
     And,
@@ -174,19 +175,9 @@ MAX_DEPTH = 100
 
 _ARTICULATORS = {a.value: a for a in Articulator}
 _DIRECTIONS = {d.name: d for d in Direction}
-#: Each leaf head: its node type and fields in argument order. A `direction`
-#: field reads a compass name, `place` and `label` read a free name, and
-#: every other field reads an articulator. Mind the order of dir(b1,b2,d):
-#: b1 is the subject, lying in direction d of the anchor b2.
-_LEAVES = {
-    "dir": (RelDir, ("subject", "anchor", "direction")),
-    "at": (At, ("articulator", "place")),
-    "touch": (Touch, ("a", "b")),
-    "cfg": (Config, ("articulator", "label")),
-    "orient": (Orient, ("articulator", "direction")),
-    "move": (Move, ("articulator", "direction")),
-    "thrill": (Thrill, ("articulator",)),
-}
+#: Each leaf head and its node type, whose fields `LEAF_FIELDS` gives.
+_LEAVES = {"dir": RelDir, "at": At, "touch": Touch, "cfg": Config, "orient": Orient,
+           "move": Move, "thrill": Thrill}
 _ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
 _ACTION_HEADS = ("move", "thrill")
 
@@ -325,9 +316,9 @@ class _Parser:
         head = head_tok[1]
         if head not in heads:
             raise ParseError(f"unknown {noun} {head!r}", self.span(head_tok), frozenset(heads))
-        node, fields = _LEAVES[head]
+        node = _LEAVES[head]
         args = {}
-        for i, field in enumerate(fields):
+        for i, field in enumerate(LEAF_FIELDS[node]):
             if i:
                 self._expect("COMMA", ",")
             args[field] = self._argument(field)
@@ -477,7 +468,8 @@ def _printers(heads: tuple[str, ...]) -> dict[type, tuple[str, attrgetter]]:
         node: (f"{head}({','.join(['%s'] * len(fields))})",
                attrgetter(*(f + _SPELLING.get(f, ".value") for f in fields)))
         for head in heads
-        for node, fields in (_LEAVES[head],)
+        for node in (_LEAVES[head],)
+        for fields in (LEAF_FIELDS[node],)
     }
 
 

@@ -111,6 +111,20 @@ def test_check_bad_lexicon_prints_span(model_path, tmp_path, capsys):
     assert "1:24" in capsys.readouterr().err
 
 
+def test_check_parse_errors_name_their_file(model_path, tmp_path, capsys):
+    """The same bad atom in the lexicon and in the overrides file gives two
+    errors that differ in the file they name."""
+    lex = tmp_path / "bad.pdlsl"
+    lex.write_text("sign BROKEN := at(Q,FACE) .\n")
+    ov = tmp_path / "bad.overrides"
+    ov.write_text("state 0: at(Q,FACE) = true\n")
+    message = "unknown articulator 'Q' (expected D, L, R, W)"
+    assert main(["check", model_path, str(lex)]) == 1
+    assert capsys.readouterr().err == f"pdlsl: parse error: {lex}: 1:19: {message}\n"
+    assert main(["check", model_path, LEXICON, "--overrides", str(ov)]) == 1
+    assert capsys.readouterr().err == f"pdlsl: parse error: {ov}: 1:13: {message}\n"
+
+
 def test_check_with_overrides(model_path, tmp_path, capsys):
     ov = tmp_path / "fix.overrides"
     ov.write_text("state 0: touch(R,L) = unknown\n")

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pdlsl import (
     TOP,
+    AliasCollision,
     And,
     Articulator,
     At,
@@ -32,6 +34,7 @@ from pdlsl import (
     resolve_articulator,
     resolve_direction,
 )
+from pdlsl import core
 
 D, W, R, L = Articulator.DOMINANT, Articulator.WEAK, Articulator.RIGHT, Articulator.LEFT
 RIGHT_DOM, LEFT_DOM = Handedness.RIGHT_DOMINANT, Handedness.LEFT_DOMINANT
@@ -53,7 +56,16 @@ def test_eight_unit_directions_45_degrees_apart():
 
 @pytest.mark.parametrize(
     "direction,expected",
-    [(Direction.E, Direction.W), (Direction.N, Direction.N), (Direction.NE, Direction.NW)],
+    [
+        (Direction.N, Direction.N),
+        (Direction.NE, Direction.NW),
+        (Direction.E, Direction.W),
+        (Direction.SE, Direction.SW),
+        (Direction.S, Direction.S),
+        (Direction.SW, Direction.SE),
+        (Direction.W, Direction.E),
+        (Direction.NW, Direction.NE),
+    ],
 )
 def test_mirror_examples(direction, expected):
     assert mirror_direction(direction) is expected
@@ -112,6 +124,29 @@ def test_touch_rejects_equal_articulators():
         Touch(L, L)
 
 
+@pytest.mark.parametrize("leaf, hands", [
+    (RelDir(W, Direction.E, R), (W, R)),
+    (At(D, "FACE"), (D,)),
+    (Touch(L, D), (L, D)),
+    (Config(W, "CLAMP"), (W,)),
+    (Orient(R, Direction.N), (R,)),
+    (Move(L, Direction.S), (L,)),
+    (Thrill(D), (D,)),
+])
+def test_articulators_in_argument_order(leaf, hands):
+    assert core.articulators(leaf) == hands
+
+
+@pytest.mark.parametrize("node", [
+    Atomic(Thrill(R)),
+    Seq(Atomic(Thrill(R)), Atomic(Move(L, Direction.E))),
+    Star(Atomic(Thrill(R))),
+])
+def test_articulators_refuses_a_composite_action(node):
+    with pytest.raises(TypeError):
+        core.articulators(node)
+
+
 # --- desugaring -------------------------------------------------------------------
 
 
@@ -146,8 +181,6 @@ def test_ground_mirrors_direction_only_next_to_aliases():
 
 
 def test_ground_rejects_alias_collision():
-    from pdlsl import AliasCollision
-
     degenerate = AtomF(Touch(D, R))
     with pytest.raises(AliasCollision):
         ground(degenerate, RIGHT_DOM)
@@ -230,3 +263,62 @@ def test_ground_is_idempotent_and_shape_preserving(formula, handedness):
     assert ground(once, handedness) == once
     assert not contains_alias(once)
     assert _shape(once) == _shape(formula)
+
+
+# Pairs that a signer of one handedness sees as one hand, as touch(D,R) is
+# for a right-dominant signer.
+colliding_pairs = st.sampled_from([(D, R), (R, D), (W, L), (L, W), (D, L), (W, R)])
+
+formulas_with_collisions = st.recursive(
+    st.one_of(
+        st.just(TOP),
+        st.builds(AtomF, atoms),
+        st.builds(lambda pair, d: AtomF(RelDir(pair[0], d, pair[1])), colliding_pairs, directions),
+        st.builds(lambda pair: AtomF(Touch(*pair)), colliding_pairs),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Box, actions, sub),
+    ),
+    max_leaves=10,
+)
+
+
+def _leaves(node):
+    """Every atom and atomic action under a formula or action node."""
+    match node:
+        case AtomF(leaf) | Atomic(leaf):
+            yield leaf
+        case Not(body) | Star(body):
+            yield from _leaves(body)
+        case And(l, r) | Box(l, r) | Concurrent(l, r) | Choice(l, r) | Seq(l, r):
+            yield from _leaves(l)
+            yield from _leaves(r)
+
+
+def _hands(leaf):
+    return [getattr(leaf, f.name) for f in fields(leaf)
+            if isinstance(getattr(leaf, f.name), Articulator)]
+
+
+HAND_OF = {RIGHT_DOM: {D: R, W: L}, LEFT_DOM: {D: L, W: R}}
+
+
+@settings(max_examples=300, derandomize=True)
+@given(formulas_with_collisions, st.sampled_from(list(Handedness)))
+def test_contains_alias_and_collisions_follow_the_leaves(formula, handedness):
+    leaves = list(_leaves(formula))
+    names_alias = any(hand in (D, W) for leaf in leaves for hand in _hands(leaf))
+    assert contains_alias(formula) is names_alias
+    hand_of = HAND_OF[handedness]
+    collides = any(
+        len(hands) == 2 and hand_of.get(hands[0], hands[0]) is hand_of.get(hands[1], hands[1])
+        for hands in map(_hands, leaves)
+    )
+    assert not collides or names_alias
+    if collides:
+        with pytest.raises(AliasCollision):
+            ground(formula, handedness)
+    else:
+        ground(formula, handedness)

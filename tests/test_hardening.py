@@ -156,6 +156,48 @@ def test_integer_too_large_for_a_double(argv, text, literal, code, tmp_path, cap
     assert got == code and one_line_error(err) and "too large" in err
 
 
+# --- finite inputs whose derived values are not finite ----------------------------
+
+
+def write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def alternating_hand(tmp_path):
+    """A right hand that jumps between x = 1e308 and x = -1e308: each
+    frame-to-frame difference overflows."""
+    frames = [{"t": t, "head": [0.0, 1.2], "right": {"pos": [(-1) ** t * 1e308, 0.0]}}
+              for t in range(8)]
+    return ["extract", write_json(tmp_path, "tracking.json", {"fps": 25.0, "frames": frames})]
+
+
+def tiny_body_scale(tmp_path):
+    """A body scale whose reciprocal overflows."""
+    return ["extract", TRACKING, "--config", write_json(tmp_path, "c.json", {"body_scale": 1e-310})]
+
+
+def huge_heads(tmp_path):
+    """Heads whose distance from the configured origin overflows, giving an
+    infinite derived scale."""
+    doc = json.loads(TRACKING.read_text())
+    for frame in doc["frames"]:
+        frame["head"] = [1.5e308, 1.5e308]
+    config = write_json(tmp_path, "c.json", {"body_origin": [0, 0]})
+    return ["extract", write_json(tmp_path, "tracking.json", doc), "--config", config]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (alternating_hand, "coordinates must be finite"),
+    (tiny_body_scale, "coordinates must be finite"),
+    (huge_heads, "body frame scale must be finite and positive"),
+], ids=["alternating hand", "tiny body scale", "huge heads"])
+def test_overflow_in_derived_values_is_a_data_error(argv, message, tmp_path, capsys):
+    code, err = run(argv(tmp_path), capsys)
+    assert code == 1 and one_line_error(err) and message in err
+
+
 # --- model cross-field consistency --------------------------------------------------
 
 
@@ -242,7 +284,8 @@ FUZZ_TARGETS = {
     "lint lexicon": (LEXICON, lambda p: ["lint", p]),
     "overrides": (OVERRIDES, lambda p: ["check", MODEL, LEXICON, "--overrides", p]),
 }
-WRONG_VALUES = (None, True, -1, 0, 2**70, 1.5, "", "x", [], {}, [[]], {"a": 1})
+WRONG_VALUES = (None, True, -1, 0, 2**70, 1.5, 1e308, -1e308, 5e-324, "", "x", [], {}, [[]],
+                {"a": 1})
 
 
 def _slots(node):

@@ -53,7 +53,7 @@ from pdlsl import (
 from pdlsl.errors import UnknownState
 
 import _gen
-from test_oracle import gen_large_model, memoized_oracles, reference_verdicts
+from test_oracle import SEEDS, gen_large_model, memoized_oracles, reference_verdicts
 
 R, L = Articulator.RIGHT, Articulator.LEFT
 D, W = Articulator.DOMINANT, Articulator.WEAK
@@ -103,7 +103,7 @@ def star_formulas(rng: random.Random):
     return shapes + [Box(star_action(rng, 3), body()) for _ in range(3)]
 
 
-STARS = settings(max_examples=8, deadline=None, derandomize=True)
+STARS = settings(SEEDS, max_examples=8)
 
 
 @STARS
@@ -239,7 +239,7 @@ def gen_segmented_model(rng: random.Random) -> UtteranceModel:
     )
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
+@STARS
 @given(st.integers(0, 2**32 - 1))
 def test_composite_actions_match_the_oracles_on_larger_models(seed):
     rng = random.Random(seed)
@@ -343,7 +343,7 @@ def gen_partial_model(rng: random.Random) -> UtteranceModel:
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(SEEDS, max_examples=60)
 @given(st.integers(0, 2**32 - 1))
 def test_atom_bitsets_follow_the_documented_defaults(seed):
     rng = random.Random(seed)

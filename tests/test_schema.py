@@ -240,7 +240,7 @@ def test_place_map_decode_error_names_the_file(tmp_path, capsys):
     placemap = tmp_path / "placemap.json"
     placemap.write_text('{"places": ', encoding="utf-8")
     code, err = run(["extract", TRACKING, "--placemap", placemap], capsys)
-    assert code == 1 and err.startswith(f"pdlsl: /: invalid JSON in {placemap}: ")
+    assert code == 1 and err.startswith(f"pdlsl: {placemap}: /: invalid JSON: ")
 
 
 # --- run configuration -------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_config_decode_error_names_the_file(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{", encoding="utf-8")
     code, err = run(["extract", TRACKING, "--config", path], capsys)
-    assert code == 2 and err.startswith(f"pdlsl: /: invalid JSON in {path}: ")
+    assert code == 2 and err.startswith(f"pdlsl: {path}: /: invalid JSON: ")
 
 
 # --- the file an error is about ----------------------------------------------------
