@@ -10,16 +10,29 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .check import ProposalReport, parse_overrides, verify
+# The modules that the config table needs (`model` imports `parsing`).
+# `extract` and `check` are imported by the commands that run them, so
+# `check`, `eval` and `lint` never load `extract`, and `extract` and `lint`
+# never load `check`.
 from .core import Formula, Handedness, ground
 from .errors import AliasCollision, ConfigError, ParseError, PdlslError, load_json, load_text
-from .extract import Diagnostic, SegmentationParams, extract_model, tracking_from_json
 from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, load_place_map
-from .model import SEGMENTATION_FIELDS, eval_formula, model_from_json, model_to_json
+from .model import (
+    SEGMENTATION_FIELDS,
+    SegmentationParams,
+    eval_formula,
+    model_from_json,
+    model_to_json,
+)
 from .parsing import lint_lexicon, parse_formula, parse_lexicon, print_atom
 from .schema import boolean, check, choice, number, optional, string, table
+
+if TYPE_CHECKING:
+    from .check import ProposalReport
+    from .extract import Diagnostic
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,33 @@ def _emit_diagnostics(diagnostics: Sequence[Diagnostic]) -> None:
 
 
 def _dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """`json.dumps(obj, indent=2)` and a newline, for string-keyed dicts.
+
+    `indent` turns the C encoder off, and the pure-Python one keeps every
+    chunk of the document in one list. Here each leaf comes from the C
+    encoder and each container is joined once its items are written."""
+    return _indented(obj, "\n") + "\n"
+
+
+# By exact type: `bool` is an `int` subclass that JSON spells true/false.
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _indented(value: Any, newline: str) -> str:
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)) and value:
+        items = [_indented(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        return json.dumps(value)  # floats, booleans, None, empty containers
+    # One f-string: a chain of `+` would copy the text once per operand.
+    return f"{opening}{inner}{(',' + inner).join(items)}{newline}{closing}"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -82,6 +121,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from .extract import extract_model, tracking_from_json
+
     config = _resolve_config(args)
     raw = load_json(args.tracking, tracking_from_json)
     if config.mirrored is not None:
@@ -109,6 +150,8 @@ def _render_table(report: ProposalReport) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .check import parse_overrides, verify
+
     config = _resolve_config(args)
     model = load_json(args.model, model_from_json)
     lexicon = load_text(args.lexicon, parse_lexicon)

@@ -268,8 +268,8 @@ def validate_sequence(
 
     Duplicate frame indices drop the later frame; decreasing indices are an
     unrecoverable NonMonotoneTimestamps error; a per-frame displacement above
-    max_jump voids the offending position so it degrades to Unknown
-    downstream rather than poisoning the model.
+    max_jump (an overflowing one included) voids the offending position so
+    it degrades to Unknown downstream rather than poisoning the model.
     """
     diagnostics: list[Diagnostic] = []
     frames: list[TrackingFrame] = []
@@ -292,11 +292,14 @@ def validate_sequence(
             pos = frame.hand(hand).pos
             if pos is None:
                 continue
-            if prev is not None and (pos - prev).norm > params.max_jump:
+            # On floats, not a Vec2: a displacement that overflows a double
+            # is an infinite jump, voided like any other.
+            jump = math.hypot(pos.x - prev.x, pos.y - prev.y) if prev is not None else 0.0
+            if jump > params.max_jump:
                 diagnostics.append(
                     Diagnostic(
                         "teleport",
-                        f"{hand.value} hand jumped {(pos - prev).norm:.3f} body units in one frame",
+                        f"{hand.value} hand jumped {jump:.3f} body units in one frame",
                         frame=frame.t,
                         hand=hand.value,
                     )

@@ -448,11 +448,12 @@ def model_to_json(model: UtteranceModel) -> dict[str, Any]:
         for a, pairs in model.action_interp.items()
     ]
     actions.sort(key=lambda entry: entry["action"])
-    valuation = [
-        {"state": s, "atom": print_atom(atom), "value": v.value}
+    texts: dict[Atom, str] = {}  # each distinct atom is printed once
+    cells = sorted(
+        (s, texts.get(atom) or texts.setdefault(atom, print_atom(atom)), v.value)
         for (s, atom), v in model.valuation.items()
-    ]
-    valuation.sort(key=lambda entry: (entry["state"], entry["atom"]))
+    )
+    valuation = [{"state": s, "atom": text, "value": value} for s, text, value in cells]
     observed = [
         sorted(a.value for a in model.observed_at(s)) for s in model.states()
     ]

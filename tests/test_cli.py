@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdlsl import (
     Handedness,
@@ -11,7 +12,7 @@ from pdlsl import (
     tracking_from_json,
     verify,
 )
-from pdlsl.cli import main
+from pdlsl.cli import _dump_json, main
 
 from conftest import EXAMPLES
 
@@ -158,6 +159,22 @@ def test_extract_output_is_byte_deterministic(tmp_path):
     assert main(["extract", TRACKING, "-o", str(a)]) == 0
     assert main(["extract", TRACKING, "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text
+# (a line separator, an astral character), besides any Hypothesis draws.
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600a')) | st.text()
+LEAVES = (TEXT | st.integers(-(10**40), 10**40) | st.integers() | st.floats()
+          | st.booleans() | st.none())
+DOCUMENTS = st.recursive(LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4)), max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(DOCUMENTS)
+def test_dump_json_writes_the_bytes_of_json_dumps_indent_2(doc):
+    assert _dump_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 # --- eval ------------------------------------------------------------------------

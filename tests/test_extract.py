@@ -32,6 +32,7 @@ from pdlsl import (
     build_model,
     compute_velocities,
     extract_model,
+    model_to_json,
     normalize_sequence,
     posture_valuation,
     segment,
@@ -39,6 +40,7 @@ from pdlsl import (
     transition_action,
     validate_sequence,
 )
+from pdlsl.cli import _dump_json
 from pdlsl.errors import SchemaError
 from pdlsl.geometry import DEFAULT_PLACE_MAP, classify_direction
 
@@ -568,6 +570,14 @@ def test_build_model_reads_velocities_of_each_frame_a_bounded_number_of_times(mo
     model = build_model(seq)
     assert model.state_count == 80
     assert sum(frames_read) <= 3 * len(seq.frames)
+
+
+def test_model_file_is_written_as_json_dumps_indent_2_on_a_multi_state_model():
+    # The goldens hold 2-state models only.
+    doc = model_to_json(build_model(posture_walk(12, random.Random(5))))
+    assert doc["states"] == 12 and len(doc["actions"]) > 2
+    assert {cell["value"] for cell in doc["valuation"]} == {"true", "false", "unknown"}
+    assert _dump_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def _reference_reversal_burst(velocities, first, last, params):

@@ -189,13 +189,26 @@ def huge_heads(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (alternating_hand, "coordinates must be finite"),
     (tiny_body_scale, "coordinates must be finite"),
     (huge_heads, "body frame scale must be finite and positive"),
-], ids=["alternating hand", "tiny body scale", "huge heads"])
+], ids=["tiny body scale", "huge heads"])
 def test_overflow_in_derived_values_is_a_data_error(argv, message, tmp_path, capsys):
     code, err = run(argv(tmp_path), capsys)
     assert code == 1 and one_line_error(err) and message in err
+
+
+def test_overflowing_jump_is_voided_as_a_teleport(tmp_path, capsys):
+    # Each odd frame's jump overflows a double; it is voided as a teleport,
+    # like a finite jump above max_jump.
+    code = main([str(a) for a in alternating_hand(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"diagnostic": "teleport", "message": "R hand jumped inf body units in one frame",
+         "frame": t, "hand": "R"}
+        for t in (1, 3, 5, 7)
+    ]
+    assert json.loads(out)["states"] == 1
 
 
 # --- model cross-field consistency --------------------------------------------------

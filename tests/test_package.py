@@ -1,0 +1,123 @@
+"""What each `pdlsl` process loads, and the package's public names.
+
+`import pdlsl` loads none of the package's modules; the first read of a
+public name loads all eight. Each command of `pdlsl.cli` imports only the
+modules that it runs. These tests start fresh interpreters, so a module
+that an earlier test imported cannot hide a load.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import pdlsl
+
+from conftest import EXAMPLES
+
+SRC = pathlib.Path(pdlsl.__file__).resolve().parent.parent
+MODULES = {"pdlsl." + m for m in
+           ("core", "errors", "schema", "geometry", "parsing", "model", "extract", "check")}
+
+# Every name the package exported when its `__init__` imported all of its
+# modules, under the module it was imported from there.
+EXPORTED = {
+    "core": """TOP Action And Articulator At Atom AtomF Atomic AtomicAction Box Choice
+        Concurrent Config Direction Formula Handedness Move Not Orient Place Rect RelDir Seq
+        Star Thrill Top Touch config_labels contains_alias diamond ground ground_atom implies
+        iter_atoms iter_atomic_actions mirror_direction or_ resolve_articulator
+        resolve_direction""",
+    "errors": """AliasCollision CoincidentPoints ConfigError DuplicateSign EmptySequence
+        NoKeyPosture NonFinite NonMonotoneTimestamps ParseError PdlslError SchemaError
+        SourceSpan UngroundedFormula UnknownArticulator UnknownDirection UnknownState
+        ZeroVector""",
+    "geometry": """DEFAULT_PLACE_MAP BodyFrame PlaceMap Vec2 classify_direction
+        load_place_map normalize place_map_from_json places_containing relative_direction
+        rotation_angle""",
+    "parsing": """LexiconEntry LexiconFile LintIssue lint_lexicon parse_action parse_atom
+        parse_atomic_action parse_formula parse_lexicon print_action print_atom
+        print_atomic_action print_formula""",
+    "model": """ThreeVal UtteranceModel atom_value eval_formula eval_two_valued
+        interpret_action model_from_json model_to_json""",
+    "extract": """EPSILON_MOVE Diagnostic EpsilonMove HandObservation Segment SegmentKind
+        SegmentationParams TrackingFrame TrackingSequence build_model compute_velocities
+        extract_model normalize_sequence posture_valuation segment tracking_from_json
+        transition_action validate_sequence""",
+    "check": """MATCH POSSIBLE Override Proposal ProposalReport anchor_atoms apply_overrides
+        lexicon_hash parse_overrides verify""",
+}
+NAMES = sorted(name for names in EXPORTED.values() for name in names.split())
+
+
+def python(code, *args, cwd=None):
+    """Run `code` in a fresh interpreter that finds this `pdlsl`; its last
+    line of standard output, read as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Runs one command; at exit prints the `pdlsl` modules and `hashlib`, if
+# they were loaded.
+COMMAND = """
+import atexit, json, sys
+atexit.register(lambda: print(json.dumps([m for m in sys.modules
+                                          if m.startswith("pdlsl") or m == "hashlib"])))
+from pdlsl.cli import main
+code = main(sys.argv[1:])
+assert code == 0, code
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The modules loaded by `extract`, `check`, `eval` and `lint` on
+    `route_clean`."""
+    tmp = tmp_path_factory.mktemp("commands")
+    model = tmp / "model.json"
+    argvs = {
+        "extract": ["extract", EXAMPLES / "route_clean.tracking.json", "-o", model],
+        "check": ["check", model, EXAMPLES / "route.pdlsl", "-o", tmp / "report.json"],
+        "eval": ["eval", model, "touch(R,L)", "0"],
+        "lint": ["lint", EXAMPLES / "route.pdlsl"],
+    }
+    return {name: set(python(COMMAND, *argv, cwd=tmp)) for name, argv in argvs.items()}
+
+
+def test_commands_load_only_their_own_modules(loaded):
+    for command in ("check", "eval", "lint"):
+        assert "pdlsl.extract" not in loaded[command], command
+    for command in ("extract", "lint"):
+        assert not loaded[command] & {"pdlsl.check", "hashlib"}, command
+    assert "pdlsl.extract" in loaded["extract"] and "pdlsl.check" in loaded["check"]
+
+
+def test_import_loads_nothing_and_a_public_name_loads_all_eight_modules():
+    before, after = python(
+        "import json, sys, pdlsl\n"
+        "modules = lambda: sorted(m for m in sys.modules if m.startswith('pdlsl.'))\n"
+        "before = modules(); pdlsl.verify\n"
+        "print(json.dumps([before, modules()]))")
+    assert before == []
+    assert set(after) == MODULES
+
+
+def test_every_exported_name_resolves_is_listed_and_star_imports():
+    # Fresh interpreters: `dir` and the reads go through the unloaded package.
+    unlisted = python("import json, sys, pdlsl\n"
+                      "listed = dir(pdlsl)\n"
+                      "for name in sys.argv[1:]: getattr(pdlsl, name)\n"
+                      "print(json.dumps([n for n in sys.argv[1:] if n not in listed]))", *NAMES)
+    assert unlisted == []
+    star = python("import json\nfrom pdlsl import *\nprint(json.dumps(sorted(globals())))")
+    assert set(NAMES) <= set(star)
+    for module, names in EXPORTED.items():
+        for name in names.split():
+            value = getattr(pdlsl, name)  # loads the API if nothing has yet
+            assert value is getattr(sys.modules[f"pdlsl.{module}"], name), name
+    assert pdlsl.__version__ == "0.1.0"
