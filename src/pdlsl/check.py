@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from .core import (
@@ -27,30 +27,25 @@ from .core import (
     ground,
     ground_atom,
 )
-from .errors import AliasCollision, ParseError, SourceSpan, UnknownState
+from .errors import AliasCollision, ParseError, Record, SourceSpan, UnknownState
 from .model import ThreeVal, UtteranceModel, _Labeler, _members
 from .parsing import LexiconFile, parse_atom, print_atom
 
 
-@dataclass(frozen=True, slots=True)
-class Proposal:
-    sign: str
-    verdict: str  # "match" | "possible"
+class Proposal(Record):
+    __slots__ = ("sign", "verdict")  # verdict: "match" | "possible"
 
 
 MATCH = "match"
 POSSIBLE = "possible"
 
 
-@dataclass(frozen=True)
-class ProposalReport:
+class ProposalReport(Record):
     """Per-state sign proposals plus enough metadata to reproduce the run.
     Within a state, matches precede possibles; lexicon order breaks ties."""
 
-    per_state: tuple[tuple[Proposal, ...], ...]
-    handedness: Handedness
-    lexicon_hash: str
-    thresholds: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = ("per_state", "handedness", "lexicon_hash", "thresholds")
+    _defaults = {"thresholds": MappingProxyType({})}
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -87,13 +82,10 @@ def lexicon_hash(lexicon: LexiconFile) -> str:
     return hashlib.sha256(lexicon.canonical_text().encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class Override:
+class Override(Record):
     """One valuation override: `state <id>: <atom> = true|false|unknown`."""
 
-    state: int
-    atom: Atom
-    value: ThreeVal
+    __slots__ = ("state", "atom", "value")
 
 
 _OVERRIDE_RE = re.compile(
@@ -138,7 +130,7 @@ def apply_overrides(
         except AliasCollision as exc:
             message = f"override for state {ov.state} uses {print_atom(ov.atom)}: {exc}"
             raise AliasCollision(message, ov.atom) from None
-    return replace(model, valuation=valuation)
+    return model._replace(valuation=valuation)
 
 
 def verify(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -18,8 +17,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 # `check`, `eval` and `lint` never load `extract`, and `extract` and `lint`
 # never load `check`.
 from .core import Formula, Handedness, ground
-from .errors import AliasCollision, ConfigError, ParseError, PdlslError, load_json, load_text
-from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, load_place_map
+from .errors import AliasCollision, ConfigError, ParseError, PdlslError, Record, load_json, load_text
+from .geometry import DEFAULT_PLACE_MAP, VEC, load_place_map
 from .model import (
     SEGMENTATION_FIELDS,
     SegmentationParams,
@@ -35,26 +34,22 @@ if TYPE_CHECKING:
     from .extract import Diagnostic
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    handedness: Handedness = Handedness.RIGHT_DOMINANT
-    mirrored: bool | None = None  # None: use the tracking file's flag
-    placemap: PlaceMap = DEFAULT_PLACE_MAP
-    segmentation: SegmentationParams = SegmentationParams()
-    output_format: str = "json"
-    body_origin: Vec2 | None = None
-    body_scale: float | None = None
+class RunConfig(Record):
+    """A run's settings, as the config table below builds them."""
+
+    __slots__ = ("handedness", "mirrored", "placemap", "segmentation", "output_format",
+                 "body_origin", "body_scale")
 
 
 # In RunConfig's field order, which the table passes its values in.
 _CONFIG = table("config", {
-    "dominant": optional(choice({h.value: h for h in Handedness}), RunConfig.handedness),
-    "mirrored": optional(boolean()),
-    "placemap": optional(string(load_place_map), RunConfig.placemap),
+    "dominant": optional(choice({h.value: h for h in Handedness}), Handedness.RIGHT_DOMINANT),
+    "mirrored": optional(boolean()),  # None: use the tracking file's flag
+    "placemap": optional(string(load_place_map), DEFAULT_PLACE_MAP),
     "segmentation": optional(
-        table("segmentation", SEGMENTATION_FIELDS, SegmentationParams), RunConfig.segmentation
+        table("segmentation", SEGMENTATION_FIELDS, SegmentationParams), SegmentationParams()
     ),
-    "format": optional(choice({"json": "json", "table": "table"}), RunConfig.output_format),
+    "format": optional(choice({"json": "json", "table": "table"}), "json"),
     "body_origin": optional(VEC),
     "body_scale": optional(number(positive=True, build=float)),
 }, RunConfig)
@@ -126,7 +121,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     raw = load_json(args.tracking, tracking_from_json)
     if config.mirrored is not None:
-        raw = replace(raw, mirrored=config.mirrored)
+        raw = raw._replace(mirrored=config.mirrored)
     model, diagnostics = extract_model(
         raw,
         params=config.segmentation,

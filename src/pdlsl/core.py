@@ -1,18 +1,21 @@
 """Domain vocabulary: articulators, directions, places, atoms, actions, formulas.
 
 Everything here is an immutable value. Formulas and actions are plain
-syntax trees; `ground` resolves the dominant/weak hand aliases so that
-evaluation only ever sees the concrete right/left hands.
+syntax trees whose nodes are hash-consed (Filliâtre & Conchon 2006,
+"Type-safe modular hash-consing"): building a node with the fields of an
+existing one returns that node, so two nodes are equal exactly when they
+are the same object, and comparing or hashing one takes constant time.
+`ground` resolves the dominant/weak hand aliases so that evaluation only
+ever sees the concrete right/left hands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Any, Iterator, Union
 
-from .errors import AliasCollision
+from .errors import AliasCollision, Record
 
 
 class Articulator(Enum):
@@ -25,8 +28,8 @@ class Articulator(Enum):
     LEFT = "L"
 
     # Members are singletons that compare by identity, so they can hash by
-    # identity too; that keeps the hash of every atom, a key of the model's
-    # valuation, out of Python-level `Enum.__hash__` calls.
+    # identity too; that keeps looking up an atom's fields in its intern
+    # table out of Python-level `Enum.__hash__` calls.
     __hash__ = object.__hash__
 
     @property
@@ -77,14 +80,10 @@ class Handedness(Enum):
     LEFT_DOMINANT = "left"
 
 
-@dataclass(frozen=True, slots=True)
-class Rect:
+class Rect(Record):
     """Axis-aligned rectangle in normalized body coordinates."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
+    __slots__ = ("x_min", "x_max", "y_min", "y_max")
 
     def __post_init__(self) -> None:
         for v in (self.x_min, self.x_max, self.y_min, self.y_max):
@@ -98,70 +97,83 @@ class Rect:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
-@dataclass(frozen=True, slots=True)
-class Place:
+class Place(Record):
     """A named place of articulation: a rectangular sub-plane of the body."""
 
-    name: str
-    region: Rect
+    __slots__ = ("name", "region")
 
 
-# Hand configuration labels are an open vocabulary, compared by exact string
-# equality (CLAMP, OPENPALM_CONFIG, ...).
-HandConfig = str
-PlaceName = str
+# --- Syntax nodes -------------------------------------------------------------
+
+
+class _Node(Record):
+    """Base of the atom, action and formula nodes: records that are
+    interned. Every node type keeps its own table of the nodes built so
+    far, keyed by their field values, for as long as the process runs.
+    Equality and hashing are `object`'s, by identity; a copy or an
+    unpickled node is the interned one, through `__reduce__`."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # The `__init__` written for the fields fills each new node once.
+        cls._fill, cls.__init__ = cls.__init__, object.__init__
+        cls._interned = {}
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        node = None if kwargs else cls._interned.get(args)
+        if node is None:
+            node = object.__new__(cls)
+            cls._fill(node, *args, **kwargs)  # a node that fails its check is never stored
+            # Of two threads that build the same node, both return the first.
+            node = cls._interned.setdefault(node._astuple(), node)
+        return node
 
 
 # --- Atomic propositions ---------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RelDir:
+class RelDir(_Node):
     """`subject` lies in direction `direction` of `anchor`."""
 
-    subject: Articulator
-    direction: Direction
-    anchor: Articulator
+    __slots__ = ("subject", "direction", "anchor")
 
     def __post_init__(self) -> None:
         if self.subject is self.anchor:
             raise ValueError("relative direction needs two distinct articulators")
 
 
-@dataclass(frozen=True, slots=True)
-class At:
+class At(_Node):
     """`articulator` is located in the named place."""
 
-    articulator: Articulator
-    place: PlaceName
+    __slots__ = ("articulator", "place")
 
 
-@dataclass(frozen=True, slots=True)
-class Touch:
+class Touch(_Node):
     """Articulators `a` and `b` are in physical contact."""
 
-    a: Articulator
-    b: Articulator
+    __slots__ = ("a", "b")
 
     def __post_init__(self) -> None:
         if self.a is self.b:
             raise ValueError("touch needs two distinct articulators")
 
 
-@dataclass(frozen=True, slots=True)
-class Config:
-    """`articulator` currently holds the hand configuration `label`."""
+class Config(_Node):
+    """`articulator` currently holds the hand configuration `label`, a name
+    from an open vocabulary (CLAMP, OPENPALM_CONFIG, ...) compared by exact
+    string equality."""
 
-    articulator: Articulator
-    label: HandConfig
+    __slots__ = ("articulator", "label")
 
 
-@dataclass(frozen=True, slots=True)
-class Orient:
+class Orient(_Node):
     """`articulator` is oriented toward `direction` (palm normal for hands)."""
 
-    articulator: Articulator
-    direction: Direction
+    __slots__ = ("articulator", "direction")
 
 
 Atom = Union[RelDir, At, Touch, Config, Orient]
@@ -170,20 +182,17 @@ Atom = Union[RelDir, At, Touch, Config, Orient]
 # --- Atomic actions and the action algebra ---------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(_Node):
     """`articulator` moves in `direction`."""
 
-    articulator: Articulator
-    direction: Direction
+    __slots__ = ("articulator", "direction")
 
 
-@dataclass(frozen=True, slots=True)
-class Thrill:
+class Thrill(_Node):
     """`articulator` moves rapidly and continuously without leaving its
     place of articulation."""
 
-    articulator: Articulator
+    __slots__ = ("articulator",)
 
 
 AtomicAction = Union[Move, Thrill]
@@ -204,32 +213,24 @@ LEAF_FIELDS: dict[type, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Atomic:
-    action: AtomicAction
+class Atomic(_Node):
+    __slots__ = ("action",)
 
 
-@dataclass(frozen=True, slots=True)
-class Concurrent:
-    left: "Action"
-    right: "Action"
+class Concurrent(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Choice:
-    left: "Action"
-    right: "Action"
+class Choice(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Seq:
-    left: "Action"
-    right: "Action"
+class Seq(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Star:
-    body: "Action"
+class Star(_Node):
+    __slots__ = ("body",)
 
 
 Action = Union[Atomic, Concurrent, Choice, Seq, Star]
@@ -238,36 +239,29 @@ Action = Union[Atomic, Concurrent, Choice, Seq, Star]
 # --- Formulas ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Top:
-    pass
+class Top(_Node):
+    __slots__ = ()
 
 
 TOP = Top()
 
 
-@dataclass(frozen=True, slots=True)
-class AtomF:
-    atom: Atom
+class AtomF(_Node):
+    __slots__ = ("atom",)
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    body: "Formula"
+class Not(_Node):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
+class Box(_Node):
     """After every execution of `action`, `body` holds."""
 
-    action: Action
-    body: "Formula"
+    __slots__ = ("action", "body")
 
 
 Formula = Union[Top, AtomF, Not, And, Box]

@@ -1,23 +1,75 @@
-"""Exception types, source positions and the strict JSON reader shared
-across the toolkit."""
+"""Exception types, source positions, the record base and the strict JSON
+reader shared across the toolkit."""
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class Record:
+    """An immutable value with named fields, compared and hashed by value.
+
+    A subclass names its fields in `__slots__`, in positional order; a slot
+    whose name starts with `_`, such as a `__dict__` for a `cached_property`,
+    is not a field. `_defaults` maps trailing fields to their defaults.
+    Each subclass gets an `__init__` and an `_astuple` (the field values in
+    order) written for its fields, which run as fast as Python can. The
+    `__init__` calls the subclass's `__post_init__`, if it has one, looked
+    up on the class at each construction."""
+
+    __slots__ = ()
+    _defaults: Mapping[str, Any] = {}
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__ = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names)
+        lines = [f"def __init__(self, {params}):"]
+        lines += [f" _set(self, {n!r}, {n})" for n in names]
+        lines.append(" self.__post_init__()" if hasattr(cls, "__post_init__") else " pass")
+        lines.append(f"def _astuple(self): return ({''.join(f'self.{n}, ' for n in names)})")
+        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        exec(compile("\n".join(lines), f"<record {cls.__qualname__}>", "exec"), namespace)
+        cls.__init__, cls._astuple = namespace["__init__"], namespace["_astuple"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _asdict(self) -> dict[str, Any]:
+        return dict(zip(self.__match_args__, self._astuple()))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return type(self), self._astuple()
+
+    def _replace(self, **changes: Any) -> Any:
+        """A copy with the given fields changed, checked as a new value."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SourceSpan(Record):
     """1-based position of a token or error in an input text."""
 
-    line: int
-    column: int
-    length: int = 1
+    __slots__ = ("line", "column", "length")
+    _defaults = {"length": 1}
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -135,6 +187,17 @@ class AliasCollision(PdlslError):
         self.atom = atom
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {json.dumps(key)}")
+            seen.add(key)
+    return obj
+
+
 def _refuse_constant(name: str) -> float:
     raise ValueError(f"{name} is not a JSON number")
 
@@ -171,14 +234,16 @@ def load_text(path: str, build: Callable[[str], Any]) -> Any:
 
 def load_json(path: str, build: Callable[[Any], Any], error: type[SchemaError] = SchemaError) -> Any:
     """`build` applied to the JSON input file at `path`. Python's `json`
-    accepts NaN and Infinity and reads literals such as 1e999 as infinity;
-    both are refused here, so every float that reaches the toolkit is
-    finite. Any defect of the file's content, nesting too deep for the
+    accepts NaN and Infinity, reads literals such as 1e999 as infinity and
+    keeps the last value of a key an object repeats; all three are refused
+    here, so every float that reaches the toolkit is finite and no value is
+    dropped unseen. Any defect of the file's content, nesting too deep for the
     decoder included, raises `error` at the document root. A toolkit error
     raised on the way names the file."""
     with _about(path), open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
+            doc = json.load(fh, object_pairs_hook=_unique_keys,
+                            parse_constant=_refuse_constant, parse_float=_finite_float)
         except (ValueError, RecursionError) as exc:
             raise error("", f"invalid JSON: {exc}") from None
         return build(doc)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from .core import (
@@ -37,7 +36,7 @@ from .core import (
     Touch,
     iter_atomic_actions,
 )
-from .errors import EmptySequence, NoKeyPosture, NonMonotoneTimestamps
+from .errors import EmptySequence, NoKeyPosture, NonMonotoneTimestamps, Record
 from .geometry import (
     DEFAULT_PLACE_MAP,
     VEC,
@@ -58,24 +57,20 @@ _HANDS = (Articulator.RIGHT, Articulator.LEFT)
 _HEAD_HEIGHT = 1.2
 
 
-@dataclass(frozen=True, slots=True)
-class HandObservation:
-    """One hand in one frame; every field may be missing (tracker dropout)."""
+class HandObservation(Record):
+    """One hand in one frame: a `Vec2` position, a hand-shape label and a
+    `Direction`; every field may be missing (tracker dropout)."""
 
-    pos: Vec2 | None = None
-    config: str | None = None
-    orient: Direction | None = None
+    _defaults = {"pos": None, "config": None, "orient": None}
+    __slots__ = tuple(_defaults)
 
 
 _NO_HAND = HandObservation()
 
 
-@dataclass(frozen=True, slots=True)
-class TrackingFrame:
-    t: int
-    head: Vec2 | None = None
-    right: HandObservation = _NO_HAND
-    left: HandObservation = _NO_HAND
+class TrackingFrame(Record):
+    __slots__ = ("t", "head", "right", "left")
+    _defaults = {"head": None, "right": _NO_HAND, "left": _NO_HAND}
 
     def hand(self, articulator: Articulator) -> HandObservation:
         if articulator is Articulator.RIGHT:
@@ -85,11 +80,9 @@ class TrackingFrame:
         raise ValueError(f"no track for {articulator}")
 
 
-@dataclass(frozen=True, slots=True)
-class TrackingSequence:
-    frames: tuple[TrackingFrame, ...]
-    fps: float
-    mirrored: bool = False
+class TrackingSequence(Record):
+    __slots__ = ("frames", "fps", "mirrored")
+    _defaults = {"mirrored": False}
 
     def __post_init__(self) -> None:
         if not self.frames:
@@ -103,28 +96,22 @@ class SegmentKind:
     TRANSITION = "transition"
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(Record):
     """A contiguous frame range [first, last], either a key posture or the
     transition between two postures."""
 
-    kind: str
-    first: int
-    last: int
+    __slots__ = ("kind", "first", "last")
 
     def __post_init__(self) -> None:
         if self.first > self.last:
             raise ValueError("segment bounds out of order")
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(Record):
     """Machine-readable note about a repaired or suspicious input."""
 
-    code: str
-    message: str
-    frame: int | None = None
-    hand: str | None = None
+    __slots__ = ("code", "message", "frame", "hand")
+    _defaults = {"frame": None, "hand": None}
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"diagnostic": self.code, "message": self.message}
@@ -540,7 +527,7 @@ def transition_action(
     # A velocity at frame i reads only frames i-1 and i, so the window's own
     # velocities at first..last equal the whole sequence's; at first == 0 the
     # window starts at frame 0, which keeps its zero velocity.
-    velocities = compute_velocities(replace(seq, frames=window))
+    velocities = compute_velocities(seq._replace(frames=window))
     first, last = transition.first - window_first, transition.last - window_first
     contributions: list[Action] = []
     for hand in _HANDS:
@@ -642,7 +629,7 @@ def build_model(
         meta={
             "fps": seq.fps,
             "mirrored": seq.mirrored,
-            "segmentation": asdict(params),
+            "segmentation": params._asdict(),
         },
     )
 

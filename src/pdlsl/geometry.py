@@ -8,11 +8,10 @@ containment. All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .core import CANONICAL_DIRECTIONS, Direction, Place, Rect
-from .errors import CoincidentPoints, NonFinite, ZeroVector, load_json
+from .errors import CoincidentPoints, NonFinite, Record, ZeroVector, load_json
 from .schema import check, const, fixed, mapping, number, optional, table
 
 # Angles closer than this are treated as equal when classifying directions,
@@ -20,12 +19,10 @@ from .schema import check, const, fixed, mapping, number, optional, table
 _TIE_EPS = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Vec2:
+class Vec2(Record):
     """A point or displacement in normalized body units."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
@@ -82,12 +79,10 @@ def relative_direction(p1: Vec2, p2: Vec2) -> Direction:
     return classify_direction(p1 - p2)
 
 
-@dataclass(frozen=True, slots=True)
-class BodyFrame:
+class BodyFrame(Record):
     """Maps raw tracker coordinates into normalized body units."""
 
-    origin: Vec2
-    scale: float
+    __slots__ = ("origin", "scale")
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):

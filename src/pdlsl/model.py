@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, partial, reduce
+from types import MappingProxyType
 from typing import Any
 
 from .core import (
@@ -58,7 +58,7 @@ from .core import (
     articulators,
     contains_alias,
 )
-from .errors import ParseError, UngroundedFormula, UnknownState
+from .errors import ParseError, Record, UngroundedFormula, UnknownState
 from .parsing import parse_atom, parse_atomic_action, print_atom, print_atomic_action
 from .schema import (
     Invalid,
@@ -91,19 +91,21 @@ class ThreeVal(Enum):
         return self.value.capitalize()
 
 
-@dataclass(frozen=True, slots=True)
-class SegmentationParams:
+class SegmentationParams(Record):
     """The thresholds of extraction (see `extract`). They are defined here
     because a model records them in its `meta`, which this module reads."""
 
-    tau_still: float = 0.02  # body units per frame below which a hand rests
-    min_still: int = 3  # frames a rest must span to count as a posture
-    tau_touch: float = 0.05  # hand distance below which Touch holds
-    touch_unknown_band: float = 0.05  # extra distance where Touch is unknown
-    thrill_window: int = 5  # frames a reversal burst may spread over
-    thrill_net_disp: float = 0.03  # net displacement below which Move is off
-    thrill_min_reversals: int = 2  # reversals within the window for a thrill
-    max_jump: float = 0.5  # per-frame displacement treated as a tracker error
+    _defaults = {
+        "tau_still": 0.02,  # body units per frame below which a hand rests
+        "min_still": 3,  # frames a rest must span to count as a posture
+        "tau_touch": 0.05,  # hand distance below which Touch holds
+        "touch_unknown_band": 0.05,  # extra distance where Touch is unknown
+        "thrill_window": 5,  # frames a reversal burst may spread over
+        "thrill_net_disp": 0.03,  # net displacement below which Move is off
+        "thrill_min_reversals": 2,  # reversals within the window for a thrill
+        "max_jump": 0.5,  # per-frame displacement treated as a tracker error
+    }
+    __slots__ = tuple(_defaults)
 
     def __post_init__(self) -> None:
         positives = (
@@ -124,8 +126,7 @@ _EMPTY_OBSERVED: frozenset[Articulator] = frozenset()
 _NO_CONFIGS: Mapping[Articulator, str | None] = {}
 
 
-@dataclass(frozen=True)
-class UtteranceModel:
+class UtteranceModel(Record):
     """States 0..state_count-1, a serial transition relation, the edges of
     each atomic action, and a per-state atomic valuation.
 
@@ -143,13 +144,9 @@ class UtteranceModel:
     the model has.
     """
 
-    state_count: int
-    relation: frozenset[Pair]
-    action_interp: Mapping[AtomicAction, frozenset[Pair]]
-    valuation: Mapping[tuple[int, Atom], ThreeVal]
-    observed: tuple[frozenset[Articulator], ...] = ()
-    config_observed: tuple[Mapping[Articulator, str | None], ...] = ()
-    meta: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = ("state_count", "relation", "action_interp", "valuation", "observed",
+                 "config_observed", "meta", "__dict__")  # `__dict__` holds `atom_index`
+    _defaults = {"observed": (), "config_observed": (), "meta": MappingProxyType({})}
 
     def __post_init__(self) -> None:
         if self.state_count < 1:
@@ -517,8 +514,8 @@ _HAND = choice({h.value: h for h in _HANDS})
 #: configuration sets; every key is optional and defaults as in
 #: `SegmentationParams`.
 SEGMENTATION_FIELDS = {
-    f.name: optional(integer() if f.type in ("int", int) else number(), f.default)
-    for f in fields(SegmentationParams)
+    name: optional(integer() if type(default) is int else number(), default)
+    for name, default in SegmentationParams._defaults.items()
 }
 _MODEL = table("model", {
     "format": const(1),

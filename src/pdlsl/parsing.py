@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
@@ -77,6 +76,7 @@ from .errors import (
     AliasCollision,
     DuplicateSign,
     ParseError,
+    Record,
     SourceSpan,
     UnknownArticulator,
     UnknownDirection,
@@ -324,7 +324,8 @@ class _Parser:
             args[field] = self._argument(field)
         close = self._expect("RPAREN", ")")
         try:
-            return node(**args)
+            # Positional: a node built from keywords is filled before its table is read.
+            return node(*map(args.__getitem__, node.__match_args__))
         except ValueError as exc:  # dir and touch need two distinct articulators
             raise ParseError(str(exc), self.span(close)) from None
 
@@ -394,19 +395,15 @@ def parse_atomic_action(text: str) -> AtomicAction:
 # --- Lexicon files -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LexiconEntry:
-    name: str
-    formula: Formula
-    span: SourceSpan
+class LexiconEntry(Record):
+    __slots__ = ("name", "formula", "span")
 
 
-@dataclass(frozen=True, slots=True)
-class LexiconFile:
+class LexiconFile(Record):
     """Ordered sign lexicon. Formulas are desugared but not grounded;
     grounding happens at verification time with the run's handedness."""
 
-    entries: tuple[LexiconEntry, ...]
+    __slots__ = ("entries",)
 
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)
@@ -543,11 +540,8 @@ def print_formula(formula: Formula) -> str:
 # --- Lint --------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LintIssue:
-    severity: str  # "error" | "warning"
-    message: str
-    span: SourceSpan
+class LintIssue(Record):
+    __slots__ = ("severity", "message", "span")  # severity: "error" | "warning"
 
     def __str__(self) -> str:
         return f"{self.span}: {self.severity}: {self.message}"

@@ -1,5 +1,9 @@
+import copy
+import importlib.util
 import math
-from dataclasses import fields
+import pathlib
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,16 +29,20 @@ from pdlsl import (
     Seq,
     Star,
     Thrill,
+    Top,
     Touch,
     contains_alias,
     ground,
     implies,
     mirror_direction,
     or_,
+    parse_formula,
+    parse_lexicon,
+    print_formula,
     resolve_articulator,
     resolve_direction,
 )
-from pdlsl import core
+from pdlsl import Rect, SourceSpan, core
 
 D, W, R, L = Articulator.DOMINANT, Articulator.WEAK, Articulator.RIGHT, Articulator.LEFT
 RIGHT_DOM, LEFT_DOM = Handedness.RIGHT_DOMINANT, Handedness.LEFT_DOMINANT
@@ -114,14 +122,25 @@ def test_resolve_articulator(articulator, handedness, expected):
 # --- atom invariants -------------------------------------------------------------
 
 
+def _interned():
+    """How many nodes the node types' tables hold."""
+    return sum(len(node_type._interned) for node_type in core._Node.__subclasses__())
+
+
 def test_rel_dir_rejects_equal_articulators():
+    before = _interned()
     with pytest.raises(ValueError):
         RelDir(R, Direction.E, R)
+    with pytest.raises(ValueError):
+        RelDir(subject=L, anchor=L, direction=Direction.E)
+    assert _interned() == before
 
 
 def test_touch_rejects_equal_articulators():
+    before = _interned()
     with pytest.raises(ValueError):
         Touch(L, L)
+    assert _interned() == before
 
 
 @pytest.mark.parametrize("leaf, hands", [
@@ -298,8 +317,9 @@ def _leaves(node):
 
 
 def _hands(leaf):
-    return [getattr(leaf, f.name) for f in fields(leaf)
-            if isinstance(getattr(leaf, f.name), Articulator)]
+    # The leaf class's own fields, not `core.LEAF_FIELDS`, which this test checks.
+    return [value for value in map(leaf.__getattribute__, leaf.__match_args__)
+            if isinstance(value, Articulator)]
 
 
 HAND_OF = {RIGHT_DOM: {D: R, W: L}, LEFT_DOM: {D: L, W: R}}
@@ -322,3 +342,75 @@ def test_contains_alias_and_collisions_follow_the_leaves(formula, handedness):
             ground(formula, handedness)
     else:
         ground(formula, handedness)
+
+
+# --- interning ---------------------------------------------------------------------
+# Nodes are hash-consed: building a node equal to an existing one returns it.
+
+nodes = st.one_of(formulas, actions, atoms, atomic_actions)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(formulas)
+def test_printed_formula_parses_to_the_same_node(formula):
+    assert parse_formula(print_formula(formula)) is formula
+
+
+@settings(max_examples=300, derandomize=True)
+@given(formulas, st.sampled_from(list(Handedness)))
+def test_ground_is_idempotent_by_identity(formula, handedness):
+    once = ground(formula, handedness)
+    assert ground(once, handedness) is once
+
+
+@settings(max_examples=300, derandomize=True)
+@given(nodes)
+def test_keywords_copies_and_pickles_give_the_interned_node(node):
+    fields = {name: getattr(node, name) for name in node.__match_args__}
+    assert type(node)(**dict(reversed(fields.items()))) is node
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+
+
+def test_positional_and_keyword_arguments_mix():
+    assert RelDir(R, anchor=L, direction=Direction.E) is RelDir(R, Direction.E, L)
+    for bad in (lambda: Touch(R, a=L), lambda: Touch(R, c=L), lambda: Touch(R), lambda: Top(R)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_parsing_a_lexicon_again_interns_no_new_node():
+    # The benchmark's 300-sign lexicon, from its generator (standard library only).
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text = gen.lexicon_text(gen.gen_signs(random.Random(21), 300))
+    first = parse_lexicon(text)
+    count = _interned()
+    second = parse_lexicon(text)
+    assert _interned() == count
+    assert all(a.formula is b.formula for a, b in zip(first.entries, second.entries))
+
+
+# --- records -----------------------------------------------------------------------
+
+
+def test_records_are_immutable_values():
+    span = SourceSpan(3, 4)
+    assert span == SourceSpan(3, 4, 1) == SourceSpan(column=4, line=3)
+    assert hash(span) == hash(SourceSpan(3, 4)) and span != SourceSpan(3, 5)
+    assert span._replace(length=2) == SourceSpan(3, 4, 2) and span.length == 1
+    assert copy.deepcopy(span) == span and pickle.loads(pickle.dumps(span)) == span
+    assert repr(span) == "SourceSpan(line=3, column=4, length=1)"
+    for name in ("line", "other"):
+        with pytest.raises(AttributeError):
+            setattr(span, name, 0)
+    with pytest.raises(TypeError):
+        SourceSpan(3)
+    with pytest.raises(ValueError):  # a copy is checked as a new value
+        Rect(0.0, 1.0, 0.0, 1.0)._replace(x_max=-1.0)

@@ -73,6 +73,17 @@ def test_vec2_rejects_non_finite():
         Vec2(0.0, float("inf"))
 
 
+def test_vec2_check_is_looked_up_on_the_class_at_each_construction(monkeypatch):
+    # A wrapper set on the class sees every construction, as a tracer's does.
+    seen = []
+    check = Vec2.__post_init__
+    monkeypatch.setattr(Vec2, "__post_init__", lambda v: seen.append((v.x, v.y)) or check(v))
+    Vec2(1.0, 2.0) - Vec2(0.5, 0.0)
+    assert seen == [(1.0, 2.0), (0.5, 0.0), (0.5, 2.0)]
+    with pytest.raises(ValueError):
+        Vec2(0.0, float("inf"))
+
+
 # --- classify_direction ----------------------------------------------------------
 
 

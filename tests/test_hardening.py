@@ -2,8 +2,8 @@
 2, never in a traceback: formulas nested past the parser's depth limit,
 non-finite numbers or deep nesting in JSON files, model files whose fields
 disagree, directories and non-UTF-8 files in place of inputs, randomly
-mutated copies of the shipped inputs, and an unknown key anywhere in a
-shipped JSON input."""
+mutated copies of the shipped inputs, and an unknown or a repeated key
+anywhere in a shipped JSON input."""
 
 import contextlib
 import copy
@@ -390,3 +390,26 @@ def test_unknown_key_in_any_object_is_refused_at_its_pointer(name, tmp_path):
             code = main([str(a) for a in argv(path)])
         assert code == expected_code and err.getvalue().startswith(f"pdlsl: {path}: {at}/bogus: "), (
             at, err.getvalue())
+
+
+# --- repeated keys --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(JSON_INPUTS))
+def test_repeated_key_in_any_object_is_refused(name, tmp_path):
+    source, argv, expected_code = JSON_INPUTS[name]
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    path = tmp_path / source.name
+    mark = "\0"  # a key no shipped input has, replaced in the text by the repeat
+    for obj, _ in _objects(doc):
+        key = next(iter(obj))
+        obj[mark] = None
+        text = json.dumps(doc).replace(f"{json.dumps(mark)}: null",
+                                       f"{json.dumps(key)}: {json.dumps(obj[key])}")
+        del obj[mark]
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv(path)])
+        assert (code, err.getvalue()) == (
+            expected_code, f"pdlsl: {path}: /: invalid JSON: duplicate key {json.dumps(key)}\n")

@@ -2,8 +2,9 @@
 
 `import pdlsl` loads none of the package's modules; the first read of a
 public name loads all eight. Each command of `pdlsl.cli` imports only the
-modules that it runs. These tests start fresh interpreters, so a module
-that an earlier test imported cannot hide a load.
+modules that it runs, and none loads `dataclasses` or `inspect`. These
+tests start fresh interpreters, so a module that an earlier test imported
+cannot hide a load.
 """
 
 import json
@@ -62,12 +63,13 @@ def python(code, *args, cwd=None):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# Runs one command; at exit prints the `pdlsl` modules and `hashlib`, if
-# they were loaded.
+# Runs one command; at exit prints the `pdlsl` modules, `hashlib`,
+# `dataclasses` and `inspect`, if they were loaded.
 COMMAND = """
 import atexit, json, sys
+OTHERS = ("hashlib", "dataclasses", "inspect")
 atexit.register(lambda: print(json.dumps([m for m in sys.modules
-                                          if m.startswith("pdlsl") or m == "hashlib"])))
+                                          if m.startswith("pdlsl") or m in OTHERS])))
 from pdlsl.cli import main
 code = main(sys.argv[1:])
 assert code == 0, code
@@ -95,6 +97,11 @@ def test_commands_load_only_their_own_modules(loaded):
     for command in ("extract", "lint"):
         assert not loaded[command] & {"pdlsl.check", "hashlib"}, command
     assert "pdlsl.extract" in loaded["extract"] and "pdlsl.check" in loaded["check"]
+
+
+def test_no_command_loads_dataclasses_or_inspect(loaded):
+    for command, modules in loaded.items():
+        assert not modules & {"dataclasses", "inspect"}, command
 
 
 def test_import_loads_nothing_and_a_public_name_loads_all_eight_modules():
