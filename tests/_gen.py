@@ -5,6 +5,8 @@ so they share no code path with the implementations they check."""
 
 from __future__ import annotations
 
+import copy
+import math
 import random
 
 from pdlsl import (
@@ -25,13 +27,18 @@ from pdlsl import (
     Formula,
     Move,
     Not,
+    Place,
+    PlaceMap,
+    Rect,
     RelDir,
+    SegmentationParams,
     Seq,
     Star,
     ThreeVal,
     Thrill,
     Touch,
     UtteranceModel,
+    Vec2,
 )
 
 R, L = Articulator.RIGHT, Articulator.LEFT
@@ -232,3 +239,148 @@ def _ref3(model: UtteranceModel, state: int, formula: Formula) -> str:
                 out = _AND_TABLE[(out, _ref3(model, t, formula.body))]
         return out
     raise TypeError(formula)
+
+
+# --- Tracking documents --------------------------------------------------------
+
+_LABELS = ("CLAMP", "FLAT", "FIST", "V")
+_PLACE_NAMES = ("TOP", "MID", "LOW", "SIDE", "WIDE")
+
+
+def _body_path(rng: random.Random) -> list[tuple[float, float] | None]:
+    """One hand's path in body units: holds joined by moves, reversal
+    bursts that return to the held point, drifts and jitter."""
+    pos = (rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 1.4))
+    path: list[tuple[float, float] | None] = []
+    for k in range(rng.randint(1, 6)):
+        if k:
+            kind = rng.choice(("move", "move", "burst", "burst", "drift", "jitter"))
+            n = rng.randint(1, 8)
+            if kind == "move":
+                step = (rng.uniform(-0.08, 0.08), rng.uniform(-0.08, 0.08))
+                for _ in range(n):
+                    pos = (pos[0] + step[0], pos[1] + step[1])
+                    path.append(pos)
+            elif kind == "burst":
+                size = rng.choice((0.01, 0.02, 0.03, rng.uniform(0.005, 0.05)))
+                for i in range(2 * n):
+                    path.append((pos[0] + (size if i % 2 == 0 else -size), pos[1]))
+            elif kind == "drift":
+                for _ in range(n):
+                    pos = (pos[0] + rng.uniform(-0.025, 0.025), pos[1] + rng.uniform(-0.025, 0.025))
+                    path.append(pos)
+            else:
+                path.extend((pos[0] + rng.uniform(-0.01, 0.01), pos[1]) for _ in range(n))
+        path.extend(pos for _ in range(rng.randint(1, 9)))
+    return path
+
+
+def gen_tracking(rng: random.Random) -> tuple[dict, dict]:
+    """A tracking document and the keyword arguments of `extract_model` for
+    it. Raw coordinates are body units moved to a random origin and scale,
+    mirrored or not, so normalization matters. Faults are drawn at random:
+    head and hand dropouts, repeated and decreasing frame indices,
+    teleports (some of which overflow a double), non-finite or too large
+    coordinates, and a body scale whose reciprocal overflows. The options
+    draw a configured body origin and scale, a custom place map, config
+    labels and changed segmentation thresholds."""
+    configured = [key for key in ("body_origin", "body_scale") if rng.random() < 0.25]
+    # Without a configured origin or scale a body unit is a raw unit.
+    scales = (1.0, rng.uniform(0.8, 1.25))
+    if configured:
+        scales += (rng.uniform(0.2, 5.0), rng.uniform(50.0, 400.0))
+    scale = rng.choice(scales)
+    origin = (rng.uniform(-3.0, 3.0) * scale, rng.uniform(-3.0, 3.0) * scale)
+    options: dict = {}
+    if "body_origin" in configured:
+        options["body_origin"] = Vec2(origin[0], origin[1])
+    if "body_scale" in configured:
+        options["body_scale"] = scale if rng.random() < 0.95 else 1e-310
+    mirrored = rng.random() < 0.3
+    sign = -1.0 if mirrored else 1.0
+
+    def raw(p: tuple[float, float]) -> list[float]:
+        return [origin[0] + sign * p[0] * scale, origin[1] + p[1] * scale]
+
+    right = _body_path(rng)
+    # A resting left hand lets a right-hand burst join two equal postures.
+    left = _body_path(rng) if rng.random() < 0.6 else right[:1]
+    n = max(len(right), len(left))
+    right += [right[-1]] * (n - len(right))
+    left += [left[-1]] * (n - len(left))
+    labels = [rng.choice(_LABELS) for _ in range(4)]
+    heads = rng.random()
+    period = rng.choice((6, 40))
+    config_rate, orient_rate = rng.choice((0.0, 0.7, 1.0)), rng.choice((0.0, 0.2))
+    frames = []
+    for t in range(n):
+        frame: dict = {"t": t}
+        if heads > 0.08 and rng.random() > 0.1:
+            frame["head"] = raw((rng.uniform(-0.01, 0.01), 1.2 + rng.uniform(-0.01, 0.01)))
+        for key, path in (("right", right), ("left", left)):
+            hand: dict = {"pos": raw(path[t])}
+            if rng.random() < config_rate:
+                hand["config"] = labels[(t // period + len(key)) % 4]
+            if rng.random() < orient_rate:
+                hand["orient"] = rng.choice(("N", "E", "S", "W", "NE", "SW"))
+            frame[key] = hand
+        frames.append(frame)
+
+    def some_frame() -> dict:
+        return frames[rng.randrange(n)]
+
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        frame = some_frame()
+        key = rng.choice(("right", "left"))
+        if frame[key] is None or rng.random() < 0.3:
+            frame[key] = None
+        else:
+            frame[key].pop("pos", None)
+    if rng.random() < 0.2:
+        some_frame()["head"] = None
+    if rng.random() < 0.25:
+        frame = some_frame()
+        key = rng.choice(("right", "left"))
+        if frame.get(key) and "pos" in frame[key]:
+            x, y = frame[key]["pos"]
+            frame[key]["pos"] = [x + rng.choice((-1.0, 1.0)) * rng.uniform(0.6, 3.0) * scale, y]
+    if rng.random() < 0.05:
+        key = rng.choice(("right", "left"))
+        for t, frame in enumerate(frames):
+            frame[key] = {"pos": [(-1) ** t * 1e308, 0.0]}
+    if rng.random() < 0.15:
+        i = rng.randrange(n)
+        frames.insert(i + 1, copy.deepcopy(frames[i]))
+        if rng.random() < 0.5 and frames[i + 1].get("right"):
+            frames[i + 1]["right"] = {"pos": raw((0.0, 0.0))}
+    if n > 1 and rng.random() < 0.04:
+        i = rng.randrange(1, n)
+        frames[i]["t"] = frames[i - 1]["t"] - 1
+    if rng.random() < 0.03:
+        frame = some_frame()
+        frame["head"] = [rng.choice((math.inf, -math.inf, math.nan)), 1.0]
+    if rng.random() < 0.03:
+        frame = some_frame()
+        frame["left"] = {"pos": [0.0, 10**400]}
+
+    if rng.random() < 0.3:
+        options["place_map"] = PlaceMap(
+            Place(name, Rect(x, x + rng.uniform(0.1, 1.0), y, y + rng.uniform(0.1, 1.0)))
+            for name in rng.sample(_PLACE_NAMES, rng.randint(1, 4))
+            for x, y in [(rng.uniform(-1.0, 0.5), rng.uniform(-0.5, 1.2))]
+        )
+    if rng.random() < 0.5:
+        options["config_labels"] = tuple(rng.sample(_LABELS, rng.randint(1, 3)))
+    if rng.random() < 0.3:
+        options["params"] = SegmentationParams(
+            tau_still=rng.choice((0.01, 0.02, 0.03)),
+            min_still=rng.randint(1, 4),
+            thrill_window=rng.randint(1, 8),
+            thrill_min_reversals=rng.randint(1, 4),
+            max_jump=rng.choice((0.1, 0.5)),
+        )
+    doc = {"fps": rng.choice((25, 30.0)), "frames": frames}
+    if mirrored or rng.random() < 0.3:
+        doc["mirrored"] = mirrored
+    return doc, options
+

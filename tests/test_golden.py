@@ -8,6 +8,9 @@ with a file under `tests/golden/`:
   `route.pdlsl` and `route.overrides`, for both dominant hands;
 * `eval.tsv` - `pdlsl eval` of ROUTE sub-formulas at every state of each
   model, one `fixture, dominant, state, formula, output` row per line;
+* `extract.tsv` - 200 seeded tracking documents from `_gen.gen_tracking`,
+  run through `tracking_from_json` and `extract_model`, with the sha256 of
+  the model file and the diagnostics, or the error, of each;
 * `parse.tsv` - about 1,500 seeded inputs built from grammar fragments,
   with the outcome of each parser entry point: the printed tree, or
   `Class line:col+len message (expected ...)` for a parse error.
@@ -16,14 +19,17 @@ After a deliberate change of output, rewrite the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
+import hashlib
 import json
 import pathlib
 import random
 
 import pytest
 
-from pdlsl.cli import main
-from pdlsl.errors import ParseError
+from pdlsl.cli import _dump_json, main
+from pdlsl.errors import ParseError, PdlslError
+from pdlsl.extract import extract_model, tracking_from_json
+from pdlsl.model import model_to_json
 from pdlsl.parsing import (
     MAX_DEPTH,
     parse_action,
@@ -37,6 +43,7 @@ from pdlsl.parsing import (
     print_formula,
 )
 
+from _gen import gen_tracking
 from conftest import EXAMPLES
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -226,6 +233,23 @@ def _parse_rows() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _extract_outcome(seed: int) -> str:
+    doc, options = gen_tracking(random.Random(f"extract:{seed}"))
+    try:
+        model, diagnostics = extract_model(tracking_from_json(doc), **options)
+    except PdlslError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    digest = hashlib.sha256(_dump_json(model_to_json(model)).encode("utf-8")).hexdigest()
+    notes = json.dumps([d.to_json() for d in diagnostics])
+    return f"{model.state_count} states\t{digest}\t{notes}"
+
+
+def _extract_rows() -> str:
+    lines = ["seed\toutcome"]
+    lines += [f"{seed}\t{_extract_outcome(seed)}" for seed in range(200)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_extract_matches_golden(fixture, tmp_path):
     got = _extract(fixture, tmp_path / "model.json")
@@ -242,6 +266,10 @@ def test_check_matches_golden(fixture, dominant, tmp_path):
 def test_eval_matches_golden(capsys):
     got = _eval_rows(lambda argv: _run(argv, capsys))
     assert got.encode("utf-8") == (GOLDEN / "eval.tsv").read_bytes()
+
+
+def test_extract_rows_match_golden():
+    assert _extract_rows().encode("utf-8") == (GOLDEN / "extract.tsv").read_bytes()
 
 
 def test_parse_matches_golden():
@@ -267,6 +295,7 @@ def regenerate() -> None:
             for dominant in DOMINANTS:
                 _check(fixture, dominant, GOLDEN / f"{fixture}.{dominant}.report.json")
     (GOLDEN / "eval.tsv").write_bytes(_eval_rows(run).encode("utf-8"))
+    (GOLDEN / "extract.tsv").write_bytes(_extract_rows().encode("utf-8"))
     (GOLDEN / "parse.tsv").write_bytes(_parse_rows().encode("utf-8"))
 
 
