@@ -9,13 +9,16 @@ transition, and assembles the serial transition system.
 All thresholds live in SegmentationParams. The defaults are chosen to make
 the synthetic fixtures deterministic; they are not tuned to any corpus.
 
-A tracking file is read by `tracking_from_json`, which checks it against
-the tracking table of `schema` and builds the frames in the same walk.
+A sequence keeps its frames as columns (`Frames`), and every stage reads
+and writes columns of floats, so extraction makes no record per frame.
+`tracking_from_json` checks a tracking file against the tracking table and
+fills the columns from the checked rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from typing import Any
 
@@ -36,19 +39,12 @@ from .core import (
     Touch,
     iter_atomic_actions,
 )
-from .errors import EmptySequence, NoKeyPosture, NonMonotoneTimestamps, Record
-from .geometry import (
-    DEFAULT_PLACE_MAP,
-    VEC,
-    BodyFrame,
-    PlaceMap,
-    Vec2,
-    classify_direction,
-    normalize,
-    relative_direction,
-)
+from .errors import NoKeyPosture, NonFinite, NonMonotoneTimestamps, Record
+from .geometry import (DEFAULT_PLACE_MAP, VEC, BodyFrame, PlaceMap, Vec2, classify_direction,
+                       relative_direction)
 from .model import SegmentationParams, ThreeVal, UtteranceModel
-from .schema import array, boolean, check, choice, const, integer, number, optional, string, table
+from .schema import (Invalid, Node, array, boolean, check, choice, const, integer, number, optional,
+                     string, table)
 
 _HANDS = (Articulator.RIGHT, Articulator.LEFT)
 
@@ -69,6 +65,8 @@ _NO_HAND = HandObservation()
 
 
 class TrackingFrame(Record):
+    """One frame, for code that builds a sequence or reads it frame by frame."""
+
     __slots__ = ("t", "head", "right", "left")
     _defaults = {"head": None, "right": _NO_HAND, "left": _NO_HAND}
 
@@ -80,13 +78,74 @@ class TrackingFrame(Record):
         raise ValueError(f"no track for {articulator}")
 
 
+class Track(Record):
+    """The head or a hand over a sequence, as columns of one entry per
+    frame: `x` and `y` hold the position, None in both where it is missing,
+    and a hand's `config` and `orient` its labels (None for the head)."""
+
+    __slots__ = ("x", "y", "config", "orient")
+    _defaults = {"config": None, "orient": None}
+
+    def point(self, i: int) -> Vec2 | None:
+        return None if self.x[i] is None else Vec2(self.x[i], self.y[i])
+
+
+class Frames(Record):
+    """The frames of a sequence as columns: the frame indices `t` and a
+    Track for the head and each hand. The stages read the columns; other
+    code may index a frame, which builds its TrackingFrame."""
+
+    __slots__ = ("t", "head", "right", "left")
+    hand = TrackingFrame.hand  # a hand's Track
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> TrackingFrame:
+        right, left = (HandObservation(h.point(i), h.config[i], h.orient[i])
+                       for h in (self.right, self.left))
+        return TrackingFrame(self.t[i], self.head.point(i), right, left)
+
+
+def _finite(column: list[float | None]) -> None:
+    """Raise NonFinite unless every coordinate in `column` is finite. The
+    filter drops missing entries, and zeros, which are finite anyway."""
+    if not all(map(math.isfinite, filter(None, column))):
+        raise NonFinite("coordinates must be finite")
+
+
+def _columns(rows: Iterable[tuple]) -> Frames:
+    """Frames from rows `(t, head, right, left)`, where a point is `[x, y]`
+    or None and a hand is `(point, config, orient)`. Each coordinate column
+    becomes floats, where an integer too large for a double raises
+    OverflowError, and is then checked finite at once."""
+    t, heads, rights, lefts = zip(*rows)
+
+    def track(points: tuple, *labels: tuple) -> Track:
+        x = [None if p is None else float(p[0]) for p in points]
+        y = [None if p is None else float(p[1]) for p in points]
+        _finite(x)
+        _finite(y)
+        return Track(x, y, *map(list, labels))
+
+    return Frames(list(t), track(heads), track(*zip(*rights)), track(*zip(*lefts)))
+
+
 class TrackingSequence(Record):
+    """Frames at `fps`. `frames` given as TrackingFrame records is kept as
+    Frames columns."""
+
     __slots__ = ("frames", "fps", "mirrored")
     _defaults = {"mirrored": False}
 
     def __post_init__(self) -> None:
         if not self.frames:
             raise ValueError("a tracking sequence needs at least one frame")
+        if type(self.frames) is not Frames:
+            xy = lambda p: None if p is None else (p.x, p.y)  # noqa: E731
+            rows = ((f.t, xy(f.head), *((xy(h.pos), h.config, h.orient) for h in (f.right, f.left)))
+                    for f in self.frames)
+            object.__setattr__(self, "frames", _columns(rows))
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValueError("fps must be positive")
 
@@ -139,24 +198,51 @@ TransitionLabel = Action | EpsilonMove
 # --- Input parsing -----------------------------------------------------------
 
 
-# Every field of a hand and of a frame but `t` may be missing or null: a
-# tracker dropout.
-_HAND = table("hand", {
-    "pos": optional(VEC, null=True),
-    "config": optional(string(), null=True),
-    "orient": optional(choice(Direction.__members__), null=True),
-}, HandObservation)
+def _point(value: Any) -> list:
+    """An `[x, y]` of two JSON numbers, kept as it is. Anything else is
+    passed to `VEC`, which refuses it with its message."""
+    if type(value) is list and len(value) == 2 and {int, float}.issuperset(map(type, value)):
+        return value
+    return VEC(value)
+
+
+def _frame_rows(point: Node) -> Node:
+    """The frames of a tracking file, each as a `(t, head, right, left)`
+    row, with `point` for every position. Every field of a hand and of a
+    frame but `t` may be missing or null: a tracker dropout."""
+    hand = table("hand", {
+        "pos": optional(point, null=True),
+        "config": optional(string(), null=True),
+        "orient": optional(choice(Direction.__members__), null=True),
+    }, tuple)
+    return array(table("frame", {
+        "t": integer(0),
+        "head": optional(point, null=True),
+        "right": optional(hand, (None, None, None), null=True),
+        "left": optional(hand, (None, None, None), null=True),
+    }, tuple), non_empty=True)
+
+
+_ROWS = _frame_rows(_point)
+
+
+def _frames(value: Any) -> Frames:
+    """The columns of the checked frames. On any failure the frames are
+    checked again with a `Vec2` per position, which raises the first error
+    in document order, at its place, as `VEC` reports it."""
+    try:
+        return _columns(_ROWS(value))
+    except (Invalid, ValueError, OverflowError):
+        _frame_rows(VEC)(value)
+        raise
+
+
 _TRACKING = table("tracking", {
     "format": optional(const(1)),
     "fps": number(positive=True, build=float),
     "mirrored": optional(boolean(), False),
-    "frames": array(table("frame", {
-        "t": integer(0),
-        "head": optional(VEC, null=True),
-        "right": optional(_HAND, _NO_HAND, null=True),
-        "left": optional(_HAND, _NO_HAND, null=True),
-    }, TrackingFrame), non_empty=True),
-}, lambda _format, fps, mirrored, frames: TrackingSequence(tuple(frames), fps, mirrored))
+    "frames": _frames,
+}, lambda _format, fps, mirrored, frames: TrackingSequence(frames, fps, mirrored))
 
 
 def tracking_from_json(obj: Any) -> TrackingSequence:
@@ -180,9 +266,13 @@ def normalize_sequence(
     configured origin the frame follows the tracked head (head center pinned
     at (0, 1.2)), reusing the previous origin across head dropouts; with no
     head anywhere coordinates pass through unchanged and a diagnostic says so.
+    A position becomes `raw - origin`, its x negated if mirrored, times
+    `1 / scale`.
     """
     diagnostics: list[Diagnostic] = []
-    first_head = next((f.head for f in seq.frames if f.head is not None), None)
+    frames = seq.frames
+    head = frames.head
+    first_head = next((head.point(i) for i, x in enumerate(head.x) if x is not None), None)
     if body_scale is not None:
         scale = body_scale
     elif body_origin is not None and first_head is not None and (first_head - body_origin).norm > 0:
@@ -197,55 +287,38 @@ def normalize_sequence(
             )
         )
 
-    def origin_for(frame: TrackingFrame, previous: Vec2 | None) -> Vec2:
-        if body_origin is not None:
-            return body_origin
-        if frame.head is not None:
-            return Vec2(frame.head.x, frame.head.y - _HEAD_HEIGHT * scale)
-        if previous is not None:
-            return previous
-        if first_head is not None:
-            return Vec2(first_head.x, first_head.y - _HEAD_HEIGHT * scale)
-        return Vec2(0.0, 0.0)
+    if body_origin is not None or first_head is None:
+        ox, oy = (body_origin.x, body_origin.y) if body_origin is not None else (0.0, 0.0)
+        origin_x, origin_y = [ox] * len(frames), [oy] * len(frames)
+    else:
+        lift = _HEAD_HEIGHT * scale
+        ox, oy = first_head.x, first_head.y - lift  # before the first head
+        origin_x, origin_y = [], []
+        for x, y in zip(head.x, head.y):
+            if x is not None:
+                ox, oy = x, y - lift
+            origin_x.append(ox)
+            origin_y.append(oy)
+    # The first frame's body frame checks its origin, then the scale.
+    BodyFrame(Vec2(origin_x[0], origin_y[0]), scale)
+    _finite(origin_y)
 
-    frames = []
-    previous: Vec2 | None = None
-    for frame in seq.frames:
-        origin = origin_for(frame, previous)
-        previous = origin
-        body = BodyFrame(origin=origin, scale=scale)
+    # Negating a difference, then scaling it, rounds as scaling it by -k.
+    k = 1.0 / scale
+    kx = -k if seq.mirrored else k
 
-        def norm_pos(p: Vec2 | None) -> Vec2 | None:
-            return None if p is None else normalize(p, body, seq.mirrored)
+    def moved(track: Track) -> Track:
+        x = [None if c is None else (c - o) * kx for c, o in zip(track.x, origin_x)]
+        y = [None if c is None else (c - o) * k for c, o in zip(track.y, origin_y)]
+        _finite(x)
+        _finite(y)
+        return track._replace(x=x, y=y)
 
-        frames.append(
-            TrackingFrame(
-                t=frame.t,
-                head=norm_pos(frame.head),
-                right=HandObservation(
-                    pos=norm_pos(frame.right.pos),
-                    config=frame.right.config,
-                    orient=frame.right.orient,
-                ),
-                left=HandObservation(
-                    pos=norm_pos(frame.left.pos),
-                    config=frame.left.config,
-                    orient=frame.left.orient,
-                ),
-            )
-        )
-    return TrackingSequence(tuple(frames), seq.fps, seq.mirrored), diagnostics
+    normalized = Frames(frames.t, moved(head), moved(frames.right), moved(frames.left))
+    return TrackingSequence(normalized, seq.fps, seq.mirrored), diagnostics
 
 
 # --- Validation --------------------------------------------------------------
-
-
-def _void_hand_pos(frame: TrackingFrame, articulator: Articulator) -> TrackingFrame:
-    obs = frame.hand(articulator)
-    voided = HandObservation(pos=None, config=obs.config, orient=obs.orient)
-    if articulator is Articulator.RIGHT:
-        return TrackingFrame(t=frame.t, head=frame.head, right=voided, left=frame.left)
-    return TrackingFrame(t=frame.t, head=frame.head, right=frame.right, left=voided)
 
 
 def validate_sequence(
@@ -259,79 +332,72 @@ def validate_sequence(
     it degrades to Unknown downstream rather than poisoning the model.
     """
     diagnostics: list[Diagnostic] = []
-    frames: list[TrackingFrame] = []
-    last_t: int | None = None
-    for i, frame in enumerate(seq.frames):
-        if last_t is not None:
-            if frame.t == last_t:
-                diagnostics.append(
-                    Diagnostic("duplicate-frame", f"frame index {frame.t} repeated; later dropped", frame=frame.t)
-                )
+    frames = seq.frames
+    t = frames.t
+    if not all(map(operator.lt, t, t[1:])):
+        kept = [0]
+        for i in range(1, len(t)):
+            last_t = t[kept[-1]]
+            if t[i] == last_t:
+                message = f"frame index {t[i]} repeated; later dropped"
+                diagnostics.append(Diagnostic("duplicate-frame", message, frame=t[i]))
                 continue
-            if frame.t < last_t:
-                raise NonMonotoneTimestamps(i, last_t, frame.t)
-        frames.append(frame)
-        last_t = frame.t
+            if t[i] < last_t:
+                raise NonMonotoneTimestamps(i, last_t, t[i])
+            kept.append(i)
 
+        def take(column: list | None) -> list | None:
+            return None if column is None else [column[i] for i in kept]
+
+        frames = Frames(take(t), *(Track(*map(take, track._astuple()))
+                                   for track in (frames.head, frames.right, frames.left)))
+
+    hands = []
     for hand in _HANDS:
-        prev: Vec2 | None = None
-        for i, frame in enumerate(frames):
-            pos = frame.hand(hand).pos
-            if pos is None:
+        track = frames.hand(hand)
+        x, y = list(track.x), list(track.y)
+        px = py = None  # the last position kept
+        for i in range(len(x)):
+            if x[i] is None:
                 continue
-            # On floats, not a Vec2: a displacement that overflows a double
-            # is an infinite jump, voided like any other.
-            jump = math.hypot(pos.x - prev.x, pos.y - prev.y) if prev is not None else 0.0
+            # On floats: a displacement that overflows a double is an
+            # infinite jump, voided like any other.
+            jump = math.hypot(x[i] - px, y[i] - py) if px is not None else 0.0
             if jump > params.max_jump:
-                diagnostics.append(
-                    Diagnostic(
-                        "teleport",
-                        f"{hand.value} hand jumped {jump:.3f} body units in one frame",
-                        frame=frame.t,
-                        hand=hand.value,
-                    )
-                )
-                frames[i] = _void_hand_pos(frame, hand)
-                prev = None
+                message = f"{hand.value} hand jumped {jump:.3f} body units in one frame"
+                diagnostics.append(Diagnostic("teleport", message, frames.t[i], hand.value))
+                x[i] = y[i] = px = py = None
                 continue
-            prev = pos
+            px, py = x[i], y[i]
+        hands.append(track._replace(x=x, y=y))
 
     diagnostics.sort(key=lambda d: (d.frame if d.frame is not None else -1, d.code, d.hand or ""))
-    return TrackingSequence(tuple(frames), seq.fps, seq.mirrored), diagnostics
+    frames = frames._replace(right=hands[0], left=hands[1])
+    return TrackingSequence(frames, seq.fps, seq.mirrored), diagnostics
 
 
 # --- Velocities and segmentation ---------------------------------------------
 
 
-def compute_velocities(seq: TrackingSequence) -> dict[Articulator, list[Vec2 | None]]:
-    """Backward-difference velocity per hand and frame, in body units per
-    frame. The first frame moves nothing; missing positions propagate."""
-    if not seq.frames:
-        raise EmptySequence("no frames")
-    out: dict[Articulator, list[Vec2 | None]] = {}
+def compute_velocities(
+    seq: TrackingSequence, first: int = 0, last: int | None = None
+) -> dict[Articulator, Track]:
+    """Backward-difference velocity per hand of frames `first` to `last`
+    (by default all), in body units per frame, as a Track whose columns
+    start at frame `first`. Frame 0 moves nothing; a velocity is missing
+    where the frame's position or the previous frame's is. Only frames
+    first - 1 to last are read."""
+    window = slice(max(first - 1, 0), None if last is None else last + 1)
+    out: dict[Articulator, Track] = {}
     for hand in _HANDS:
-        velocities: list[Vec2 | None] = []
-        for i, frame in enumerate(seq.frames):
-            pos = frame.hand(hand).pos
-            if pos is None:
-                velocities.append(None)
-                continue
-            if i == 0:
-                velocities.append(Vec2(0.0, 0.0))
-                continue
-            prev = seq.frames[i - 1].hand(hand).pos
-            velocities.append(None if prev is None else pos - prev)
-        out[hand] = velocities
+        track = seq.frames.hand(hand)
+        velocity = []
+        for column in (track.x[window], track.y[window]):
+            diffs = [None if a is None or b is None else b - a for a, b in zip(column, column[1:])]
+            _finite(diffs)
+            velocity.append(([None if column[0] is None else 0.0] if first == 0 else []) + diffs)
+        out[hand] = Track(*velocity)
     return out
-
-
-def _still_mask(seq: TrackingSequence, params: SegmentationParams) -> list[bool]:
-    velocities = compute_velocities(seq)
-    mask = []
-    for i in range(len(seq.frames)):
-        speeds = [velocities[h][i].norm for h in _HANDS if velocities[h][i] is not None]
-        mask.append(all(s < params.tau_still for s in speeds))
-    return mask
 
 
 def _still_runs(mask: list[bool], min_still: int) -> list[tuple[int, int]]:
@@ -359,9 +425,13 @@ def segment(seq: TrackingSequence, params: SegmentationParams | None = None) -> 
     """
     params = params or SegmentationParams()
     n = len(seq.frames)
-    if n == 0:
-        raise EmptySequence("no frames")
-    runs = _still_runs(_still_mask(seq, params), params.min_still)
+    right, left = compute_velocities(seq).values()
+    tau = params.tau_still
+    still = [
+        (rx is None or math.hypot(rx, ry) < tau) and (lx is None or math.hypot(lx, ly) < tau)
+        for rx, ry, lx, ly in zip(right.x, right.y, left.x, left.y)
+    ]
+    runs = _still_runs(still, params.min_still)
 
     key, trans = SegmentKind.KEY_POSTURE, SegmentKind.TRANSITION
     if not runs:
@@ -422,8 +492,9 @@ def posture_valuation(
     if posture.kind != SegmentKind.KEY_POSTURE:
         raise ValueError("valuation is defined on key postures")
     params = params or SegmentationParams()
-    frame = seq.frames[_representative(posture)]
-    right, left = frame.right.pos, frame.left.pos
+    i = _representative(posture)
+    frames = seq.frames
+    right, left = frames.right.point(i), frames.left.point(i)
     labels = sorted(set(config_labels))
     val: dict[Atom, ThreeVal] = {}
 
@@ -462,7 +533,7 @@ def posture_valuation(
     val[Touch(Articulator.LEFT, Articulator.RIGHT)] = touching
 
     for hand in _HANDS:
-        seen = frame.hand(hand).config
+        seen = frames.hand(hand).config[i]
         if seen is not None:
             val[Config(hand, seen)] = ThreeVal.TRUE
             for label in labels:
@@ -473,7 +544,7 @@ def posture_valuation(
                 val[Config(hand, label)] = ThreeVal.UNKNOWN
 
     for hand in _HANDS:
-        toward = frame.hand(hand).orient
+        toward = frames.hand(hand).orient[i]
         for d in Direction:
             atom = Orient(hand, d)
             if toward is None:
@@ -486,21 +557,19 @@ def posture_valuation(
 # --- Transition actions -------------------------------------------------------
 
 
-def _reversal_burst(
-    velocities: list[Vec2 | None], first: int, last: int, params: SegmentationParams
-) -> bool:
-    reversals = []
-    for i in range(first + 1, last + 1):
-        v_prev, v_cur = velocities[i - 1], velocities[i]
-        if v_prev is None or v_cur is None:
-            continue
-        if v_prev.x * v_cur.x + v_prev.y * v_cur.y < 0:
-            reversals.append(i)
-    for j, frame_idx in enumerate(reversals):
-        in_window = sum(1 for r in reversals[j:] if r < frame_idx + params.thrill_window)
-        if in_window >= params.thrill_min_reversals:
-            return True
-    return False
+def _reversal_burst(velocity: Track, params: SegmentationParams) -> bool:
+    """Whether thrill_min_reversals reversals of the velocity, a negative
+    dot product of two consecutive velocities, fall within thrill_window
+    frames. The reversals are in frame order, so `m` of them fit in the
+    window where one is less than the window before the one `m - 1` later."""
+    vx, vy = velocity.x, velocity.y
+    reversals = [
+        i for i in range(1, len(vx))
+        if vx[i - 1] is not None and vx[i] is not None
+        and vx[i - 1] * vx[i] + vy[i - 1] * vy[i] < 0
+    ]
+    m, window = params.thrill_min_reversals, params.thrill_window
+    return any(reversals[j + m - 1] < reversals[j] + window for j in range(len(reversals) - m + 1))
 
 
 def transition_action(
@@ -522,28 +591,23 @@ def transition_action(
     if transition.kind != SegmentKind.TRANSITION:
         raise ValueError("action labels are defined on transitions")
     params = params or SegmentationParams()
-    window_first = max(transition.first - 1, 0)
-    window = seq.frames[window_first : transition.last + 1]
-    # A velocity at frame i reads only frames i-1 and i, so the window's own
-    # velocities at first..last equal the whole sequence's; at first == 0 the
-    # window starts at frame 0, which keeps its zero velocity.
-    velocities = compute_velocities(seq._replace(frames=window))
-    first, last = transition.first - window_first, transition.last - window_first
+    window = range(max(transition.first - 1, 0), transition.last + 1)
+    velocities = compute_velocities(seq, transition.first, transition.last)
     contributions: list[Action] = []
     for hand in _HANDS:
-        positions = [f.hand(hand).pos for f in window]
-        present = [p for p in positions if p is not None]
+        track = seq.frames.hand(hand)
+        present = [i for i in window if track.x[i] is not None]
         if len(present) < 2:
             continue
-        net = present[-1] - present[0]
+        a, b = present[0], present[-1]
+        net = Vec2(track.x[b] - track.x[a], track.y[b] - track.y[a])
         if net.norm >= params.thrill_net_disp:
             contributions.append(Atomic(Move(hand, classify_direction(net))))
             continue
-        speeds = [v.norm for v in velocities[hand][first : last + 1] if v is not None]
+        velocity = velocities[hand]
+        speeds = [math.hypot(x, y) for x, y in zip(velocity.x, velocity.y) if x is not None]
         mean_speed = sum(speeds) / len(speeds) if speeds else 0.0
-        if mean_speed >= params.tau_still and _reversal_burst(
-            velocities[hand], first, last, params
-        ):
+        if mean_speed >= params.tau_still and _reversal_burst(velocity, params):
             contributions.append(Atomic(Thrill(hand)))
     if not contributions:
         return EPSILON_MOVE
@@ -599,10 +663,10 @@ def build_model(
                 edges.append((current, current, label))
                 continue
             edges.append((current, current + 1, label))
-        frame = seq.frames[_representative(posture)]
+        i = _representative(posture)
         valuations.append(valuation)
-        observed.append(frozenset(h for h in _HANDS if frame.hand(h).pos is not None))
-        configs.append({h: frame.hand(h).config for h in _HANDS})
+        observed.append(frozenset(h for h in _HANDS if seq.frames.hand(h).x[i] is not None))
+        configs.append({h: seq.frames.hand(h).config[i] for h in _HANDS})
 
     state_count = len(valuations)
     relation = {(s, t) for s, t, _ in edges}

@@ -42,6 +42,7 @@ from pdlsl import (
 )
 from pdlsl.cli import _dump_json
 from pdlsl.errors import SchemaError
+from pdlsl.extract import Track
 from pdlsl.geometry import DEFAULT_PLACE_MAP, classify_direction
 
 R, L = Articulator.RIGHT, Articulator.LEFT
@@ -111,7 +112,7 @@ def test_tracking_fixture_loads(route_tracking_doc):
 def test_velocities_stationary_hand():
     seq = hold_then_move(5, 0, 0)
     v = compute_velocities(seq)[R]
-    assert all(x == Vec2(0, 0) for x in v)
+    assert v.x == v.y == [0.0] * 5
 
 
 def test_velocities_constant_motion():
@@ -121,9 +122,9 @@ def test_velocities_constant_motion():
         mk_frame(2, right=hand(0.2, 0.0)),
     ]
     v = compute_velocities(seq_of(frames))[R]
-    assert v[0] == Vec2(0, 0)
-    assert v[1] == Vec2(0.1, 0.0)
-    assert abs(v[2].x - 0.1) < 1e-12
+    assert (v.x[0], v.y[0]) == (0.0, 0.0)
+    assert (v.x[1], v.y[1]) == (0.1, 0.0)
+    assert abs(v.x[2] - 0.1) < 1e-12
 
 
 def test_velocities_absence_propagates():
@@ -133,9 +134,8 @@ def test_velocities_absence_propagates():
         mk_frame(2, right=hand(0.1, 0.0)),
     ]
     v = compute_velocities(seq_of(frames))[R]
-    assert v[0] == Vec2(0, 0)
-    assert v[1] is None
-    assert v[2] is None  # previous position missing
+    assert v.x == [0.0, None, None]  # frame 2's previous position is missing
+    assert v.y == [0.0, None, None]
 
 
 # --- segmentation -----------------------------------------------------------------
@@ -562,9 +562,9 @@ def test_build_model_reads_velocities_of_each_frame_a_bounded_number_of_times(mo
     seq = posture_walk(80, random.Random(3))
     frames_read = []
 
-    def counting(s):
-        frames_read.append(len(s.frames))
-        return compute_velocities(s)
+    def counting(s, first=0, last=None):
+        frames_read.append((len(s.frames) - 1 if last is None else last) - first + 1)
+        return compute_velocities(s, first, last)
 
     monkeypatch.setattr(pdlsl.extract, "compute_velocities", counting)
     model = build_model(seq)
@@ -595,9 +595,46 @@ def _reference_reversal_burst(velocities, first, last, params):
     return False
 
 
+def _velocities_with_reversals(rng, n, gap):
+    """`n` velocities, some missing, whose sign flips about every `gap`
+    frames."""
+    velocities, sign = [], 1.0
+    for _ in range(n):
+        if rng.random() < 1 / gap:
+            sign = -sign
+        v = Vec2(sign * rng.uniform(0.001, 0.05), rng.uniform(-1e-3, 1e-3))
+        velocities.append(None if rng.random() < 0.03 else v)
+    return velocities
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_reversal_burst_matches_reference(seed):
+    rng = random.Random(seed)
+    n = rng.choice((rng.randint(2, 60), rng.randint(1000, 5000)))
+    velocities = _velocities_with_reversals(rng, n, rng.choice((1.2, 3, 8, 40)))
+    params = SegmentationParams(thrill_window=rng.randint(1, 10),
+                                thrill_min_reversals=rng.randint(1, 6))
+    track = Track([None if v is None else v.x for v in velocities],
+                  [None if v is None else v.y for v in velocities])
+    assert pdlsl.extract._reversal_burst(track, params) == _reference_reversal_burst(
+        velocities, 0, n - 1, params
+    )
+
+
+def reference_velocities(seq, h):
+    """Whole-sequence velocities of hand `h` as Vec2s, read off the frame
+    records one frame at a time."""
+    positions = [frame.hand(h).pos for frame in seq.frames]
+    return [
+        None if p is None else Vec2(0.0, 0.0) if i == 0
+        else None if positions[i - 1] is None else p - positions[i - 1]
+        for i, p in enumerate(positions)
+    ]
+
+
 def reference_transition_action(seq, transition, params):
     """The label computed from whole-sequence velocities."""
-    velocities = compute_velocities(seq)
+    velocities = {h: reference_velocities(seq, h) for h in (R, L)}
     window_first = max(transition.first - 1, 0)
     contributions = []
     for h in (R, L):
