@@ -150,9 +150,10 @@ def verify(
     labels = _Labeler(model)
     matches: list[list[Proposal]] = [[] for _ in model.states()]
     possibles: list[list[Proposal]] = [[] for _ in model.states()]
+    grounded: dict = {}  # each subformula and action grounded so far
     for entry in lexicon.entries:
         try:
-            formula = ground(entry.formula, handedness)
+            formula = ground(entry.formula, handedness, grounded)
         except AliasCollision as exc:
             message = f"sign {entry.name!r} uses {print_atom(exc.atom)}: {exc}"
             raise AliasCollision(message, exc.atom) from None

@@ -67,9 +67,6 @@ class Direction(Enum):
         return self.name
 
 
-#: Canonical iteration order; first entry wins ties elsewhere.
-CANONICAL_DIRECTIONS: tuple[Direction, ...] = tuple(Direction)
-
 #: Each direction's mirror image, the direction of its vector with x negated;
 #: -0.0 equals 0.0, so N and S are their own images.
 _MIRROR = {d: Direction((-d.unit[0], d.unit[1])) for d in Direction}
@@ -403,37 +400,29 @@ def ground_atom(atom: Atom, handedness: Handedness) -> Atom:
     raise TypeError(f"not an atom: {atom!r}")
 
 
-def ground_action(action: Action, handedness: Handedness) -> Action:
-    match action:
-        case Atomic(Move(articulator=b, direction=d)):
-            if b.is_alias:
-                d = resolve_direction(d, handedness)
-            return Atomic(Move(resolve_articulator(b, handedness), d))
-        case Atomic(Thrill(articulator=b)):
-            return Atomic(Thrill(resolve_articulator(b, handedness)))
-        case Concurrent(l, r):
-            return Concurrent(ground_action(l, handedness), ground_action(r, handedness))
-        case Choice(l, r):
-            return Choice(ground_action(l, handedness), ground_action(r, handedness))
-        case Seq(l, r):
-            return Seq(ground_action(l, handedness), ground_action(r, handedness))
-        case Star(body):
-            return Star(ground_action(body, handedness))
-    raise TypeError(f"not an action node: {action!r}")
-
-
-def ground(formula: Formula, handedness: Handedness) -> Formula:
-    """Resolve every dominant/weak alias in the formula. Preserves the tree
-    shape and is idempotent."""
-    match formula:
-        case Top():
-            return formula
-        case AtomF(atom):
-            return AtomF(ground_atom(atom, handedness))
-        case Not(body):
-            return Not(ground(body, handedness))
-        case And(left, right):
-            return And(ground(left, handedness), ground(right, handedness))
-        case Box(action, body):
-            return Box(ground_action(action, handedness), ground(body, handedness))
-    raise TypeError(f"not a formula node: {formula!r}")
+def ground(node: Formula | Action, handedness: Handedness, grounded: dict | None = None):
+    """Resolve every dominant/weak alias in a formula or action. Preserves
+    the tree shape and is idempotent. `grounded` maps each node grounded so
+    far to its result, so that each distinct subformula and action is
+    grounded once; a caller grounding many formulas passes one dict to all."""
+    if grounded is None:
+        grounded = {}
+    result = grounded.get(node)
+    if result is None:
+        match node:
+            case And() | Not() | Box() | Concurrent() | Choice() | Seq() | Star() | Top():
+                # These hold only formulas and actions: rebuild from grounded children.
+                result = type(node)(*[grounded.get(child) or ground(child, handedness, grounded)
+                                      for child in node._astuple()])
+            case AtomF(atom):
+                result = AtomF(ground_atom(atom, handedness))
+            case Atomic(Move(articulator=b, direction=d)):
+                if b.is_alias:
+                    d = resolve_direction(d, handedness)
+                result = Atomic(Move(resolve_articulator(b, handedness), d))
+            case Atomic(Thrill(articulator=b)):
+                result = Atomic(Thrill(resolve_articulator(b, handedness)))
+            case _:
+                raise TypeError(f"not a formula or action node: {node!r}")
+        grounded[node] = result
+    return result

@@ -8,15 +8,27 @@ containment. All functions are pure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable
 
-from .core import CANONICAL_DIRECTIONS, Direction, Place, Rect
+from .core import Direction, Place, Rect
 from .errors import CoincidentPoints, NonFinite, Record, ZeroVector, load_json
 from .schema import check, const, fixed, mapping, number, optional, table
 
 # Angles closer than this are treated as equal when classifying directions,
 # so exact 22.5 degree boundaries resolve by canonical order on every platform.
 _TIE_EPS = 1e-9
+# A vector's place in its quadrant is (|x| - |y|) / |v|, from -1 on the
+# vertical axis to 1 on the horizontal one. The two borders 22.5 degrees from
+# the axes are widened on both sides by the stretch in which two neighbouring
+# directions make rotation angles within _TIE_EPS of each other.
+_BORDER = math.sqrt(2.0) * math.sin(math.pi / 8)
+_TIE = math.sqrt(2.0) * math.cos(math.pi / 8) * math.radians(_TIE_EPS / 2)
+_EDGES = (-_BORDER - _TIE, -_BORDER + _TIE, _BORDER - _TIE, _BORDER + _TIE)
+# Each quadrant's direction in each stretch, from its vertical axis round;
+# on a border, the earlier canonical direction of the two.
+_QUADRANTS = {(x < 0, y < 0): tuple(map(Direction.__getitem__, names.split())) for x, y, names in (
+    (1, 1, "N N NE NE E"), (1, -1, "S SE SE E E"), (-1, -1, "S S SW SW W"), (-1, 1, "N N NW W W"))}
 
 
 class Vec2(Record):
@@ -58,18 +70,14 @@ def rotation_angle(v1: Vec2, v2: Vec2) -> float:
 
 def classify_direction(v: Vec2) -> Direction:
     """The compass direction whose unit vector makes the smallest rotation
-    angle with `v`; exact ties go to the earlier canonical direction."""
-    if v.norm == 0.0:
+    angle with `v`; exact ties go to the earlier canonical direction. The
+    sector is found by comparing `v` with the sector borders."""
+    ax, ay = abs(v.x), abs(v.y)
+    scale = max(ax, ay)
+    if scale == 0.0:
         raise ZeroVector("cannot classify a zero-length vector")
-    best: Direction | None = None
-    best_angle = math.inf
-    for d in CANONICAL_DIRECTIONS:
-        ux, uy = d.unit
-        angle = rotation_angle(v, Vec2(ux, uy))
-        if angle < best_angle - _TIE_EPS:
-            best, best_angle = d, angle
-    assert best is not None
-    return best
+    ax, ay = ax / scale, ay / scale  # the longer is 1, so nothing overflows or underflows
+    return _QUADRANTS[v.x < 0, v.y < 0][bisect_left(_EDGES, (ax - ay) / math.hypot(ax, ay))]
 
 
 def relative_direction(p1: Vec2, p2: Vec2) -> Direction:

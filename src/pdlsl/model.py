@@ -293,6 +293,7 @@ class _Labeler:
         self.closed_world = closed_world
         self._atoms = model.atom_index
         self._pred: dict[Action, tuple[dict[int, int], int, int]] = {}
+        self._labels: dict[Formula, tuple[int, int]] = {}
 
     def atom(self, atom: Atom) -> tuple[int, int]:
         lo, hi = self._atoms.bits(atom)
@@ -301,23 +302,30 @@ class _Labeler:
         return (lo, lo) if self.closed_world else (hi, hi)
 
     def formula(self, formula: Formula) -> tuple[int, int]:
-        match formula:
-            case Top():
-                return self.full, self.full
-            case AtomF(atom):
-                return self.atom(atom)
-            case Not(body):
-                lo, hi = self.formula(body)
-                return self.full ^ hi, self.full ^ lo
+        """A grounded formula's label; each distinct subformula is labeled once."""
+        label = self._labels.get(formula)
+        if label is not None:
+            return label
+        match formula:  # the commonest nodes first
             case And(l, r):
                 l_lo, l_hi = self.formula(l)
                 r_lo, r_hi = self.formula(r)
-                return l_lo & r_lo, l_hi & r_hi
+                label = l_lo & r_lo, l_hi & r_hi
+            case Not(body):
+                lo, hi = self.formula(body)
+                label = self.full ^ hi, self.full ^ lo
             case Box(action, body):
                 lo, hi = self.formula(body)
                 full = self.full
-                return full ^ self.pre(action, full ^ lo), full ^ self.pre(action, full ^ hi)
-        raise TypeError(f"not a formula node: {formula!r}")
+                label = full ^ self.pre(action, full ^ lo), full ^ self.pre(action, full ^ hi)
+            case AtomF(atom):
+                label = self.atom(atom)
+            case Top():
+                label = self.full, self.full
+            case _:
+                raise TypeError(f"not a formula node: {formula!r}")
+        self._labels[formula] = label
+        return label
 
     def reach(self, action: Action, targets: int) -> int:
         """<α*>Y: the states with an α-path into `targets`. Each state joins

@@ -103,22 +103,31 @@ __all__ = [
 
 # --- Tokens ------------------------------------------------------------------
 
-# Token kinds and their patterns, tried in this order: ":=" before ":", both
-# slash operators before the stray-slash error, and OTHER last. No other two
-# patterns can match at the same place, so the rest are ordered by how often
-# a lexicon uses them, which saves the regex engine failed alternatives.
+_ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
+_ACTION_HEADS = ("move", "thrill")
+_IDENT = "[A-Za-z_][A-Za-z0-9_]*"
+
+# Token kinds and their patterns, tried in this order: a leaf before IDENT,
+# ":=" before ":", both slash operators before the stray-slash error, and
+# OTHER last. No other two patterns can match at the same place, so the rest
+# are ordered by how often a lexicon uses them, which saves the regex engine
+# failed alternatives. An ATOM or ACTION token is a leaf without spaces, such
+# as `move(D,SE)`; with `leaves` unset, the tokens it spells come instead.
 # Digits have no pattern of their own: OTHER characters that pass
 # str.isdigit and touch are joined into one INT token, so digits such as
 # "²" make INT tokens too.
 _TOKENS = (
-    ("IDENT", "[A-Za-z_][A-Za-z0-9_]*"), ("SPACE", r"[ \t\r]+"),
+    *((kind, rf"(?:{'|'.join(heads)})\({_IDENT}(?:,{_IDENT})*\)")
+      for kind, heads in (("ATOM", _ATOM_HEADS), ("ACTION", _ACTION_HEADS))),
+    ("IDENT", _IDENT), ("SPACE", r"[ \t\r]+"),
     ("LPAREN", r"\("), ("RPAREN", r"\)"), ("COMMA", ","), ("NEWLINE", r"\n"),
     ("ANDOP", r"/\\"), ("ASSIGN", ":="), ("DOT", r"\."), ("ARROW", "->"),
     ("LBRACKET", r"\["), ("RBRACKET", r"\]"), ("BANG", "!"), ("PIPE", r"\|"), ("AMP", "&"),
     ("SEMI", ";"), ("STAR", r"\*"), ("LANGLE", "<"), ("RANGLE", ">"), ("COMMENT", r"\#[^\n]*"),
     ("OROP", r"\\/"), ("STRAY", r"[/\\]"), ("COLON", ":"), ("OTHER", "."),
 )
-_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKENS))
+_LEAF_RE, _TOKEN_RE = (re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in tokens))
+                       for tokens in (_TOKENS, _TOKENS[2:]))
 _SKIPPED = frozenset({"NEWLINE", "SPACE", "COMMENT"})
 
 # A token is a plain tuple (kind, text, offset, length); its SourceSpan is
@@ -137,11 +146,11 @@ def _span(breaks: list[int], offset: int, length: int = 1) -> SourceSpan:
     return SourceSpan(line, offset - breaks[line - 1], length)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, leaves: bool = False) -> list[_Token]:
     tokens: list[_Token] = []
     append = tokens.append
     digits_end = -1  # end of the last INT token, which a next digit extends
-    for m in _TOKEN_RE.finditer(text):
+    for m in (_LEAF_RE if leaves else _TOKEN_RE).finditer(text):
         kind = m.lastgroup
         if kind in _SKIPPED:
             continue
@@ -178,19 +187,18 @@ _DIRECTIONS = {d.name: d for d in Direction}
 #: Each leaf head and its node type, whose fields `LEAF_FIELDS` gives.
 _LEAVES = {"dir": RelDir, "at": At, "touch": Touch, "cfg": Config, "orient": Orient,
            "move": Move, "thrill": Thrill}
-_ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
-_ACTION_HEADS = ("move", "thrill")
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, leaves: bool = False):
         self.text = text
         # Every caller checks the current token's kind before consuming it,
         # and no rule consumes EOF, so reading never runs past the end.
-        self._next = iter(_tokenize(text)).__next__
+        self._next = iter(_tokenize(text, leaves)).__next__
         self.cur = self._next()  # the first token not consumed yet
         self.depth = 0  # nested constructs currently open
         self.breaks: list[int] | None = None  # _line_breaks(text), found on first use
+        self.leaf_nodes: dict[str, Atom | AtomicAction] = {}  # the node of each leaf token read
 
     # -- token plumbing --
 
@@ -278,7 +286,7 @@ class _Parser:
         if self._at_word("true"):
             self._advance()
             return TOP, 0
-        if self._at_word(*_ATOM_HEADS):
+        if kind == "ATOM" or self._at_word(*_ATOM_HEADS):
             return AtomF(self.atom()), 0
         raise self._unexpected("!", "[", "<", "(", "true", *_ATOM_HEADS)
 
@@ -301,7 +309,7 @@ class _Parser:
             self._expect("RPAREN", ")")
             self.depth -= 1
             return node, height
-        if self._at_word(*_ACTION_HEADS):
+        if self.cur[0] == "ACTION" or self._at_word(*_ACTION_HEADS):
             return Atomic(self.atomic_action()), 0
         raise self._unexpected(*_ACTION_HEADS, "(")
 
@@ -311,6 +319,12 @@ class _Parser:
     # -- leaves --
 
     def _leaf(self, heads: tuple[str, ...], what: str, noun: str):
+        kind, text, _, _ = self.cur
+        if kind in ("ATOM", "ACTION"):  # built from the tokens it spells, once per text
+            if text not in self.leaf_nodes:
+                self.leaf_nodes[text] = _Parser(text)._leaf(heads, what, noun)
+            self._advance()
+            return self.leaf_nodes[text]
         head_tok = self._expect("IDENT", what)
         self._expect("LPAREN", "(")
         head = head_tok[1]
@@ -365,14 +379,22 @@ _par_level = partial(_chain, _choice_level, "AMP", Concurrent, 1)
 _action = partial(_chain, _par_level, "SEMI", Seq, 1)
 
 
-def _parse_all(text: str, rule):
-    """Parse the whole text with one rule of the grammar."""
-    parser = _Parser(text)
-    node = rule(parser)
-    tok = parser.cur
-    if tok[0] != "EOF":
+def _parse_all(text: str, rule, leaves: bool = True):
+    """Parse the whole text with one rule of the grammar. With `leaves`, a
+    leaf written without spaces is one token; a text that fails to parse so
+    is read again token by token, which fails too, with the error and span
+    of the token where it does."""
+    parser = _Parser(text, leaves)
+    try:
+        node = rule(parser)
+        if parser.cur[0] == "EOF":
+            return node
+        tok = parser.cur
         raise ParseError(f"trailing input {tok[1]!r}", parser.span(tok), frozenset({"end of input"}))
-    return node
+    except ParseError:
+        if not leaves:
+            raise
+    return _parse_all(text, rule, False)
 
 
 def parse_formula(text: str) -> Formula:
@@ -384,12 +406,13 @@ def parse_action(text: str) -> Action:
     return _parse_all(text, _action)[0]
 
 
+# A single leaf gains nothing from leaf tokens, so it is read token by token.
 def parse_atom(text: str) -> Atom:
-    return _parse_all(text, _Parser.atom)
+    return _parse_all(text, _Parser.atom, False)
 
 
 def parse_atomic_action(text: str) -> AtomicAction:
-    return _parse_all(text, _Parser.atomic_action)
+    return _parse_all(text, _Parser.atomic_action, False)
 
 
 # --- Lexicon files -----------------------------------------------------------
@@ -418,11 +441,16 @@ class LexiconFile(Record):
         return frozenset().union(*(config_labels(e.formula) for e in self.entries))
 
     def canonical_text(self) -> str:
-        return "\n".join(f"sign {e.name} := {print_formula(e.formula)} ." for e in self.entries)
+        texts: dict = {}
+        return "\n".join(f"sign {e.name} := {_print_formula(e.formula, _F_AND, texts)} ."
+                         for e in self.entries)
 
 
 def parse_lexicon(text: str) -> LexiconFile:
-    p = _Parser(text)
+    return _parse_all(text, _lexicon)
+
+
+def _lexicon(p: _Parser) -> LexiconFile:
     if p._at_word("format"):
         p._advance()
         p._expect("COLON", ":")
@@ -515,26 +543,33 @@ def print_atom(atom: Atom) -> str:
     return template % spell(atom)
 
 
-def _print_formula(formula: Formula, min_level: int) -> str:
-    match formula:
-        case Top():
-            return "true"
-        case AtomF(atom):
-            return print_atom(atom)
-        case Not(body):
-            return f"!{_print_formula(body, _F_UNARY)}"
-        case Box(action, body):
-            return f"[{print_action(action)}] {_print_formula(body, _F_UNARY)}"
-        case And(l, r):
-            text = f"{_print_formula(l, _F_AND)} /\\ {_print_formula(r, _F_UNARY)}"
-            return f"({text})" if min_level > _F_AND else text
-    raise TypeError(f"not a formula node: {formula!r}")
+def _print_formula(formula: Formula, min_level: int, texts: dict) -> str:
+    """The formula's text at `min_level`. `texts` holds each subformula's
+    text once printed, without the parentheses that a tighter level adds."""
+    text = texts.get(formula)
+    if text is None:
+        match formula:  # the commonest nodes first
+            case And(l, r):
+                left = _print_formula(l, _F_AND, texts)
+                text = f"{left} /\\ {_print_formula(r, _F_UNARY, texts)}"
+            case Not(body):
+                text = f"!{_print_formula(body, _F_UNARY, texts)}"
+            case Box(action, body):
+                text = f"[{print_action(action)}] {_print_formula(body, _F_UNARY, texts)}"
+            case AtomF(atom):
+                text = print_atom(atom)
+            case Top():
+                text = "true"
+            case _:
+                raise TypeError(f"not a formula node: {formula!r}")
+        texts[formula] = text
+    return f"({text})" if min_level > _F_AND and type(formula) is And else text
 
 
 def print_formula(formula: Formula) -> str:
     """Canonical text that re-parses to an identical tree. Sugar is not
     reintroduced."""
-    return _print_formula(formula, _F_AND)
+    return _print_formula(formula, _F_AND, {})
 
 
 # --- Lint --------------------------------------------------------------------

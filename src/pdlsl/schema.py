@@ -186,8 +186,7 @@ def optional(node: Node, default: Any = None, null: bool = False) -> _Optional:
 
 
 def _unknown(label: str, names: frozenset[str], value: dict) -> None:
-    if not value.keys() <= names:
-        raise Invalid(f"unknown {label} key", next(k for k in value if k not in names))
+    raise Invalid(f"unknown {label} key", next(k for k in value if k not in names))
 
 
 def table(label: str, fields: Mapping[str, Node | _Optional],
@@ -200,14 +199,14 @@ def table(label: str, fields: Mapping[str, Node | _Optional],
     because it runs once per row of the largest lists, where a loop over the
     keys made `model_from_json` about a fifth slower. It is compiled on the
     node's first call, so a process pays only for the formats it reads."""
-    env = {"Invalid": Invalid, "ABSENT": object(), "build": build,
-           "unknown": partial(_unknown, label, frozenset(fields))}
+    env = {"Invalid": Invalid, "ABSENT": object(), "build": build, "names": frozenset(fields)}
+    env["unknown"] = partial(_unknown, label, env["names"])
     code = ["def check(value):",
             "    if type(value) is not dict:",
             "        raise Invalid('expected an object')"]
     required = not any(isinstance(field, _Optional) for field in fields.values())
     if not required:
-        code.append("    unknown(value)")
+        code.append("    if not value.keys() <= names: unknown(value)")
     code.append("    try:")
     for i, (key, field) in enumerate(fields.items()):
         code += [f"        key = {key!r}", f"        v{i} = value.get(key, ABSENT)"]

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdlsl import (
     DEFAULT_PLACE_MAP,
@@ -116,6 +116,66 @@ def test_classify_commutes_with_mirroring(v):
     assume(not _near_tie_boundary(v))
     mirrored = Vec2(-v.x, v.y)
     assert classify_direction(mirrored) is mirror_direction(classify_direction(v))
+
+
+_TIE_EPS = 1e-9
+
+
+def _classify_by_angles(v: Vec2) -> Direction:
+    """The earlier `classify_direction`, kept as the oracle: the direction
+    whose unit vector makes the smallest rotation angle with `v`, a later
+    one winning only by more than _TIE_EPS degrees."""
+    if v.norm == 0.0:
+        raise ZeroVector("cannot classify a zero-length vector")
+    best: Direction | None = None
+    best_angle = math.inf
+    for d in Direction:
+        ux, uy = d.unit
+        angle = rotation_angle(v, Vec2(ux, uy))
+        if angle < best_angle - _TIE_EPS:
+            best, best_angle = d, angle
+    assert best is not None
+    return best
+
+
+normal = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
+# Offsets from a border, in multiples of _TIE_EPS degrees: a vector within
+# half of one ties, and its direction comes from canonical order alone.
+_OFFSETS = (0.0, 0.1, 0.45, 0.55, 0.9, 1.1, 2.0, 10.0, 1e3, 1e6, 1e9)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.tuples(normal, normal).filter(lambda xy: xy != (0.0, 0.0)),
+        st.builds(
+            lambda k, offset, sign, scale: (
+                scale * math.sin(math.radians(22.5 + 45 * k + sign * offset * _TIE_EPS)),
+                scale * math.cos(math.radians(22.5 + 45 * k + sign * offset * _TIE_EPS)),
+            ),
+            st.integers(0, 7), st.sampled_from(_OFFSETS), st.sampled_from((-1, 1)),
+            st.sampled_from((1e-100, 1e-9, 0.3, 1.0, 7.0, 1e9, 1e100)),
+        ),
+        st.tuples(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5)),
+                  st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5))).filter(
+            lambda xy: xy != (0.0, 0.0)),
+    )
+)
+def test_classify_by_sector_borders_matches_rotation_angles(xy):
+    # Magnitudes stay where the oracle's norms and dot products neither
+    # overflow nor lose precision to subnormals (see the next test).
+    v = Vec2(*xy)
+    assert classify_direction(v) is _classify_by_angles(v)
+
+
+def test_classify_at_extreme_magnitudes():
+    # Here the oracle's arithmetic fails: its norm overflows to infinity, or
+    # a dot product with a unit vector rounds a subnormal to zero.
+    assert _classify_by_angles(Vec2(0.0, -5e-324)) is Direction.SE
+    assert classify_direction(Vec2(0.0, -5e-324)) is Direction.S
+    assert classify_direction(Vec2(-5e-324, -5e-324)) is Direction.SW
+    assert classify_direction(Vec2(1.5e308, 1.5e308)) is Direction.NE
+    assert classify_direction(Vec2(1.5e308, -1e300)) is Direction.E
 
 
 # --- relative_direction ------------------------------------------------------------

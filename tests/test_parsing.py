@@ -18,6 +18,7 @@ from pdlsl import (
     ParseError,
     RelDir,
     Seq,
+    SourceSpan,
     Star,
     Touch,
     UnknownArticulator,
@@ -273,6 +274,107 @@ def test_parse_atom_rejects_trailing_input():
     assert parse_atom("touch(R,L)") == Touch(R, L)
     with pytest.raises(ParseError):
         parse_atom("touch(R,L) x")
+
+
+# --- leaf tokens -----------------------------------------------------------------
+# A leaf written without spaces is one token, built once per parse. Each case
+# below reads as it did when every leaf was read token by token: the errors,
+# spans and expected sets are the ones that reading gave.
+
+ATOMS = ["at", "cfg", "dir", "orient", "touch"]
+FORMULA_START = ["!", "(", "<", "["] + ATOMS + ["true"]
+LEAF_ERRORS = [
+    # an atom head in action position, and the reverse, also after the same
+    # leaf was built where it belongs
+    ("parse_formula", "[touch(R,L)] true", ParseError, "unexpected 'touch'", (1, 2, 5),
+     ["(", "move", "thrill"]),
+    ("parse_formula", "move(R,E)", ParseError, "unexpected 'move'", (1, 1, 4), FORMULA_START),
+    ("parse_lexicon", "sign A := touch(R,L) .\nsign B := [touch(R,L)] true .", ParseError,
+     "unexpected 'touch'", (2, 12, 5), ["(", "move", "thrill"]),
+    ("parse_lexicon", "sign A := [move(R,E)] true .\nsign B := move(R,E) .", ParseError,
+     "unexpected 'move'", (2, 11, 4), FORMULA_START),
+    ("parse_atom", "move(R,E)", ParseError, "unknown atom 'move'", (1, 1, 4), ATOMS),
+    ("parse_atomic_action", "touch(R,L)", ParseError, "unknown action 'touch'", (1, 1, 5),
+     ["move", "thrill"]),
+    # a leaf as a sign name, a format version, a place or a first entry
+    ("parse_lexicon", "sign touch(R,L) := true .", ParseError, "unexpected '('", (1, 11, 1),
+     [":="]),
+    ("parse_lexicon", "sign A := true .\nsign A(R) := true .", DuplicateSign,
+     "duplicate sign 'A' (first defined at 1:6)", (2, 6, 1), []),
+    ("parse_lexicon", "format: touch(R,L)", ParseError, "unexpected 'touch'", (1, 9, 5),
+     ["format version"]),
+    ("parse_lexicon", "touch(R,L)", ParseError, "unexpected 'touch'", (1, 1, 5), ["sign"]),
+    ("parse_formula", "at(R,touch(R,L))", ParseError, "unexpected '('", (1, 11, 1), [")"]),
+    ("parse_formula", "true touch(R,L)", ParseError, "trailing input 'touch'", (1, 6, 5),
+     ["end of input"]),
+    # an unknown name or a wrong argument inside an otherwise well-formed leaf,
+    # also where the same head was built with good arguments before
+    ("parse_formula", "touch(R,Q)", UnknownArticulator, "unknown articulator 'Q'", (1, 9, 1),
+     ["D", "L", "R", "W"]),
+    ("parse_lexicon", "sign A := touch(R,L) .\nsign B := touch(R,Q) .", UnknownArticulator,
+     "unknown articulator 'Q'", (2, 19, 1), ["D", "L", "R", "W"]),
+    ("parse_lexicon", "sign A := dir(R,L,E) .\nsign B := dir(R,L,Q) .", UnknownDirection,
+     "unknown direction 'Q'", (2, 19, 1), ["E", "N", "NE", "NW", "S", "SE", "SW", "W"]),
+    ("parse_formula", "dir(R,R,E)", ParseError,
+     "relative direction needs two distinct articulators", (1, 10, 1), []),
+    ("parse_formula", "touch(R,L,E)", ParseError, "unexpected ','", (1, 10, 1), [")"]),
+    ("parse_formula", "at(R)", ParseError, "unexpected ')'", (1, 5, 1), [","]),
+    # a leaf cut off by the end of input
+    ("parse_formula", "touch(R,L", ParseError, "unexpected 'end of input'", (1, 10, 1), [")"]),
+    ("parse_lexicon", "sign A := touch(R,L) /\\ touch(R,L", ParseError,
+     "unexpected 'end of input'", (1, 34, 1), [")"]),
+]
+
+
+@pytest.mark.parametrize("entry, text, error, message, span, expected", LEAF_ERRORS)
+def test_leaf_tokens_keep_every_error_and_span(entry, text, error, message, span, expected):
+    with pytest.raises(error) as exc:
+        getattr(parsing, entry)(text)
+    assert type(exc.value) is error
+    assert (exc.value.args[0], exc.value.span, sorted(exc.value.expected)) == (
+        message, SourceSpan(*span), sorted(expected))
+
+
+def test_a_leaf_reads_the_same_with_and_without_spaces():
+    text = ("sign A := touch(R,L) /\\ touch( R , L ) .\n"
+            "sign B := [move(D,SE) ; move (D, SE)] touch(R,L) .\n"
+            "sign C := touch (R,L) .")
+    assert any(kind == "ATOM" for kind, *_ in parsing._tokenize(text, leaves=True))
+    a, b, c = parse_lexicon(text).entries
+    assert a.formula is And(AtomF(Touch(R, L)), AtomF(Touch(R, L)))
+    move = Atomic(Move(Articulator.DOMINANT, Direction.SE))
+    assert b.formula is Box(Seq(move, move), AtomF(Touch(R, L)))
+    assert c.formula is AtomF(Touch(R, L))
+    assert [e.span for e in (a, b, c)] == [SourceSpan(n, 6, 1) for n in (1, 2, 3)]
+
+
+def test_leaf_tokens_build_the_nodes_of_reading_token_by_token(route_lexicon_text):
+    text = route_lexicon_text + "".join(f"\nsign S{i} := {ROUTE_TEXT} ." for i in range(5))
+    leafy = parse_lexicon(text)
+    by_token = parsing._parse_all(text, parsing._lexicon, leaves=False)
+    assert leafy == by_token
+    assert all(a.formula is b.formula for a, b in zip(leafy.entries, by_token.entries))
+
+
+def test_parsing_twice_builds_the_same_leaves(monkeypatch):
+    # Each distinct leaf token is built by a parser of its own text, so
+    # counting parsers counts the leaves built; none is kept between calls.
+    made = []
+
+    class Counting(parsing._Parser):
+        def __init__(self, text, leaves=False):
+            made.append(text)
+            super().__init__(text, leaves)
+
+    monkeypatch.setattr(parsing, "_Parser", Counting)
+    text = "".join(f"sign S{i} := {ROUTE_TEXT} .\n" for i in range(3))
+    parse_lexicon(text)
+    first = sorted(made[1:])
+    made.clear()
+    parse_lexicon(text)
+    assert sorted(made[1:]) == first
+    assert first == sorted({"at(R,FACE)", "at(L,FACE)", "dir(L,R,E)", "cfg(R,CLAMP)",
+                            "cfg(L,CLAMP)", "touch(R,L)", "move(R,W)", "move(L,E)"})
 
 
 # --- lint ----------------------------------------------------------------------

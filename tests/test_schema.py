@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from pdlsl import ThreeVal, model_from_json, place_map_from_json, tracking_from_json
+from pdlsl import ThreeVal, model_from_json, place_map_from_json, schema, tracking_from_json
 from pdlsl.cli import main
 from pdlsl.errors import ConfigError, SchemaError
 from pdlsl.schema import (
@@ -103,6 +103,20 @@ def test_table_refusals(value, path, message):
     with pytest.raises(SchemaError) as info:
         check(ROW, value)
     assert (info.value.path, str(info.value)) == (path, f"{path or '/'}: {message}")
+
+
+def test_table_reports_unknown_keys_only_when_there_are_some(monkeypatch):
+    # A table with an optional key tests its keys inline, so an object whose
+    # keys are all known costs no call; tracking rows are such objects.
+    calls = []
+    real = schema._unknown
+    monkeypatch.setattr(schema, "_unknown", lambda *args: calls.append(args) or real(*args))
+    row = table("row", {"n": integer(0), "name": optional(string(), "anon")}, tuple)
+    assert [check(row, v) for v in ({"n": 1}, {"n": 2, "name": "x"})] == [(1, "anon"), (2, "x")]
+    assert calls == []
+    with pytest.raises(SchemaError) as info:
+        check(row, {"n": 1, "nmae": "x", "zz": 0})
+    assert str(info.value) == "/nmae: unknown row key" and len(calls) == 1
 
 
 def test_containers_point_at_the_failing_element():

@@ -3,7 +3,9 @@
 `_reference_tokenize` is the earlier `parsing._tokenize`, kept verbatim
 apart from its names: it builds a SourceSpan for every token. The current
 tokenizer keeps offsets and builds spans on demand, and must give the same
-kinds, texts and spans, or raise the same error at the same place.
+kinds, texts and spans, or raise the same error at the same place. With
+`leaves` set it gives a leaf written without spaces as one token, which
+must spell exactly the tokens the reference gives in its place.
 """
 
 import re
@@ -74,13 +76,30 @@ def _reference(text):
     return _outcome(_reference_tokenize, lambda _, tokens: [tuple(t) for t in tokens], text)
 
 
-def _current(text):
-    def materialize(text, tokens):
-        breaks = parsing._line_breaks(text)
-        return [(kind, word, parsing._span(breaks, offset, length))
-                for kind, word, offset, length in tokens]
+def _materialize(text, tokens):
+    breaks = parsing._line_breaks(text)
+    return [(kind, word, parsing._span(breaks, offset, length))
+            for kind, word, offset, length in tokens]
 
-    return _outcome(parsing._tokenize, materialize, text)
+
+def _current(text):
+    return _outcome(parsing._tokenize, _materialize, text)
+
+
+def _spelled_leaves(text):
+    """The tokens with leaf tokens, each leaf token replaced by the tokens
+    of its own text, moved to its place."""
+    tokens = []
+    for kind, word, offset, length in parsing._tokenize(text, leaves=True):
+        if kind in ("ATOM", "ACTION"):
+            tokens += [(k, w, offset + o, n) for k, w, o, n in parsing._tokenize(word)[:-1]]
+        else:
+            tokens.append((kind, word, offset, length))
+    return tokens
+
+
+def _leafy(text):
+    return _outcome(_spelled_leaves, _materialize, text)
 
 
 # Every token kind, line ends (LF, CRLF), tabs, digit runs with non-ASCII
@@ -90,6 +109,7 @@ _FRAGMENTS = (
     "(", ")", "[", "]", "<", ">", ",", ";", "&", "|", "*", "!", ".", "-", "=",
     " ", "  ", "\t", "\n", "\r\n", "\r", "# note", "# note\n", "#",
     "1", "42", "²", "٣", "7²", "@", "é", "\f", " ",
+    "touch(R,L)", "move(D,SE)", "at(R,x_1)", "thrill(W)", "dir(", "cfg(L,", "orient(R)",
 )
 
 _texts = st.tuples(
@@ -104,6 +124,12 @@ def test_tokenizer_matches_reference(text):
     assert _current(text) == _reference(text)
 
 
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_texts)
+def test_leaf_tokens_spell_the_reference_tokens(text):
+    assert _leafy(text) == _reference(text)
+
+
 def test_tokenizer_matches_reference_on_named_cases(route_lexicon_text):
     cases = [
         "", "\n", "#", "# only a comment", "a\n# last line comment",
@@ -113,9 +139,11 @@ def test_tokenizer_matches_reference_on_named_cases(route_lexicon_text):
         route_lexicon_text,
     ]
     for text in cases:
-        assert _current(text) == _reference(text), text
+        assert _current(text) == _reference(text) == _leafy(text), text
     # The cases reach both errors and both kinds of end of input.
     outcomes = [_current(text) for text in cases]
     assert any(isinstance(o, tuple) and "stray" in o[1] for o in outcomes)
     assert any(isinstance(o, tuple) and "unexpected" in o[1] for o in outcomes)
+    kinds = [kind for kind, *_ in parsing._tokenize(route_lexicon_text, leaves=True)]
+    assert kinds.count("ATOM") == 10 and kinds.count("ACTION") == 2
     assert _current("a # end")[-1] == ("EOF", "", SourceSpan(1, 3))
