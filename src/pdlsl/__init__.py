@@ -23,7 +23,7 @@ _API = {
         "resolve_direction",
     ),
     "errors": (
-        "AliasCollision", "CoincidentPoints", "ConfigError", "DuplicateSign", "EmptySequence",
+        "AliasCollision", "CoincidentPoints", "ConfigError", "DuplicateSign",
         "NoKeyPosture", "NonFinite", "NonMonotoneTimestamps", "ParseError", "PdlslError",
         "SchemaError", "SourceSpan", "UngroundedFormula", "UnknownArticulator",
         "UnknownDirection", "UnknownState", "ZeroVector",

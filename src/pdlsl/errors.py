@@ -152,10 +152,6 @@ class ConfigError(SchemaError):
     usage error by the command line."""
 
 
-class EmptySequence(PdlslError):
-    """A tracking sequence with no frames was given to segmentation."""
-
-
 class NoKeyPosture(PdlslError):
     """Segmentation produced no key posture to build states from."""
 

@@ -11,8 +11,9 @@ the synthetic fixtures deterministic; they are not tuned to any corpus.
 
 A sequence keeps its frames as columns (`Frames`), and every stage reads
 and writes columns of floats, so extraction makes no record per frame.
-`tracking_from_json` checks a tracking file against the tracking table and
-fills the columns from the checked rows.
+`tracking_from_json` checks a tracking file against the tracking table,
+each point finite, in one pass over the frames, and fills the columns from
+the checked rows.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .errors import NoKeyPosture, NonFinite, NonMonotoneTimestamps, Record
 from .geometry import (DEFAULT_PLACE_MAP, VEC, BodyFrame, PlaceMap, Vec2, classify_direction,
                        relative_direction)
 from .model import SegmentationParams, ThreeVal, UtteranceModel
-from .schema import (Invalid, Node, array, boolean, check, choice, const, integer, number, optional,
-                     string, table)
+from .schema import array, boolean, check, choice, const, integer, number, optional, string, table
 
 _HANDS = (Articulator.RIGHT, Articulator.LEFT)
 
@@ -115,17 +115,14 @@ def _finite(column: list[float | None]) -> None:
 
 
 def _columns(rows: Iterable[tuple]) -> Frames:
-    """Frames from rows `(t, head, right, left)`, where a point is `[x, y]`
-    or None and a hand is `(point, config, orient)`. Each coordinate column
-    becomes floats, where an integer too large for a double raises
-    OverflowError, and is then checked finite at once."""
+    """Frames from rows `(t, head, right, left)`, where a point is an `[x, y]`
+    of finite numbers or None and a hand is `(point, config, orient)`. Each
+    coordinate column becomes floats."""
     t, heads, rights, lefts = zip(*rows)
 
     def track(points: tuple, *labels: tuple) -> Track:
         x = [None if p is None else float(p[0]) for p in points]
         y = [None if p is None else float(p[1]) for p in points]
-        _finite(x)
-        _finite(y)
         return Track(x, y, *map(list, labels))
 
     return Frames(list(t), track(heads), track(*zip(*rights)), track(*zip(*lefts)))
@@ -198,50 +195,43 @@ TransitionLabel = Action | EpsilonMove
 # --- Input parsing -----------------------------------------------------------
 
 
+_NUMBERS = {int, float}
+
+
 def _point(value: Any) -> list:
-    """An `[x, y]` of two JSON numbers, kept as it is. Anything else is
-    passed to `VEC`, which refuses it with its message."""
-    if type(value) is list and len(value) == 2 and {int, float}.issuperset(map(type, value)):
-        return value
+    """An `[x, y]` of two finite JSON numbers, kept as it is. Anything else,
+    an integer too large for a double included, is passed to `VEC`, which
+    refuses it with its message."""
+    if type(value) is list and len(value) == 2:
+        x, y = value
+        try:
+            if type(x) in _NUMBERS and type(y) in _NUMBERS and math.isfinite(x) and math.isfinite(y):
+                return value
+        except OverflowError:
+            pass
     return VEC(value)
 
 
-def _frame_rows(point: Node) -> Node:
-    """The frames of a tracking file, each as a `(t, head, right, left)`
-    row, with `point` for every position. Every field of a hand and of a
-    frame but `t` may be missing or null: a tracker dropout."""
-    hand = table("hand", {
-        "pos": optional(point, null=True),
-        "config": optional(string(), null=True),
-        "orient": optional(choice(Direction.__members__), null=True),
-    }, tuple)
-    return array(table("frame", {
-        "t": integer(0),
-        "head": optional(point, null=True),
-        "right": optional(hand, (None, None, None), null=True),
-        "left": optional(hand, (None, None, None), null=True),
-    }, tuple), non_empty=True)
-
-
-_ROWS = _frame_rows(_point)
-
-
-def _frames(value: Any) -> Frames:
-    """The columns of the checked frames. On any failure the frames are
-    checked again with a `Vec2` per position, which raises the first error
-    in document order, at its place, as `VEC` reports it."""
-    try:
-        return _columns(_ROWS(value))
-    except (Invalid, ValueError, OverflowError):
-        _frame_rows(VEC)(value)
-        raise
-
+# The frames of a tracking file, each as a `(t, head, right, left)` row,
+# checked in one pass and kept as columns. Every field of a hand and of a
+# frame but `t` may be missing or null: a tracker dropout.
+_HAND = table("hand", {
+    "pos": optional(_point, null=True),
+    "config": optional(string(), null=True),
+    "orient": optional(choice(Direction.__members__), null=True),
+}, tuple)
+_FRAMES = array(table("frame", {
+    "t": integer(0),
+    "head": optional(_point, null=True),
+    "right": optional(_HAND, (None, None, None), null=True),
+    "left": optional(_HAND, (None, None, None), null=True),
+}, tuple), non_empty=True, build=_columns)
 
 _TRACKING = table("tracking", {
     "format": optional(const(1)),
     "fps": number(positive=True, build=float),
     "mirrored": optional(boolean(), False),
-    "frames": _frames,
+    "frames": _FRAMES,
 }, lambda _format, fps, mirrored, frames: TrackingSequence(frames, fps, mirrored))
 
 

@@ -196,14 +196,19 @@ class UtteranceModel(Record):
         return _AtomIndex(self)
 
 
-def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
-    """Valuation lookup with the documented default for unlisted atoms."""
+def _value(model: UtteranceModel, state: int, bits: Callable[[], tuple[int, int]]) -> ThreeVal:
+    """The value at `state`, a state of the model, in the bitsets `bits()`."""
     if not (0 <= state < model.state_count):
         raise UnknownState(f"state {state} outside 0..{model.state_count - 1}")
-    lo, hi = model.atom_index.bits(atom)
+    lo, hi = bits()
     if lo >> state & 1:
         return ThreeVal.TRUE
     return ThreeVal.UNKNOWN if hi >> state & 1 else ThreeVal.FALSE
+
+
+def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
+    """Valuation lookup with the documented default for unlisted atoms."""
+    return _value(model, state, lambda: model.atom_index.bits(atom))
 
 
 class _AtomIndex:
@@ -420,12 +425,7 @@ def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
 def _value_at(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:
     if contains_alias(formula):
         raise UngroundedFormula("formula mentions D or W; ground it first")
-    if not (0 <= state < labeler.model.state_count):
-        raise UnknownState(f"state {state} outside 0..{labeler.model.state_count - 1}")
-    lo, hi = labeler.formula(formula)
-    if lo >> state & 1:
-        return ThreeVal.TRUE
-    return ThreeVal.UNKNOWN if hi >> state & 1 else ThreeVal.FALSE
+    return _value(labeler.model, state, lambda: labeler.formula(formula))
 
 
 def eval_formula(model: UtteranceModel, state: int, formula: Formula) -> ThreeVal:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import partial
+from itertools import chain
 from operator import attrgetter
 
 from .core import (
@@ -112,7 +113,7 @@ _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 # OTHER last. No other two patterns can match at the same place, so the rest
 # are ordered by how often a lexicon uses them, which saves the regex engine
 # failed alternatives. An ATOM or ACTION token is a leaf without spaces, such
-# as `move(D,SE)`; with `leaves` unset, the tokens it spells come instead.
+# as `move(D,SE)`; `_TOKEN_RE`, which lacks the two, spells its text.
 # Digits have no pattern of their own: OTHER characters that pass
 # str.isdigit and touch are joined into one INT token, so digits such as
 # "²" make INT tokens too.
@@ -146,11 +147,11 @@ def _span(breaks: list[int], offset: int, length: int = 1) -> SourceSpan:
     return SourceSpan(line, offset - breaks[line - 1], length)
 
 
-def _tokenize(text: str, leaves: bool = False) -> list[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     append = tokens.append
     digits_end = -1  # end of the last INT token, which a next digit extends
-    for m in (_LEAF_RE if leaves else _TOKEN_RE).finditer(text):
+    for m in _LEAF_RE.finditer(text):
         kind = m.lastgroup
         if kind in _SKIPPED:
             continue
@@ -190,11 +191,15 @@ _LEAVES = {"dir": RelDir, "at": At, "touch": Touch, "cfg": Config, "orient": Ori
 
 
 class _Parser:
-    def __init__(self, text: str, leaves: bool = False):
+    """Where a rule reads the tokens that a leaf token spells, `_spell` puts
+    them in its place, so errors and spans are those of reading by token."""
+
+    def __init__(self, text: str):
         self.text = text
         # Every caller checks the current token's kind before consuming it,
         # and no rule consumes EOF, so reading never runs past the end.
-        self._next = iter(_tokenize(text, leaves)).__next__
+        self._tokens = iter(_tokenize(text))
+        self._next = self._tokens.__next__
         self.cur = self._next()  # the first token not consumed yet
         self.depth = 0  # nested constructs currently open
         self.breaks: list[int] | None = None  # _line_breaks(text), found on first use
@@ -212,7 +217,18 @@ class _Parser:
         self.cur = self._next()
         return tok
 
+    def _spell(self) -> None:
+        """Replace a current leaf token by the tokens its text spells. They
+        hold no leaf token, so they are read before the next base token."""
+        kind, text, offset, _ = self.cur
+        if kind in ("ATOM", "ACTION"):
+            spelled = [(m.lastgroup, m[0], offset + m.start(), m.end() - m.start())
+                       for m in _TOKEN_RE.finditer(text)]
+            self.cur = spelled[0]
+            self._next = chain(spelled[1:], self._tokens).__next__
+
     def _unexpected(self, *expected: str) -> ParseError:
+        self._spell()
         tok = self.cur
         message = f"unexpected {tok[1] or 'end of input'!r}"
         return ParseError(message, self.span(tok), frozenset(expected))
@@ -220,7 +236,10 @@ class _Parser:
     def _expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.cur
         if tok[0] != kind:
-            raise self._unexpected(what or kind)
+            self._spell()  # a leaf's first token may be the one expected
+            tok = self.cur
+            if tok[0] != kind:
+                raise self._unexpected(what or kind)
         self.cur = self._next()
         return tok
 
@@ -320,11 +339,17 @@ class _Parser:
 
     def _leaf(self, heads: tuple[str, ...], what: str, noun: str):
         kind, text, _, _ = self.cur
-        if kind in ("ATOM", "ACTION"):  # built from the tokens it spells, once per text
-            if text not in self.leaf_nodes:
-                self.leaf_nodes[text] = _Parser(text)._leaf(heads, what, noun)
+        if kind not in ("ATOM", "ACTION"):
+            return self._leaf_from_tokens(heads, what, noun)
+        if text in self.leaf_nodes:
             self._advance()
             return self.leaf_nodes[text]
+        self._spell()  # built from the tokens it spells, once per text
+        node = self.leaf_nodes[text] = self._leaf_from_tokens(heads, what, noun)
+        self._next = self._tokens.__next__  # a built leaf has read them all
+        return node
+
+    def _leaf_from_tokens(self, heads: tuple[str, ...], what: str, noun: str):
         head_tok = self._expect("IDENT", what)
         self._expect("LPAREN", "(")
         head = head_tok[1]
@@ -379,22 +404,15 @@ _par_level = partial(_chain, _choice_level, "AMP", Concurrent, 1)
 _action = partial(_chain, _par_level, "SEMI", Seq, 1)
 
 
-def _parse_all(text: str, rule, leaves: bool = True):
-    """Parse the whole text with one rule of the grammar. With `leaves`, a
-    leaf written without spaces is one token; a text that fails to parse so
-    is read again token by token, which fails too, with the error and span
-    of the token where it does."""
-    parser = _Parser(text, leaves)
-    try:
-        node = rule(parser)
-        if parser.cur[0] == "EOF":
-            return node
+def _parse_all(text: str, rule):
+    """Parse the whole text with one rule of the grammar."""
+    parser = _Parser(text)
+    node = rule(parser)
+    if parser.cur[0] != "EOF":
+        parser._spell()
         tok = parser.cur
         raise ParseError(f"trailing input {tok[1]!r}", parser.span(tok), frozenset({"end of input"}))
-    except ParseError:
-        if not leaves:
-            raise
-    return _parse_all(text, rule, False)
+    return node
 
 
 def parse_formula(text: str) -> Formula:
@@ -406,13 +424,12 @@ def parse_action(text: str) -> Action:
     return _parse_all(text, _action)[0]
 
 
-# A single leaf gains nothing from leaf tokens, so it is read token by token.
 def parse_atom(text: str) -> Atom:
-    return _parse_all(text, _Parser.atom, False)
+    return _parse_all(text, _Parser.atom)
 
 
 def parse_atomic_action(text: str) -> AtomicAction:
-    return _parse_all(text, _Parser.atomic_action, False)
+    return _parse_all(text, _Parser.atomic_action)
 
 
 # --- Lexicon files -----------------------------------------------------------

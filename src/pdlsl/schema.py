@@ -13,8 +13,9 @@ container an `Invalid` passes on its way out adds its key or index, and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from functools import partial
+from operator import length_hint
 from typing import Any, NamedTuple
 
 from .errors import SchemaError
@@ -52,19 +53,6 @@ def _build(build: Callable[[Any], Any], value: Any) -> Any:
         return build(value)
     except (ValueError, OverflowError) as exc:
         raise Invalid(str(exc)) from None
-
-
-def _locate(checks: Iterable[tuple[str | int, Node, Any]]) -> None:
-    """Runs the checks of a container's elements one by one and gives the
-    first failure its key. Containers check their elements in one
-    comprehension and call this only once it failed; checks have no side
-    effects, so the same element fails again."""
-    for key, node, value in checks:
-        try:
-            node(value)
-        except Invalid as exc:
-            exc.where.append(key)
-            raise
 
 
 # --- Leaves ------------------------------------------------------------------
@@ -131,10 +119,12 @@ def array(item: Node, non_empty: bool = False, build: Callable | None = None) ->
     def node(value: Any) -> Any:
         if type(value) is not list or non_empty and not value:
             raise Invalid(f"expected {expected}")
+        elements = iter(value)
         try:
-            out = [item(element) for element in value]
-        except Invalid:
-            _locate((i, item, element) for i, element in enumerate(value))
+            out = [item(element) for element in elements]
+        except Invalid as exc:
+            # The iterator has passed the failing element and holds the rest.
+            exc.where.append(len(value) - length_hint(elements) - 1)
             raise
         return out if build is None else _build(build, out)
 
@@ -163,10 +153,12 @@ def mapping(item: Node, non_empty: bool = False, build: Callable | None = None) 
     def node(value: Any) -> Any:
         if type(value) is not dict or non_empty and not value:
             raise Invalid(f"expected {expected}")
+        out = {}
         try:
-            out = {key: item(element) for key, element in value.items()}
-        except Invalid:
-            _locate((key, item, element) for key, element in value.items())
+            for key, element in value.items():
+                out[key] = item(element)
+        except Invalid as exc:
+            exc.where.append(key)
             raise
         return out if build is None else _build(build, out)
 

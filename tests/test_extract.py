@@ -100,6 +100,29 @@ def test_tracking_schema_errors():
         tracking_from_json({"fps": 25, "frames": [{"t": -1}]})
 
 
+def test_tracking_frames_are_checked_in_one_pass(monkeypatch):
+    # Only a point that fails goes to VEC, for its message; no point is
+    # checked twice, so an overflow at the last point costs one VEC call.
+    calls = []
+    vec = pdlsl.extract.VEC
+    monkeypatch.setattr(pdlsl.extract, "VEC", lambda value: calls.append(value) or vec(value))
+
+    def doc(bad):
+        frames = [{"t": i, "right": {"pos": bad.get(i, [0.1 * i, 0])}} for i in range(10)]
+        return {"fps": 25, "frames": frames}
+
+    with pytest.raises(SchemaError) as exc:
+        tracking_from_json(doc({9: [0, 10**400]}))
+    assert str(exc.value) == "/frames/9/right/pos: int too large to convert to float"
+    assert calls == [[0, 10**400]]
+    # The first bad point in document order is reported, an overflow too.
+    calls.clear()
+    with pytest.raises(SchemaError) as exc:
+        tracking_from_json(doc({3: [10**400, 0], 7: ["0", 0]}))
+    assert str(exc.value) == "/frames/3/right/pos: int too large to convert to float"
+    assert calls == [[10**400, 0]]
+
+
 def test_tracking_fixture_loads(route_tracking_doc):
     seq = tracking_from_json(route_tracking_doc)
     assert len(seq.frames) == 30

@@ -31,7 +31,7 @@ EXPORTED = {
         Star Thrill Top Touch config_labels contains_alias diamond ground ground_atom implies
         iter_atoms iter_atomic_actions mirror_direction or_ resolve_articulator
         resolve_direction""",
-    "errors": """AliasCollision CoincidentPoints ConfigError DuplicateSign EmptySequence
+    "errors": """AliasCollision CoincidentPoints ConfigError DuplicateSign
         NoKeyPosture NonFinite NonMonotoneTimestamps ParseError PdlslError SchemaError
         SourceSpan UngroundedFormula UnknownArticulator UnknownDirection UnknownState
         ZeroVector""",

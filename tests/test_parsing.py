@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,7 @@ from pdlsl import (
 
 from pdlsl import parsing
 from test_core import formulas  # hypothesis strategy
+from test_tokenizer import spaced_leaves
 
 R, L = Articulator.RIGHT, Articulator.LEFT
 E, W, NE = Direction.E, Direction.W, Direction.NE
@@ -339,7 +342,7 @@ def test_a_leaf_reads_the_same_with_and_without_spaces():
     text = ("sign A := touch(R,L) /\\ touch( R , L ) .\n"
             "sign B := [move(D,SE) ; move (D, SE)] touch(R,L) .\n"
             "sign C := touch (R,L) .")
-    assert any(kind == "ATOM" for kind, *_ in parsing._tokenize(text, leaves=True))
+    assert any(kind == "ATOM" for kind, *_ in parsing._tokenize(text))
     a, b, c = parse_lexicon(text).entries
     assert a.formula is And(AtomF(Touch(R, L)), AtomF(Touch(R, L)))
     move = Atomic(Move(Articulator.DOMINANT, Direction.SE))
@@ -350,31 +353,59 @@ def test_a_leaf_reads_the_same_with_and_without_spaces():
 
 def test_leaf_tokens_build_the_nodes_of_reading_token_by_token(route_lexicon_text):
     text = route_lexicon_text + "".join(f"\nsign S{i} := {ROUTE_TEXT} ." for i in range(5))
-    leafy = parse_lexicon(text)
-    by_token = parsing._parse_all(text, parsing._lexicon, leaves=False)
+    spaced = spaced_leaves(text)  # read token by token
+    assert not {"ATOM", "ACTION"} & {kind for kind, *_ in parsing._tokenize(spaced)}
+    leafy, by_token = parse_lexicon(text), parse_lexicon(spaced)
     assert leafy == by_token
     assert all(a.formula is b.formula for a, b in zip(leafy.entries, by_token.entries))
 
 
 def test_parsing_twice_builds_the_same_leaves(monkeypatch):
-    # Each distinct leaf token is built by a parser of its own text, so
-    # counting parsers counts the leaves built; none is kept between calls.
+    # Each distinct leaf token is spelled once, to build its node, so
+    # counting spelled leaves counts the leaves built; none is kept between
+    # calls.
+    spelled = []
+    spell = parsing._Parser._spell
+
+    def counting(parser):
+        if parser.cur[0] in ("ATOM", "ACTION"):
+            spelled.append(parser.cur[1])
+        spell(parser)
+
+    monkeypatch.setattr(parsing._Parser, "_spell", counting)
+    text = "".join(f"sign S{i} := {ROUTE_TEXT} .\n" for i in range(3))
+    parse_lexicon(text)
+    first = sorted(spelled)
+    spelled.clear()
+    parse_lexicon(text)
+    assert sorted(spelled) == first
+    assert first == sorted({"at(R,FACE)", "at(L,FACE)", "dir(L,R,E)", "cfg(R,CLAMP)",
+                            "cfg(L,CLAMP)", "touch(R,L)", "move(R,W)", "move(L,E)"})
+
+
+VALID = {"parse_formula": ROUTE_TEXT, "parse_action": "move(R,W) ; (move (L,E) & thrill(W))*",
+         "parse_atom": "dir(L,R,E)", "parse_atomic_action": "move(D,SE)"}
+
+
+@pytest.mark.parametrize("entry", [*VALID, "parse_lexicon"])
+def test_each_parse_builds_one_parser(monkeypatch, route_lexicon_text, entry):
+    # A leaf token is built and an error reported by the parser that read it.
     made = []
 
     class Counting(parsing._Parser):
-        def __init__(self, text, leaves=False):
+        def __init__(self, text, *args):
             made.append(text)
-            super().__init__(text, leaves)
+            super().__init__(text, *args)
 
     monkeypatch.setattr(parsing, "_Parser", Counting)
-    text = "".join(f"sign S{i} := {ROUTE_TEXT} .\n" for i in range(3))
-    parse_lexicon(text)
-    first = sorted(made[1:])
-    made.clear()
-    parse_lexicon(text)
-    assert sorted(made[1:]) == first
-    assert first == sorted({"at(R,FACE)", "at(L,FACE)", "dir(L,R,E)", "cfg(R,CLAMP)",
-                            "cfg(L,CLAMP)", "touch(R,L)", "move(R,W)", "move(L,E)"})
+    valid = VALID.get(entry, route_lexicon_text)
+    getattr(parsing, entry)(valid)
+    assert made == [valid]
+    for _, text, *_ in LEAF_ERRORS:
+        made.clear()
+        with contextlib.suppress(ParseError):
+            getattr(parsing, entry)(text)
+        assert made == [text]
 
 
 # --- lint ----------------------------------------------------------------------

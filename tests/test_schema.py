@@ -134,6 +134,25 @@ def test_containers_point_at_the_failing_element():
         assert info.value.path == path
 
 
+def test_containers_check_each_element_once():
+    # A failing element is located as it fails, not by checking again.
+    seen = []
+    natural = integer(0)
+
+    def item(value):
+        seen.append(value)
+        return natural(value)
+
+    for node, value, path, checked in [
+        (array(item), [0, 1, -2, 3], "/2", [0, 1, -2]),
+        (mapping(item), {"a": 0, "b": -1, "c": 2}, "/b", [0, -1]),
+    ]:
+        seen.clear()
+        with pytest.raises(SchemaError) as info:
+            check(node, value)
+        assert (info.value.path, seen) == (path, checked)
+
+
 def test_build_errors_are_reported_at_their_node():
     def positive(value):
         if value <= 0:

@@ -3,9 +3,11 @@
 `_reference_tokenize` is the earlier `parsing._tokenize`, kept verbatim
 apart from its names: it builds a SourceSpan for every token. The current
 tokenizer keeps offsets and builds spans on demand, and must give the same
-kinds, texts and spans, or raise the same error at the same place. With
-`leaves` set it gives a leaf written without spaces as one token, which
-must spell exactly the tokens the reference gives in its place.
+kinds, texts and spans, or raise the same error at the same place. It
+gives a leaf written without spaces as one token, so it is compared with
+the reference on the text with a space after every `(` and `,` of each
+leaf, which it never joins. A parser that spells each leaf token must read
+exactly the tokens the reference gives in its place.
 """
 
 import re
@@ -86,16 +88,23 @@ def _current(text):
     return _outcome(parsing._tokenize, _materialize, text)
 
 
+def spaced_leaves(text):
+    """The text with a space after every `(` and `,` of each leaf token."""
+    return parsing._LEAF_RE.sub(
+        lambda m: m[0].replace("(", "( ").replace(",", ", ")
+        if m.lastgroup in ("ATOM", "ACTION") else m[0], text)
+
+
 def _spelled_leaves(text):
-    """The tokens with leaf tokens, each leaf token replaced by the tokens
-    of its own text, moved to its place."""
+    """The tokens a parser reads when it spells every leaf token."""
+    parser = parsing._Parser(text)
     tokens = []
-    for kind, word, offset, length in parsing._tokenize(text, leaves=True):
-        if kind in ("ATOM", "ACTION"):
-            tokens += [(k, w, offset + o, n) for k, w, o, n in parsing._tokenize(word)[:-1]]
-        else:
-            tokens.append((kind, word, offset, length))
-    return tokens
+    while True:
+        parser._spell()
+        tokens.append(parser.cur)
+        if parser.cur[0] == "EOF":
+            return tokens
+        parser._advance()
 
 
 def _leafy(text):
@@ -121,7 +130,8 @@ _texts = st.tuples(
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(_texts)
 def test_tokenizer_matches_reference(text):
-    assert _current(text) == _reference(text)
+    spaced = spaced_leaves(text)
+    assert _current(spaced) == _reference(spaced)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
@@ -139,11 +149,13 @@ def test_tokenizer_matches_reference_on_named_cases(route_lexicon_text):
         route_lexicon_text,
     ]
     for text in cases:
-        assert _current(text) == _reference(text) == _leafy(text), text
+        spaced = spaced_leaves(text)
+        assert _current(spaced) == _reference(spaced), text
+        assert _leafy(text) == _reference(text), text
     # The cases reach both errors and both kinds of end of input.
-    outcomes = [_current(text) for text in cases]
+    outcomes = [_current(spaced_leaves(text)) for text in cases]
     assert any(isinstance(o, tuple) and "stray" in o[1] for o in outcomes)
     assert any(isinstance(o, tuple) and "unexpected" in o[1] for o in outcomes)
-    kinds = [kind for kind, *_ in parsing._tokenize(route_lexicon_text, leaves=True)]
+    kinds = [kind for kind, *_ in parsing._tokenize(route_lexicon_text)]
     assert kinds.count("ATOM") == 10 and kinds.count("ACTION") == 2
     assert _current("a # end")[-1] == ("EOF", "", SourceSpan(1, 3))
