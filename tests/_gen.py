@@ -384,3 +384,58 @@ def gen_tracking(rng: random.Random) -> tuple[dict, dict]:
         doc["mirrored"] = mirrored
     return doc, options
 
+
+
+# --- Model documents -----------------------------------------------------------
+
+# Each grounded atom with the texts a model file may spell it with; the
+# spaced ones read as the same atom.
+MODEL_ATOM_TEXTS: tuple[tuple[str, ...], ...] = (
+    ("touch(R,L)", "touch(R, L)"),
+    ("touch(L,R)",),
+    ("at(R,FACE)", " at(R,FACE) "),
+    ("at(L,CHEST)",),
+    ("dir(R,L,E)", "dir( R,L,E )"),
+    ("dir(L,R,NW)",),
+    ("cfg(R,CLAMP)",),
+    ("cfg(L,FLAT)",),
+    ("orient(R,N)",),
+)
+_MODEL_ACTIONS = ("move(R,E)", "move(L,W)", "thrill(R)")
+_VALUES = ("true", "false", "unknown")
+
+
+def gen_model_doc(rng: random.Random, min_states: int = 1, max_states: int = 12) -> dict:
+    """A valid format-1 model document. Its valuation rows are shuffled,
+    spell some atoms in more than one way, and repeat some cells with the
+    same value; `observed` and `configs` cover a random prefix of the
+    states."""
+    n = rng.randint(min_states, max_states)
+    relation = {(s, rng.randrange(n)) for s in range(n)}
+    relation |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))}
+    pairs = sorted(relation)
+    actions = [
+        {"action": text, "edges": [list(p) for p in rng.sample(pairs, rng.randint(0, len(pairs)))]}
+        for text in rng.sample(_MODEL_ACTIONS, rng.randint(0, 3))
+    ]
+    density = rng.random()
+    rows = [
+        {"state": s, "atom": rng.choice(texts), "value": rng.choice(_VALUES)}
+        for texts in rng.sample(MODEL_ATOM_TEXTS, rng.randint(0, len(MODEL_ATOM_TEXTS)))
+        for s in range(n)
+        if rng.random() < density
+    ]
+    for row in rng.sample(rows, min(len(rows), rng.choice((0, 1, 3)))):
+        texts = next(t for t in MODEL_ATOM_TEXTS if row["atom"] in t)
+        rows.append(dict(row, atom=rng.choice(texts)))
+    rng.shuffle(rows)
+    observed = [sorted(h for h in ("R", "L") if rng.random() < 0.7)
+                for _ in range(rng.randint(0, n))]
+    configs = [{h: rng.choice((None, "CLAMP", "FLAT")) for h in ("R", "L") if rng.random() < 0.8}
+               for _ in range(rng.randint(0, n))]
+    doc = {"format": 1, "states": n, "relation": [list(p) for p in pairs], "actions": actions,
+           "valuation": rows, "observed": observed, "configs": configs}
+    if rng.random() < 0.7:
+        doc["meta"] = {"fps": rng.choice((25, 30.0)), "mirrored": rng.random() < 0.3,
+                       "segmentation": {"tau_still": 0.02, "min_still": rng.randint(1, 4)}}
+    return doc

@@ -11,6 +11,10 @@ with a file under `tests/golden/`:
 * `extract.tsv` - 200 seeded tracking documents from `_gen.gen_tracking`,
   run through `tracking_from_json` and `extract_model`, with the sha256 of
   the model file and the diagnostics, or the error, of each;
+* `load.tsv` - 300 seeded model documents from `_gen.gen_model_doc`, a third
+  valid and the rest with one or two defects each, run through
+  `model_from_json`, with the sha256 of the model file written back, or
+  `SchemaError: pointer: message`;
 * `parse.tsv` - about 1,500 seeded inputs built from grammar fragments,
   with the outcome of each parser entry point: the printed tree, or
   `Class line:col+len message (expected ...)` for a parse error.
@@ -27,9 +31,9 @@ import random
 import pytest
 
 from pdlsl.cli import _dump_json, main
-from pdlsl.errors import ParseError, PdlslError
+from pdlsl.errors import ParseError, PdlslError, SchemaError
 from pdlsl.extract import extract_model, tracking_from_json
-from pdlsl.model import model_to_json
+from pdlsl.model import model_from_json, model_to_json
 from pdlsl.parsing import (
     MAX_DEPTH,
     parse_action,
@@ -43,7 +47,7 @@ from pdlsl.parsing import (
     print_formula,
 )
 
-from _gen import gen_tracking
+from _gen import MODEL_ATOM_TEXTS, gen_model_doc, gen_tracking
 from conftest import EXAMPLES
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -250,6 +254,85 @@ def _extract_rows() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _some_row(rng: random.Random, doc: dict) -> dict:
+    """A valuation row of `doc` that is still an object, added if none is."""
+    rows = [row for row in doc["valuation"] if type(row) is dict]
+    if not rows:
+        rows = [{"state": 0, "atom": "touch(R,L)", "value": "true"}]
+        doc["valuation"].insert(rng.randint(0, len(doc["valuation"])), rows[0])
+    return rng.choice(rows)
+
+
+def _conflicting_repeat(rng: random.Random, doc: dict, state: int | None = None) -> None:
+    """A row repeated later, maybe spelled another way, with another value."""
+    if state is None:
+        first = _some_row(rng, doc)
+        texts = next((t for t in MODEL_ATOM_TEXTS if first.get("atom") in t), (first.get("atom"),))
+        first = dict(first)
+    else:
+        texts = rng.choice(MODEL_ATOM_TEXTS)
+        first = {"state": state, "atom": texts[0], "value": "true"}
+        doc["valuation"].insert(rng.randint(0, len(doc["valuation"])), first)
+    rows = doc["valuation"]
+    start = next((i for i, row in enumerate(rows) if row == first), len(rows) - 1) + 1
+    other = next(v for v in ("false", "unknown", "true") if v != first.get("value"))
+    rows.insert(rng.randint(start, len(rows)), dict(first, atom=rng.choice(texts), value=other))
+
+
+LOAD_DEFECTS = {
+    "row not an object": lambda rng, doc: doc["valuation"].insert(
+        rng.randint(0, len(doc["valuation"])),
+        rng.choice((3, "touch(R,L)", None, True, [0, "touch(R,L)", "true"]))),
+    "missing key": lambda rng, doc: _some_row(rng, doc).pop(rng.choice(("state", "atom", "value")),
+                                                             None),
+    "unknown key": lambda rng, doc: _some_row(rng, doc).update(
+        {rng.choice(("vaule", "State", "note")): "true"}),
+    "bool state": lambda rng, doc: _some_row(rng, doc).update(state=rng.choice((True, False))),
+    "negative state": lambda rng, doc: _some_row(rng, doc).update(state=-rng.randint(1, 3)),
+    "float state": lambda rng, doc: _some_row(rng, doc).update(state=1.0),
+    "unknown value": lambda rng, doc: _some_row(rng, doc).update(
+        value=rng.choice(("True", "maybe", "", 1, None))),
+    "bad atom": lambda rng, doc: _some_row(rng, doc).update(
+        atom=rng.choice(("touch(R,", "foo(R)", "", "touch(R,R)", "dir(R,Q,E)", "move(R,E)", 7))),
+    "alias atom": lambda rng, doc: _some_row(rng, doc).update(
+        atom=rng.choice(("touch(D,W)", "at(W,FACE)", "cfg(D,CLAMP)", "dir(R,W,E)"))),
+    "conflicting repeat": _conflicting_repeat,
+    "state out of range": lambda rng, doc: _some_row(rng, doc).update(
+        state=doc["states"] + rng.choice((0, 1, 7, 10**20))),
+    "conflict out of range": lambda rng, doc: _conflicting_repeat(
+        rng, doc, rng.choice((-2, doc["states"], 10**20))),
+    "bad observed": lambda rng, doc: doc["observed"].append(rng.choice((["X"], "R", [1]))),
+    "bad configs": lambda rng, doc: doc["configs"].append(
+        rng.choice(({"R": 3}, {"Q": None}, []))),
+    "bad meta": lambda rng, doc: doc.update(meta=rng.choice((
+        {"fps": -1}, {"segmentation": {"tau_still": "x"}}, {"fps": 25, "speed": 1}))),
+    "long observed": lambda rng, doc: doc.update(observed=[["R"]] * (doc["states"] + 1)),
+    "not serial": lambda rng, doc: doc.update(
+        relation=[p for p in doc["relation"] if p[0] != doc["states"] - 1]),
+}
+
+
+def _load_outcome(seed: int) -> str:
+    rng = random.Random(f"load:{seed}")
+    doc = gen_model_doc(rng)
+    defects = [] if seed % 3 == 0 else rng.sample(sorted(LOAD_DEFECTS), rng.choice((1, 1, 2)))
+    for name in defects:
+        LOAD_DEFECTS[name](rng, doc)
+    try:
+        model = model_from_json(doc)
+    except SchemaError as exc:
+        outcome = f"SchemaError: {exc}"
+    else:
+        outcome = hashlib.sha256(_dump_json(model_to_json(model)).encode("utf-8")).hexdigest()
+    return f"{', '.join(defects) or 'valid'}\t{outcome}"
+
+
+def _load_rows() -> str:
+    lines = ["seed\tdefects\toutcome"]
+    lines += [f"{seed}\t{_load_outcome(seed)}" for seed in range(300)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_extract_matches_golden(fixture, tmp_path):
     got = _extract(fixture, tmp_path / "model.json")
@@ -270,6 +353,10 @@ def test_eval_matches_golden(capsys):
 
 def test_extract_rows_match_golden():
     assert _extract_rows().encode("utf-8") == (GOLDEN / "extract.tsv").read_bytes()
+
+
+def test_load_rows_match_golden():
+    assert _load_rows().encode("utf-8") == (GOLDEN / "load.tsv").read_bytes()
 
 
 def test_parse_matches_golden():
@@ -296,6 +383,7 @@ def regenerate() -> None:
                 _check(fixture, dominant, GOLDEN / f"{fixture}.{dominant}.report.json")
     (GOLDEN / "eval.tsv").write_bytes(_eval_rows(run).encode("utf-8"))
     (GOLDEN / "extract.tsv").write_bytes(_extract_rows().encode("utf-8"))
+    (GOLDEN / "load.tsv").write_bytes(_load_rows().encode("utf-8"))
     (GOLDEN / "parse.tsv").write_bytes(_parse_rows().encode("utf-8"))
 
 
