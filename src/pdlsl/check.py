@@ -120,17 +120,19 @@ def apply_overrides(
     model: UtteranceModel, overrides: Iterable[Override], handedness: Handedness
 ) -> UtteranceModel:
     """A copy of the model with override values in place of the extracted
-    (or defaulted) ones. Override atoms may use the D/W aliases."""
-    valuation = dict(model.valuation)
+    (or defaulted) ones; of two overrides of one cell, the later wins, also
+    when the aliases ground them to the same atom. Override atoms may use
+    the D/W aliases. Only the bitsets of the overridden atoms are rebuilt."""
+    cells = []
     for ov in overrides:
         if not (0 <= ov.state < model.state_count):
             raise UnknownState(f"override targets state {ov.state}")
         try:
-            valuation[(ov.state, ground_atom(ov.atom, handedness))] = ov.value
+            cells.append((ov.state, ground_atom(ov.atom, handedness), ov.value))
         except AliasCollision as exc:
             message = f"override for state {ov.state} uses {print_atom(ov.atom)}: {exc}"
             raise AliasCollision(message, ov.atom) from None
-    return model._replace(valuation=valuation)
+    return model._with_valuation(model.valuation.patched(cells))
 
 
 def verify(

@@ -43,7 +43,7 @@ from .core import (
 from .errors import NoKeyPosture, NonFinite, NonMonotoneTimestamps, Record
 from .geometry import (DEFAULT_PLACE_MAP, VEC, BodyFrame, PlaceMap, Vec2, classify_direction,
                        relative_direction)
-from .model import SegmentationParams, ThreeVal, UtteranceModel
+from .model import SegmentationParams, ThreeVal, UtteranceModel, Valuation
 from .schema import array, boolean, check, choice, const, integer, number, optional, string, table
 
 _HANDS = (Articulator.RIGHT, Articulator.LEFT)
@@ -668,16 +668,11 @@ def build_model(
         for atomic in iter_atomic_actions(label):
             interp.setdefault(atomic, set()).add((s, t))
 
-    flat_valuation = {
-        (state, atom): value
-        for state, val in enumerate(valuations)
-        for atom, value in val.items()
-    }
     return UtteranceModel(
         state_count=state_count,
         relation=frozenset(relation),
         action_interp={a: frozenset(pairs) for a, pairs in interp.items()},
-        valuation=flat_valuation,
+        valuation=Valuation.of(state_count, enumerate(valuations)),
         observed=tuple(observed),
         config_observed=tuple(configs),
         meta={

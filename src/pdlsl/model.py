@@ -4,13 +4,17 @@ A model is a finite serial transition system over integer states, with an
 interpretation of atomic actions as edge sets and a three-valued atomic
 valuation. Formulas follow standard relational box semantics with strong
 Kleene connectives, so missing tracking data degrades answers to Unknown
-instead of guessing.
+instead of guessing. The valuation is held in one form from the model file
+or extraction to the labeler: per atom, the bitsets of the states listed
+True, Unknown and False (`Valuation`), which also reads as a mapping from
+`(state, atom)` to the value.
 
 One labeler evaluates formulas, labeling every state at once in the manner
 of CTL labeling (Clarke, Emerson & Sistla 1986). Three-valued truth is the
 pair of two-valued passes of Bruns & Godefroid (1999): a bitset of the
 states where a formula is True and one of those where it is True or
-Unknown. Atoms read per-model bitsets. Its one modal operator, `<α>`,
+Unknown. An atom's pair applies the documented defaults to its valuation
+bitsets, once per model. Its one modal operator, `<α>`,
 follows the PDL reductions with `<α*>` as backward reachability (Lange
 2006, "Model checking propositional dynamic logic with all extras";
 Cleaveland & Steffen 1993, "A linear-time model-checking algorithm for the
@@ -23,12 +27,14 @@ A model file is read by `model_from_json`, which checks it against the
 model table of `schema` and builds the model in the same walk; what is not
 about shape (a cell or action listed twice with different contents, the
 hand aliases, atom syntax, seriality and state ranges) is checked here.
+Its valuation rows are read straight into the bitsets, with no record per
+row or cell.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from enum import Enum
 from functools import cached_property, partial, reduce
 from types import MappingProxyType
@@ -68,6 +74,7 @@ from .schema import (
     choice,
     const,
     fixed,
+    given,
     integer,
     number,
     optional,
@@ -82,6 +89,10 @@ class ThreeVal(Enum):
     TRUE = "true"
     FALSE = "false"
     UNKNOWN = "unknown"
+
+    # The members are singletons, so they hash by identity, which a dict
+    # looks up at C speed; `Enum` hashes the name in Python.
+    __hash__ = object.__hash__
 
     @staticmethod
     def from_bool(b: bool) -> "ThreeVal":
@@ -125,10 +136,99 @@ class SegmentationParams(Record):
 _EMPTY_OBSERVED: frozenset[Articulator] = frozenset()
 _NO_CONFIGS: Mapping[Articulator, str | None] = {}
 
+_VALUES = (ThreeVal.TRUE, ThreeVal.UNKNOWN, ThreeVal.FALSE)
+#: A cell's code in the per-state bytes a valuation is read into: 0 for an
+#: unlisted cell, then 1, 2 and 3 for the values of `_VALUES`.
+_CODE = {value: code for code, value in enumerate(_VALUES, 1)}
+_TEXT_CODE = {value.value: code for value, code in _CODE.items()}
+_SPLIT = tuple(bytes.maketrans(b"\0\1\2\3", digits) for digits in (b"0100", b"0010", b"0001"))
+
+
+class Valuation(Mapping):
+    """A three-valued valuation of the states 0..state_count-1 as bitsets:
+    `listed` maps each atom to the states listed True, Unknown and False. It
+    reads as a mapping from `(state, atom)` to the listed `ThreeVal`.
+
+    `outside` holds the `(state, atom)` cells that were listed at a state
+    outside the range, first listed first; a model refuses a valuation
+    with any."""
+
+    __slots__ = ("state_count", "listed", "outside")
+
+    def __init__(self, state_count: int, listed: dict[Atom, tuple[int, int, int]],
+                 outside: tuple[tuple[int, Atom], ...] = ()):
+        self.state_count = state_count
+        self.listed = listed
+        self.outside = outside
+
+    @classmethod
+    def of(cls, state_count: int,
+           states: Iterable[tuple[int, Mapping[Atom, ThreeVal]]]) -> Valuation:
+        """The valuation that lists, for each `(state, values)` pair, the
+        atoms of `values` at `state` with their values."""
+        codes: dict[Atom, bytearray] = {}
+        outside: list[tuple[int, Atom]] = []
+        for state, values in states:
+            if not 0 <= state < state_count:
+                outside += [(state, atom) for atom in values]
+                continue
+            for atom, value in values.items():
+                per_state = codes.get(atom)
+                if per_state is None:
+                    per_state = codes[atom] = bytearray(state_count)
+                per_state[state] = _CODE[value]
+        return cls._read(state_count, codes, outside)
+
+    @classmethod
+    def _read(cls, state_count: int, codes: dict[Atom, bytearray],
+              outside: Iterable[tuple[int, Atom]]) -> Valuation:
+        """The valuation whose cells are coded one byte per state and atom
+        (see `_CODE`), with the `outside` cells in their order."""
+        listed = {}
+        for atom, per_state in codes.items():
+            digits = per_state[::-1]  # state 0 is the lowest bit
+            listed[atom] = tuple(int(digits.translate(split), 2) for split in _SPLIT)
+        return cls(state_count, listed, tuple(outside))
+
+    def patched(self, cells: Iterable[tuple[int, Atom, ThreeVal]]) -> Valuation:
+        """A copy with `(state, atom, value)` cells, at states of the
+        valuation, listed in place of what this one lists there; a later
+        cell for the same state and atom wins. Only the bitsets of their
+        atoms are rebuilt."""
+        listed = dict(self.listed)
+        for state, atom, value in cells:
+            bit = 1 << state
+            bits = [states & ~bit for states in listed.get(atom, (0, 0, 0))]
+            bits[_CODE[value] - 1] |= bit
+            listed[atom] = tuple(bits)
+        return Valuation(self.state_count, listed)
+
+    def __getitem__(self, key: tuple[int, Atom]) -> ThreeVal:
+        state, atom = key
+        bits = self.listed.get(atom)
+        if bits is not None and state >= 0:
+            for value, states in zip(_VALUES, bits):
+                if states >> state & 1:
+                    return value
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, Atom]]:
+        for atom, (true, unknown, false) in self.listed.items():
+            for state in _members(true | unknown | false):
+                yield state, atom
+
+    def __len__(self) -> int:
+        return sum((true | unknown | false).bit_count()
+                   for true, unknown, false in self.listed.values())
+
 
 class UtteranceModel(Record):
     """States 0..state_count-1, a serial transition relation, the edges of
-    each atomic action, and a per-state atomic valuation.
+    each atomic action, and a three-valued atomic valuation, held as a
+    `Valuation`: per atom, the bitsets of the states listed True, Unknown
+    and False. A model may be given its valuation as any mapping from
+    `(state, atom)` to `ThreeVal`; construction reads it into a
+    `Valuation` through `Valuation.of`, state by state.
 
     `observed` records which hands had a tracked position at each state and
     `config_observed` the hand-shape label seen there, if any; both drive
@@ -151,6 +251,13 @@ class UtteranceModel(Record):
     def __post_init__(self) -> None:
         if self.state_count < 1:
             raise ValueError("a model needs at least one state")
+        valuation = self.valuation
+        if type(valuation) is not Valuation or valuation.state_count != self.state_count:
+            by_state: dict[int, dict[Atom, ThreeVal]] = {}
+            for (state, atom), value in valuation.items():
+                by_state.setdefault(state, {})[atom] = value
+            valuation = Valuation.of(self.state_count, by_state.items())
+            object.__setattr__(self, "valuation", valuation)
         for pair in self.relation:
             self._check_pair(pair)
         sources = {s for s, _ in self.relation}
@@ -163,12 +270,11 @@ class UtteranceModel(Record):
                     raise ValueError(
                         f"{print_atomic_action(action)} maps edge {pair} outside the relation"
                     )
-        for s, atom in self.valuation:
-            if not 0 <= s < self.state_count:
-                raise ValueError(
-                    f"{print_atom(atom)} is valued at state {s}, "
-                    f"outside 0..{self.state_count - 1}"
-                )
+        if valuation.outside:
+            s, atom = valuation.outside[0]
+            raise ValueError(
+                f"{print_atom(atom)} is valued at state {s}, outside 0..{self.state_count - 1}"
+            )
         for name, per_state in (("observed", self.observed), ("configs", self.config_observed)):
             if len(per_state) > self.state_count:
                 raise ValueError(
@@ -191,9 +297,19 @@ class UtteranceModel(Record):
 
     @cached_property
     def atom_index(self) -> _AtomIndex:
-        """The valuation and observation records as bitsets, built the first
-        time they are read."""
+        """Each atom's value as bitsets, with the defaults the observation
+        records give, built the first time it is read."""
         return _AtomIndex(self)
+
+    def _with_valuation(self, valuation: Valuation) -> UtteranceModel:
+        """This model with another valuation of its states. The other
+        fields were checked when this model was built, so nothing is checked
+        again."""
+        model = object.__new__(UtteranceModel)
+        for name, value in zip(self.__match_args__, self._astuple()):
+            object.__setattr__(model, name, value)
+        object.__setattr__(model, "valuation", valuation)
+        return model
 
 
 def _value(model: UtteranceModel, state: int, bits: Callable[[], tuple[int, int]]) -> ThreeVal:
@@ -212,27 +328,17 @@ def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
 
 
 class _AtomIndex:
-    """Bitsets over a model's states, built in one pass over its valuation,
-    `observed` and `config_observed`: per atom the states listed True,
-    Unknown and False; per hand the states that observed it, that saw a
-    hand-shape label, and that saw each label. An atom's `(lo, hi)` pair
-    (True states, True-or-Unknown states) applies the documented defaults
-    to these bitsets, once per atom."""
+    """Bitsets over a model's states: per atom the states listed True,
+    Unknown and False, as the model's valuation holds them; per hand the
+    states that observed it, that saw a hand-shape label, and that saw each
+    label, built in one pass over `observed` and `config_observed`. An
+    atom's `(lo, hi)` pair (True states, True-or-Unknown states) applies the
+    documented defaults to these bitsets, once per atom."""
 
     def __init__(self, model: UtteranceModel):
         n = model.state_count
         self.full = (1 << n) - 1
-        cells: dict[Atom, tuple[list[int], list[int], list[int]]] = {}
-        for (s, atom), value in model.valuation.items():
-            states = cells.get(atom)
-            if states is None:
-                states = cells[atom] = ([], [], [])
-            if value is ThreeVal.TRUE:
-                states[0].append(s)
-            elif value is ThreeVal.UNKNOWN:
-                states[1].append(s)
-            else:
-                states[2].append(s)
+        self.listed = model.valuation.listed
         observed: dict[Articulator, list[int]] = {}
         for s, hands in enumerate(model.observed):
             for hand in hands:
@@ -244,10 +350,6 @@ class _AtomIndex:
                 if label is not None:
                     seen.setdefault(hand, []).append(s)
                     labels.setdefault((hand, label), []).append(s)
-        self.listed = {
-            atom: tuple(_bitset(states, n) for states in by_value)
-            for atom, by_value in cells.items()
-        }
         self.observed = {hand: _bitset(states, n) for hand, states in observed.items()}
         self.config_seen = {hand: _bitset(states, n) for hand, states in seen.items()}
         self.config_label = {key: _bitset(states, n) for key, states in labels.items()}
@@ -389,10 +491,13 @@ _WORD = (1 << 64) - 1
 
 
 def _bitset(states: list[int], state_count: int) -> int:
-    """The bitset of the listed states, in one pass: OR-ing them in one by
-    one would copy a growing integer per state."""
+    """The bitset of the listed states, states of 0..state_count-1, in one
+    pass: OR-ing them in one by one would copy a growing integer per
+    state."""
     digits = bytearray(b"0" * state_count)
     for s in states:
+        if not 0 <= s < state_count:
+            raise ValueError(f"state {s} outside 0..{state_count - 1}")
         digits[state_count - 1 - s] = 49  # ord("1")
     return int(digits, 2)
 
@@ -453,12 +558,20 @@ def model_to_json(model: UtteranceModel) -> dict[str, Any]:
         for a, pairs in model.action_interp.items()
     ]
     actions.sort(key=lambda entry: entry["action"])
-    texts: dict[Atom, str] = {}  # each distinct atom is printed once
-    cells = sorted(
-        (s, texts.get(atom) or texts.setdefault(atom, print_atom(atom)), v.value)
-        for (s, atom), v in model.valuation.items()
-    )
-    valuation = [{"state": s, "atom": text, "value": value} for s, text, value in cells]
+    columns = []  # per atom, its text and the value listed at each state
+    for atom, bits in model.valuation.listed.items():
+        values = [None] * model.state_count
+        for value, states in zip(_VALUES, bits):
+            for s in _members(states):
+                values[s] = value.value
+        columns.append((print_atom(atom), values))
+    columns.sort(key=lambda column: column[0])
+    valuation = [
+        {"state": s, "atom": text, "value": values[s]}
+        for s in model.states()
+        for text, values in columns
+        if values[s] is not None
+    ]
     observed = [
         sorted(a.value for a in model.observed_at(s)) for s in model.states()
     ]
@@ -496,20 +609,45 @@ def _actions(entries: list[tuple[AtomicAction, frozenset[Pair]]]) -> dict:
     return interp
 
 
-def _valuation(cells: list[tuple[int, str, ThreeVal]]) -> dict:
-    valuation: dict[tuple[int, Atom], ThreeVal] = {}
-    atoms: dict[str, Atom] = {}  # each distinct atom text is parsed once
-    for i, (state, text, value) in enumerate(cells):
-        atom = atoms.get(text)
-        if atom is None:
+_ROWS = array(table("valuation", {
+    "state": integer(), "atom": string(), "value": choice({v.value: v for v in ThreeVal}),
+}))
+
+
+def _valuation(rows: Any, state_count: int) -> Valuation:
+    """The valuation rows read straight into per-state bytes per atom. Every
+    row's shape is checked first; then, in file order, each atom text (once
+    per distinct text) and each cell listed again. A cell outside the states
+    is kept aside for the model's cross-field check."""
+    rows = _ROWS(rows)
+    codes: dict[Atom, bytearray] = {}
+    atoms: dict[str, tuple[Atom, bytearray]] = {}  # each distinct atom text is parsed once
+    outside: dict[tuple[int, Atom], int] = {}
+    for i, row in enumerate(rows):
+        text, state, code = row["atom"], row["state"], _TEXT_CODE[row["value"]]
+        entry = atoms.get(text)
+        if entry is None:
             try:
-                atom = atoms[text] = _hands_only(parse_atom, text)
+                atom = _hands_only(parse_atom, text)
             except Invalid as exc:
                 exc.where += ["atom", i]
                 raise
-        if valuation.setdefault((state, atom), value) is not value:
-            raise Invalid(f"{text} at state {state} is listed again with another value", i)
-    return valuation
+            per_state = codes.get(atom)
+            if per_state is None:
+                per_state = codes[atom] = bytearray(state_count)
+            entry = atoms[text] = atom, per_state
+        atom, per_state = entry
+        if 0 <= state < state_count:
+            listed = per_state[state]
+            if not listed:
+                per_state[state] = code
+                continue
+            if listed == code:
+                continue
+        elif outside.setdefault((state, atom), code) == code:
+            continue
+        raise Invalid(f"{text} at state {state} is listed again with another value", i)
+    return Valuation._read(state_count, codes, outside)
 
 
 def _model(_format, states, relation, actions, valuation, observed, configs, meta) -> UtteranceModel:
@@ -532,9 +670,7 @@ _MODEL = table("model", {
     "actions": optional(array(table("action", {
         "action": string(partial(_hands_only, parse_atomic_action)), "edges": _PAIRS,
     }, tuple), build=_actions), {}),
-    "valuation": optional(array(table("valuation", {
-        "state": integer(), "atom": string(), "value": choice({v.value: v for v in ThreeVal}),
-    }, tuple), build=_valuation), {}),
+    "valuation": optional(given("states", _valuation), {}),
     "observed": optional(array(array(_HAND, build=frozenset), build=tuple), ()),
     "configs": optional(array(table("configs", {
         "R": optional(string(), null=True), "L": optional(string(), null=True),

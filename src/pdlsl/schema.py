@@ -177,11 +177,22 @@ def optional(node: Node, default: Any = None, null: bool = False) -> _Optional:
     return _Optional(node, default, null)
 
 
+class _Given(NamedTuple):
+    key: str
+    node: Callable[[Any, Any], Any]
+
+
+def given(key: str, node: Callable[[Any, Any], Any]) -> _Given:
+    """A table key whose node also takes the result of an earlier key of
+    the table, as `node(value, result)`."""
+    return _Given(key, node)
+
+
 def _unknown(label: str, names: frozenset[str], value: dict) -> None:
     raise Invalid(f"unknown {label} key", next(k for k in value if k not in names))
 
 
-def table(label: str, fields: Mapping[str, Node | _Optional],
+def table(label: str, fields: Mapping[str, Node | _Optional | _Given],
           build: Callable | None = None) -> Node:
     """An object with the keys of `fields` and no other. The result is
     `build` of the keys' results in table order, with `build=tuple` their
@@ -209,7 +220,10 @@ def table(label: str, fields: Mapping[str, Node | _Optional],
             code += [f"        if v{i} is ABSENT{null}:", f"            v{i} = default{i}",
                      "        else:"]
             indent = "            "
-        if hasattr(field, "plain"):
+        if isinstance(field, _Given):
+            env[f"node{i}"] = field.node
+            code.append(f"{indent}v{i} = node{i}(v{i}, v{list(fields).index(field.key)})")
+        elif hasattr(field, "plain"):
             env[f"types{i}"], expected = field.plain
             code += [f"{indent}if type(v{i}) not in types{i}:",
                      f"{indent}    raise Invalid({'expected ' + expected!r})"]

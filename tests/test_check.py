@@ -21,6 +21,7 @@ from pdlsl import (
     UnknownState,
     anchor_atoms,
     apply_overrides,
+    atom_value,
     extract_model,
     lexicon_hash,
     parse_atom,
@@ -251,6 +252,22 @@ def test_override_atoms_may_use_aliases(route_setup):
     overrides = parse_overrides("state 0: touch(D,W) = unknown")
     report = verify(model, lexicon, RIGHT_DOM, overrides=overrides)
     assert report_shape(report)[0] == [("ROUTE", "possible")]
+
+
+@pytest.mark.parametrize("first, second", [(U, F), (F, U), (T, F)])
+def test_a_later_override_of_a_cell_wins(route_setup, first, second):
+    # touch(D,W) grounds to touch(R,L) for a right-dominant signer, so the
+    # two lines set one cell; for a left-dominant one, touch(L,R) is another.
+    model, _ = route_setup
+    text = f"state 0: touch(D,W) = {first.value}\nstate 0: touch(R,L) = {second.value}\n"
+    right = apply_overrides(model, parse_overrides(text), RIGHT_DOM)
+    assert atom_value(right, 0, Touch(R, L)) is second
+    assert atom_value(right, 0, Touch(L, R)) is atom_value(model, 0, Touch(L, R))
+    left = apply_overrides(model, parse_overrides(text), Handedness.LEFT_DOMINANT)
+    assert (atom_value(left, 0, Touch(R, L)), atom_value(left, 0, Touch(L, R))) == (second, first)
+    again = f"state 0: touch(R,L) = {second.value}\nstate 0: touch(D,W) = {first.value}\n"
+    assert atom_value(apply_overrides(model, parse_overrides(again), RIGHT_DOM), 0,
+                      Touch(R, L)) is first
 
 
 # --- verdict monotonicity ----------------------------------------------------------------

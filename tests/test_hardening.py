@@ -15,7 +15,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdlsl import Articulator, ThreeVal, Touch, UtteranceModel
+import pdlsl.model
+from pdlsl import Articulator, ThreeVal, Touch, UtteranceModel, model_from_json
+from pdlsl.errors import SchemaError
 from pdlsl.cli import main
 from pdlsl.parsing import MAX_DEPTH
 
@@ -250,6 +252,25 @@ def test_model_refuses_valuation_outside_its_states():
             action_interp={},
             valuation={(2, Touch(Articulator.RIGHT, Articulator.LEFT)): ThreeVal.TRUE},
         )
+
+
+@pytest.mark.parametrize("state", [-1, 2, 3, 10**20])
+def test_bitsets_refuse_states_outside_the_model(state):
+    # A state of 2 or more used to set a wrong bit, and -1 raised IndexError.
+    with pytest.raises(ValueError, match=f"^state {state} outside 0..1$"):
+        pdlsl.model._bitset([0, state], 2)
+
+
+@pytest.mark.parametrize("state", [-1, 2, 10**20])
+def test_model_file_rows_outside_the_states_never_reach_a_bitset(state):
+    doc = {"format": 1, "states": 2, "relation": [[0, 1], [1, 1]], "valuation": [
+        {"state": 1, "atom": ATOM, "value": "true"},
+        {"state": state, "atom": ATOM, "value": "false"},
+        {"state": state, "atom": "at(R,FACE)", "value": "true"},
+    ]}
+    with pytest.raises(SchemaError) as info:
+        model_from_json(doc)
+    assert str(info.value) == f"/: {ATOM} is valued at state {state}, outside 0..1"
 
 
 # --- unreadable files -----------------------------------------------------------------

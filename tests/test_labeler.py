@@ -4,7 +4,9 @@ Star-heavy formulas and actions are compared with the independent oracles
 of `_gen` on seeded 30-60 state models, and `&` over `*`, `;` and `|`, and
 `*` over `&`, on seeded 100-150 state models. The per-atom bitsets and
 `atom_value` are compared with the documented defaults, written out state
-by state in `_reference_atom_value`. A counting test checks that `verify`
+by state in `_reference_atom_value` from a plain dict of the listed cells,
+on models built in code and on seeded 30-400 state model files, with and
+without overrides. A counting test checks that `verify`
 stores predecessor rows only for atomic and `&` actions and reads a number
 of rows linear in the length of a star chain.
 """
@@ -46,7 +48,10 @@ from pdlsl import (
     diamond,
     eval_formula,
     eval_two_valued,
+    ground_atom,
     interpret_action,
+    model_from_json,
+    parse_atom,
     parse_lexicon,
     verify,
 )
@@ -270,12 +275,14 @@ def test_composite_actions_match_the_oracles_on_larger_models(seed):
 # --- atom bitsets and the documented defaults ---------------------------------------------
 
 
-def _reference_atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
-    """`atom_value` as it read the valuation dict and the observation
-    records state by state, before the per-atom bitsets."""
+def _reference_atom_value(model: UtteranceModel, cells: dict, state: int,
+                          atom: Atom) -> ThreeVal:
+    """`atom_value` read state by state from `cells`, a dict of the listed
+    `(state, atom)` cells, and the model's observation records, as it was
+    before the per-atom bitsets."""
     if not (0 <= state < model.state_count):
         raise UnknownState(f"state {state} outside 0..{model.state_count - 1}")
-    listed = model.valuation.get((state, atom))
+    listed = cells.get((state, atom))
     if listed is not None:
         return listed
     observed = model.observed_at(state)
@@ -314,10 +321,11 @@ ATOMS: tuple[Atom, ...] = (
 LABELS = (None, "CLAMP", "FLAT")
 
 
-def gen_partial_model(rng: random.Random) -> UtteranceModel:
-    """About a third of the cells listed; `observed` and `configs` cover a
-    random prefix of the states, with hands missing, null labels and
-    labels that differ from the atoms'."""
+def gen_partial_model(rng: random.Random) -> tuple[UtteranceModel, dict]:
+    """A model with about a third of the cells listed, and the dict of
+    those cells; `observed` and `configs` cover a random prefix of the
+    states, with hands missing, null labels and labels that differ from
+    the atoms'."""
     n = rng.randint(1, 40)
     relation = frozenset((s, rng.randrange(n)) for s in range(n))
     valuation = {
@@ -333,7 +341,7 @@ def gen_partial_model(rng: random.Random) -> UtteranceModel:
         {h: rng.choice(LABELS) for h in (R, L) if rng.random() < 0.8}
         for _ in range(rng.randint(0, n))
     )
-    return UtteranceModel(
+    model = UtteranceModel(
         state_count=n,
         relation=relation,
         action_interp={},
@@ -341,25 +349,77 @@ def gen_partial_model(rng: random.Random) -> UtteranceModel:
         observed=observed,
         config_observed=configs,
     )
+    return model, valuation
+
+
+def _random_overrides(rng: random.Random, model: UtteranceModel, count: int) -> list[Override]:
+    return [
+        Override(rng.randrange(model.state_count), rng.choice(ATOMS), rng.choice((T, F, U)))
+        for _ in range(count)
+    ]
+
+
+def _overridden(cells: dict, overrides: list[Override], handedness: Handedness) -> dict:
+    """`cells` with each override set in turn, so a later one wins."""
+    cells = dict(cells)
+    for ov in overrides:
+        cells[ov.state, ground_atom(ov.atom, handedness)] = ov.value
+    return cells
+
+
+def _assert_documented_bits(model: UtteranceModel, cells: dict) -> None:
+    for atom in ATOMS:
+        expected = [_reference_atom_value(model, cells, s, atom) for s in model.states()]
+        lo = sum(1 << s for s, v in enumerate(expected) if v is T)
+        hi = sum(1 << s for s, v in enumerate(expected) if v is not F)
+        assert model.atom_index.bits(atom) == (lo, hi), atom
+        assert [atom_value(model, s, atom) for s in model.states()] == expected, atom
 
 
 @settings(SEEDS, max_examples=60)
 @given(st.integers(0, 2**32 - 1))
 def test_atom_bitsets_follow_the_documented_defaults(seed):
     rng = random.Random(seed)
-    model = gen_partial_model(rng)
+    model, cells = gen_partial_model(rng)
     if rng.random() < 0.5:
-        overrides = [
-            Override(rng.randrange(model.state_count), rng.choice(ATOMS), rng.choice((T, F, U)))
-            for _ in range(rng.randint(1, 8))
-        ]
-        model = apply_overrides(model, overrides, rng.choice(tuple(Handedness)))
-    for atom in ATOMS:
-        expected = [_reference_atom_value(model, s, atom) for s in model.states()]
-        lo = sum(1 << s for s, v in enumerate(expected) if v is T)
-        hi = sum(1 << s for s, v in enumerate(expected) if v is not F)
-        assert model.atom_index.bits(atom) == (lo, hi), atom
-        assert [atom_value(model, s, atom) for s in model.states()] == expected, atom
+        overrides = _random_overrides(rng, model, rng.randint(1, 8))
+        handedness = rng.choice(tuple(Handedness))
+        model = apply_overrides(model, overrides, handedness)
+        cells = _overridden(cells, overrides, handedness)
+    _assert_documented_bits(model, cells)
+
+
+def _document_cells(doc: dict) -> dict:
+    """The cells of a model document's rows, the first row of a cell
+    holding, as a plain dict."""
+    cells: dict = {}
+    for row in doc["valuation"]:
+        cells.setdefault((row["state"], parse_atom(row["atom"])), ThreeVal(row["value"]))
+    return cells
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_model_files_read_into_the_documented_bitsets(seed):
+    rng = random.Random(f"model file bitsets:{seed}")
+    doc = _gen.gen_model_doc(rng, 30, 400)
+    model = model_from_json(doc)
+    cells = _document_cells(doc)
+    assert dict(model.valuation) == cells and len(model.valuation) == len(cells)
+    _assert_documented_bits(model, cells)
+
+    listed = dict(model.valuation.listed)
+    bits = {atom: model.atom_index.bits(atom) for atom in ATOMS}
+    handedness = rng.choice(tuple(Handedness))
+    for _ in range(2):  # a second patch of the same model sees none of the first
+        overrides = _random_overrides(rng, model, rng.randint(1, 40))
+        patched = apply_overrides(model, overrides, handedness)
+        expected = _overridden(cells, overrides, handedness)
+        assert patched == model._replace(valuation=expected)
+        _assert_documented_bits(patched, expected)
+        assert dict(model.valuation) == cells and model.valuation.listed == listed
+        fresh = pdlsl.model._AtomIndex(model)
+        assert {atom: model.atom_index.bits(atom) for atom in ATOMS} == bits
+        assert {atom: fresh.bits(atom) for atom in ATOMS} == bits
 
 
 def test_atom_value_keeps_its_errors():
