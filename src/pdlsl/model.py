@@ -221,6 +221,9 @@ class Valuation(Mapping):
         return sum((true | unknown | false).bit_count()
                    for true, unknown, false in self.listed.values())
 
+    def __repr__(self) -> str:
+        return f"Valuation({dict(self)!r})"
+
 
 class UtteranceModel(Record):
     """States 0..state_count-1, a serial transition relation, the edges of
@@ -561,9 +564,9 @@ def model_to_json(model: UtteranceModel) -> dict[str, Any]:
     columns = []  # per atom, its text and the value listed at each state
     for atom, bits in model.valuation.listed.items():
         values = [None] * model.state_count
-        for value, states in zip(_VALUES, bits):
+        for value, states in zip(_TEXT_CODE, bits):  # the value texts, in the bitsets' order
             for s in _members(states):
-                values[s] = value.value
+                values[s] = value
         columns.append((print_atom(atom), values))
     columns.sort(key=lambda column: column[0])
     valuation = [
