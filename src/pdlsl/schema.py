@@ -105,7 +105,10 @@ def const(value: int) -> Node:
 
 def choice(options: Mapping[str, Any]) -> Node:
     """One of the keys of `options`; the result is the key's value."""
-    return _leaf({str}, "one of " + ", ".join(options), options.__contains__, options.__getitem__)
+    expected = "one of " + ", ".join(options)
+    node = _leaf({str}, expected, options.__contains__, options.__getitem__)
+    node.options = (options, expected)  # a table looks the key up in place of the call
+    return node
 
 
 # --- Containers ----------------------------------------------------------------
@@ -223,6 +226,11 @@ def table(label: str, fields: Mapping[str, Node | _Optional | _Given],
         if isinstance(field, _Given):
             env[f"node{i}"] = field.node
             code.append(f"{indent}v{i} = node{i}(v{i}, v{list(fields).index(field.key)})")
+        elif hasattr(field, "options"):
+            env[f"options{i}"], expected = field.options
+            code += [f"{indent}if type(v{i}) is not str or v{i} not in options{i}:",
+                     f"{indent}    raise Invalid({'expected ' + expected!r})",
+                     f"{indent}v{i} = options{i}[v{i}]"]
         elif hasattr(field, "plain"):
             env[f"types{i}"], expected = field.plain
             code += [f"{indent}if type(v{i}) not in types{i}:",
