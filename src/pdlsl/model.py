@@ -635,17 +635,12 @@ def _valuation(rows: Any, state_count: int) -> Valuation:
             except Invalid as exc:
                 exc.where += ["atom", i]
                 raise
-            per_state = codes.get(atom)
-            if per_state is None:
-                per_state = codes[atom] = bytearray(state_count)
-            entry = atoms[text] = atom, per_state
+            entry = atoms[text] = atom, codes.setdefault(atom, bytearray(state_count))
         atom, per_state = entry
         if 0 <= state < state_count:
             listed = per_state[state]
-            if not listed:
+            if not listed or listed == code:
                 per_state[state] = code
-                continue
-            if listed == code:
                 continue
         elif outside.setdefault((state, atom), code) == code:
             continue

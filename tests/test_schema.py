@@ -18,6 +18,7 @@ from pdlsl.schema import (
     check,
     choice,
     fixed,
+    given,
     integer,
     mapping,
     number,
@@ -97,6 +98,8 @@ def test_table_fills_in_defaults(value, result):
     ({"n": -1}, "/n", "expected a nonnegative integer"),
     ({"n": 1, "name": None}, "/name", "expected a string"),
     ({"n": 1, "tag": "c"}, "/tag", "expected one of a, b"),
+    ({"n": 1, "tag": 1}, "/tag", "expected one of a, b"),
+    ({"n": 1, "tag": ["a"]}, "/tag", "expected one of a, b"),
     ({"n": 1, "nmae": "x"}, "/nmae", "unknown row key"),
 ])
 def test_table_refusals(value, path, message):
@@ -117,6 +120,22 @@ def test_table_reports_unknown_keys_only_when_there_are_some(monkeypatch):
     with pytest.raises(SchemaError) as info:
         check(row, {"n": 1, "nmae": "x", "zz": 0})
     assert str(info.value) == "/nmae: unknown row key" and len(calls) == 1
+
+
+def test_a_given_key_reads_an_earlier_result():
+    def scaled(values, n):
+        if any(v >= n for v in values):
+            raise Invalid(f"not below {n}", next(i for i, v in enumerate(values) if v >= n))
+        return [v * n for v in values]
+
+    node = table("t", {"n": integer(1), "xs": optional(given("n", scaled), [])}, tuple)
+    assert check(node, {"n": 3, "xs": [1, 2]}) == (3, [3, 6])
+    assert check(node, {"n": 3}) == (3, [])
+    for value, message in [({"n": 2, "xs": [1, 5]}, "/xs/1: not below 2"),
+                           ({"n": 0, "xs": [9]}, "/n: expected a positive integer")]:
+        with pytest.raises(SchemaError) as info:
+            check(node, value)
+        assert str(info.value) == message
 
 
 def test_containers_point_at_the_failing_element():
