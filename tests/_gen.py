@@ -1,7 +1,9 @@
 """Seeded random generators and independent reference implementations used
-as oracles. The reference evaluators read the valuation dict directly and
-compute action relations with explicit loops and boolean matrix powering,
-so they share no code path with the implementations they check."""
+as oracles. The reference evaluators read each listed cell through the
+valuation's `(state, atom)` mapping view, never the labeler's defaults,
+and compute action relations with explicit loops and boolean matrix
+powering, so they share no code path with the implementations they
+check."""
 
 from __future__ import annotations
 
@@ -187,8 +189,9 @@ def ref_action_pairs(model: UtteranceModel, action: Action) -> frozenset[tuple[i
 
 
 def ref_eval_bool(model: UtteranceModel, state: int, formula: Formula) -> bool:
-    """Classical evaluation over a fully valued model, reading the valuation
-    dict directly (every queried atom must be listed)."""
+    """Classical evaluation over a fully valued model, reading each cell
+    through the valuation's mapping view (every queried atom must be
+    listed)."""
     if isinstance(formula, type(TOP)):
         return True
     if isinstance(formula, AtomF):
