@@ -98,9 +98,9 @@ def test_table_fills_in_defaults(value, result):
     ({"n": -1}, "/n", "expected a nonnegative integer"),
     ({"n": 1, "name": None}, "/name", "expected a string"),
     ({"n": 1, "tag": "c"}, "/tag", "expected one of a, b"),
+    ({"n": 1, "nmae": "x"}, "/nmae", "unknown row key"),
     ({"n": 1, "tag": 1}, "/tag", "expected one of a, b"),
     ({"n": 1, "tag": ["a"]}, "/tag", "expected one of a, b"),
-    ({"n": 1, "nmae": "x"}, "/nmae", "unknown row key"),
 ])
 def test_table_refusals(value, path, message):
     with pytest.raises(SchemaError) as info:
