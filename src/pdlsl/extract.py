@@ -672,7 +672,9 @@ def build_model(
         state_count=state_count,
         relation=frozenset(relation),
         action_interp={a: frozenset(pairs) for a, pairs in interp.items()},
-        valuation=Valuation.of(state_count, enumerate(valuations)),
+        valuation=Valuation.of(state_count, (
+            ((s, atom), value) for s, val in enumerate(valuations) for atom, value in val.items()
+        )),
         observed=tuple(observed),
         config_observed=tuple(configs),
         meta={

@@ -163,27 +163,27 @@ class Valuation(Mapping):
 
     @classmethod
     def of(cls, state_count: int,
-           states: Iterable[tuple[int, Mapping[Atom, ThreeVal]]]) -> Valuation:
-        """The valuation that lists, for each `(state, values)` pair, the
-        atoms of `values` at `state` with their values."""
+           cells: Iterable[tuple[tuple[int, Atom], ThreeVal]]) -> Valuation:
+        """The valuation that lists each `((state, atom), value)` cell; a
+        later cell for the same state and atom wins."""
         codes: dict[Atom, bytearray] = {}
         outside: list[tuple[int, Atom]] = []
-        for state, values in states:
+        for (state, atom), value in cells:
             if not 0 <= state < state_count:
-                outside += [(state, atom) for atom in values]
+                outside.append((state, atom))
                 continue
-            for atom, value in values.items():
-                per_state = codes.get(atom)
-                if per_state is None:
-                    per_state = codes[atom] = bytearray(state_count)
-                per_state[state] = _CODE[value]
+            per_state = codes.get(atom)
+            if per_state is None:
+                per_state = codes[atom] = bytearray(state_count)
+            per_state[state] = _CODE[value]
         return cls._read(state_count, codes, outside)
 
     @classmethod
     def _read(cls, state_count: int, codes: dict[Atom, bytearray],
               outside: Iterable[tuple[int, Atom]]) -> Valuation:
         """The valuation whose cells are coded one byte per state and atom
-        (see `_CODE`), with the `outside` cells in their order."""
+        (see `_CODE`; the states past the bytes list nothing), with the
+        `outside` cells in their order."""
         listed = {}
         for atom, per_state in codes.items():
             digits = per_state[::-1]  # state 0 is the lowest bit
@@ -230,8 +230,8 @@ class UtteranceModel(Record):
     each atomic action, and a three-valued atomic valuation, held as a
     `Valuation`: per atom, the bitsets of the states listed True, Unknown
     and False. A model may be given its valuation as any mapping from
-    `(state, atom)` to `ThreeVal`; construction reads it into a
-    `Valuation` through `Valuation.of`, state by state.
+    `(state, atom)` to `ThreeVal`; construction reads its items into a
+    `Valuation` through `Valuation.of`.
 
     `observed` records which hands had a tracked position at each state and
     `config_observed` the hand-shape label seen there, if any; both drive
@@ -256,10 +256,7 @@ class UtteranceModel(Record):
             raise ValueError("a model needs at least one state")
         valuation = self.valuation
         if type(valuation) is not Valuation or valuation.state_count != self.state_count:
-            by_state: dict[int, dict[Atom, ThreeVal]] = {}
-            for (state, atom), value in valuation.items():
-                by_state.setdefault(state, {})[atom] = value
-            valuation = Valuation.of(self.state_count, by_state.items())
+            valuation = Valuation.of(self.state_count, valuation.items())
             object.__setattr__(self, "valuation", valuation)
         for pair in self.relation:
             self._check_pair(pair)
@@ -617,12 +614,20 @@ _ROWS = array(table("valuation", {
 }))
 
 
-def _valuation(rows: Any, state_count: int) -> Valuation:
+def _valuation(rows: Any, state_count: int, relation: frozenset[Pair]) -> Valuation:
     """The valuation rows read straight into per-state bytes per atom. Every
     row's shape is checked first; then, in file order, each atom text (once
     per distinct text) and each cell listed again. A cell outside the states
-    is kept aside for the model's cross-field check."""
+    is kept aside for the model's cross-field check.
+
+    A serial relation has a pair from each state, so a model with more
+    states than pairs is refused by its seriality check. Bytes for the
+    states below the pair count (at least one, as `int` reads no empty
+    digits) are therefore enough, and they follow the size of the file, not
+    the state count it declares; a cell at a state without a byte is kept
+    aside too."""
     rows = _ROWS(rows)
+    size = max(1, min(state_count, len(relation)))
     codes: dict[Atom, bytearray] = {}
     atoms: dict[str, tuple[Atom, bytearray]] = {}  # each distinct atom text is parsed once
     outside: dict[tuple[int, Atom], int] = {}
@@ -635,9 +640,9 @@ def _valuation(rows: Any, state_count: int) -> Valuation:
             except Invalid as exc:
                 exc.where += ["atom", i]
                 raise
-            entry = atoms[text] = atom, codes.setdefault(atom, bytearray(state_count))
+            entry = atoms[text] = atom, codes.setdefault(atom, bytearray(size))
         atom, per_state = entry
-        if 0 <= state < state_count:
+        if 0 <= state < size:
             listed = per_state[state]
             if not listed or listed == code:
                 per_state[state] = code
@@ -668,7 +673,7 @@ _MODEL = table("model", {
     "actions": optional(array(table("action", {
         "action": string(partial(_hands_only, parse_atomic_action)), "edges": _PAIRS,
     }, tuple), build=_actions), {}),
-    "valuation": optional(given("states", _valuation), {}),
+    "valuation": optional(given(_valuation, "states", "relation"), {}),
     "observed": optional(array(array(_HAND, build=frozenset), build=tuple), ()),
     "configs": optional(array(table("configs", {
         "R": optional(string(), null=True), "L": optional(string(), null=True),

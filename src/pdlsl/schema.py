@@ -105,10 +105,7 @@ def const(value: int) -> Node:
 
 def choice(options: Mapping[str, Any]) -> Node:
     """One of the keys of `options`; the result is the key's value."""
-    expected = "one of " + ", ".join(options)
-    node = _leaf({str}, expected, options.__contains__, options.__getitem__)
-    node.options = (options, expected)  # a table looks the key up in place of the call
-    return node
+    return _leaf({str}, "one of " + ", ".join(options), options.__contains__, options.__getitem__)
 
 
 # --- Containers ----------------------------------------------------------------
@@ -181,14 +178,14 @@ def optional(node: Node, default: Any = None, null: bool = False) -> _Optional:
 
 
 class _Given(NamedTuple):
-    key: str
-    node: Callable[[Any, Any], Any]
+    node: Callable[..., Any]
+    keys: tuple[str, ...]
 
 
-def given(key: str, node: Callable[[Any, Any], Any]) -> _Given:
-    """A table key whose node also takes the result of an earlier key of
-    the table, as `node(value, result)`."""
-    return _Given(key, node)
+def given(node: Callable[..., Any], *keys: str) -> _Given:
+    """A table key whose node also takes the results of earlier keys of the
+    table, as `node(value, *results)`."""
+    return _Given(node, keys)
 
 
 def _unknown(label: str, names: frozenset[str], value: dict) -> None:
@@ -225,12 +222,8 @@ def table(label: str, fields: Mapping[str, Node | _Optional | _Given],
             indent = "            "
         if isinstance(field, _Given):
             env[f"node{i}"] = field.node
-            code.append(f"{indent}v{i} = node{i}(v{i}, v{list(fields).index(field.key)})")
-        elif hasattr(field, "options"):
-            env[f"options{i}"], expected = field.options
-            code += [f"{indent}if type(v{i}) is not str or v{i} not in options{i}:",
-                     f"{indent}    raise Invalid({'expected ' + expected!r})",
-                     f"{indent}v{i} = options{i}[v{i}]"]
+            results = "".join(f", v{list(fields).index(key)}" for key in field.keys)
+            code.append(f"{indent}v{i} = node{i}(v{i}{results})")
         elif hasattr(field, "plain"):
             env[f"types{i}"], expected = field.plain
             code += [f"{indent}if type(v{i}) not in types{i}:",

@@ -11,6 +11,7 @@ import io
 import json
 import pathlib
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +272,42 @@ def test_model_file_rows_outside_the_states_never_reach_a_bitset(state):
     with pytest.raises(SchemaError) as info:
         model_from_json(doc)
     assert str(info.value) == f"/: {ATOM} is valued at state {state}, outside 0..1"
+
+
+@pytest.mark.parametrize("relation, rows, message", [
+    ([[0, 0]], [(0, "true")], "/: state 1 has no outgoing transition (seriality)"),
+    ([[0, 0]], [(10**12 - 1, "true")], "/: state 1 has no outgoing transition (seriality)"),
+    ([[0, 0]], [(10**12, "true")], "/: state 1 has no outgoing transition (seriality)"),
+    ([], [(0, "true")], "/: state 0 has no outgoing transition (seriality)"),
+    ([[0, 10**12]], [(0, "true")],
+     f"/: edge (0, {10**12}) references a state outside 0..{10**12 - 1}"),
+    ([[0, 0]], [(5, "true"), (5, "false")],
+     f"/valuation/1: {ATOM} at state 5 is listed again with another value"),
+])
+def test_a_declared_state_count_is_not_allocated_before_the_checks(relation, rows, message):
+    # A serial relation has a pair from each state, so the valuation is read
+    # into bytes for no more states than the relation has pairs.
+    doc = {"format": 1, "states": 10**12, "relation": relation,
+           "valuation": [{"state": s, "atom": ATOM, "value": v} for s, v in rows]}
+    with pytest.raises(SchemaError) as info:
+        model_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_reading_a_valuation_takes_memory_by_the_size_of_the_file():
+    doc = {"format": 1, "states": 10**7, "relation": [[0, 0]], "valuation": [
+        {"state": s, "atom": ATOM, "value": "true"} for s in (0, 10**7 - 1)
+    ]}
+    with pytest.raises(SchemaError, match="seriality"):
+        model_from_json(doc)  # the first call compiles the model table
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match="seriality"):
+            model_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # --- unreadable files -----------------------------------------------------------------

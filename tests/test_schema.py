@@ -122,17 +122,19 @@ def test_table_reports_unknown_keys_only_when_there_are_some(monkeypatch):
     assert str(info.value) == "/nmae: unknown row key" and len(calls) == 1
 
 
-def test_a_given_key_reads_an_earlier_result():
-    def scaled(values, n):
+def test_a_given_key_reads_earlier_results():
+    def scaled(values, n, m):
         if any(v >= n for v in values):
             raise Invalid(f"not below {n}", next(i for i, v in enumerate(values) if v >= n))
-        return [v * n for v in values]
+        return [v * n + m for v in values]
 
-    node = table("t", {"n": integer(1), "xs": optional(given("n", scaled), [])}, tuple)
-    assert check(node, {"n": 3, "xs": [1, 2]}) == (3, [3, 6])
-    assert check(node, {"n": 3}) == (3, [])
-    for value, message in [({"n": 2, "xs": [1, 5]}, "/xs/1: not below 2"),
-                           ({"n": 0, "xs": [9]}, "/n: expected a positive integer")]:
+    node = table("t", {"n": integer(1), "m": integer(), "xs": optional(given(scaled, "n", "m"), [])},
+                 tuple)
+    assert check(node, {"n": 3, "m": 1, "xs": [1, 2]}) == (3, 1, [4, 7])
+    assert check(node, {"n": 3, "m": 0}) == (3, 0, [])
+    for value, message in [({"n": 2, "m": 0, "xs": [1, 5]}, "/xs/1: not below 2"),
+                           ({"n": 0, "m": 0, "xs": [9]}, "/n: expected a positive integer"),
+                           ({"n": 2, "m": "0", "xs": [9]}, "/m: expected an integer")]:
         with pytest.raises(SchemaError) as info:
             check(node, value)
         assert str(info.value) == message
