@@ -344,6 +344,83 @@ def test_contains_alias_and_collisions_follow_the_leaves(formula, handedness):
         ground(formula, handedness)
 
 
+MIRROR_OF = {Direction.N: Direction.N, Direction.NE: Direction.NW, Direction.E: Direction.W,
+             Direction.SE: Direction.SW, Direction.S: Direction.S, Direction.SW: Direction.SE,
+             Direction.W: Direction.E, Direction.NW: Direction.NE}
+
+
+def _grounded_by_type(leaf, handedness):
+    """Grounding spelled out for each leaf type: the grounded leaf, or the
+    text of the `AliasCollision` it raises."""
+    hand_of = HAND_OF[handedness]
+
+    def hand(b):
+        return hand_of.get(b, b)
+
+    def turn(d, *hands):
+        # Written for a right-dominant signer, mirrored only next to an alias.
+        mirrored = handedness is LEFT_DOM and any(h in (D, W) for h in hands)
+        return MIRROR_OF[d] if mirrored else d
+
+    def same_hand(b1, b2):
+        if hand(b1) is hand(b2):
+            return f"{b1} and {b2} are the same hand for a {handedness.value}-dominant signer"
+        return None
+
+    match leaf:
+        case RelDir(s, d, a):
+            return same_hand(s, a) or RelDir(hand(s), turn(d, s, a), hand(a))
+        case Touch(a, b):
+            return same_hand(a, b) or Touch(hand(a), hand(b))
+        case At(b, place):
+            return At(hand(b), place)
+        case Config(b, label):
+            return Config(hand(b), label)
+        case Orient(b, d):
+            return Orient(hand(b), turn(d, b))
+        case Move(b, d):
+            return Move(hand(b), turn(d, b))
+        case Thrill(b):
+            return Thrill(hand(b))
+    raise AssertionError(f"no reference for {leaf!r}")
+
+
+def _every_leaf(leaf_type):
+    """Every leaf of the type: each hand in each articulator field and each
+    direction, with one place or label."""
+    choices = {"direction": list(Direction), "place": ["FACE"], "label": ["CLAMP"]}
+    leaves = [()]
+    for name in leaf_type.__match_args__:
+        leaves = [(*done, value) for done in leaves
+                  for value in choices.get(name, list(Articulator))]
+    for values in leaves:
+        try:
+            yield leaf_type(*values)
+        except ValueError:  # the same hand twice in a two-hand leaf
+            pass
+
+
+@pytest.mark.parametrize("handedness", list(Handedness))
+@pytest.mark.parametrize("leaf_type", list(core.LEAF_FIELDS), ids=lambda t: t.__name__)
+def test_ground_follows_the_per_type_reference(leaf_type, handedness):
+    wrap = Atomic if leaf_type in (Move, Thrill) else AtomF
+    # Each way to ground a leaf, with how it wraps the grounded leaf.
+    ways = [(lambda leaf: ground(wrap(leaf), handedness), wrap)]
+    if wrap is AtomF:
+        ways.append((lambda leaf: core.ground_atom(leaf, handedness), lambda leaf: leaf))
+    leaves = list(_every_leaf(leaf_type))
+    assert leaves
+    for leaf in leaves:
+        expected = _grounded_by_type(leaf, handedness)
+        for grounded, wrapped in ways:
+            if isinstance(expected, str):
+                with pytest.raises(AliasCollision) as info:
+                    grounded(leaf)
+                assert str(info.value) == expected and info.value.atom is leaf
+            else:
+                assert grounded(leaf) is wrapped(expected)
+
+
 # --- interning ---------------------------------------------------------------------
 # Nodes are hash-consed: building a node equal to an existing one returns it.
 
