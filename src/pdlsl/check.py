@@ -132,7 +132,7 @@ def apply_overrides(
         except AliasCollision as exc:
             message = f"override for state {ov.state} uses {print_atom(ov.atom)}: {exc}"
             raise AliasCollision(message, ov.atom) from None
-    return model._with_valuation(model.valuation.patched(cells))
+    return model._replace(valuation=model.valuation.patched(cells))
 
 
 def verify(

@@ -145,13 +145,15 @@ def _render_table(report: ProposalReport) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .check import parse_overrides, verify
+    from .check import apply_overrides, parse_overrides, verify
 
     config = _resolve_config(args)
     model = load_json(args.model, model_from_json)
     lexicon = load_text(args.lexicon, parse_lexicon)
-    overrides = load_text(args.overrides, parse_overrides) if args.overrides else []
-    report = verify(model, lexicon, config.handedness, overrides=overrides)
+    if args.overrides:  # applied while read, so that an override's error names the file
+        model = load_text(args.overrides, lambda text: apply_overrides(
+            model, parse_overrides(text), config.handedness))
+    report = verify(model, lexicon, config.handedness)
     if config.output_format == "table":
         _write_output(_render_table(report), args.output)
     else:
@@ -234,12 +236,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"pdlsl: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"pdlsl: file not found: {exc.filename}", file=sys.stderr)
-        return 1
     except OSError as exc:
-        verb = "write" if exc.filename == getattr(args, "output", None) else "read"
-        print(f"pdlsl: cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
+        if exc.filename == getattr(args, "output", None):
+            print(f"pdlsl: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        elif isinstance(exc, FileNotFoundError):
+            print(f"pdlsl: file not found: {exc.filename}", file=sys.stderr)
+        else:
+            print(f"pdlsl: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"pdlsl: parse error: {exc}", file=sys.stderr)

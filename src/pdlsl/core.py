@@ -363,41 +363,27 @@ def resolve_articulator(articulator: Articulator, handedness: Handedness) -> Art
     return _ALIAS_TABLE.get((articulator, handedness), articulator)
 
 
-def _resolve_pair(
-    b1: Articulator, b2: Articulator, handedness: Handedness, atom: "Atom"
-) -> tuple[Articulator, Articulator]:
-    r1 = resolve_articulator(b1, handedness)
-    r2 = resolve_articulator(b2, handedness)
-    if r1 is r2:
+def ground_atom(leaf: Atom | AtomicAction, handedness: Handedness) -> Atom | AtomicAction:
+    """Resolve aliases in one atom or atomic action. A direction is resolved
+    only when it was syntactically tied to a dominant/weak articulator."""
+    hands = articulators(leaf)
+    if not any(hand.is_alias for hand in hands):
+        return leaf
+    resolved = [resolve_articulator(hand, handedness) for hand in hands]
+    if len(resolved) == 2 and resolved[0] is resolved[1]:
         raise AliasCollision(
-            f"{b1.value} and {b2.value} are the same hand for a "
+            f"{hands[0].value} and {hands[1].value} are the same hand for a "
             f"{handedness.value}-dominant signer",
-            atom,
+            leaf,
         )
-    return r1, r2
-
-
-def ground_atom(atom: Atom, handedness: Handedness) -> Atom:
-    """Resolve aliases in one atom. A direction is resolved only when it was
-    syntactically tied to a dominant/weak articulator."""
-    match atom:
-        case RelDir(subject=s, direction=d, anchor=a):
-            if s.is_alias or a.is_alias:
-                d = resolve_direction(d, handedness)
-            s, a = _resolve_pair(s, a, handedness, atom)
-            return RelDir(s, d, a)
-        case At(articulator=b, place=p):
-            return At(resolve_articulator(b, handedness), p)
-        case Touch(a=a, b=b):
-            a, b = _resolve_pair(a, b, handedness, atom)
-            return Touch(a, b)
-        case Config(articulator=b, label=c):
-            return Config(resolve_articulator(b, handedness), c)
-        case Orient(articulator=b, direction=d):
-            if b.is_alias:
-                d = resolve_direction(d, handedness)
-            return Orient(resolve_articulator(b, handedness), d)
-    raise TypeError(f"not an atom: {atom!r}")
+    # Articulators are the only `Articulator` values and directions the only
+    # `Direction` values of a leaf's fields.
+    return type(leaf)(*[
+        resolve_articulator(value, handedness) if type(value) is Articulator
+        else resolve_direction(value, handedness) if type(value) is Direction
+        else value
+        for value in leaf._astuple()
+    ])
 
 
 def ground(node: Formula | Action, handedness: Handedness, grounded: dict | None = None):
@@ -414,14 +400,8 @@ def ground(node: Formula | Action, handedness: Handedness, grounded: dict | None
                 # These hold only formulas and actions: rebuild from grounded children.
                 result = type(node)(*[grounded.get(child) or ground(child, handedness, grounded)
                                       for child in node._astuple()])
-            case AtomF(atom):
-                result = AtomF(ground_atom(atom, handedness))
-            case Atomic(Move(articulator=b, direction=d)):
-                if b.is_alias:
-                    d = resolve_direction(d, handedness)
-                result = Atomic(Move(resolve_articulator(b, handedness), d))
-            case Atomic(Thrill(articulator=b)):
-                result = Atomic(Thrill(resolve_articulator(b, handedness)))
+            case AtomF(leaf) | Atomic(leaf):
+                result = type(node)(ground_atom(leaf, handedness))
             case _:
                 raise TypeError(f"not a formula or action node: {node!r}")
         grounded[node] = result

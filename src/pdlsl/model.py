@@ -301,16 +301,6 @@ class UtteranceModel(Record):
         records give, built the first time it is read."""
         return _AtomIndex(self)
 
-    def _with_valuation(self, valuation: Valuation) -> UtteranceModel:
-        """This model with another valuation of its states. The other
-        fields were checked when this model was built, so nothing is checked
-        again."""
-        model = object.__new__(UtteranceModel)
-        for name, value in zip(self.__match_args__, self._astuple()):
-            object.__setattr__(model, name, value)
-        object.__setattr__(model, "valuation", valuation)
-        return model
-
 
 def _value(model: UtteranceModel, state: int, bits: Callable[[], tuple[int, int]]) -> ThreeVal:
     """The value at `state`, a state of the model, in the bitsets `bits()`."""
@@ -364,10 +354,10 @@ class _AtomIndex:
     def _pair(self, atom: Atom) -> tuple[int, int]:
         observed = self.observed
         match atom:
-            case RelDir(subject=b1, anchor=b2) | Touch(a=b1, b=b2):
-                default_false = observed.get(b1, 0) & observed.get(b2, 0)
-            case At(articulator=b):
-                default_false = observed.get(b, 0)
+            case RelDir() | Touch() | At():
+                default_false = self.full  # False where each of its hands was observed
+                for hand in articulators(atom):
+                    default_false &= observed.get(hand, 0)
             case Config(articulator=b, label=c):
                 default_false = self.config_seen.get(b, 0) & ~self.config_label.get((b, c), 0)
             case Orient():

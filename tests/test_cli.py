@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,18 @@ def test_extract_to_stdout(capsys):
 def test_extract_missing_file(capsys):
     assert main(["extract", "/nonexistent/input.json"]) == 1
     assert "file not found" in capsys.readouterr().err
+
+
+def test_output_and_input_paths_that_cannot_be_opened(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "m.json"
+    assert main(["extract", TRACKING, "-o", str(out)]) == 1
+    reason = os.strerror(errno.ENOENT)
+    assert capsys.readouterr().err == f"pdlsl: cannot write {out}: {reason}\n"
+    assert main(["extract", str(tmp_path / "missing.json"), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"pdlsl: file not found: {tmp_path / 'missing.json'}\n"
+    assert main(["extract", str(tmp_path)]) == 1
+    reason = os.strerror(errno.EISDIR)
+    assert capsys.readouterr().err == f"pdlsl: cannot read {tmp_path}: {reason}\n"
 
 
 def test_extract_non_monotone_frames(tmp_path, capsys):
@@ -132,6 +146,18 @@ def test_check_with_overrides(model_path, tmp_path, capsys):
     assert main(["check", model_path, LEXICON, "--overrides", str(ov)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["proposals"][0]["signs"] == [{"sign": "ROUTE", "verdict": "possible"}]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("state 99: touch(R,L) = true", "override targets state 99"),
+    ("state 0: touch(D,R) = true", "override for state 0 uses touch(D,R): D and R are the "
+     "same hand for a right-dominant signer"),
+])
+def test_override_errors_name_the_overrides_file(model_path, tmp_path, capsys, line, message):
+    ov = tmp_path / "fix.overrides"
+    ov.write_text(f"state 0: touch(R,L) = unknown\n{line}\n")
+    assert main(["check", model_path, LEXICON, "--overrides", str(ov)]) == 1
+    assert capsys.readouterr().err == f"pdlsl: {ov}: {message}\n"
 
 
 @pytest.mark.parametrize(

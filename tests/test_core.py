@@ -405,9 +405,8 @@ def _every_leaf(leaf_type):
 def test_ground_follows_the_per_type_reference(leaf_type, handedness):
     wrap = Atomic if leaf_type in (Move, Thrill) else AtomF
     # Each way to ground a leaf, with how it wraps the grounded leaf.
-    ways = [(lambda leaf: ground(wrap(leaf), handedness), wrap)]
-    if wrap is AtomF:
-        ways.append((lambda leaf: core.ground_atom(leaf, handedness), lambda leaf: leaf))
+    ways = [(lambda leaf: ground(wrap(leaf), handedness), wrap),
+            (lambda leaf: core.ground_atom(leaf, handedness), lambda leaf: leaf)]
     leaves = list(_every_leaf(leaf_type))
     assert leaves
     for leaf in leaves:
