@@ -108,8 +108,11 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # told apart here: an input may have the same path
+            raise PdlslError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # --- Commands -----------------------------------------------------------------
@@ -236,13 +239,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"pdlsl: {exc}", file=sys.stderr)
         return 2
+    except FileNotFoundError as exc:
+        print(f"pdlsl: file not found: {exc.filename}", file=sys.stderr)
+        return 1
     except OSError as exc:
-        if exc.filename == getattr(args, "output", None):
-            print(f"pdlsl: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        elif isinstance(exc, FileNotFoundError):
-            print(f"pdlsl: file not found: {exc.filename}", file=sys.stderr)
-        else:
-            print(f"pdlsl: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"pdlsl: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"pdlsl: parse error: {exc}", file=sys.stderr)

@@ -56,11 +56,20 @@ def test_output_and_input_paths_that_cannot_be_opened(tmp_path, capsys):
     assert main(["extract", TRACKING, "-o", str(out)]) == 1
     reason = os.strerror(errno.ENOENT)
     assert capsys.readouterr().err == f"pdlsl: cannot write {out}: {reason}\n"
-    assert main(["extract", str(tmp_path / "missing.json"), "-o", str(out)]) == 1
-    assert capsys.readouterr().err == f"pdlsl: file not found: {tmp_path / 'missing.json'}\n"
+    missing = tmp_path / "missing.json"
+    for output in (out, missing):  # an input that is also the output is still read first
+        assert main(["extract", str(missing), "-o", str(output)]) == 1
+        assert capsys.readouterr().err == f"pdlsl: file not found: {missing}\n"
     assert main(["extract", str(tmp_path)]) == 1
     reason = os.strerror(errno.EISDIR)
     assert capsys.readouterr().err == f"pdlsl: cannot read {tmp_path}: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_output_that_fails_while_written(capsys):
+    assert main(["extract", TRACKING, "-o", "/dev/full"]) == 1
+    reason = os.strerror(errno.ENOSPC)
+    assert capsys.readouterr().err == f"pdlsl: cannot write /dev/full: {reason}\n"
 
 
 def test_extract_non_monotone_frames(tmp_path, capsys):
