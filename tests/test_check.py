@@ -9,13 +9,18 @@ from pdlsl import (
     At,
     AtomF,
     Config,
+    Direction,
     Handedness,
     LexiconEntry,
     LexiconFile,
+    Move,
+    Orient,
     Override,
     ParseError,
+    RelDir,
     SourceSpan,
     ThreeVal,
+    Thrill,
     Touch,
     UnknownArticulator,
     UnknownState,
@@ -24,10 +29,12 @@ from pdlsl import (
     atom_value,
     extract_model,
     lexicon_hash,
+    lint_lexicon,
     parse_atom,
     parse_formula,
     parse_lexicon,
     parse_overrides,
+    print_formula,
     tracking_from_json,
     verify,
 )
@@ -222,6 +229,42 @@ def test_verify_names_the_sign_of_an_alias_collision(route_setup):
     assert exc.value.atom == Touch(Articulator.DOMINANT, R)
     # The same lexicon grounds without a collision for a left-dominant signer.
     verify(model, lexicon, Handedness.LEFT_DOMINANT)
+
+
+D, W = Articulator.DOMINANT, Articulator.WEAK
+#: Atoms of which a few name one hand twice for one signer or the other.
+LINT_ATOMS = _gen.ATOM_POOL + _gen.ALIASED_ATOMS + (
+    Touch(D, R), RelDir(W, Direction.NE, L), Touch(W, R), Orient(D, Direction.N),
+)
+LINT_ACTIONS = _gen.ACTION_POOL + (Move(D, Direction.E), Thrill(W))
+
+
+def test_lint_warns_for_a_signer_exactly_where_check_refuses():
+    """`lint` and `check` accept the same lexicons: for each signer, `verify`
+    refuses a lexicon exactly when `lint_lexicon` warns that two hands of an
+    atom are one hand for that signer, and its message is the first such
+    warning's, up to the note that check refuses it."""
+    model = _gen.gen_model(random.Random(5), max_states=4)
+    rng = random.Random(1707)
+    refusals = 0
+    for _ in range(200):
+        text = "".join(
+            f"sign S{i} := {print_formula(_gen.gen_formula(rng, 2, LINT_ATOMS, LINT_ACTIONS))} .\n"
+            for i in range(rng.randint(1, 4))
+        )
+        lexicon, issues = lint_lexicon(text)
+        for handedness in Handedness:
+            warnings = [issue.message for issue in issues if issue.severity == "warning"
+                        and f"for a {handedness.value}-dominant signer;" in issue.message]
+            try:
+                verify(model, lexicon, handedness)
+            except AliasCollision as exc:
+                refusals += 1
+                assert warnings, text
+                assert str(exc) == warnings[0].split("; check refuses")[0], text
+            else:
+                assert not warnings, text
+    assert 100 <= refusals <= 300  # both outcomes are exercised (182 of 400)
 
 
 def test_override_alias_collision_names_the_state(route_setup):
