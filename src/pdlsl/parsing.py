@@ -113,7 +113,7 @@ _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 # OTHER last. No other two patterns can match at the same place, so the rest
 # are ordered by how often a lexicon uses them, which saves the regex engine
 # failed alternatives. An ATOM or ACTION token is a leaf without spaces, such
-# as `move(D,SE)`; `_TOKEN_RE`, which lacks the two, spells its text.
+# as `move(D,SE)`; `_TOKEN_RE`, which lacks the two, spells its text and tokenizes a lone leaf.
 # Digits have no pattern of their own: OTHER characters that pass
 # str.isdigit and touch are joined into one INT token, so digits such as
 # "²" make INT tokens too.
@@ -147,11 +147,11 @@ def _span(breaks: list[int], offset: int, length: int = 1) -> SourceSpan:
     return SourceSpan(line, offset - breaks[line - 1], length)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, pattern: re.Pattern = _LEAF_RE) -> list[_Token]:
     tokens: list[_Token] = []
     append = tokens.append
     digits_end = -1  # end of the last INT token, which a next digit extends
-    for m in _LEAF_RE.finditer(text):
+    for m in pattern.finditer(text):
         kind = m.lastgroup
         if kind in _SKIPPED:
             continue
@@ -194,11 +194,11 @@ class _Parser:
     """Where a rule reads the tokens that a leaf token spells, `_spell` puts
     them in its place, so errors and spans are those of reading by token."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pattern: re.Pattern = _LEAF_RE):
         self.text = text
         # Every caller checks the current token's kind before consuming it,
         # and no rule consumes EOF, so reading never runs past the end.
-        self._tokens = iter(_tokenize(text))
+        self._tokens = iter(_tokenize(text, pattern))
         self._next = self._tokens.__next__
         self.cur = self._next()  # the first token not consumed yet
         self.depth = 0  # nested constructs currently open
@@ -404,9 +404,9 @@ _par_level = partial(_chain, _choice_level, "AMP", Concurrent, 1)
 _action = partial(_chain, _par_level, "SEMI", Seq, 1)
 
 
-def _parse_all(text: str, rule):
+def _parse_all(text: str, rule, pattern: re.Pattern = _LEAF_RE):
     """Parse the whole text with one rule of the grammar."""
-    parser = _Parser(text)
+    parser = _Parser(text, pattern)
     node = rule(parser)
     if parser.cur[0] != "EOF":
         parser._spell()
@@ -425,11 +425,11 @@ def parse_action(text: str) -> Action:
 
 
 def parse_atom(text: str) -> Atom:
-    return _parse_all(text, _Parser.atom)
+    return _parse_all(text, _Parser.atom, _TOKEN_RE)
 
 
 def parse_atomic_action(text: str) -> AtomicAction:
-    return _parse_all(text, _Parser.atomic_action)
+    return _parse_all(text, _Parser.atomic_action, _TOKEN_RE)
 
 
 # --- Lexicon files -----------------------------------------------------------
