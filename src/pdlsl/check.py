@@ -1,5 +1,6 @@
-"""The verification loop: ground the lexicon, label every sign over all
-states at once, and emit per-state proposals.
+"""The verification loop: label every sign as parsed over all states at
+once, grounding only its atoms and atomic actions under the signer's
+handedness, and emit per-state proposals.
 
 A sign is proposed at a state only when the state can anchor it: the
 positive atoms of the sign's opening conjunction (the antecedent, for
@@ -24,7 +25,6 @@ from .core import (
     Formula,
     Handedness,
     Not,
-    ground,
     ground_atom,
 )
 from .errors import AliasCollision, ParseError, Record, SourceSpan, UnknownState
@@ -149,21 +149,18 @@ def verify(
     overrides = list(overrides)
     if overrides:
         model = apply_overrides(model, overrides, handedness)
-    labels = _Labeler(model)
+    labels = _Labeler(model, None, handedness)
     matches: list[list[Proposal]] = [[] for _ in model.states()]
     possibles: list[list[Proposal]] = [[] for _ in model.states()]
-    grounded: dict = {}  # each subformula and action grounded so far
     for entry in lexicon.entries:
         try:
-            formula = ground(entry.formula, handedness, grounded)
+            lo, hi = labels.formula(entry.formula)
         except AliasCollision as exc:
             message = f"sign {entry.name!r} uses {print_atom(exc.atom)}: {exc}"
             raise AliasCollision(message, exc.atom) from None
-        lo, hi = labels.formula(formula)
-        for atom in anchor_atoms(formula):
-            atom_lo, atom_hi = labels.atom(atom)
-            lo &= atom_lo
-            hi &= atom_hi
+        anchor_lo, anchor_hi = labels.anchor(entry.formula)
+        lo &= anchor_lo
+        hi &= anchor_hi
         as_match, as_possible = Proposal(entry.name, MATCH), Proposal(entry.name, POSSIBLE)
         for state in _members(lo):
             matches[state].append(as_match)

@@ -53,6 +53,7 @@ from .core import (
     Concurrent,
     Config,
     Formula,
+    Handedness,
     Not,
     Orient,
     RelDir,
@@ -63,6 +64,7 @@ from .core import (
     Action,
     articulators,
     contains_alias,
+    ground_atom,
 )
 from .errors import ParseError, Record, UngroundedFormula, UnknownState
 from .parsing import parse_atom, parse_atomic_action, print_atom, print_atomic_action
@@ -313,8 +315,8 @@ def _value(model: UtteranceModel, state: int, bits: Callable[[], tuple[int, int]
 
 
 def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
-    """Valuation lookup with the documented default for unlisted atoms."""
-    return _value(model, state, lambda: model.atom_index.bits(atom))
+    """Valuation lookup with the documented default for unlisted atoms; D and W are refused."""
+    return _value(model, state, lambda: _Labeler(model).formula(AtomF(atom)))
 
 
 class _AtomIndex:
@@ -372,10 +374,12 @@ class _AtomIndex:
 
 
 class _Labeler:
-    """Labels every state of one model at once. A grounded formula's label
-    is a pair of bitsets over states: `lo` holds the True states and `hi`
-    the True-or-Unknown ones. With `closed_world` set, atoms collapse to
-    `lo` (`hi` if False).
+    """Labels every state of one model at once. A formula's label is a pair
+    of bitsets over states: `lo` holds the True states and `hi` the
+    True-or-Unknown ones. With `closed_world` set, atoms collapse to `lo`
+    (`hi` if False). Formulas are labeled as parsed, and only their atoms
+    and atomic actions are grounded, under `handedness`; without one, a
+    leaf naming D or W is refused.
 
     The one modal operator is `<α>`, labeled by `pre`; a box is its dual,
     `[α]X = !<α>!X`. `<α;β>Y = <α><β>Y`, `<α|β>Y = <α>Y \\/ <β>Y` and
@@ -384,29 +388,30 @@ class _Labeler:
     atomic and `&` actions; the rows of any other action, such as a star
     under `&`, are read per target state `t` as `<α>{t}`."""
 
-    def __init__(self, model: UtteranceModel, closed_world: bool | None = None):
+    def __init__(self, model: UtteranceModel, closed_world: bool | None = None,
+                 handedness: Handedness | None = None):
         self.model = model
         self.full = (1 << model.state_count) - 1
         self.closed_world = closed_world
+        self.handedness = handedness
         self._atoms = model.atom_index
         self._pred: dict[Action, tuple[dict[int, int], int, int]] = {}
         self._labels: dict[Formula, tuple[int, int]] = {}
+        self._anchors: dict[Formula, tuple[int, int]] = {}
 
-    def atom(self, atom: Atom) -> tuple[int, int]:
-        lo, hi = self._atoms.bits(atom)
-        if self.closed_world is None:
-            return lo, hi
-        return (lo, lo) if self.closed_world else (hi, hi)
+    def leaf(self, leaf: Atom | AtomicAction) -> Atom | AtomicAction:
+        if self.handedness is None and any(hand.is_alias for hand in articulators(leaf)):
+            raise UngroundedFormula("the input mentions D or W; ground it first")
+        return leaf if self.handedness is None else ground_atom(leaf, self.handedness)
 
     def formula(self, formula: Formula) -> tuple[int, int]:
-        """A grounded formula's label; each distinct subformula is labeled once."""
+        """A formula's label; each distinct subformula is labeled once, left to right."""
         label = self._labels.get(formula)
         if label is not None:
             return label
         match formula:  # the commonest nodes first
             case And(l, r):
-                l_lo, l_hi = self.formula(l)
-                r_lo, r_hi = self.formula(r)
+                (l_lo, l_hi), (r_lo, r_hi) = self.formula(l), self.formula(r)
                 label = l_lo & r_lo, l_hi & r_hi
             case Not(body):
                 lo, hi = self.formula(body)
@@ -416,12 +421,32 @@ class _Labeler:
                 full = self.full
                 label = full ^ self.pre(action, full ^ lo), full ^ self.pre(action, full ^ hi)
             case AtomF(atom):
-                label = self.atom(atom)
+                lo, hi = self._atoms.bits(self.leaf(atom))
+                closed = self.closed_world
+                label = (lo, hi) if closed is None else (lo, lo) if closed else (hi, hi)
             case Top():
                 label = self.full, self.full
             case _:
                 raise TypeError(f"not a formula node: {formula!r}")
         self._labels[formula] = label
+        return label
+
+    def anchor(self, formula: Formula) -> tuple[int, int]:
+        """The AND of the labels of the formula's anchor atoms (see
+        `check.anchor_atoms`), read off its own and its children's labels."""
+        label = self._anchors.get(formula)
+        if label is None:
+            match formula:
+                case AtomF():
+                    label = self.formula(formula)
+                case And(l, r):
+                    (l_lo, l_hi), (r_lo, r_hi) = self.anchor(l), self.anchor(r)
+                    label = l_lo & r_lo, l_hi & r_hi
+                case Not(And(antecedent, Not())):
+                    label = self.anchor(antecedent)
+                case _:
+                    label = self.full, self.full
+            self._anchors[formula] = label
         return label
 
     def reach(self, action: Action, targets: int) -> int:
@@ -463,7 +488,7 @@ class _Labeler:
         match action:
             case Atomic(a):
                 rows = {}
-                for s, t in self.model.action_interp.get(a, ()):
+                for s, t in self.model.action_interp.get(self.leaf(a), ()):
                     rows[t] = rows.get(t, 0) | 1 << s
                 return rows
             case Concurrent(l, r):
@@ -512,7 +537,7 @@ def _members(bits: int) -> Iterator[int]:
 
 def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
     """The set of state pairs the action relates. Star is the reflexive
-    transitive closure, with identity pairs over every state."""
+    transitive closure, with identity pairs over every state; D and W are refused."""
     rows = _Labeler(model).rows(action)
     return frozenset((s, t) for t, bits in rows.items() for s in _members(bits))
 

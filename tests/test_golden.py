@@ -30,6 +30,9 @@ import random
 
 import pytest
 
+import pdlsl.check
+import pdlsl.cli
+import pdlsl.core
 from pdlsl.cli import _dump_json, main
 from pdlsl.errors import ParseError, PdlslError, SchemaError
 from pdlsl.extract import extract_model, tracking_from_json
@@ -344,6 +347,22 @@ def test_extract_matches_golden(fixture, tmp_path):
 def test_check_matches_golden(fixture, dominant, tmp_path):
     got = _check(fixture, dominant, tmp_path / "report.json")
     assert got == (GOLDEN / f"{fixture}.{dominant}.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_check_grounds_no_tree_and_builds_no_anchor_set(fixture, tmp_path, monkeypatch):
+    # `check` labels signs as parsed, grounding only their leaves, and reads
+    # anchors off labels: with `ground` and `anchor_atoms` made to raise, it
+    # still writes the golden reports.
+    def refuse(*args):
+        raise AssertionError("check calls a whole-tree walk")
+
+    for module in (pdlsl.core, pdlsl.cli, pdlsl.check):  # `check` imports no `ground`
+        monkeypatch.setattr(module, "ground", refuse, raising=False)
+    monkeypatch.setattr(pdlsl.check, "anchor_atoms", refuse)
+    for dominant in DOMINANTS:
+        got = _check(fixture, dominant, tmp_path / f"{dominant}.json")
+        assert got == (GOLDEN / f"{fixture}.{dominant}.report.json").read_bytes()
 
 
 def test_eval_matches_golden(capsys):

@@ -8,7 +8,9 @@ by state in `_reference_atom_value` from a plain dict of the listed cells,
 on models built in code and on seeded 30-400 state model files, with and
 without overrides. A counting test checks that `verify`
 stores predecessor rows only for atomic and `&` actions and reads a number
-of rows linear in the length of a star chain.
+of rows linear in the length of a star chain. Last, a labeler given the
+signer's handedness labels formulas as parsed, and their anchors, as the
+handless labeler labels the trees `ground` makes.
 """
 
 import random
@@ -41,21 +43,27 @@ from pdlsl import (
     SourceSpan,
     Star,
     ThreeVal,
+    Thrill,
     Touch,
     UtteranceModel,
+    anchor_atoms,
     apply_overrides,
     atom_value,
+    contains_alias,
     diamond,
     eval_formula,
     eval_two_valued,
+    ground,
     ground_atom,
+    implies,
     interpret_action,
     model_from_json,
     parse_atom,
     parse_lexicon,
     verify,
 )
-from pdlsl.errors import UnknownState
+from pdlsl.errors import UngroundedFormula, UnknownState
+from pdlsl.model import _Labeler as Labeler
 
 import _gen
 from test_oracle import SEEDS, gen_large_model, memoized_oracles, reference_verdicts
@@ -373,7 +381,11 @@ def _assert_documented_bits(model: UtteranceModel, cells: dict) -> None:
         lo = sum(1 << s for s, v in enumerate(expected) if v is T)
         hi = sum(1 << s for s, v in enumerate(expected) if v is not F)
         assert model.atom_index.bits(atom) == (lo, hi), atom
-        assert [atom_value(model, s, atom) for s in model.states()] == expected, atom
+        if contains_alias(AtomF(atom)):
+            with pytest.raises(UngroundedFormula):  # atom_value takes grounded atoms only
+                atom_value(model, 0, atom)
+        else:
+            assert [atom_value(model, s, atom) for s in model.states()] == expected, atom
 
 
 @settings(SEEDS, max_examples=60)
@@ -428,3 +440,34 @@ def test_atom_value_keeps_its_errors():
         atom_value(model, 3, Touch(R, L))
     with pytest.raises(TypeError):
         atom_value(model, 0, AtomF(Touch(R, L)))
+
+
+# --- labeling as parsed -------------------------------------------------------------
+
+ALIASED_ACTIONS = (Move(D, Direction.E), Thrill(W))
+
+
+@settings(SEEDS, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_labeling_as_parsed_equals_labeling_the_grounded_tree(seed):
+    """A labeler given the signer grounds only leaves, and labels a formula
+    as the handless labeler labels the formula `ground` makes; its anchor
+    label is the AND of the labels of the grounded formula's anchor atoms."""
+    rng = random.Random(seed)
+    atoms, actions = _gen.ATOM_POOL + _gen.ALIASED_ATOMS, _gen.ACTION_POOL + ALIASED_ACTIONS
+    valued = tuple({ground_atom(a, h): None for a in atoms for h in Handedness})
+    moved = tuple({ground_atom(a, h): None for a in actions for h in Handedness})
+    model = _gen.gen_model(rng, 8, valued, moved, allow_unknown=True)
+    formulas = [_gen.gen_formula(rng, 4, atoms, actions) for _ in range(6)]
+    formulas += [implies(And(AtomF(rng.choice(atoms)), first), second)
+                 for first, second in zip(formulas, formulas[1:])]
+    for handedness in Handedness:
+        parsed, grounded = Labeler(model, None, handedness), Labeler(model)
+        for formula in formulas:
+            tree = ground(formula, handedness)
+            assert parsed.formula(formula) == grounded.formula(tree)
+            lo = hi = grounded.full
+            for atom in anchor_atoms(tree):
+                atom_lo, atom_hi = grounded.formula(AtomF(atom))
+                lo, hi = lo & atom_lo, hi & atom_hi
+            assert parsed.anchor(formula) == (lo, hi)

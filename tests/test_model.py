@@ -36,6 +36,8 @@ from pdlsl import (
     interpret_action,
     model_from_json,
     model_to_json,
+    parse_action,
+    parse_atom,
     parse_formula,
 )
 from pdlsl.errors import SchemaError
@@ -250,6 +252,26 @@ def test_eval_rejects_ungrounded():
     m = chain_model(1, {})
     with pytest.raises(UngroundedFormula):
         eval_formula(m, 0, parse_formula("touch(D,W)"))
+
+
+@pytest.mark.parametrize("action", ["move(D,E)", "move(D,W)", "thrill(W)",
+                                    "move(R,W) ; (thrill(W) | move(L,E))*"])
+def test_interpret_action_rejects_ungrounded(action):
+    # route_clean has a move(R,W) edge, which move(D,W) grounds to for a
+    # right-dominant signer.
+    m = model_from_json(_route_clean_doc())
+    assert interpret_action(m, parse_action("move(R,W)")) == frozenset({(0, 1)})
+    with pytest.raises(UngroundedFormula):
+        interpret_action(m, parse_action(action))
+
+
+@pytest.mark.parametrize("atom", ["touch(D,W)", "at(D,FACE)", "dir(W,R,NE)", "cfg(W,CLAMP)"])
+def test_atom_value_rejects_ungrounded(atom):
+    m = model_from_json(_route_clean_doc())
+    with pytest.raises(UngroundedFormula):
+        atom_value(m, 0, parse_atom(atom))
+    with pytest.raises(UnknownState):  # the state is checked first, as for eval_formula
+        atom_value(m, 2, parse_atom(atom))
 
 
 # --- two-valued mode --------------------------------------------------------------------

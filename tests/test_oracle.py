@@ -4,7 +4,7 @@ Models are seeded, sparse and about a third Unknown. The oracles recompute
 relations and subformulas at every visit, which costs minutes at this size,
 so each check runs them memoized per model; memoizing changes no answer.
 The last tests verify lexicons whose signs share most of their subterms,
-which `verify` grounds and labels once each per call.
+which `verify` labels once each per call.
 """
 
 import contextlib
@@ -277,7 +277,8 @@ def test_verify_matches_per_state_oracle_on_signs_sharing_subterms(seed):
 
 def test_verify_keeps_no_labels_between_calls(monkeypatch):
     # Each call labels every distinct subformula afresh: a labeler's table
-    # lives as long as the call that made it.
+    # lives as long as the call that made it. Signs are labeled as parsed,
+    # so the table holds the same subformulas for either signer.
     labelers = []
 
     class Recording(check._Labeler):
@@ -291,10 +292,8 @@ def test_verify_keeps_no_labels_between_calls(monkeypatch):
     left, right = Handedness.LEFT_DOMINANT, Handedness.RIGHT_DOMINANT
     reports = [verify(model, lexicon, h) for h in (left, right, left)]
     assert reports[0] == reports[2] != reports[1]
-    subformulas = [{node for entry in lexicon.entries
-                    for node in _subformulas(ground(entry.formula, h))} for h in (left, right)]
-    assert [len(labeler._labels) for labeler in labelers] == [
-        len(subformulas[0]), len(subformulas[1]), len(subformulas[0])]
+    subformulas = {node for entry in lexicon.entries for node in _subformulas(entry.formula)}
+    assert [set(labeler._labels) for labeler in labelers] == [subformulas] * 3
 
 
 def _subformulas(formula):
