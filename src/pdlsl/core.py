@@ -5,8 +5,8 @@ syntax trees whose nodes are hash-consed (Filliâtre & Conchon 2006,
 "Type-safe modular hash-consing"): building a node with the fields of an
 existing one returns that node, so two nodes are equal exactly when they
 are the same object, and comparing or hashing one takes constant time.
-`ground` resolves the dominant/weak hand aliases so that evaluation only
-ever sees the concrete right/left hands.
+`ground_atom` resolves the dominant/weak hand aliases of a leaf, and `ground`
+those of a tree, so that evaluation only ever sees the right/left hands.
 """
 
 from __future__ import annotations
