@@ -13,6 +13,8 @@ signer's handedness labels formulas as parsed, and their anchors, as the
 handless labeler labels the trees `ground` makes.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -432,6 +434,19 @@ def test_model_files_read_into_the_documented_bitsets(seed):
         fresh = pdlsl.model._AtomIndex(model)
         assert {atom: model.atom_index.bits(atom) for atom in ATOMS} == bits
         assert {atom: fresh.bits(atom) for atom in ATOMS} == bits
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_copied_models_label_atoms_as_the_original(seed):
+    model = model_from_json(_gen.gen_model_doc(random.Random(f"copied model:{seed}"), 1, 60))
+
+    def labels(m):
+        return [Labeler(m, None, h).formula(AtomF(atom)) for h in Handedness for atom in ATOMS]
+
+    expected = labels(model)
+    for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model), model._replace()):
+        assert copied == model
+        assert labels(copied) == expected
 
 
 def test_atom_value_keeps_its_errors():

@@ -254,6 +254,24 @@ def test_eval_rejects_ungrounded():
         eval_formula(m, 0, parse_formula("touch(D,W)"))
 
 
+@pytest.mark.parametrize("formula, action", [
+    ("[move(D,E)*] true", "move(D,E)*"),
+    ("<move(D,E)*> !true", "move(D,E)*"),
+    ("[(move(R,E) ; thrill(W))*] true", "(move(R,E) ; thrill(W))*"),
+])
+def test_alias_in_a_star_body_without_targets_is_refused(formula, action):
+    # The star's targets are empty (`true` holds everywhere, `!true`
+    # nowhere), so no state is reached through its body; D or W there is
+    # refused all the same.
+    m = chain_model(3, {MOVE_A: frozenset({(0, 1), (1, 2)})})
+    with pytest.raises(UngroundedFormula):
+        eval_formula(m, 0, parse_formula(formula))
+    with pytest.raises(UngroundedFormula):
+        eval_two_valued(m, 0, parse_formula(formula))
+    with pytest.raises(UngroundedFormula):
+        interpret_action(m, parse_action(action))
+
+
 @pytest.mark.parametrize("action", ["move(D,E)", "move(D,W)", "thrill(W)",
                                     "move(R,W) ; (thrill(W) | move(L,E))*"])
 def test_interpret_action_rejects_ungrounded(action):
