@@ -16,13 +16,14 @@ from typing import TYPE_CHECKING, Any, Sequence
 # `extract` and `check` are imported by the commands that run them, so
 # `check`, `eval` and `lint` never load `extract`, and `extract` and `lint`
 # never load `check`.
-from .core import Formula, Handedness, ground
+from .core import Handedness
 from .errors import AliasCollision, ConfigError, ParseError, PdlslError, Record, load_json, load_text
 from .geometry import DEFAULT_PLACE_MAP, VEC, load_place_map
 from .model import (
     SEGMENTATION_FIELDS,
     SegmentationParams,
-    eval_formula,
+    _Labeler,
+    _value,
     model_from_json,
     model_to_json,
 )
@@ -167,13 +168,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     model = load_json(args.model, model_from_json)
-    formula: Formula = parse_formula(args.formula)
-    try:
-        grounded = ground(formula, config.handedness)
+    formula = parse_formula(args.formula)
+    labels = _Labeler(model, None, config.handedness)
+    try:  # the formula is labeled before its state is checked, as a collision comes first
+        labels.formula(formula)
     except AliasCollision as exc:
         raise AliasCollision(f"formula uses {print_atom(exc.atom)}: {exc}", exc.atom) from None
-    value = eval_formula(model, args.state, grounded)
-    print(str(value))
+    print(str(_value(labels, args.state, formula)))
     return 0
 
 

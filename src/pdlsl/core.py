@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cache
 from typing import Any, Iterator, Union
 
 from .errors import AliasCollision, Record
@@ -386,23 +387,19 @@ def ground_atom(leaf: Atom | AtomicAction, handedness: Handedness) -> Atom | Ato
     ])
 
 
-def ground(node: Formula | Action, handedness: Handedness, grounded: dict | None = None):
+def ground(node: Formula | Action, handedness: Handedness):
     """Resolve every dominant/weak alias in a formula or action. Preserves
-    the tree shape and is idempotent. `grounded` maps each node grounded so
-    far to its result, so that each distinct subformula and action is
-    grounded once; a caller grounding many formulas passes one dict to all."""
-    if grounded is None:
-        grounded = {}
-    result = grounded.get(node)
-    if result is None:
+    the tree shape and is idempotent. Each distinct subformula and action
+    is grounded once per call."""
+
+    @cache
+    def walk(node):
         match node:
             case And() | Not() | Box() | Concurrent() | Choice() | Seq() | Star() | Top():
                 # These hold only formulas and actions: rebuild from grounded children.
-                result = type(node)(*[grounded.get(child) or ground(child, handedness, grounded)
-                                      for child in node._astuple()])
+                return type(node)(*map(walk, node._astuple()))
             case AtomF(leaf) | Atomic(leaf):
-                result = type(node)(ground_atom(leaf, handedness))
-            case _:
-                raise TypeError(f"not a formula or action node: {node!r}")
-        grounded[node] = result
-    return result
+                return type(node)(ground_atom(leaf, handedness))
+        raise TypeError(f"not a formula or action node: {node!r}")
+
+    return walk(node)

@@ -14,8 +14,8 @@ class Record:
     """An immutable value with named fields, compared and hashed by value.
 
     A subclass names its fields in `__slots__`, in positional order; a slot
-    whose name starts with `_`, such as a `__dict__` for a `cached_property`,
-    is not a field. `_defaults` maps trailing fields to their defaults.
+    whose name starts with `_`, such as a value derived from the fields, is
+    not a field. `_defaults` maps trailing fields to their defaults.
     Each subclass gets an `__init__` and an `_astuple` (the field values in
     order) written for its fields, which run as fast as Python can. The
     `__init__` calls the subclass's `__post_init__`, if it has one, looked

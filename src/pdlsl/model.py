@@ -14,14 +14,15 @@ of CTL labeling (Clarke, Emerson & Sistla 1986). Three-valued truth is the
 pair of two-valued passes of Bruns & Godefroid (1999): a bitset of the
 states where a formula is True and one of those where it is True or
 Unknown. An atom's pair applies the documented defaults to its valuation
-bitsets, once per model. Its one modal operator, `<α>`,
-follows the PDL reductions with `<α*>` as backward reachability (Lange
-2006, "Model checking propositional dynamic logic with all extras";
-Cleaveland & Steffen 1993, "A linear-time model-checking algorithm for the
-alternation-free modal mu-calculus"); boxes are its duals. It keeps only
-predecessor rows, and reads any other relation per target state.
-`eval_formula`, `eval_two_valued`, `interpret_action` and the verification
-loop in `check` all read its labels.
+bitsets and to the observation bitsets a model builds when it is made.
+Its one modal operator, `<α>`, follows the PDL reductions with `<α*>` as
+backward reachability (Lange 2006, "Model checking propositional dynamic
+logic with all extras"; Cleaveland & Steffen 1993, "A linear-time
+model-checking algorithm for the alternation-free modal mu-calculus");
+boxes are its duals. It keeps only predecessor rows, and reads any other
+relation per target state. `eval_formula`, `eval_two_valued`,
+`atom_value`, `interpret_action`, `pdlsl eval` and the verification loop
+in `check` all read its labels, and it alone refuses D and W.
 
 A model file is read by `model_from_json`, which checks it against the
 model table of `schema` and builds the model in the same walk; what is not
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from enum import Enum
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from types import MappingProxyType
 from typing import Any
 
@@ -63,7 +64,6 @@ from .core import (
     Touch,
     Action,
     articulators,
-    contains_alias,
     ground_atom,
 )
 from .errors import ParseError, Record, UngroundedFormula, UnknownState
@@ -246,11 +246,12 @@ class UtteranceModel(Record):
     Construction checks that the fields agree with each other: every edge,
     action edge and valued state lies inside the state range, the relation
     is serial, and `observed` and `config_observed` list no more states than
-    the model has.
+    the model has. It then keeps the two as bitsets too, in slots that are
+    not fields, for `_Labeler.atom`.
     """
 
     __slots__ = ("state_count", "relation", "action_interp", "valuation", "observed",
-                 "config_observed", "meta", "__dict__")  # `__dict__` holds `atom_index`
+                 "config_observed", "meta", "_observed", "_config_seen", "_config_label")
     _defaults = {"observed": (), "config_observed": (), "meta": MappingProxyType({})}
 
     def __post_init__(self) -> None:
@@ -282,6 +283,18 @@ class UtteranceModel(Record):
                 raise ValueError(
                     f"{name} lists {len(per_state)} states, the model has {self.state_count}"
                 )
+        # The states that observed each hand, that saw a label on it, and that saw each label.
+        observed, seen, labels = {}, {}, {}
+        for s, hands in enumerate(self.observed):
+            for hand in hands:
+                observed.setdefault(hand, []).append(s)
+        for s, per_hand in enumerate(self.config_observed):
+            for hand, label in per_hand.items():
+                if label is not None:
+                    seen.setdefault(hand, []).append(s)
+                    labels.setdefault((hand, label), []).append(s)
+        for name, per_key in (("_observed", observed), ("_config_seen", seen), ("_config_label", labels)):
+            object.__setattr__(self, name, {k: _bitset(v, self.state_count) for k, v in per_key.items()})
 
     def _check_pair(self, pair: Pair) -> None:
         s, t = pair
@@ -297,96 +310,25 @@ class UtteranceModel(Record):
     def config_at(self, state: int) -> Mapping[Articulator, str | None]:
         return self.config_observed[state] if state < len(self.config_observed) else _NO_CONFIGS
 
-    @cached_property
-    def atom_index(self) -> _AtomIndex:
-        """Each atom's value as bitsets, with the defaults the observation
-        records give, built the first time it is read."""
-        return _AtomIndex(self)
-
-
-def _value(model: UtteranceModel, state: int, bits: Callable[[], tuple[int, int]]) -> ThreeVal:
-    """The value at `state`, a state of the model, in the bitsets `bits()`."""
-    if not (0 <= state < model.state_count):
-        raise UnknownState(f"state {state} outside 0..{model.state_count - 1}")
-    lo, hi = bits()
-    if lo >> state & 1:
-        return ThreeVal.TRUE
-    return ThreeVal.UNKNOWN if hi >> state & 1 else ThreeVal.FALSE
-
-
-def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
-    """Valuation lookup with the documented default for unlisted atoms; D and W are refused."""
-    return _value(model, state, lambda: _Labeler(model).formula(AtomF(atom)))
-
-
-class _AtomIndex:
-    """Bitsets over a model's states: per atom the states listed True,
-    Unknown and False, as the model's valuation holds them; per hand the
-    states that observed it, that saw a hand-shape label, and that saw each
-    label, built in one pass over `observed` and `config_observed`. An
-    atom's `(lo, hi)` pair (True states, True-or-Unknown states) applies the
-    documented defaults to these bitsets, once per atom."""
-
-    def __init__(self, model: UtteranceModel):
-        n = model.state_count
-        self.full = (1 << n) - 1
-        self.listed = model.valuation.listed
-        observed: dict[Articulator, list[int]] = {}
-        for s, hands in enumerate(model.observed):
-            for hand in hands:
-                observed.setdefault(hand, []).append(s)
-        seen: dict[Articulator, list[int]] = {}
-        labels: dict[tuple[Articulator, str], list[int]] = {}
-        for s, per_hand in enumerate(model.config_observed):
-            for hand, label in per_hand.items():
-                if label is not None:
-                    seen.setdefault(hand, []).append(s)
-                    labels.setdefault((hand, label), []).append(s)
-        self.observed = {hand: _bitset(states, n) for hand, states in observed.items()}
-        self.config_seen = {hand: _bitset(states, n) for hand, states in seen.items()}
-        self.config_label = {key: _bitset(states, n) for key, states in labels.items()}
-        self._pairs: dict[Atom, tuple[int, int]] = {}
-
-    def bits(self, atom: Atom) -> tuple[int, int]:
-        pair = self._pairs.get(atom)
-        if pair is None:
-            pair = self._pairs[atom] = self._pair(atom)
-        return pair
-
-    def _pair(self, atom: Atom) -> tuple[int, int]:
-        observed = self.observed
-        match atom:
-            case RelDir() | Touch() | At():
-                default_false = self.full  # False where each of its hands was observed
-                for hand in articulators(atom):
-                    default_false &= observed.get(hand, 0)
-            case Config(articulator=b, label=c):
-                default_false = self.config_seen.get(b, 0) & ~self.config_label.get((b, c), 0)
-            case Orient():
-                default_false = 0
-            case _:
-                raise TypeError(f"not an atom: {atom!r}")
-        true, unknown, false = self.listed.get(atom, (0, 0, 0))
-        return true, self.full & ~(false | default_false & ~(true | unknown))
-
 
 # --- Labeling ----------------------------------------------------------------
 
 
 class _Labeler:
-    """Labels every state of one model at once. A formula's label is a pair
-    of bitsets over states: `lo` holds the True states and `hi` the
+    """Labels every state of one model at once; it is the only code that
+    turns a model and a formula into labels. A formula's label is a pair of
+    bitsets over states: `lo` holds the True states and `hi` the
     True-or-Unknown ones. With `closed_world` set, atoms collapse to `lo`
     (`hi` if False). Formulas are labeled as parsed, and only their atoms
     and atomic actions are grounded, under `handedness`; without one, a
-    leaf naming D or W is refused.
+    leaf naming D or W is refused, wherever it is in the formula.
 
     The one modal operator is `<α>`, labeled by `pre`; a box is its dual,
     `[α]X = !<α>!X`. `<α;β>Y = <α><β>Y`, `<α|β>Y = <α>Y \\/ <β>Y` and
     `<α*>Y` is backward reachability from Y (Lange 2006; Cleaveland &
     Steffen 1993). The only stored relations are the predecessor rows of
-    atomic and `&` actions; the rows of any other action, such as a star
-    under `&`, are read per target state `t` as `<α>{t}`."""
+    atomic and `&` actions, kept by `_stored`; the rows of any other action,
+    such as a star under `&`, are read per target state `t` as `<α>{t}`."""
 
     def __init__(self, model: UtteranceModel, closed_world: bool | None = None,
                  handedness: Handedness | None = None):
@@ -394,7 +336,6 @@ class _Labeler:
         self.full = (1 << model.state_count) - 1
         self.closed_world = closed_world
         self.handedness = handedness
-        self._atoms = model.atom_index
         self._pred: dict[Action, tuple[dict[int, int], int, int]] = {}
         self._labels: dict[Formula, tuple[int, int]] = {}
         self._anchors: dict[Formula, tuple[int, int]] = {}
@@ -403,6 +344,25 @@ class _Labeler:
         if self.handedness is None and any(hand.is_alias for hand in articulators(leaf)):
             raise UngroundedFormula("the input mentions D or W; ground it first")
         return leaf if self.handedness is None else ground_atom(leaf, self.handedness)
+
+    def atom(self, atom: Atom) -> tuple[int, int]:
+        """A grounded atom's `(lo, hi)` pair: the model's valuation bitsets
+        with the documented defaults, read off its observation bitsets, at
+        the states that list nothing."""
+        model = self.model
+        match atom:
+            case RelDir() | Touch() | At():
+                default_false = self.full  # False where each of its hands was observed
+                for hand in articulators(atom):
+                    default_false &= model._observed.get(hand, 0)
+            case Config(articulator=b, label=c):
+                default_false = model._config_seen.get(b, 0) & ~model._config_label.get((b, c), 0)
+            case Orient():
+                default_false = 0
+            case _:
+                raise TypeError(f"not an atom: {atom!r}")
+        true, unknown, false = model.valuation.listed.get(atom, (0, 0, 0))
+        return true, self.full & ~(false | default_false & ~(true | unknown))
 
     def formula(self, formula: Formula) -> tuple[int, int]:
         """A formula's label; each distinct subformula is labeled once, left to right."""
@@ -421,7 +381,7 @@ class _Labeler:
                 full = self.full
                 label = full ^ self.pre(action, full ^ lo), full ^ self.pre(action, full ^ hi)
             case AtomF(atom):
-                lo, hi = self._atoms.bits(self.leaf(atom))
+                lo, hi = self.atom(self.leaf(atom))
                 closed = self.closed_world
                 label = (lo, hi) if closed is None else (lo, lo) if closed else (hi, hi)
             case Top():
@@ -451,11 +411,13 @@ class _Labeler:
 
     def reach(self, action: Action, targets: int) -> int:
         """<α*>Y: the states with an α-path into `targets`. Each state joins
-        the frontier at most once."""
-        reached = frontier = targets
+        the frontier at most once, and α is read at least once, so a D or W
+        in it is refused even when `targets` is empty."""
+        reached = targets
+        frontier = self.pre(action, targets) & ~reached
         while frontier:
-            frontier = self.pre(action, frontier) & ~reached
             reached |= frontier
+            frontier = self.pre(action, frontier) & ~reached
         return reached
 
     def pre(self, action: Action, targets: int) -> int:
@@ -467,12 +429,7 @@ class _Labeler:
                 return self.pre(l, targets) | self.pre(r, targets)
             case Star(body):
                 return self.reach(body, targets)
-        pred = self._pred.get(action)
-        if pred is None:
-            rows = self.rows(action)
-            has_pred = _bitset(list(rows), self.model.state_count)
-            pred = self._pred[action] = rows, has_pred, reduce(int.__or__, rows.values(), 0)
-        rows, has_pred, has_succ = pred
+        rows, has_pred, has_succ = self._stored(action)
         if targets & has_pred == has_pred:  # Y holds every state with a predecessor
             return has_succ
         found = 0
@@ -482,24 +439,33 @@ class _Labeler:
 
     def rows(self, action: Action) -> dict[int, int]:
         """α's predecessor rows: each state with an α-predecessor, mapped to
-        the bitset of its predecessors. Built from an atomic action's edges,
-        intersected for `&`, and read per target state `t` as `<α>{t}` for
-        any other action; `pre` keeps the rows it reads."""
-        match action:
-            case Atomic(a):
-                rows = {}
-                for s, t in self.model.action_interp.get(self.leaf(a), ()):
-                    rows[t] = rows.get(t, 0) | 1 << s
-                return rows
-            case Concurrent(l, r):
-                right = self.rows(r)
-                return {
-                    t: both for t, bits in self.rows(l).items() if (both := bits & right.get(t, 0))
-                }
-            case Seq() | Choice() | Star():
-                pre = self.pre
-                return {t: bits for t in self.model.states() if (bits := pre(action, 1 << t))}
-        raise TypeError(f"not an action node: {action!r}")
+        the bitset of its predecessors. Those of an atomic or `&` action are
+        stored; any other action's are read per target state `t` as `<α>{t}`."""
+        if isinstance(action, (Seq, Choice, Star)):
+            pre = self.pre
+            return {t: bits for t in self.model.states() if (bits := pre(action, 1 << t))}
+        return self._stored(action)[0]
+
+    def _stored(self, action: Action) -> tuple[dict[int, int], int, int]:
+        """An atomic or `&` action's rows, built once from the action's edges
+        or as the intersection of its operands' rows, with the bitsets of the
+        states that have a predecessor and of those that have a successor."""
+        stored = self._pred.get(action)
+        if stored is None:
+            match action:
+                case Atomic(a):
+                    rows = {}
+                    for s, t in self.model.action_interp.get(self.leaf(a), ()):
+                        rows[t] = rows.get(t, 0) | 1 << s
+                case Concurrent(l, r):
+                    right = self.rows(r)
+                    rows = {t: both for t, bits in self.rows(l).items()
+                            if (both := bits & right.get(t, 0))}
+                case _:
+                    raise TypeError(f"not an action node: {action!r}")
+            has_pred = _bitset(list(rows), self.model.state_count)
+            stored = self._pred[action] = rows, has_pred, reduce(int.__or__, rows.values(), 0)
+        return stored
 
 
 _WORD = (1 << 64) - 1
@@ -542,15 +508,27 @@ def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
     return frozenset((s, t) for t, bits in rows.items() for s in _members(bits))
 
 
-def _value_at(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:
-    if contains_alias(formula):
-        raise UngroundedFormula("formula mentions D or W; ground it first")
-    return _value(labeler.model, state, lambda: labeler.formula(formula))
+def _value(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:
+    """The formula's value at `state`, which is checked first to be a state
+    of the labeler's model."""
+    model = labeler.model
+    if not (0 <= state < model.state_count):
+        raise UnknownState(f"state {state} outside 0..{model.state_count - 1}")
+    lo, hi = labeler.formula(formula)
+    if lo >> state & 1:
+        return ThreeVal.TRUE
+    return ThreeVal.UNKNOWN if hi >> state & 1 else ThreeVal.FALSE
+
+
+def atom_value(model: UtteranceModel, state: int, atom: Atom) -> ThreeVal:
+    """Valuation lookup with the documented default for unlisted atoms; D and W are refused."""
+    return _value(_Labeler(model), state, AtomF(atom))
 
 
 def eval_formula(model: UtteranceModel, state: int, formula: Formula) -> ThreeVal:
-    """Three-valued truth of a grounded formula at a state."""
-    return _value_at(_Labeler(model), state, formula)
+    """Three-valued truth of a grounded formula at a state. The state is
+    checked first; then a formula that names D or W anywhere is refused."""
+    return _value(_Labeler(model), state, formula)
 
 
 def eval_two_valued(
@@ -558,7 +536,7 @@ def eval_two_valued(
 ) -> bool:
     """Classical evaluation: Unknown atoms collapse to False under the
     closed-world flag (to True with it unset), then the formula is labeled."""
-    return _value_at(_Labeler(model, closed_world), state, formula) is ThreeVal.TRUE
+    return _value(_Labeler(model, closed_world), state, formula) is ThreeVal.TRUE
 
 
 # --- Serialization -----------------------------------------------------------

@@ -500,15 +500,17 @@ _F_AND, _F_UNARY = 0, 1
 # Action levels, loosest to tightest: ";", "&", "|", star, primitive.
 _A_SEQ, _A_PAR, _A_CHOICE, _A_STAR, _A_PRIM = 0, 1, 2, 3, 4
 # Printing spells an articulator by its letter, a direction by its compass
-# name and a place or label as it is: "dir(%s,%s,%s)" % (subject.value, ...).
-_SPELLING = {"direction": ".name", "place": "", "label": ""}
+# name and a place or label as it is: "dir(%s,%s,%s)" % (subject._value_, ...).
+# A member's `_value_` and `_name_` are plain attributes; `Enum`'s `value`
+# and `name` are properties written in Python.
+_SPELLING = {"direction": "._name_", "place": "", "label": ""}
 
 
 def _printers(heads: tuple[str, ...]) -> dict[type, tuple[str, attrgetter]]:
     """The template and field getter of the leaf type of each head."""
     return {
         node: (f"{head}({','.join(['%s'] * len(fields))})",
-               attrgetter(*(f + _SPELLING.get(f, ".value") for f in fields)))
+               attrgetter(*(f + _SPELLING.get(f, "._value_") for f in fields)))
         for head in heads
         for node in (_LEAVES[head],)
         for fields in (LEAF_FIELDS[node],)

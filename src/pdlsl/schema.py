@@ -200,8 +200,8 @@ def table(label: str, fields: Mapping[str, Node | _Optional | _Given],
 
     The check is generated as straight-line Python, one block per key,
     because it runs once per row of the largest lists, where a loop over the
-    keys made `model_from_json` about a fifth slower. It is compiled on the
-    node's first call, so a process pays only for the formats it reads."""
+    keys made `model_from_json` about a fifth slower. It is compiled when
+    the table is built, and the compiled function is the node."""
     env = {"Invalid": Invalid, "ABSENT": object(), "build": build, "names": frozenset(fields)}
     env["unknown"] = partial(_unknown, label, env["names"])
     code = ["def check(value):",
@@ -244,12 +244,5 @@ def table(label: str, fields: Mapping[str, Node | _Optional | _Given],
         code += ["    try:", f"        return build({values})",
                  "    except (ValueError, OverflowError) as exc:",
                  "        raise Invalid(str(exc)) from None"]
-    compiled: list[Node] = []
-
-    def node(value: Any) -> Any:
-        if not compiled:
-            exec("\n".join(code), env)
-            compiled.append(env["check"])
-        return compiled[0](value)
-
-    return node
+    exec("\n".join(code), env)
+    return env["check"]

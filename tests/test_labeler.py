@@ -382,7 +382,7 @@ def _assert_documented_bits(model: UtteranceModel, cells: dict) -> None:
         expected = [_reference_atom_value(model, cells, s, atom) for s in model.states()]
         lo = sum(1 << s for s, v in enumerate(expected) if v is T)
         hi = sum(1 << s for s, v in enumerate(expected) if v is not F)
-        assert model.atom_index.bits(atom) == (lo, hi), atom
+        assert Labeler(model).atom(atom) == (lo, hi), atom
         if contains_alias(AtomF(atom)):
             with pytest.raises(UngroundedFormula):  # atom_value takes grounded atoms only
                 atom_value(model, 0, atom)
@@ -422,7 +422,7 @@ def test_model_files_read_into_the_documented_bitsets(seed):
     _assert_documented_bits(model, cells)
 
     listed = dict(model.valuation.listed)
-    bits = {atom: model.atom_index.bits(atom) for atom in ATOMS}
+    bits = {atom: Labeler(model).atom(atom) for atom in ATOMS}
     handedness = rng.choice(tuple(Handedness))
     for _ in range(2):  # a second patch of the same model sees none of the first
         overrides = _random_overrides(rng, model, rng.randint(1, 40))
@@ -431,9 +431,7 @@ def test_model_files_read_into_the_documented_bitsets(seed):
         assert patched == model._replace(valuation=expected)
         _assert_documented_bits(patched, expected)
         assert dict(model.valuation) == cells and model.valuation.listed == listed
-        fresh = pdlsl.model._AtomIndex(model)
-        assert {atom: model.atom_index.bits(atom) for atom in ATOMS} == bits
-        assert {atom: fresh.bits(atom) for atom in ATOMS} == bits
+        assert {atom: Labeler(model).atom(atom) for atom in ATOMS} == bits
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -254,6 +254,16 @@ def test_eval_rejects_ungrounded():
         eval_formula(m, 0, parse_formula("touch(D,W)"))
 
 
+def test_eval_checks_the_state_first():
+    m = chain_model(1, {})
+    formula = parse_formula("touch(D,W)")
+    for evaluate in (eval_formula, eval_two_valued):
+        with pytest.raises(UnknownState):
+            evaluate(m, 1, formula)
+        with pytest.raises(UngroundedFormula, match="^the input mentions D or W; ground it first$"):
+            evaluate(m, 0, formula)
+
+
 @pytest.mark.parametrize("formula, action", [
     ("[move(D,E)*] true", "move(D,E)*"),
     ("<move(D,E)*> !true", "move(D,E)*"),
