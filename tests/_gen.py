@@ -29,6 +29,7 @@ from pdlsl import (
     Formula,
     Move,
     Not,
+    Orient,
     Place,
     PlaceMap,
     Rect,
@@ -387,6 +388,22 @@ def gen_tracking(rng: random.Random) -> tuple[dict, dict]:
         doc["mirrored"] = mirrored
     return doc, options
 
+
+
+def vocabulary(model: UtteranceModel, place_map: PlaceMap) -> tuple[Atom, ...]:
+    """Every atom an extracted model may value, under the run's place map:
+    both ordered `dir` pairs in each direction, `at` for each hand and
+    place, `touch` in both orders, `cfg` for each hand and each of
+    `_LABELS` and the labels the model saw, and `orient` for each hand and
+    direction."""
+    seen = {label for per_hand in model.config_observed for label in per_hand.values()}
+    labels = sorted((seen - {None}) | set(_LABELS))
+    atoms = [RelDir(s, d, a) for s, a in ((R, L), (L, R)) for d in Direction]
+    atoms += [At(hand, place.name) for hand in (R, L) for place in place_map]
+    atoms += [Touch(R, L), Touch(L, R)]
+    atoms += [Config(hand, label) for hand in (R, L) for label in labels]
+    atoms += [Orient(hand, d) for hand in (R, L) for d in Direction]
+    return tuple(atoms)
 
 
 # --- Model documents -----------------------------------------------------------

@@ -507,6 +507,32 @@ def test_build_model_merges_identical_postures_around_thrill():
     assert model.action_interp[Move(L, Direction.SW)] == frozenset({(1, 2)})
 
 
+def held_thrill_held(first_median_seen: bool):
+    """The right hand alone, held at a point outside every default place,
+    thrilled in place, then held there again, so the two postures value no
+    atom apart from their defaults. Unless `first_median_seen`, the first
+    posture's median frame lost the hand."""
+    rest = Vec2(1.5, 1.0)
+    frames = [mk_frame(t, right=hand(rest.x, rest.y)) for t in range(9)]
+    if not first_median_seen:
+        frames[4] = mk_frame(4)
+    for i in range(10):
+        x = rest.x + (0.02 if i % 2 == 0 else -0.02)
+        frames.append(mk_frame(len(frames), right=hand(x, rest.y)))
+    frames += [mk_frame(len(frames), right=hand(rest.x, rest.y)) for _ in range(9)]
+    return seq_of(frames)
+
+
+def test_thrill_merges_postures_only_with_equal_observations():
+    merged = build_model(held_thrill_held(first_median_seen=True))
+    assert merged.state_count == 1
+    assert merged.action_interp == {Thrill(R): frozenset({(0, 0)})}
+    kept = build_model(held_thrill_held(first_median_seen=False))
+    assert kept.state_count == 2
+    assert kept.action_interp == {Thrill(R): frozenset({(0, 1)})}
+    assert kept.observed == (frozenset(), frozenset({R}))
+
+
 def test_build_model_outputs_are_serial():
     rng = random.Random(11)
     for _ in range(20):

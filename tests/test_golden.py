@@ -11,6 +11,11 @@ with a file under `tests/golden/`:
 * `extract.tsv` - 200 seeded tracking documents from `_gen.gen_tracking`,
   run through `tracking_from_json` and `extract_model`, with the sha256 of
   the model file and the diagnostics, or the error, of each;
+* `labels.tsv` - the same 200 documents and the three fixtures, extracted,
+  with the state count, the sha256 of the model file without its
+  `valuation` key, and the sha256 of the `(lo, hi)` label of every atom of
+  `_gen.vocabulary`, or the error, of each: what the model says, however
+  many of its cells the file lists;
 * `load.tsv` - 300 seeded model documents from `_gen.gen_model_doc`, a third
   valid and the rest with one or two defects each, run through
   `model_from_json`, with the sha256 of the model file written back, or
@@ -36,7 +41,8 @@ import pdlsl.core
 from pdlsl.cli import _dump_json, main
 from pdlsl.errors import ParseError, PdlslError, SchemaError
 from pdlsl.extract import extract_model, tracking_from_json
-from pdlsl.model import model_from_json, model_to_json
+from pdlsl.geometry import DEFAULT_PLACE_MAP
+from pdlsl.model import _Labeler, model_from_json, model_to_json
 from pdlsl.parsing import (
     MAX_DEPTH,
     parse_action,
@@ -50,7 +56,7 @@ from pdlsl.parsing import (
     print_formula,
 )
 
-from _gen import MODEL_ATOM_TEXTS, gen_model_doc, gen_tracking
+from _gen import MODEL_ATOM_TEXTS, gen_model_doc, gen_tracking, vocabulary
 from conftest import EXAMPLES
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -257,6 +263,38 @@ def _extract_rows() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _label_runs():
+    """The runs `labels.tsv` pins, as `(name, tracking document, options of
+    extract_model)`: each `extract.tsv` seed, then each fixture."""
+    for seed in range(200):
+        yield str(seed), *gen_tracking(random.Random(f"extract:{seed}"))
+    for fixture in FIXTURES:
+        yield fixture, json.loads((EXAMPLES / f"{fixture}.tracking.json").read_text()), {}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _labels_outcome(doc: dict, options: dict) -> str:
+    try:
+        model, _ = extract_model(tracking_from_json(doc), **options)
+    except PdlslError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    file = model_to_json(model)
+    del file["valuation"]
+    labeler = _Labeler(model)
+    atoms = vocabulary(model, options.get("place_map", DEFAULT_PLACE_MAP))
+    labels = "".join(f"{print_atom(atom)} {labeler.atom(atom)}\n" for atom in atoms)
+    return f"{model.state_count} states\t{_sha256(_dump_json(file))}\t{_sha256(labels)}"
+
+
+def _labels_rows() -> str:
+    lines = ["run\toutcome"]
+    lines += [f"{name}\t{_labels_outcome(doc, options)}" for name, doc, options in _label_runs()]
+    return "\n".join(lines) + "\n"
+
+
 def _some_row(rng: random.Random, doc: dict) -> dict:
     """A valuation row of `doc` that is still an object, added if none is."""
     rows = [row for row in doc["valuation"] if type(row) is dict]
@@ -374,6 +412,10 @@ def test_extract_rows_match_golden():
     assert _extract_rows().encode("utf-8") == (GOLDEN / "extract.tsv").read_bytes()
 
 
+def test_labels_match_golden():
+    assert _labels_rows().encode("utf-8") == (GOLDEN / "labels.tsv").read_bytes()
+
+
 def test_load_rows_match_golden():
     assert _load_rows().encode("utf-8") == (GOLDEN / "load.tsv").read_bytes()
 
@@ -402,6 +444,7 @@ def regenerate() -> None:
                 _check(fixture, dominant, GOLDEN / f"{fixture}.{dominant}.report.json")
     (GOLDEN / "eval.tsv").write_bytes(_eval_rows(run).encode("utf-8"))
     (GOLDEN / "extract.tsv").write_bytes(_extract_rows().encode("utf-8"))
+    (GOLDEN / "labels.tsv").write_bytes(_labels_rows().encode("utf-8"))
     (GOLDEN / "load.tsv").write_bytes(_load_rows().encode("utf-8"))
     (GOLDEN / "parse.tsv").write_bytes(_parse_rows().encode("utf-8"))
 
