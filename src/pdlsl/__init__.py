@@ -18,8 +18,8 @@ _API = {
         "TOP", "Action", "And", "Articulator", "At", "Atom", "AtomF", "Atomic", "AtomicAction",
         "Box", "Choice", "Concurrent", "Config", "Direction", "Formula", "Handedness", "Move",
         "Not", "Orient", "Place", "Rect", "RelDir", "Seq", "Star", "Thrill", "Top", "Touch",
-        "config_labels", "contains_alias", "diamond", "ground", "ground_atom", "implies",
-        "iter_atoms", "iter_atomic_actions", "mirror_direction", "or_", "resolve_articulator",
+        "contains_alias", "diamond", "ground", "ground_atom", "implies", "iter_atoms",
+        "iter_atomic_actions", "mirror_direction", "or_", "resolve_articulator",
         "resolve_direction",
     ),
     "errors": (

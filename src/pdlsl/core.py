@@ -331,11 +331,6 @@ def contains_alias(formula: Formula) -> bool:
         return True
 
 
-def config_labels(formula: Formula) -> frozenset[str]:
-    """All hand-configuration labels mentioned by the formula."""
-    return frozenset(a.label for a in iter_atoms(formula) if isinstance(a, Config))
-
-
 # --- Handedness grounding ---------------------------------------------------
 
 

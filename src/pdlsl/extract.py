@@ -469,15 +469,15 @@ def posture_valuation(
     posture: Segment,
     place_map: PlaceMap,
     params: SegmentationParams | None = None,
-    config_labels: Iterable[str] = (),
 ) -> dict[Atom, ThreeVal]:
-    """Three-valued atoms at a key posture, read off its median frame.
-
-    Exactly one relative direction holds per ordered hand pair; place atoms
-    follow rectangle containment; touch uses the hand distance with an
-    unknown band around the threshold; configuration and orientation come
-    from labels when present. Anything unobservable is Unknown, never a
-    guess.
+    """The atoms of a key posture, read off its median frame, whose values
+    differ from the defaults of a state that observed that frame's hands and
+    hand shapes (see `UtteranceModel`): per ordered hand pair its one True
+    direction, or all sixteen Unknown when both hands sit on one point; each
+    place holding an observed hand, True; touch, True below tau_touch and
+    Unknown in the band above; each seen hand shape, True; and for a
+    labelled orientation that direction True and the other seven False.
+    Anything unobservable keeps its default: it is Unknown, never a guess.
     """
     if posture.kind != SegmentKind.KEY_POSTURE:
         raise ValueError("valuation is defined on key postures")
@@ -485,62 +485,32 @@ def posture_valuation(
     i = _representative(posture)
     frames = seq.frames
     right, left = frames.right.point(i), frames.left.point(i)
-    labels = sorted(set(config_labels))
+    R, L = _HANDS
     val: dict[Atom, ThreeVal] = {}
 
-    pair_known = right is not None and left is not None and right != left
-    for subject, anchor, s_pos, a_pos in (
-        (Articulator.RIGHT, Articulator.LEFT, right, left),
-        (Articulator.LEFT, Articulator.RIGHT, left, right),
-    ):
-        winner = relative_direction(s_pos, a_pos) if pair_known else None
-        for d in Direction:
-            atom = RelDir(subject, d, anchor)
-            if winner is None:
-                val[atom] = ThreeVal.UNKNOWN
-            else:
-                val[atom] = ThreeVal.from_bool(d is winner)
-
-    for hand, pos in ((Articulator.RIGHT, right), (Articulator.LEFT, left)):
-        for place in place_map:
-            atom = At(hand, place.name)
-            if pos is None:
-                val[atom] = ThreeVal.UNKNOWN
-            else:
-                val[atom] = ThreeVal.from_bool(place.region.contains(pos.x, pos.y))
-
     if right is not None and left is not None:
+        if right == left:
+            for d in Direction:
+                val[RelDir(R, d, L)] = val[RelDir(L, d, R)] = ThreeVal.UNKNOWN
+        else:
+            val[RelDir(R, relative_direction(right, left), L)] = ThreeVal.TRUE
+            val[RelDir(L, relative_direction(left, right), R)] = ThreeVal.TRUE
         distance = (right - left).norm
-        if distance < params.tau_touch:
-            touching = ThreeVal.TRUE
-        elif distance < params.tau_touch + params.touch_unknown_band:
-            touching = ThreeVal.UNKNOWN
-        else:
-            touching = ThreeVal.FALSE
-    else:
-        touching = ThreeVal.UNKNOWN
-    val[Touch(Articulator.RIGHT, Articulator.LEFT)] = touching
-    val[Touch(Articulator.LEFT, Articulator.RIGHT)] = touching
+        if distance < params.tau_touch + params.touch_unknown_band:
+            touching = ThreeVal.TRUE if distance < params.tau_touch else ThreeVal.UNKNOWN
+            val[Touch(R, L)] = val[Touch(L, R)] = touching
 
-    for hand in _HANDS:
-        seen = frames.hand(hand).config[i]
-        if seen is not None:
-            val[Config(hand, seen)] = ThreeVal.TRUE
-            for label in labels:
-                if label != seen:
-                    val[Config(hand, label)] = ThreeVal.FALSE
-        else:
-            for label in labels:
-                val[Config(hand, label)] = ThreeVal.UNKNOWN
-
-    for hand in _HANDS:
-        toward = frames.hand(hand).orient[i]
-        for d in Direction:
-            atom = Orient(hand, d)
-            if toward is None:
-                val[atom] = ThreeVal.UNKNOWN
-            else:
-                val[atom] = ThreeVal.from_bool(d is toward)
+    for hand, pos in ((R, right), (L, left)):
+        track = frames.hand(hand)
+        if pos is not None:
+            for place in place_map:
+                if place.region.contains(pos.x, pos.y):
+                    val[At(hand, place.name)] = ThreeVal.TRUE
+        if track.config[i] is not None:
+            val[Config(hand, track.config[i])] = ThreeVal.TRUE
+        if track.orient[i] is not None:
+            for d in Direction:
+                val[Orient(hand, d)] = ThreeVal.from_bool(d is track.orient[i])
     return val
 
 
@@ -620,45 +590,45 @@ def build_model(
     seq: TrackingSequence,
     params: SegmentationParams | None = None,
     place_map: PlaceMap | None = None,
-    config_labels: Iterable[str] = (),
 ) -> UtteranceModel:
     """Assemble the utterance model from a normalized, validated sequence.
 
-    One state per key posture in temporal order. A pure-thrill transition
-    between two postures with identical valuations collapses into a
-    self-loop on the single shared state. The final state gets an unlabeled
-    self-loop so every state has a successor; that loop belongs to no
-    action's interpretation.
+    One state per key posture in temporal order, with the cells of
+    `posture_valuation` and the hands and hand shapes its median frame
+    observed. A pure-thrill transition between two postures equal in all
+    three collapses into a self-loop on the single shared state. The final
+    state gets an unlabeled self-loop so every state has a successor; that
+    loop belongs to no action's interpretation.
     """
     params = params or SegmentationParams()
     place_map = place_map or DEFAULT_PLACE_MAP
-    labels = tuple(sorted(set(config_labels)))
     segments = segment(seq, params)
     postures = [s for s in segments if s.kind == SegmentKind.KEY_POSTURE]
     transitions = [s for s in segments if s.kind == SegmentKind.TRANSITION]
     if not postures:
         raise NoKeyPosture("segmentation produced no key posture")
 
-    valuations: list[dict[Atom, ThreeVal]] = []
-    observed: list[frozenset[Articulator]] = []
-    configs: list[dict[Articulator, str | None]] = []
+    states: list[tuple[dict[Atom, ThreeVal], frozenset[Articulator], dict]] = []
     edges: list[tuple[int, int, TransitionLabel]] = []
     # The first posture has no transition before it.
     for transition, posture in zip((None, *transitions), postures):
-        valuation = posture_valuation(seq, posture, place_map, params, labels)
-        current = len(valuations) - 1
+        i = _representative(posture)
+        state = (
+            posture_valuation(seq, posture, place_map, params),
+            frozenset(h for h in _HANDS if seq.frames.hand(h).x[i] is not None),
+            {h: seq.frames.hand(h).config[i] for h in _HANDS},
+        )
+        current = len(states) - 1
         if transition is not None:
             label = transition_action(seq, transition, params)
-            if _is_pure_thrill(label) and valuation == valuations[current]:
+            if _is_pure_thrill(label) and state == states[current]:
                 edges.append((current, current, label))
                 continue
             edges.append((current, current + 1, label))
-        i = _representative(posture)
-        valuations.append(valuation)
-        observed.append(frozenset(h for h in _HANDS if seq.frames.hand(h).x[i] is not None))
-        configs.append({h: seq.frames.hand(h).config[i] for h in _HANDS})
+        states.append(state)
+    valuations, observed, configs = zip(*states)
 
-    state_count = len(valuations)
+    state_count = len(states)
     relation = {(s, t) for s, t, _ in edges}
     relation.add((state_count - 1, state_count - 1))  # seriality repair
     interp: dict[AtomicAction, set[tuple[int, int]]] = {}
@@ -675,8 +645,8 @@ def build_model(
         valuation=Valuation.of(state_count, (
             ((s, atom), value) for s, val in enumerate(valuations) for atom, value in val.items()
         )),
-        observed=tuple(observed),
-        config_observed=tuple(configs),
+        observed=observed,
+        config_observed=configs,
         meta={
             "fps": seq.fps,
             "mirrored": seq.mirrored,
@@ -689,7 +659,6 @@ def extract_model(
     raw: TrackingSequence,
     params: SegmentationParams | None = None,
     place_map: PlaceMap | None = None,
-    config_labels: Iterable[str] = (),
     body_origin: Vec2 | None = None,
     body_scale: float | None = None,
 ) -> tuple[UtteranceModel, list[Diagnostic]]:
@@ -697,5 +666,5 @@ def extract_model(
     params = params or SegmentationParams()
     normalized, d1 = normalize_sequence(raw, body_origin, body_scale)
     cleaned, d2 = validate_sequence(normalized, params)
-    model = build_model(cleaned, params, place_map, config_labels)
+    model = build_model(cleaned, params, place_map)
     return model, d1 + d2

@@ -427,6 +427,8 @@ class _Labeler:
                 return self.pre(l, self.pre(r, targets))
             case Choice(l, r):
                 return self.pre(l, targets) | self.pre(r, targets)
+            case Star(Star() as inner):  # (α*)* = α*
+                return self.pre(inner, targets)
             case Star(body):
                 return self.reach(body, targets)
         rows, has_pred, has_succ = self._stored(action)

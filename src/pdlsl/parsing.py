@@ -66,7 +66,6 @@ from .core import (
     Thrill,
     Top,
     Touch,
-    config_labels,
     diamond,
     ground_atom,
     implies,
@@ -453,9 +452,6 @@ class LexiconFile(Record):
             if e.name == name:
                 return e.formula
         return None
-
-    def config_labels(self) -> frozenset[str]:
-        return frozenset().union(*(config_labels(e.formula) for e in self.entries))
 
     def canonical_text(self) -> str:
         texts: dict = {}

@@ -286,8 +286,8 @@ def gen_tracking(rng: random.Random) -> tuple[dict, dict]:
     head and hand dropouts, repeated and decreasing frame indices,
     teleports (some of which overflow a double), non-finite or too large
     coordinates, and a body scale whose reciprocal overflows. The options
-    draw a configured body origin and scale, a custom place map, config
-    labels and changed segmentation thresholds."""
+    draw a configured body origin and scale, a custom place map and changed
+    segmentation thresholds."""
     configured = [key for key in ("body_origin", "body_scale") if rng.random() < 0.25]
     # Without a configured origin or scale a body unit is a raw unit.
     scales = (1.0, rng.uniform(0.8, 1.25))
@@ -373,8 +373,10 @@ def gen_tracking(rng: random.Random) -> tuple[dict, dict]:
             for name in rng.sample(_PLACE_NAMES, rng.randint(1, 4))
             for x, y in [(rng.uniform(-1.0, 0.5), rng.uniform(-0.5, 1.2))]
         )
+    # Config labels were an extraction option once; the draw stays, so that
+    # each seed keeps its document and its other options.
     if rng.random() < 0.5:
-        options["config_labels"] = tuple(rng.sample(_LABELS, rng.randint(1, 3)))
+        rng.sample(_LABELS, rng.randint(1, 3))
     if rng.random() < 0.3:
         options["params"] = SegmentationParams(
             tau_still=rng.choice((0.01, 0.02, 0.03)),

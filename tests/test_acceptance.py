@@ -47,6 +47,7 @@ from pdlsl import (
     extract_model,
     ground,
     interpret_action,
+    iter_atoms,
     mirror_direction,
     parse_formula,
     parse_lexicon,
@@ -60,6 +61,7 @@ from pdlsl import (
 
 import _gen
 from conftest import EXAMPLES
+from test_labeler import _reference_atom_value
 from test_oracle import reference_verdicts
 
 R, L = Articulator.RIGHT, Articulator.LEFT
@@ -101,9 +103,7 @@ def report_shape(report):
 def test_route_end_to_end():
     doc, lexicon = load_route()
     started = time.perf_counter()
-    model, diagnostics = extract_model(
-        tracking_from_json(doc), config_labels=lexicon.config_labels()
-    )
+    model, diagnostics = extract_model(tracking_from_json(doc))
     report = verify(model, lexicon, RIGHT_DOM)
     elapsed = time.perf_counter() - started
     assert diagnostics == []
@@ -324,18 +324,25 @@ def _fixture_models():
     variants.append(dropped)
     variants.append(json.loads((EXAMPLES / "route_teleport.tracking.json").read_text()))
     variants.append(json.loads((EXAMPLES / "route_dropout.tracking.json").read_text()))
+    # The oracle reads listed cells only, so each model comes with a copy
+    # that lists every atom of the grounded lexicon at every state, with the
+    # value its default gives it there.
+    atoms = {a for e in lexicon.entries for a in iter_atoms(ground(e.formula, RIGHT_DOM))}
     for v in variants:
-        model, _ = extract_model(tracking_from_json(v), config_labels=lexicon.config_labels())
-        yield model, lexicon
+        model, _ = extract_model(tracking_from_json(v))
+        cells = dict(model.valuation)
+        filled = {(s, a): _reference_atom_value(model, cells, s, a)
+                  for s in model.states() for a in atoms}
+        yield model, model._replace(valuation=filled), lexicon
 
 
 @criterion(8, "anchor pruning soundness: verify equals the per-state reference "
               "(fixtures + 200 random pairs)")
 def test_prefilter_soundness():
-    for model, lexicon in _fixture_models():
-        assert report_shape(verify(model, lexicon, RIGHT_DOM)) == reference_verdicts(
-            model, lexicon, RIGHT_DOM
-        )
+    for model, filled, lexicon in _fixture_models():
+        got = report_shape(verify(model, lexicon, RIGHT_DOM))
+        assert got == report_shape(verify(filled, lexicon, RIGHT_DOM))
+        assert got == reference_verdicts(filled, lexicon, RIGHT_DOM)
     rng = random.Random(8088)
     for _ in range(200):
         model = _gen.gen_model(rng, allow_unknown=True)
@@ -360,13 +367,13 @@ def test_partiality_degradation():
     for frame in voided["frames"]:
         frame["right"].pop("config", None)
         frame["left"].pop("config", None)
-    model, _ = extract_model(tracking_from_json(voided), config_labels=lexicon.config_labels())
+    model, _ = extract_model(tracking_from_json(voided))
     report = report_shape(verify(model, lexicon, RIGHT_DOM))
     assert report[0] == [("ROUTE", "possible")], "config void must demote, not delete"
 
     dropped = json.loads(json.dumps(doc))
     for frame in dropped["frames"][:10]:
         frame["right"].pop("pos", None)
-    model, _ = extract_model(tracking_from_json(dropped), config_labels=lexicon.config_labels())
+    model, _ = extract_model(tracking_from_json(dropped))
     report = report_shape(verify(model, lexicon, RIGHT_DOM))
     assert report[0] == [("ROUTE", "possible")], "position void must demote, not delete"

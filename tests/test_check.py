@@ -57,7 +57,7 @@ def lexicon_of(*named):
 def route_setup(route_tracking_doc, route_lexicon_text):
     lexicon = parse_lexicon(route_lexicon_text)
     seq = tracking_from_json(route_tracking_doc)
-    model, _ = extract_model(seq, config_labels=lexicon.config_labels())
+    model, _ = extract_model(seq)
     return model, lexicon
 
 
@@ -114,7 +114,7 @@ def test_verify_config_void_degrades_to_possible(route_tracking_doc, route_lexic
     for frame in doc["frames"]:
         frame["right"].pop("config", None)
         frame["left"].pop("config", None)
-    model, _ = extract_model(tracking_from_json(doc), config_labels=lexicon.config_labels())
+    model, _ = extract_model(tracking_from_json(doc))
     report = verify(model, lexicon, RIGHT_DOM)
     assert report_shape(report) == [[("ROUTE", "possible")], []]
 
@@ -124,7 +124,7 @@ def test_verify_position_void_degrades_to_possible(route_tracking_doc, route_lex
     doc = json.loads(json.dumps(route_tracking_doc))
     for frame in doc["frames"][:10]:
         frame["right"].pop("pos", None)
-    model, _ = extract_model(tracking_from_json(doc), config_labels=lexicon.config_labels())
+    model, _ = extract_model(tracking_from_json(doc))
     report = verify(model, lexicon, RIGHT_DOM)
     assert report_shape(report) == [[("ROUTE", "possible")], []]
 

@@ -15,9 +15,11 @@ from pdlsl import (
     Direction,
     EPSILON_MOVE,
     HandObservation,
+    Handedness,
     Move,
     NonMonotoneTimestamps,
     Orient,
+    Override,
     RelDir,
     Segment,
     SegmentKind,
@@ -28,6 +30,7 @@ from pdlsl import (
     TrackingFrame,
     TrackingSequence,
     Vec2,
+    apply_overrides,
     atom_value,
     build_model,
     compute_velocities,
@@ -44,6 +47,8 @@ from pdlsl.cli import _dump_json
 from pdlsl.errors import SchemaError
 from pdlsl.extract import Track
 from pdlsl.geometry import DEFAULT_PLACE_MAP, classify_direction
+
+from _gen import vocabulary
 
 R, L = Articulator.RIGHT, Articulator.LEFT
 T, F, U = ThreeVal.TRUE, ThreeVal.FALSE, ThreeVal.UNKNOWN
@@ -270,49 +275,89 @@ def one_posture(right=None, left=None):
     return seq_of(frames), segment(seq_of(frames))[0]
 
 
+def posture_cells(right=None, left=None):
+    """The cells `posture_valuation` lists for one still posture, and each
+    atom's value at the one state of the model built from it."""
+    seq, posture = one_posture(right, left)
+    model = build_model(seq)
+    assert model.state_count == 1
+    return (posture_valuation(seq, posture, DEFAULT_PLACE_MAP),
+            lambda atom: atom_value(model, 0, atom))
+
+
+def places(hand_, *names):
+    return {At(hand_, name): T for name in names}
+
+
 def test_posture_valuation_separated_hands():
-    seq, posture = one_posture(right=hand(0.3, 0.0), left=hand(-0.3, 0.0))
-    val = posture_valuation(seq, posture, DEFAULT_PLACE_MAP)
-    assert val[RelDir(R, Direction.E, L)] is T
-    assert val[RelDir(R, Direction.W, L)] is F
-    assert val[RelDir(L, Direction.W, R)] is T
-    assert val[Touch(R, L)] is F  # 0.6 apart
+    cells, value = posture_cells(right=hand(0.3, 0.0), left=hand(-0.3, 0.0))
+    assert value(RelDir(R, Direction.E, L)) is T
+    assert value(RelDir(R, Direction.W, L)) is F
+    assert value(RelDir(L, Direction.W, R)) is T
+    assert value(Touch(R, L)) is F  # 0.6 apart
+    assert cells == {
+        RelDir(R, Direction.E, L): T, RelDir(L, Direction.W, R): T,
+        **places(R, "TORSE", "R_SIDEOFBODY", "NEUTRAL"),
+        **places(L, "TORSE", "L_SIDEOFBODY", "NEUTRAL"),
+    }
 
 
 def test_posture_valuation_touching_clamps():
-    seq, posture = one_posture(
+    cells, value = posture_cells(
         right=hand(-0.015, 1.1, config="CLAMP"), left=hand(0.015, 1.1, config="CLAMP")
     )
-    val = posture_valuation(seq, posture, DEFAULT_PLACE_MAP, config_labels=("CLAMP", "FIST"))
-    assert val[Config(R, "CLAMP")] is T
-    assert val[Config(L, "CLAMP")] is T
-    assert val[Config(R, "FIST")] is F
-    assert val[Touch(R, L)] is T  # 0.03 < 0.05
-    assert val[At(R, "FACE")] is T
-    assert val[RelDir(L, Direction.E, R)] is T
+    assert value(Config(R, "CLAMP")) is T
+    assert value(Config(L, "CLAMP")) is T
+    assert value(Config(R, "FIST")) is F
+    assert value(Touch(R, L)) is T  # 0.03 < 0.05
+    assert value(At(R, "FACE")) is T
+    assert value(RelDir(L, Direction.E, R)) is T
+    assert cells == {
+        RelDir(R, Direction.W, L): T, RelDir(L, Direction.E, R): T,
+        Touch(R, L): T, Touch(L, R): T, Config(R, "CLAMP"): T, Config(L, "CLAMP"): T,
+        **places(R, "HEAD", "FACE"), **places(L, "HEAD", "FACE"),
+    }
 
 
 def test_posture_valuation_touch_unknown_band():
-    seq, posture = one_posture(right=hand(0.0, 0.0), left=hand(0.07, 0.0))
-    val = posture_valuation(seq, posture, DEFAULT_PLACE_MAP)
-    assert val[Touch(R, L)] is U  # 0.05 <= 0.07 < 0.10
+    cells, value = posture_cells(right=hand(0.0, 0.0), left=hand(0.07, 0.0))
+    assert value(Touch(R, L)) is U  # 0.05 <= 0.07 < 0.10
+    assert cells == {
+        RelDir(R, Direction.W, L): T, RelDir(L, Direction.E, R): T,
+        Touch(R, L): U, Touch(L, R): U,
+        **places(R, "TORSE", "CENTEROFBODY", "NEUTRAL"),
+        **places(L, "TORSE", "CENTEROFBODY", "NEUTRAL"),
+    }
 
 
 def test_posture_valuation_absent_hand_unknown():
-    seq, posture = one_posture(right=None, left=hand(0.0, 0.3))
-    val = posture_valuation(seq, posture, DEFAULT_PLACE_MAP)
-    assert all(val[RelDir(R, d, L)] is U for d in Direction)
-    assert val[Touch(R, L)] is U
-    assert val[At(R, "FACE")] is U
-    assert val[At(L, "NEUTRAL")] is T
+    cells, value = posture_cells(right=None, left=hand(0.0, 0.3))
+    assert all(value(RelDir(R, d, L)) is U for d in Direction)
+    assert value(Touch(R, L)) is U
+    assert value(At(R, "FACE")) is U
+    assert value(At(L, "NEUTRAL")) is T
+    assert cells == places(L, "CHEST", "TORSE", "CENTEROFBODY", "NEUTRAL")
 
 
 def test_posture_valuation_orientation_labels():
-    seq, posture = one_posture(right=hand(0.0, 0.0, orient=Direction.N), left=hand(0.3, 0.3))
-    val = posture_valuation(seq, posture, DEFAULT_PLACE_MAP)
-    assert val[Orient(R, Direction.N)] is T
-    assert val[Orient(R, Direction.S)] is F
-    assert all(val[Orient(L, d)] is U for d in Direction)
+    cells, value = posture_cells(right=hand(0.0, 0.0, orient=Direction.N), left=hand(0.3, 0.3))
+    assert value(Orient(R, Direction.N)) is T
+    assert value(Orient(R, Direction.S)) is F
+    assert all(value(Orient(L, d)) is U for d in Direction)
+    assert cells == {
+        RelDir(R, Direction.SW, L): T, RelDir(L, Direction.NE, R): T,
+        **{Orient(R, d): T if d is Direction.N else F for d in Direction},
+        **places(R, "TORSE", "CENTEROFBODY", "NEUTRAL"),
+        **places(L, "CHEST", "TORSE", "R_SIDEOFBODY", "NEUTRAL"),
+    }
+
+
+def test_posture_valuation_coincident_hands():
+    cells, value = posture_cells(right=hand(1.5, 1.0), left=hand(1.5, 1.0))
+    assert all(value(RelDir(a, d, b)) is U for a, b in ((R, L), (L, R)) for d in Direction)
+    assert value(Touch(L, R)) is T
+    assert cells == {**{RelDir(a, d, b): U for a, b in ((R, L), (L, R)) for d in Direction},
+                     Touch(R, L): T, Touch(L, R): T}
 
 
 # --- transition actions -----------------------------------------------------------------
@@ -458,7 +503,7 @@ def test_normalize_mirrored_negates_x():
 
 def test_build_model_two_states(route_tracking_doc):
     seq = tracking_from_json(route_tracking_doc)
-    model, diags = extract_model(seq, config_labels=("CLAMP",))
+    model, diags = extract_model(seq)
     assert diags == []
     assert model.state_count == 2
     assert model.relation == frozenset({(0, 1), (1, 1)})
@@ -527,7 +572,11 @@ def test_thrill_merges_postures_only_with_equal_observations():
     merged = build_model(held_thrill_held(first_median_seen=True))
     assert merged.state_count == 1
     assert merged.action_interp == {Thrill(R): frozenset({(0, 0)})}
-    kept = build_model(held_thrill_held(first_median_seen=False))
+    seq = held_thrill_held(first_median_seen=False)
+    first, second = (s for s in segment(seq) if s.kind == SegmentKind.KEY_POSTURE)
+    assert posture_valuation(seq, first, DEFAULT_PLACE_MAP) == {}
+    assert posture_valuation(seq, second, DEFAULT_PLACE_MAP) == {}
+    kept = build_model(seq)
     assert kept.state_count == 2
     assert kept.action_interp == {Thrill(R): frozenset({(0, 1)})}
     assert kept.observed == (frozenset(), frozenset({R}))
@@ -560,7 +609,7 @@ def test_rel_dir_valuation_exclusive_on_extracted_models():
         model = build_model(seq_of(frames))
         for state in range(model.state_count):
             for subject, anchor in ((R, L), (L, R)):
-                values = [model.valuation[(state, RelDir(subject, d, anchor))] for d in Direction]
+                values = [atom_value(model, state, RelDir(subject, d, anchor)) for d in Direction]
                 trues = values.count(T)
                 assert trues <= 1
                 if trues == 1:
@@ -569,18 +618,20 @@ def test_rel_dir_valuation_exclusive_on_extracted_models():
 
 def test_monotone_degradation_voiding_positions(route_tracking_doc):
     seq = tracking_from_json(route_tracking_doc)
-    base, _ = extract_model(seq, config_labels=("CLAMP",))
+    base, _ = extract_model(seq)
     for idx in range(len(seq.frames)):
         for key in ("right", "left"):
             doc = json.loads(json.dumps(route_tracking_doc))
             doc["frames"][idx][key].pop("pos", None)
-            degraded, _ = extract_model(tracking_from_json(doc), config_labels=("CLAMP",))
+            degraded, _ = extract_model(tracking_from_json(doc))
             assert degraded.state_count == base.state_count
-            for (state, atom), value in base.valuation.items():
-                if value is U:
-                    continue
-                after = atom_value(degraded, state, atom)
-                assert after in (value, U), (idx, key, state, atom, value, after)
+            for state in base.states():
+                for atom in vocabulary(base, DEFAULT_PLACE_MAP):
+                    value = atom_value(base, state, atom)
+                    if value is U:
+                        continue
+                    after = atom_value(degraded, state, atom)
+                    assert after in (value, U), (idx, key, state, atom, value, after)
 
 
 # --- linear, windowed transition labeling -------------------------------------------------
@@ -622,8 +673,11 @@ def test_build_model_reads_velocities_of_each_frame_a_bounded_number_of_times(mo
 
 
 def test_model_file_is_written_as_json_dumps_indent_2_on_a_multi_state_model():
-    # The goldens hold 2-state models only.
-    doc = model_to_json(build_model(posture_walk(12, random.Random(5))))
+    # The goldens hold 2-state models only. Extraction lists no False
+    # position cell and no Unknown cell here, so overrides add both.
+    model = build_model(posture_walk(12, random.Random(5)))
+    overrides = [Override(3, Touch(R, L), F), Override(7, Orient(L, Direction.N), U)]
+    doc = model_to_json(apply_overrides(model, overrides, Handedness.RIGHT_DOMINANT))
     assert doc["states"] == 12 and len(doc["actions"]) > 2
     assert {cell["value"] for cell in doc["valuation"]} == {"true", "false", "unknown"}
     assert _dump_json(doc) == json.dumps(doc, indent=2) + "\n"

@@ -24,6 +24,10 @@ with a file under `tests/golden/`:
   with the outcome of each parser entry point: the printed tree, or
   `Class line:col+len message (expected ...)` for a parse error.
 
+A last test checks, on the runs of `labels.tsv`, that extraction lists no
+cell whose documented default (`test_labeler._reference_atom_value`)
+gives the same value.
+
 After a deliberate change of output, rewrite the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
@@ -58,6 +62,7 @@ from pdlsl.parsing import (
 
 from _gen import MODEL_ATOM_TEXTS, gen_model_doc, gen_tracking, vocabulary
 from conftest import EXAMPLES
+from test_labeler import _reference_atom_value
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 FIXTURES = ("route_clean", "route_dropout", "route_teleport")
@@ -414,6 +419,16 @@ def test_extract_rows_match_golden():
 
 def test_labels_match_golden():
     assert _labels_rows().encode("utf-8") == (GOLDEN / "labels.tsv").read_bytes()
+
+
+def test_extraction_lists_no_cell_that_its_default_gives():
+    for _, doc, options in _label_runs():
+        try:
+            model, _ = extract_model(tracking_from_json(doc), **options)
+        except PdlslError:
+            continue
+        for (state, atom), value in model.valuation.items():
+            assert value is not _reference_atom_value(model, {}, state, atom), (state, atom)
 
 
 def test_load_rows_match_golden():

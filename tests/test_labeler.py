@@ -225,6 +225,43 @@ def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
     assert stored() == {Atomic}
 
 
+def nested_stars(depth: int) -> str:
+    """A lexicon of three signs over `move(R,E)` under `depth` nested stars."""
+    action = "(" * depth + "move(R,E)" + ")*" * depth
+    return (f"sign MEET := <{action}> (touch(R,L) /\\ at(R,FACE)) .\n"
+            f"sign STAY_APART := [{action}] !touch(R,L) .\n"
+            f"sign FACE := [{action}] at(R,FACE) .\n")
+
+
+def test_nested_stars_cost_pre_calls_linear_in_depth(monkeypatch):
+    """A star of a star is labeled as the star: each further star adds the
+    same few `pre` calls to a `verify`, and the verdicts are the oracle's."""
+    model = chain(30)
+    with memoized_oracles():
+        for depth in (10, 30, 50, 70, 90):
+            lexicon = parse_lexicon(nested_stars(depth))
+            report = verify(model, lexicon, Handedness.RIGHT_DOMINANT)
+            assert [[(p.sign, p.verdict) for p in ps] for ps in report.per_state] == (
+                reference_verdicts(model, lexicon)
+            )
+
+    calls = [0]
+    pre = pdlsl.model._Labeler.pre
+
+    def counting(labeler, action, targets):
+        calls[0] += 1
+        return pre(labeler, action, targets)
+
+    monkeypatch.setattr(pdlsl.model._Labeler, "pre", counting)
+    counts = []
+    for depth in (10, 30, 50, 70, 90):
+        calls[0] = 0
+        verify(chain(200), parse_lexicon(nested_stars(depth)), Handedness.RIGHT_DOMINANT)
+        counts.append(calls[0])
+    steps = {later - earlier for earlier, later in zip(counts, counts[1:])}
+    assert len(steps) == 1 and 0 < steps.pop() <= 20 * 6, counts
+
+
 def gen_segmented_model(rng: random.Random) -> UtteranceModel:
     """100-150 states cut into runs of 1-30 consecutive states. Both pool
     actions label forward steps, skips and back edges inside a run only,

@@ -28,7 +28,7 @@ MODULES = {"pdlsl." + m for m in
 EXPORTED = {
     "core": """TOP Action And Articulator At Atom AtomF Atomic AtomicAction Box Choice
         Concurrent Config Direction Formula Handedness Move Not Orient Place Rect RelDir Seq
-        Star Thrill Top Touch config_labels contains_alias diamond ground ground_atom implies
+        Star Thrill Top Touch contains_alias diamond ground ground_atom implies
         iter_atoms iter_atomic_actions mirror_direction or_ resolve_articulator
         resolve_direction""",
     "errors": """AliasCollision CoincidentPoints ConfigError DuplicateSign

@@ -226,7 +226,6 @@ def test_route_lexicon_file(route_lexicon_text):
     lex = parse_lexicon(route_lexicon_text)
     assert lex.names() == ("ROUTE",)
     assert lex.get("ROUTE") == route_formula()
-    assert lex.config_labels() == frozenset({"CLAMP"})
 
 
 def test_lexicon_order_comments_crlf():
