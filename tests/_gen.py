@@ -373,8 +373,8 @@ def gen_tracking(rng: random.Random) -> tuple[dict, dict]:
             for name in rng.sample(_PLACE_NAMES, rng.randint(1, 4))
             for x, y in [(rng.uniform(-1.0, 0.5), rng.uniform(-0.5, 1.2))]
         )
-    # Config labels were an extraction option once; the draw stays, so that
-    # each seed keeps its document and its other options.
+    # A draw of config labels that no option reads: it keeps each seed's
+    # document and other options what they are in `extract.tsv`.
     if rng.random() < 0.5:
         rng.sample(_LABELS, rng.randint(1, 3))
     if rng.random() < 0.3:
