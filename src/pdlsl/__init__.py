@@ -23,7 +23,7 @@ _API = {
         "resolve_direction",
     ),
     "errors": (
-        "AliasCollision", "CoincidentPoints", "ConfigError", "DuplicateSign",
+        "AliasCollision", "CoincidentPoints", "ConfigError", "Diagnostic", "DuplicateSign",
         "NoKeyPosture", "NonFinite", "NonMonotoneTimestamps", "ParseError", "PdlslError",
         "SchemaError", "SourceSpan", "UngroundedFormula", "UnknownArticulator",
         "UnknownDirection", "UnknownState", "ZeroVector",
@@ -35,7 +35,7 @@ _API = {
         "relative_direction", "rotation_angle",
     ),
     "parsing": (
-        "LexiconEntry", "LexiconFile", "LintIssue", "lint_lexicon", "parse_action", "parse_atom",
+        "LexiconEntry", "LexiconFile", "lint_lexicon", "parse_action", "parse_atom",
         "parse_atomic_action", "parse_formula", "parse_lexicon", "print_action", "print_atom",
         "print_atomic_action", "print_formula",
     ),
@@ -44,8 +44,8 @@ _API = {
         "eval_two_valued", "interpret_action", "model_from_json", "model_to_json",
     ),
     "extract": (
-        "EPSILON_MOVE", "Diagnostic", "EpsilonMove", "HandObservation", "Segment",
-        "SegmentKind", "TrackingFrame", "TrackingSequence", "build_model", "compute_velocities",
+        "EPSILON_MOVE", "EpsilonMove", "HandObservation", "Segment", "SegmentKind",
+        "TrackingFrame", "TrackingSequence", "build_model", "compute_velocities",
         "extract_model", "normalize_sequence", "posture_valuation", "segment",
         "tracking_from_json", "transition_action", "validate_sequence",
     ),

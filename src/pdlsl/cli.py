@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 unrecoverable data error, 2 usage error.
 Configuration precedence: flags > config file > built-in defaults.
+Each diagnostic, a fatal or usage error included, is one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -10,14 +11,14 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 
 # The modules that the config table needs (`model` imports `parsing`).
 # `extract` and `check` are imported by the commands that run them, so
 # `check`, `eval` and `lint` never load `extract`, and `extract` and `lint`
 # never load `check`.
 from .core import Handedness
-from .errors import AliasCollision, ConfigError, ParseError, PdlslError, Record, load_json, load_text
+from .errors import AliasCollision, ConfigError, Diagnostic, PdlslError, Record, load_json, load_text
 from .geometry import DEFAULT_PLACE_MAP, VEC, load_place_map
 from .model import (
     SEGMENTATION_FIELDS,
@@ -32,7 +33,6 @@ from .schema import boolean, check, choice, number, optional, string, table
 
 if TYPE_CHECKING:
     from .check import ProposalReport
-    from .extract import Diagnostic
 
 
 class RunConfig(Record):
@@ -70,9 +70,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return load_json(args.config, resolve, ConfigError) if args.config else resolve({})
 
 
-def _emit_diagnostics(diagnostics: Sequence[Diagnostic]) -> None:
+def _emit(diagnostics: Iterable[Diagnostic]) -> None:
     for d in diagnostics:
-        print(json.dumps(d.to_json(), sort_keys=False), file=sys.stderr)
+        print(json.dumps(d.to_json()), file=sys.stderr)
 
 
 def _dump_json(obj: Any) -> str:
@@ -133,7 +133,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         body_origin=config.body_origin,
         body_scale=config.body_scale,
     )
-    _emit_diagnostics(diagnostics)
+    _emit(diagnostics)
     _write_output(_dump_json(model_to_json(model)), args.output)
     return 0
 
@@ -180,12 +180,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     lexicon, issues = load_text(args.lexicon, lint_lexicon)
-    for issue in issues:
-        print(f"{args.lexicon}:{issue}", file=sys.stderr)
+    _emit(issue._replace(file=args.lexicon) for issue in issues)
     return 0 if lexicon is not None else 1
 
 
 # --- Entry point ---------------------------------------------------------------
+
+
+class Usage(PdlslError):
+    """A command line that argparse refuses, with argparse's message."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise Usage(message)
 
 
 def _add_common(parser: argparse.ArgumentParser, output_default: bool = True) -> None:
@@ -199,7 +207,7 @@ def _add_common(parser: argparse.ArgumentParser, output_default: bool = True) ->
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pdlsl",
         description="Extract transition-system models from hand tracking data and "
         "check them against a sign lexicon.",
@@ -233,25 +241,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_arg_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"pdlsl: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"pdlsl: file not found: {exc.filename}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"pdlsl: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"pdlsl: parse error: {exc}", file=sys.stderr)
-        return 1
-    except PdlslError as exc:
-        print(f"pdlsl: {exc}", file=sys.stderr)
-        return 1
+    except (PdlslError, OSError) as exc:
+        _emit([Diagnostic.of_error(exc)])
+        return 2 if isinstance(exc, (ConfigError, Usage)) else 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""Exception types, source positions, the record base and the strict JSON
-reader shared across the toolkit."""
+"""Exception types, source positions, the diagnostic record, the record
+base and the strict JSON reader shared across the toolkit."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from typing import Any
@@ -88,6 +89,11 @@ class PdlslError(Exception):
 
     def describe(self) -> str:
         return super().__str__()
+
+    @property
+    def code(self) -> str:
+        """The error's `Diagnostic` code: its class name in kebab case."""
+        return re.sub(r"(?<=.)(?=[A-Z])", "-", type(self).__name__).lower()
 
 
 class ZeroVector(PdlslError):
@@ -181,6 +187,34 @@ class AliasCollision(PdlslError):
     def __init__(self, message: str, atom: Any = None):
         super().__init__(message)
         self.atom = atom
+
+
+class Diagnostic(Record):
+    """A note or error about an input: its kind, "error" or "warning", its
+    text, and where known its file, `SourceSpan`, JSON pointer, frame and hand."""
+
+    __slots__ = ("code", "severity", "message", "file", "span", "pointer", "frame", "hand")
+    _defaults = dict.fromkeys(__slots__[3:])
+
+    @classmethod
+    def of_error(cls, exc: PdlslError | OSError) -> Diagnostic:
+        """The record of an error that ends a command."""
+        if isinstance(exc, FileNotFoundError):
+            return cls("file-not-found", "error", f"file not found: {exc.filename}", exc.filename)
+        if isinstance(exc, OSError):
+            message = f"cannot read {exc.filename}: {exc.strerror}"
+            return cls("cannot-read", "error", message, exc.filename)
+        message = f"parse error: {exc}" if isinstance(exc, ParseError) else str(exc)
+        return cls(exc.code, "error", message, exc.file, getattr(exc, "span", None),
+                   getattr(exc, "path", None))
+
+    def to_json(self) -> dict[str, Any]:
+        """The known fields, the code as `diagnostic` and the span as `line` and `column`."""
+        span = self.span
+        doc = {"diagnostic": self.code, "severity": self.severity, "message": self.message,
+               "file": self.file, "line": span and span.line, "column": span and span.column,
+               "pointer": self.pointer, "frame": self.frame, "hand": self.hand}
+        return {key: value for key, value in doc.items() if value is not None}
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

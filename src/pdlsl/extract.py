@@ -40,7 +40,7 @@ from .core import (
     Touch,
     iter_atomic_actions,
 )
-from .errors import NoKeyPosture, NonFinite, NonMonotoneTimestamps, Record
+from .errors import Diagnostic, NoKeyPosture, NonFinite, NonMonotoneTimestamps, Record
 from .geometry import (DEFAULT_PLACE_MAP, VEC, BodyFrame, PlaceMap, Vec2, classify_direction,
                        relative_direction)
 from .model import SegmentationParams, ThreeVal, UtteranceModel, Valuation
@@ -163,21 +163,6 @@ class Segment(Record):
             raise ValueError("segment bounds out of order")
 
 
-class Diagnostic(Record):
-    """Machine-readable note about a repaired or suspicious input."""
-
-    __slots__ = ("code", "message", "frame", "hand")
-    _defaults = {"frame": None, "hand": None}
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"diagnostic": self.code, "message": self.message}
-        if self.frame is not None:
-            out["frame"] = self.frame
-        if self.hand is not None:
-            out["hand"] = self.hand
-        return out
-
-
 class EpsilonMove:
     """Label of a transition in which no hand met the movement criteria.
     The edge keeps consecutive states connected but belongs to no atomic
@@ -270,12 +255,9 @@ def normalize_sequence(
     else:
         scale = 1.0
     if first_head is None and body_origin is None:
-        diagnostics.append(
-            Diagnostic(
-                "no-head-reference",
-                "no head position and no configured origin; coordinates taken as body units",
-            )
-        )
+        diagnostics.append(Diagnostic(
+            "no-head-reference", "warning",
+            "no head position and no configured origin; coordinates taken as body units"))
 
     if body_origin is not None or first_head is None:
         ox, oy = (body_origin.x, body_origin.y) if body_origin is not None else (0.0, 0.0)
@@ -330,7 +312,7 @@ def validate_sequence(
             last_t = t[kept[-1]]
             if t[i] == last_t:
                 message = f"frame index {t[i]} repeated; later dropped"
-                diagnostics.append(Diagnostic("duplicate-frame", message, frame=t[i]))
+                diagnostics.append(Diagnostic("duplicate-frame", "warning", message, frame=t[i]))
                 continue
             if t[i] < last_t:
                 raise NonMonotoneTimestamps(i, last_t, t[i])
@@ -355,7 +337,8 @@ def validate_sequence(
             jump = math.hypot(x[i] - px, y[i] - py) if px is not None else 0.0
             if jump > params.max_jump:
                 message = f"{hand.value} hand jumped {jump:.3f} body units in one frame"
-                diagnostics.append(Diagnostic("teleport", message, frames.t[i], hand.value))
+                diagnostics.append(Diagnostic("teleport", "warning", message,
+                                              frame=frames.t[i], hand=hand.value))
                 x[i] = y[i] = px = py = None
                 continue
             px, py = x[i], y[i]

@@ -74,6 +74,7 @@ from .core import (
 )
 from .errors import (
     AliasCollision,
+    Diagnostic,
     DuplicateSign,
     ParseError,
     Record,
@@ -86,7 +87,6 @@ __all__ = [
     "SourceSpan",
     "LexiconEntry",
     "LexiconFile",
-    "LintIssue",
     "MAX_DEPTH",
     "parse_formula",
     "parse_action",
@@ -590,41 +590,28 @@ def print_formula(formula: Formula) -> str:
 # --- Lint --------------------------------------------------------------------
 
 
-class LintIssue(Record):
-    __slots__ = ("severity", "message", "span")  # severity: "error" | "warning"
-
-    def __str__(self) -> str:
-        return f"{self.span}: {self.severity}: {self.message}"
-
-
-def lint_lexicon(text: str) -> tuple[LexiconFile | None, list[LintIssue]]:
-    """Parse a lexicon and collect diagnostics. Parse failures yield a
-    single error issue and no lexicon; warnings flag atoms that planar
+def lint_lexicon(text: str) -> tuple[LexiconFile | None, list[Diagnostic]]:
+    """Parse a lexicon and collect diagnostics. A parse failure yields one
+    error (a duplicate sign two) and no lexicon; warnings flag atoms that planar
     tracking can never decide and pairwise atoms whose two articulators are
     one hand for a signer of either handedness, which `check` refuses."""
     try:
         lexicon = parse_lexicon(text)
     except DuplicateSign as exc:
-        return None, [
-            LintIssue("error", f"duplicate sign {exc.name!r}, first defined here", exc.first),
-            LintIssue("error", f"duplicate sign {exc.name!r}", exc.second),
-        ]
+        message = f"duplicate sign {exc.name!r}"
+        first = Diagnostic(exc.code, "error", f"{message}, first defined here", span=exc.first)
+        return None, [first, Diagnostic(exc.code, "error", message, span=exc.second)]
     except ParseError as exc:
-        return None, [LintIssue("error", str(exc.args[0]), exc.span)]
-    issues: list[LintIssue] = []
+        return None, [Diagnostic(exc.code, "error", str(exc.args[0]), span=exc.span)]
+    issues: list[Diagnostic] = []
     for entry in lexicon.entries:
         atoms = dict.fromkeys(iter_atoms(entry.formula))
         orient = next((atom for atom in atoms if isinstance(atom, Orient)), None)
         if orient is not None:
-            issues.append(
-                LintIssue(
-                    "warning",
-                    f"sign {entry.name!r} uses {print_atom(orient)}: orientation is "
-                    "undecidable from planar tracking and stays unknown unless the "
-                    "input carries orientation labels",
-                    entry.span,
-                )
-            )
+            message = (f"sign {entry.name!r} uses {print_atom(orient)}: orientation is "
+                       "undecidable from planar tracking and stays unknown unless the "
+                       "input carries orientation labels")
+            issues.append(Diagnostic("undecidable-orientation", "warning", message, span=entry.span))
         for atom in atoms:
             for handedness in Handedness:
                 try:
@@ -632,5 +619,5 @@ def lint_lexicon(text: str) -> tuple[LexiconFile | None, list[LintIssue]]:
                 except AliasCollision as exc:
                     message = (f"sign {entry.name!r} uses {print_atom(atom)}: {exc}; "
                                "check refuses this lexicon for such a signer")
-                    issues.append(LintIssue("warning", message, entry.span))
+                    issues.append(Diagnostic(exc.code, "warning", message, span=entry.span))
     return lexicon, issues

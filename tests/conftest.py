@@ -1,9 +1,40 @@
+import contextlib
+import io
 import json
 import pathlib
+import sys
 
 import pytest
 
+import pdlsl.cli
+
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
+def stderr_records(err: str) -> list[dict]:
+    """Each line of a `pdlsl` run's stderr, read as a diagnostic record: one
+    JSON object with a `diagnostic` code, a `severity` and a `message`. Any
+    other text on stderr fails the calling test."""
+    lines = err.split("\n")
+    assert lines.pop() == "", err  # every record ends its line
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        assert isinstance(record, dict), record
+        assert isinstance(record.get("diagnostic"), str), record
+        assert record.get("severity") in ("error", "warning"), record
+        assert isinstance(record.get("message"), str), record
+    return records
+
+
+def main(argv):
+    """`pdlsl.cli.main`, with what it writes to stderr checked by
+    `stderr_records` and then written on, for the caller to read."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = pdlsl.cli.main(argv)
+    stderr_records(err.getvalue())
+    sys.stderr.write(err.getvalue())
+    return code
 
 
 @pytest.fixture(scope="session")

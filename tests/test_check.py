@@ -254,7 +254,7 @@ def test_lint_warns_for_a_signer_exactly_where_check_refuses():
         )
         lexicon, issues = lint_lexicon(text)
         for handedness in Handedness:
-            warnings = [issue.message for issue in issues if issue.severity == "warning"
+            warnings = [issue.message for issue in issues if issue.code == "alias-collision"
                         and f"for a {handedness.value}-dominant signer;" in issue.message]
             try:
                 verify(model, lexicon, handedness)

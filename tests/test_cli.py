@@ -14,12 +14,17 @@ from pdlsl import (
     tracking_from_json,
     verify,
 )
-from pdlsl.cli import _dump_json, main
+from pdlsl.cli import _dump_json
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, main, stderr_records
 
 TRACKING = str(EXAMPLES / "route_clean.tracking.json")
 LEXICON = str(EXAMPLES / "route.pdlsl")
+
+
+def error(code, message, **position):
+    """The one stderr record of a command that an error ends."""
+    return [{"diagnostic": code, "severity": "error", "message": message, **position}]
 
 
 @pytest.fixture()
@@ -55,21 +60,25 @@ def test_output_and_input_paths_that_cannot_be_opened(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "m.json"
     assert main(["extract", TRACKING, "-o", str(out)]) == 1
     reason = os.strerror(errno.ENOENT)
-    assert capsys.readouterr().err == f"pdlsl: cannot write {out}: {reason}\n"
+    assert stderr_records(capsys.readouterr().err) == error(
+        "pdlsl-error", f"cannot write {out}: {reason}")
     missing = tmp_path / "missing.json"
     for output in (out, missing):  # an input that is also the output is still read first
         assert main(["extract", str(missing), "-o", str(output)]) == 1
-        assert capsys.readouterr().err == f"pdlsl: file not found: {missing}\n"
+        assert stderr_records(capsys.readouterr().err) == error(
+            "file-not-found", f"file not found: {missing}", file=str(missing))
     assert main(["extract", str(tmp_path)]) == 1
     reason = os.strerror(errno.EISDIR)
-    assert capsys.readouterr().err == f"pdlsl: cannot read {tmp_path}: {reason}\n"
+    assert stderr_records(capsys.readouterr().err) == error(
+        "cannot-read", f"cannot read {tmp_path}: {reason}", file=str(tmp_path))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
 def test_output_that_fails_while_written(capsys):
     assert main(["extract", TRACKING, "-o", "/dev/full"]) == 1
     reason = os.strerror(errno.ENOSPC)
-    assert capsys.readouterr().err == f"pdlsl: cannot write /dev/full: {reason}\n"
+    assert stderr_records(capsys.readouterr().err) == error(
+        "pdlsl-error", f"cannot write /dev/full: {reason}")
 
 
 def test_extract_non_monotone_frames(tmp_path, capsys):
@@ -94,7 +103,7 @@ def test_extract_schema_error_has_pointer(tmp_path, capsys):
 
 def test_extract_emits_teleport_diagnostics(capsys):
     assert main(["extract", str(EXAMPLES / "route_teleport.tracking.json")]) == 0
-    err_lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    err_lines = stderr_records(capsys.readouterr().err)
     assert any(d["diagnostic"] == "teleport" for d in err_lines)
 
 
@@ -144,9 +153,13 @@ def test_check_parse_errors_name_their_file(model_path, tmp_path, capsys):
     ov.write_text("state 0: at(Q,FACE) = true\n")
     message = "unknown articulator 'Q' (expected D, L, R, W)"
     assert main(["check", model_path, str(lex)]) == 1
-    assert capsys.readouterr().err == f"pdlsl: parse error: {lex}: 1:19: {message}\n"
+    assert stderr_records(capsys.readouterr().err) == error(
+        "unknown-articulator", f"parse error: {lex}: 1:19: {message}", file=str(lex), line=1,
+        column=19)
     assert main(["check", model_path, LEXICON, "--overrides", str(ov)]) == 1
-    assert capsys.readouterr().err == f"pdlsl: parse error: {ov}: 1:13: {message}\n"
+    assert stderr_records(capsys.readouterr().err) == error(
+        "unknown-articulator", f"parse error: {ov}: 1:13: {message}", file=str(ov), line=1,
+        column=13)
 
 
 def test_check_with_overrides(model_path, tmp_path, capsys):
@@ -166,7 +179,9 @@ def test_override_errors_name_the_overrides_file(model_path, tmp_path, capsys, l
     ov = tmp_path / "fix.overrides"
     ov.write_text(f"state 0: touch(R,L) = unknown\n{line}\n")
     assert main(["check", model_path, LEXICON, "--overrides", str(ov)]) == 1
-    assert capsys.readouterr().err == f"pdlsl: {ov}: {message}\n"
+    code = "unknown-state" if line.startswith("state 99") else "alias-collision"
+    assert stderr_records(capsys.readouterr().err) == error(code, f"{ov}: {message}",
+                                                            file=str(ov))
 
 
 @pytest.mark.parametrize(
@@ -271,27 +286,27 @@ def test_alias_collision_check_error_and_lint_warning(model_path, tmp_path, caps
     lex = tmp_path / "collide.pdlsl"
     lex.write_text("sign OK := true .\nsign X := touch(D,R) .\n")
     assert main(["check", model_path, str(lex)]) == 1
-    assert capsys.readouterr().err == (
-        "pdlsl: sign 'X' uses touch(D,R): D and R are the same hand for a "
-        "right-dominant signer\n"
-    )
+    assert stderr_records(capsys.readouterr().err) == error(
+        "alias-collision",
+        "sign 'X' uses touch(D,R): D and R are the same hand for a right-dominant signer")
     assert main(["check", model_path, str(lex), "--dominant", "left"]) == 0
     capsys.readouterr()
     # lint warns, naming the handedness, and accepts what check accepts for
     # some signer.
     assert main(["lint", str(lex)]) == 0
-    assert capsys.readouterr().err == (
-        f"{lex}:2:6: warning: sign 'X' uses touch(D,R): D and R are the same hand "
-        "for a right-dominant signer; check refuses this lexicon for such a signer\n"
-    )
+    assert stderr_records(capsys.readouterr().err) == [{
+        "diagnostic": "alias-collision", "severity": "warning",
+        "message": "sign 'X' uses touch(D,R): D and R are the same hand for a right-dominant "
+                   "signer; check refuses this lexicon for such a signer",
+        "file": str(lex), "line": 2, "column": 6,
+    }]
 
 
 def test_eval_alias_collision_spells_the_atom(model_path, capsys):
     assert main(["eval", model_path, "true /\\ dir(W,R,N)", "0", "--dominant", "left"]) == 1
-    assert capsys.readouterr().err == (
-        "pdlsl: formula uses dir(W,R,N): W and R are the same hand for a "
-        "left-dominant signer\n"
-    )
+    assert stderr_records(capsys.readouterr().err) == error(
+        "alias-collision",
+        "formula uses dir(W,R,N): W and R are the same hand for a left-dominant signer")
 
 
 # --- configuration ------------------------------------------------------------------
@@ -338,3 +353,23 @@ def test_placemap_flag(tmp_path, capsys):
         "extract", TRACKING, "--placemap", str(EXAMPLES / "placemap.json"),
     ]) == 0
     capsys.readouterr()
+
+
+# --- usage ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "MODEL", "true", "x"], "argument state: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+], ids=["state not an integer", "no command"])
+def test_usage_error_is_one_record_with_argparse_message(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and stderr_records(err) == error("usage", message)
+
+
+def test_help_goes_to_stdout(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "--help"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 0 and out.startswith("usage: pdlsl eval") and err == ""

@@ -1,9 +1,16 @@
 """Golden outputs of the command line on the three shipped fixtures.
 
 Each test runs `pdlsl` in-process and compares its output byte for byte
-with a file under `tests/golden/`:
+with a file under `tests/golden/`; every line a run writes to stderr is a
+diagnostic record:
 
 * `<fixture>.model.json` - `pdlsl extract <fixture>.tracking.json`;
+* `route_teleport.extract.stderr` - the diagnostic records that
+  `pdlsl extract route_teleport.tracking.json` writes to stderr;
+* `lint.stderr` - the records of `pdlsl lint` on `lint_warnings.pdlsl`
+  (an orientation and an alias-collision warning, exit code 0), then on
+  `lint_duplicate.pdlsl` (a duplicate sign, exit code 1), run from
+  `tests/golden/`;
 * `<fixture>.<dominant>.report.json` - `pdlsl check` of that model with
   `route.pdlsl` and `route.overrides`, for both dominant hands;
 * `eval.tsv` - `pdlsl eval` of ROUTE sub-formulas at every state of each
@@ -32,8 +39,11 @@ After a deliberate change of output, rewrite the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import pathlib
 import random
 
@@ -42,7 +52,7 @@ import pytest
 import pdlsl.check
 import pdlsl.cli
 import pdlsl.core
-from pdlsl.cli import _dump_json, main
+from pdlsl.cli import _dump_json
 from pdlsl.errors import ParseError, PdlslError, SchemaError
 from pdlsl.extract import extract_model, tracking_from_json
 from pdlsl.geometry import DEFAULT_PLACE_MAP
@@ -61,7 +71,7 @@ from pdlsl.parsing import (
 )
 
 from _gen import MODEL_ATOM_TEXTS, gen_model_doc, gen_tracking, vocabulary
-from conftest import EXAMPLES
+from conftest import EXAMPLES, main, stderr_records
 from test_labeler import _reference_atom_value
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -85,21 +95,41 @@ def _model_path(fixture: str) -> str:
     return str(GOLDEN / f"{fixture}.model.json")
 
 
-def _run(argv: list[str], capsys) -> str:
-    assert main(argv) == 0
-    return capsys.readouterr().out
+def _main(argv: list[str], code: int = 0) -> tuple[str, str]:
+    """Stdout and stderr of a `pdlsl` run that exits with `code`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    return out.getvalue(), err.getvalue()
 
 
-def _extract(fixture: str, out: pathlib.Path) -> bytes:
-    assert main(["extract", str(EXAMPLES / f"{fixture}.tracking.json"), "-o", str(out)]) == 0
-    return out.read_bytes()
+def _run(argv: list[str]) -> str:
+    return _main(argv)[0]
+
+
+def _extract(fixture: str, out: pathlib.Path) -> tuple[bytes, str]:
+    """The model file and the stderr of `pdlsl extract` on a fixture."""
+    _, err = _main(["extract", str(EXAMPLES / f"{fixture}.tracking.json"), "-o", str(out)])
+    return out.read_bytes(), err
 
 
 def _check(fixture: str, dominant: str, out: pathlib.Path) -> bytes:
     argv = ["check", _model_path(fixture), LEXICON, "--overrides", OVERRIDES,
             "--dominant", dominant, "-o", str(out)]
-    assert main(argv) == 0
+    _main(argv)
     return out.read_bytes()
+
+
+def _lint_stderr() -> str:
+    """The stderr of `pdlsl lint` on each golden lexicon, run from
+    `tests/golden/`, so that each record names its file as `lint.stderr` does."""
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        return "".join(_main(["lint", name], code)[1]
+                       for name, code in (("lint_warnings.pdlsl", 0), ("lint_duplicate.pdlsl", 1)))
+    finally:
+        os.chdir(cwd)
 
 
 def _eval_rows(run) -> str:
@@ -381,8 +411,24 @@ def _load_rows() -> str:
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_extract_matches_golden(fixture, tmp_path):
-    got = _extract(fixture, tmp_path / "model.json")
+    got, _ = _extract(fixture, tmp_path / "model.json")
     assert got == (GOLDEN / f"{fixture}.model.json").read_bytes()
+
+
+def test_extract_stderr_matches_golden(tmp_path):
+    _, err = _extract("route_teleport", tmp_path / "model.json")
+    assert err.encode("utf-8") == (GOLDEN / "route_teleport.extract.stderr").read_bytes()
+    # The keys that the benchmark's diagnostics check reads.
+    found = [(d["diagnostic"], d.get("frame"), d.get("hand")) for d in stderr_records(err)]
+    assert found == [("teleport", 5, "L")]
+
+
+def test_lint_stderr_matches_golden():
+    err = _lint_stderr()
+    assert err.encode("utf-8") == (GOLDEN / "lint.stderr").read_bytes()
+    assert [(d["diagnostic"], d["severity"], d["line"]) for d in stderr_records(err)] == [
+        ("undecidable-orientation", "warning", 2), ("alias-collision", "warning", 3),
+        ("duplicate-sign", "error", 2), ("duplicate-sign", "error", 3)]
 
 
 @pytest.mark.parametrize("dominant", DOMINANTS)
@@ -408,8 +454,8 @@ def test_check_grounds_no_tree_and_builds_no_anchor_set(fixture, tmp_path, monke
         assert got == (GOLDEN / f"{fixture}.{dominant}.report.json").read_bytes()
 
 
-def test_eval_matches_golden(capsys):
-    got = _eval_rows(lambda argv: _run(argv, capsys))
+def test_eval_matches_golden():
+    got = _eval_rows(_run)
     assert got.encode("utf-8") == (GOLDEN / "eval.tsv").read_bytes()
 
 
@@ -441,23 +487,16 @@ def test_parse_matches_golden():
 
 def regenerate() -> None:
     """Rewrite every golden file from the current code."""
-    import contextlib
-    import io
-
-    def run(argv: list[str]) -> str:
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            assert main(argv) == 0
-        return buffer.getvalue()
-
     GOLDEN.mkdir(exist_ok=True)
-    with contextlib.redirect_stderr(io.StringIO()):
-        for fixture in FIXTURES:
-            _extract(fixture, GOLDEN / f"{fixture}.model.json")
-        for fixture in FIXTURES:
-            for dominant in DOMINANTS:
-                _check(fixture, dominant, GOLDEN / f"{fixture}.{dominant}.report.json")
-    (GOLDEN / "eval.tsv").write_bytes(_eval_rows(run).encode("utf-8"))
+    for fixture in FIXTURES:
+        _, err = _extract(fixture, GOLDEN / f"{fixture}.model.json")
+        if fixture == "route_teleport":
+            (GOLDEN / f"{fixture}.extract.stderr").write_bytes(err.encode("utf-8"))
+    for fixture in FIXTURES:
+        for dominant in DOMINANTS:
+            _check(fixture, dominant, GOLDEN / f"{fixture}.{dominant}.report.json")
+    (GOLDEN / "lint.stderr").write_bytes(_lint_stderr().encode("utf-8"))
+    (GOLDEN / "eval.tsv").write_bytes(_eval_rows(_run).encode("utf-8"))
     (GOLDEN / "extract.tsv").write_bytes(_extract_rows().encode("utf-8"))
     (GOLDEN / "labels.tsv").write_bytes(_labels_rows().encode("utf-8"))
     (GOLDEN / "load.tsv").write_bytes(_load_rows().encode("utf-8"))

@@ -1,4 +1,4 @@
-"""Hostile inputs end in a one-line `pdlsl:` diagnostic and exit code 1 or
+"""Hostile inputs end in one diagnostic record on stderr and exit code 1 or
 2, never in a traceback: formulas nested past the parser's depth limit,
 non-finite numbers or deep nesting in JSON files, model files whose fields
 disagree, directories and non-UTF-8 files in place of inputs, randomly
@@ -19,10 +19,9 @@ from hypothesis import given, settings, strategies as st
 import pdlsl.model
 from pdlsl import Articulator, ThreeVal, Touch, UtteranceModel, model_from_json
 from pdlsl.errors import SchemaError
-from pdlsl.cli import main
 from pdlsl.parsing import MAX_DEPTH
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, main, stderr_records
 
 TRACKING = EXAMPLES / "route_clean.tracking.json"
 CONFIG = EXAMPLES / "config.json"
@@ -49,8 +48,11 @@ def run(argv, capsys):
     return code, capsys.readouterr().err
 
 
-def one_line_error(err, prefix="pdlsl: "):
-    return err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+def one_line_error(err, prefix=""):
+    """Whether stderr is one error record, its message starting with `prefix`."""
+    records = stderr_records(err)
+    return (len(records) == 1 and records[0]["severity"] == "error"
+            and records[0]["message"].startswith(prefix) and "Traceback" not in err)
 
 
 def write_sign(tmp_path, formula):
@@ -76,10 +78,10 @@ def test_nesting_past_the_limit_is_a_parse_error(shape, tmp_path, capsys):
     formula = SHAPES[shape](MAX_DEPTH + 1)
     lexicon = write_sign(tmp_path, formula)
     code, err = run(["lint", lexicon], capsys)
-    assert code == 1 and f"error: formula nests deeper than {MAX_DEPTH} levels" in err
+    assert code == 1 and one_line_error(err, f"formula nests deeper than {MAX_DEPTH} levels")
     for argv in (["check", MODEL, lexicon], ["eval", MODEL, formula, 0]):
         code, err = run(argv, capsys)
-        assert code == 1 and one_line_error(err, "pdlsl: parse error: ")
+        assert code == 1 and one_line_error(err, "parse error: ")
 
 
 @pytest.mark.parametrize("formula", [
@@ -91,7 +93,7 @@ def test_deep_lexicons_fail_cleanly(formula, tmp_path, capsys):
     lexicon = write_sign(tmp_path, formula)
     assert run(["lint", lexicon], capsys)[0] == 1
     code, err = run(["check", MODEL, lexicon], capsys)
-    assert code == 1 and one_line_error(err, "pdlsl: parse error: ")
+    assert code == 1 and one_line_error(err, "parse error: ")
 
 
 # --- non-finite JSON numbers ----------------------------------------------------
@@ -206,9 +208,9 @@ def test_overflowing_jump_is_voided_as_a_teleport(tmp_path, capsys):
     code = main([str(a) for a in alternating_hand(tmp_path)])
     out, err = capsys.readouterr()
     assert code == 0
-    assert [json.loads(line) for line in err.splitlines()] == [
-        {"diagnostic": "teleport", "message": "R hand jumped inf body units in one frame",
-         "frame": t, "hand": "R"}
+    assert stderr_records(err) == [
+        {"diagnostic": "teleport", "severity": "warning",
+         "message": "R hand jumped inf body units in one frame", "frame": t, "hand": "R"}
         for t in (1, 3, 5, 7)
     ]
     assert json.loads(out)["states"] == 1
@@ -327,8 +329,7 @@ def not_utf8(tmp_path, source):
 ], ids=["lint DIR", "check DIR lexicon", "check model DIR", "extract -o DIR"])
 def test_directory_in_place_of_a_file(argv, verb, tmp_path, capsys):
     code, err = run(argv(tmp_path), capsys)
-    assert code == 1 and one_line_error(err)
-    assert err.startswith(f"pdlsl: cannot {verb} {tmp_path}: ")
+    assert code == 1 and one_line_error(err, f"cannot {verb} {tmp_path}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -409,6 +410,8 @@ def test_cli_on_mutated_fixtures_exits_cleanly(target, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv(path)])
     assert code in (0, 1, 2), err.getvalue()
+    records = stderr_records(err.getvalue())
+    assert (code != 0) == any(r["severity"] == "error" for r in records), records
 
 
 # --- unknown keys ---------------------------------------------------------------------
@@ -446,8 +449,9 @@ def test_unknown_key_in_any_object_is_refused_at_its_pointer(name, tmp_path):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv(path)])
-        assert code == expected_code and err.getvalue().startswith(f"pdlsl: {path}: {at}/bogus: "), (
+        assert code == expected_code and one_line_error(err.getvalue(), f"{path}: {at}/bogus: "), (
             at, err.getvalue())
+        assert stderr_records(err.getvalue())[0]["pointer"] == f"{at}/bogus"
 
 
 # --- repeated keys --------------------------------------------------------------------
@@ -469,5 +473,9 @@ def test_repeated_key_in_any_object_is_refused(name, tmp_path):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv(path)])
-        assert (code, err.getvalue()) == (
-            expected_code, f"pdlsl: {path}: /: invalid JSON: duplicate key {json.dumps(key)}\n")
+        assert (code, stderr_records(err.getvalue())) == (expected_code, [{
+            "diagnostic": "config-error" if expected_code == 2 else "schema-error",
+            "severity": "error",
+            "message": f"{path}: /: invalid JSON: duplicate key {json.dumps(key)}",
+            "file": str(path), "pointer": "",
+        }])

@@ -31,19 +31,19 @@ EXPORTED = {
         Star Thrill Top Touch contains_alias diamond ground ground_atom implies
         iter_atoms iter_atomic_actions mirror_direction or_ resolve_articulator
         resolve_direction""",
-    "errors": """AliasCollision CoincidentPoints ConfigError DuplicateSign
+    "errors": """AliasCollision CoincidentPoints ConfigError Diagnostic DuplicateSign
         NoKeyPosture NonFinite NonMonotoneTimestamps ParseError PdlslError SchemaError
         SourceSpan UngroundedFormula UnknownArticulator UnknownDirection UnknownState
         ZeroVector""",
     "geometry": """DEFAULT_PLACE_MAP BodyFrame PlaceMap Vec2 classify_direction
         load_place_map normalize place_map_from_json places_containing relative_direction
         rotation_angle""",
-    "parsing": """LexiconEntry LexiconFile LintIssue lint_lexicon parse_action parse_atom
+    "parsing": """LexiconEntry LexiconFile lint_lexicon parse_action parse_atom
         parse_atomic_action parse_formula parse_lexicon print_action print_atom
         print_atomic_action print_formula""",
     "model": """ThreeVal UtteranceModel atom_value eval_formula eval_two_valued
         interpret_action model_from_json model_to_json""",
-    "extract": """EPSILON_MOVE Diagnostic EpsilonMove HandObservation Segment SegmentKind
+    "extract": """EPSILON_MOVE EpsilonMove HandObservation Segment SegmentKind
         SegmentationParams TrackingFrame TrackingSequence build_model compute_velocities
         extract_model normalize_sequence posture_valuation segment tracking_from_json
         transition_action validate_sequence""",

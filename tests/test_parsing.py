@@ -419,15 +419,15 @@ def test_lint_clean_lexicon():
 def test_lint_flags_orientation_atoms():
     lex, issues = lint_lexicon("sign X := orient(R,N) .")
     assert lex is not None
-    assert len(issues) == 1
-    assert issues[0].severity == "warning"
+    assert [(i.code, i.severity) for i in issues] == [("undecidable-orientation", "warning")]
 
 
 def test_lint_warns_of_alias_collisions_per_handedness():
     text = "sign X := touch(D,L) /\\ [move(D,N)] dir(W,L,E) .\nsign Y := touch(D,W) ."
     lex, issues = lint_lexicon(text)
     assert lex is not None
-    assert [(str(i.span), i.severity) for i in issues] == [("1:6", "warning")] * 2
+    assert [(i.code, str(i.span), i.severity) for i in issues] == [
+        ("alias-collision", "1:6", "warning")] * 2
     assert [i.message for i in issues] == [
         f"sign 'X' uses {atom}: {hands} are the same hand for a {side}-dominant signer; "
         "check refuses this lexicon for such a signer"
@@ -439,4 +439,12 @@ def test_lint_warns_of_alias_collisions_per_handedness():
 def test_lint_duplicate_is_error():
     lex, issues = lint_lexicon("sign X := true .\nsign X := true .")
     assert lex is None
-    assert [i.severity for i in issues] == ["error", "error"]
+    assert [(i.code, i.severity, str(i.span)) for i in issues] == [
+        ("duplicate-sign", "error", "1:6"), ("duplicate-sign", "error", "2:6")]
+
+
+def test_lint_parse_error_is_one_error_coded_by_its_class():
+    lex, issues = lint_lexicon("sign X := at(Q,FACE) .")
+    assert lex is None
+    assert [(i.code, i.severity, i.message, str(i.span)) for i in issues] == [
+        ("unknown-articulator", "error", "unknown articulator 'Q'", "1:14")]

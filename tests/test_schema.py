@@ -10,7 +10,6 @@ import pathlib
 import pytest
 
 from pdlsl import ThreeVal, model_from_json, place_map_from_json, schema, tracking_from_json
-from pdlsl.cli import main
 from pdlsl.errors import ConfigError, SchemaError
 from pdlsl.schema import (
     Invalid,
@@ -28,7 +27,7 @@ from pdlsl.schema import (
     table,
 )
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, main, stderr_records
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 TRACKING = EXAMPLES / "route_clean.tracking.json"
@@ -56,8 +55,17 @@ def refused_at(load, doc):
 
 
 def run(argv, capsys):
+    """The exit code of a command and its stderr, read as records."""
     code = main([str(a) for a in argv])
-    return code, capsys.readouterr().err
+    return code, stderr_records(capsys.readouterr().err)
+
+
+def schema_error(code, file, message):
+    """The stderr records of a command that a schema error in `file` ends,
+    `message` being the error's text after the file name."""
+    pointer = message.split(": ", 1)[0]
+    return [{"diagnostic": code, "severity": "error", "message": f"{file}: {message}",
+             "file": str(file), "pointer": "" if pointer == "/" else pointer}]
 
 
 # --- the checker ---------------------------------------------------------------
@@ -286,15 +294,16 @@ def test_place_map_pointer_escapes_place_names(name, path, tmp_path, capsys):
     assert refused_at(place_map_from_json, doc) == path
     placemap = tmp_path / "placemap.json"
     placemap.write_text(json.dumps(doc), encoding="utf-8")
-    code, err = run(["extract", TRACKING, "--placemap", placemap], capsys)
-    assert code == 1 and err.startswith(f"pdlsl: {placemap}: {path}: ")
+    code, records = run(["extract", TRACKING, "--placemap", placemap], capsys)
+    assert code == 1 and records[0]["message"].startswith(f"{placemap}: {path}: ")
+    assert records[0]["pointer"] == path
 
 
 def test_place_map_decode_error_names_the_file(tmp_path, capsys):
     placemap = tmp_path / "placemap.json"
     placemap.write_text('{"places": ', encoding="utf-8")
-    code, err = run(["extract", TRACKING, "--placemap", placemap], capsys)
-    assert code == 1 and err.startswith(f"pdlsl: {placemap}: /: invalid JSON: ")
+    code, records = run(["extract", TRACKING, "--placemap", placemap], capsys)
+    assert code == 1 and records[0]["message"].startswith(f"{placemap}: /: invalid JSON: ")
 
 
 # --- run configuration -------------------------------------------------------------
@@ -315,15 +324,15 @@ def test_place_map_decode_error_names_the_file(tmp_path, capsys):
 def test_config_errors_carry_a_pointer(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    code, err = run(["extract", TRACKING, "--config", path], capsys)
-    assert (code, err) == (2, f"pdlsl: {path}: {message}\n")
+    code, records = run(["extract", TRACKING, "--config", path], capsys)
+    assert (code, records) == (2, schema_error("config-error", path, message))
 
 
 def test_config_decode_error_names_the_file(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{", encoding="utf-8")
-    code, err = run(["extract", TRACKING, "--config", path], capsys)
-    assert code == 2 and err.startswith(f"pdlsl: {path}: /: invalid JSON: ")
+    code, records = run(["extract", TRACKING, "--config", path], capsys)
+    assert code == 2 and records[0]["message"].startswith(f"{path}: /: invalid JSON: ")
 
 
 # --- the file an error is about ----------------------------------------------------
@@ -354,5 +363,6 @@ def test_schema_errors_name_their_file(kind, doc, error, tmp_path, capsys):
         "config": ["check", MODEL, LEXICON, "--config", bad],
         "placemap": ["check", MODEL, LEXICON, "--config", config],
     }[kind]
-    code, err = run(argv, capsys)
-    assert (code, err) == (2 if kind == "config" else 1, f"pdlsl: {bad}: {error}\n")
+    code, records = run(argv, capsys)
+    code_name = "config-error" if kind == "config" else "schema-error"
+    assert (code, records) == (2 if kind == "config" else 1, schema_error(code_name, bad, error))
