@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import defaultdict
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
@@ -122,7 +123,8 @@ def apply_overrides(
     """A copy of the model with override values in place of the extracted
     (or defaulted) ones; of two overrides of one cell, the later wins, also
     when the aliases ground them to the same atom. Override atoms may use
-    the D/W aliases. Only the bitsets of the overridden atoms are rebuilt."""
+    the D/W aliases. Only the bitsets of the overridden atoms are rebuilt,
+    and the copy shares the rest of the model, checked when it was made."""
     cells = []
     for ov in overrides:
         if not (0 <= ov.state < model.state_count):
@@ -132,7 +134,7 @@ def apply_overrides(
         except AliasCollision as exc:
             message = f"override for state {ov.state} uses {print_atom(ov.atom)}: {exc}"
             raise AliasCollision(message, ov.atom) from None
-    return model._replace(valuation=model.valuation.patched(cells))
+    return model._with_valuation(model.valuation.patched(cells))
 
 
 def verify(
@@ -150,8 +152,9 @@ def verify(
     if overrides:
         model = apply_overrides(model, overrides, handedness)
     labels = _Labeler(model, None, handedness)
-    matches: list[list[Proposal]] = [[] for _ in model.states()]
-    possibles: list[list[Proposal]] = [[] for _ in model.states()]
+    # Lists only for the states a sign is proposed at.
+    matches: defaultdict[int, list[Proposal]] = defaultdict(list)
+    possibles: defaultdict[int, list[Proposal]] = defaultdict(list)
     for entry in lexicon.entries:
         try:
             lo, hi = labels.formula(entry.formula)
@@ -167,11 +170,11 @@ def verify(
         for state in _members(hi & ~lo):
             possibles[state].append(as_possible)
     # States with equal proposals share one tuple, which keeps reports small.
+    per_state: list[tuple[Proposal, ...]] = [()] * model.state_count
     shared: dict[tuple[Proposal, ...], tuple[Proposal, ...]] = {}
-    per_state = []
-    for state_matches, state_possibles in zip(matches, possibles):
-        proposals = tuple(state_matches + state_possibles)
-        per_state.append(shared.setdefault(proposals, proposals))
+    for state in matches.keys() | possibles.keys():
+        proposals = tuple(matches.get(state, []) + possibles.get(state, []))
+        per_state[state] = shared.setdefault(proposals, proposals)
 
     thresholds = model.meta.get("segmentation", {}) if isinstance(model.meta, Mapping) else {}
     return ProposalReport(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
@@ -106,14 +107,24 @@ def _indented(value: Any, newline: str) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    """Write `text` to the file at `path`, or to stdout and flush it, so
+    that a closed pipe fails here and not at exit."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:  # told apart here: an input may have the same path
-            raise PdlslError(f"cannot write {path}: {exc.strerror}") from None
+    except OSError as exc:  # told apart here: an input may have the same path
+        if path is None:
+            # The interpreter flushes stdout again at exit, and the text
+            # left in its buffer goes to the null device, not to the
+            # failed stream (see "Note on SIGPIPE" in Python's `signal` docs).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise CannotWrite(f"cannot write {path or '<stdout>'}: {exc.strerror}") from None
 
 
 # --- Commands -----------------------------------------------------------------
@@ -174,7 +185,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         labels.formula(formula)
     except AliasCollision as exc:
         raise AliasCollision(f"formula uses {print_atom(exc.atom)}: {exc}", exc.atom) from None
-    print(str(_value(labels, args.state, formula)))
+    _write_output(str(_value(labels, args.state, formula)) + "\n", None)
     return 0
 
 
@@ -189,6 +200,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 class Usage(PdlslError):
     """A command line that argparse refuses, with argparse's message."""
+
+
+class CannotWrite(PdlslError):
+    """The output file or stdout cannot be written."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -174,6 +174,10 @@ class UnknownState(PdlslError):
     """A state id outside the model's state range was referenced."""
 
 
+class NotUtf8(PdlslError):
+    """A text input file is not UTF-8."""
+
+
 class UngroundedFormula(PdlslError):
     """A formula still mentions the dominant/weak aliases where a grounded
     formula is required."""
@@ -258,7 +262,7 @@ def load_text(path: str, build: Callable[[str], Any]) -> Any:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise PdlslError(f"not UTF-8 text ({exc.reason})") from None
+            raise NotUtf8(f"not UTF-8 text ({exc.reason})") from None
         return build(text)
 
 

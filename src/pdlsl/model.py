@@ -296,6 +296,17 @@ class UtteranceModel(Record):
         for name, per_key in (("_observed", observed), ("_config_seen", seen), ("_config_label", labels)):
             object.__setattr__(self, name, {k: _bitset(v, self.state_count) for k, v in per_key.items()})
 
+    def _with_valuation(self, valuation: Valuation) -> UtteranceModel:
+        """A copy with `valuation`, a `Valuation` of the same states that
+        lists none outside them, in place of this one's. The other fields
+        and the observation bitsets were checked when this model was made,
+        and the copy shares them without checking them again."""
+        copy = object.__new__(UtteranceModel)
+        for name in self.__slots__:
+            object.__setattr__(copy, name, getattr(self, name))
+        object.__setattr__(copy, "valuation", valuation)
+        return copy
+
     def _check_pair(self, pair: Pair) -> None:
         s, t = pair
         if not (0 <= s < self.state_count and 0 <= t < self.state_count):
@@ -369,25 +380,25 @@ class _Labeler:
         label = self._labels.get(formula)
         if label is not None:
             return label
-        match formula:  # the commonest nodes first
-            case And(l, r):
-                (l_lo, l_hi), (r_lo, r_hi) = self.formula(l), self.formula(r)
-                label = l_lo & r_lo, l_hi & r_hi
-            case Not(body):
-                lo, hi = self.formula(body)
-                label = self.full ^ hi, self.full ^ lo
-            case Box(action, body):
-                lo, hi = self.formula(body)
-                full = self.full
-                label = full ^ self.pre(action, full ^ lo), full ^ self.pre(action, full ^ hi)
-            case AtomF(atom):
-                lo, hi = self.atom(self.leaf(atom))
-                closed = self.closed_world
-                label = (lo, hi) if closed is None else (lo, lo) if closed else (hi, hi)
-            case Top():
-                label = self.full, self.full
-            case _:
-                raise TypeError(f"not a formula node: {formula!r}")
+        kind = type(formula)  # the commonest nodes first
+        if kind is And:
+            (l_lo, l_hi), (r_lo, r_hi) = self.formula(formula.left), self.formula(formula.right)
+            label = l_lo & r_lo, l_hi & r_hi
+        elif kind is Not:
+            lo, hi = self.formula(formula.body)
+            label = self.full ^ hi, self.full ^ lo
+        elif kind is Box:
+            lo, hi = self.formula(formula.body)
+            full, action = self.full, formula.action
+            label = full ^ self.pre(action, full ^ lo), full ^ self.pre(action, full ^ hi)
+        elif kind is AtomF:
+            lo, hi = self.atom(self.leaf(formula.atom))
+            closed = self.closed_world
+            label = (lo, hi) if closed is None else (lo, lo) if closed else (hi, hi)
+        elif kind is Top:
+            label = self.full, self.full
+        else:
+            raise TypeError(f"not a formula node: {formula!r}")
         self._labels[formula] = label
         return label
 
@@ -396,16 +407,16 @@ class _Labeler:
         `check.anchor_atoms`), read off its own and its children's labels."""
         label = self._anchors.get(formula)
         if label is None:
-            match formula:
-                case AtomF():
-                    label = self.formula(formula)
-                case And(l, r):
-                    (l_lo, l_hi), (r_lo, r_hi) = self.anchor(l), self.anchor(r)
-                    label = l_lo & r_lo, l_hi & r_hi
-                case Not(And(antecedent, Not())):
-                    label = self.anchor(antecedent)
-                case _:
-                    label = self.full, self.full
+            kind = type(formula)
+            if kind is AtomF:
+                label = self.formula(formula)
+            elif kind is And:
+                (l_lo, l_hi), (r_lo, r_hi) = self.anchor(formula.left), self.anchor(formula.right)
+                label = l_lo & r_lo, l_hi & r_hi
+            elif kind is Not and type(formula.body) is And and type(formula.body.right) is Not:
+                label = self.anchor(formula.body.left)  # the antecedent of an implication
+            else:
+                label = self.full, self.full
             self._anchors[formula] = label
         return label
 
@@ -422,15 +433,16 @@ class _Labeler:
 
     def pre(self, action: Action, targets: int) -> int:
         """<α>Y: the states with an α-successor in `targets`."""
-        match action:
-            case Seq(l, r):
-                return self.pre(l, self.pre(r, targets))
-            case Choice(l, r):
-                return self.pre(l, targets) | self.pre(r, targets)
-            case Star(Star() as inner):  # (α*)* = α*
-                return self.pre(inner, targets)
-            case Star(body):
-                return self.reach(body, targets)
+        kind = type(action)
+        if kind is Seq:
+            return self.pre(action.left, self.pre(action.right, targets))
+        if kind is Choice:
+            return self.pre(action.left, targets) | self.pre(action.right, targets)
+        if kind is Star:
+            body = action.body
+            if type(body) is Star:  # (α*)* = α*
+                return self.pre(body, targets)
+            return self.reach(body, targets)
         rows, has_pred, has_succ = self._stored(action)
         if targets & has_pred == has_pred:  # Y holds every state with a predecessor
             return has_succ

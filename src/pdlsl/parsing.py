@@ -27,8 +27,12 @@ Formula grammar (low to high precedence):
 Implication, disjunction and the diamond are sugar and never appear in a
 stored tree. Nesting is limited to MAX_DEPTH levels, so every walk over a
 parsed tree stays well inside Python's recursion limit. Lexicon files hold
-entries `sign NAME := <formula> .` with `#` line comments and an optional
-leading `format: 1` marker.
+entries `sign NAME := <formula> .` and an optional leading `format: 1`
+marker.
+
+Tokens may be separated by blanks (space, tab, CR and LF) and by comments,
+each running from `#` to the end of its line. Any other character outside
+a token is a digit of an INT, or an error.
 """
 
 from __future__ import annotations
@@ -107,28 +111,38 @@ _ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
 _ACTION_HEADS = ("move", "thrill")
 _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 
-# Token kinds and their patterns, tried in this order: a leaf before IDENT,
-# ":=" before ":", both slash operators before the stray-slash error, and
-# OTHER last. No other two patterns can match at the same place, so the rest
-# are ordered by how often a lexicon uses them, which saves the regex engine
-# failed alternatives. An ATOM or ACTION token is a leaf without spaces, such
-# as `move(D,SE)`; `_TOKEN_RE`, which lacks the two, spells its text and tokenizes a lone leaf.
-# Digits have no pattern of their own: OTHER characters that pass
-# str.isdigit and touch are joined into one INT token, so digits such as
-# "²" make INT tokens too.
-_TOKENS = (
-    *((kind, rf"(?:{'|'.join(heads)})\({_IDENT}(?:,{_IDENT})*\)")
-      for kind, heads in (("ATOM", _ATOM_HEADS), ("ACTION", _ACTION_HEADS))),
-    ("IDENT", _IDENT), ("SPACE", r"[ \t\r]+"),
-    ("LPAREN", r"\("), ("RPAREN", r"\)"), ("COMMA", ","), ("NEWLINE", r"\n"),
-    ("ANDOP", r"/\\"), ("ASSIGN", ":="), ("DOT", r"\."), ("ARROW", "->"),
-    ("LBRACKET", r"\["), ("RBRACKET", r"\]"), ("BANG", "!"), ("PIPE", r"\|"), ("AMP", "&"),
-    ("SEMI", ";"), ("STAR", r"\*"), ("LANGLE", "<"), ("RANGLE", ">"), ("COMMENT", r"\#[^\n]*"),
-    ("OROP", r"\\/"), ("STRAY", r"[/\\]"), ("COLON", ":"), ("OTHER", "."),
-)
-_LEAF_RE, _TOKEN_RE = (re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in tokens))
-                       for tokens in (_TOKENS, _TOKENS[2:]))
-_SKIPPED = frozenset({"NEWLINE", "SPACE", "COMMENT"})
+# Between tokens, the tokenizer skips blanks (space, tab, CR and LF) and `#`
+# comments, each running to the end of its line. One match reads the blanks
+# and comments in front of a token together with the token, and the `\Z`
+# branch reads those at the end of input. The prefix reads any run of them in
+# one linear pass and is never read again: a run of blanks is one character
+# class, each later repetition starts at a `#` and must reach the end of its
+# line, so no tail of a comment is read as tokens, and one of the branches
+# after the prefix always matches, so the engine never backtracks into it.
+#
+# An ATOM or ACTION token is a leaf without spaces, such as `move(D,SE)`;
+# `_TOKEN_RE`, which lacks the two, spells its text and tokenizes a lone
+# leaf. A word is an IDENT. One unnamed group reads the two-character
+# operators and any other character, and `_PUNCTUATION` gives its kind. A
+# character outside it is a digit of an INT token, or an error: a lone `/`
+# or `\` is stray and anything else unexpected. Digits that pass
+# str.isdigit and touch are joined into one INT, so digits such as "²" make
+# INT tokens too.
+_BLANKS = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+
+
+def _token_re(leaves: str) -> re.Pattern:
+    return re.compile(rf"{_BLANKS}(?:{leaves}(?P<IDENT>{_IDENT})|(:=|->|/\\|\\/|.)|\Z)")
+
+
+_LEAF_RE = _token_re("".join(rf"(?P<{kind}>(?:{'|'.join(heads)})\({_IDENT}(?:,{_IDENT})*\))|"
+                             for kind, heads in (("ATOM", _ATOM_HEADS), ("ACTION", _ACTION_HEADS))))
+_TOKEN_RE = _token_re("")
+_PUNCTUATION = {
+    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "/\\": "ANDOP", ":=": "ASSIGN", ".": "DOT",
+    "->": "ARROW", "[": "LBRACKET", "]": "RBRACKET", "!": "BANG", "|": "PIPE", "&": "AMP",
+    ";": "SEMI", "*": "STAR", "<": "LANGLE", ">": "RANGLE", "\\/": "OROP", ":": "COLON",
+}
 
 # A token is a plain tuple (kind, text, offset, length); its SourceSpan is
 # built only when one is read, by _span.
@@ -149,27 +163,28 @@ def _span(breaks: list[int], offset: int, length: int = 1) -> SourceSpan:
 def _tokenize(text: str, pattern: re.Pattern = _LEAF_RE) -> list[_Token]:
     tokens: list[_Token] = []
     append = tokens.append
+    punctuation = _PUNCTUATION.get
     digits_end = -1  # end of the last INT token, which a next digit extends
     for m in pattern.finditer(text):
-        kind = m.lastgroup
-        if kind in _SKIPPED:
-            continue
-        start, end = m.span()
-        if kind == "OTHER":
-            char = m[0]
-            if not char.isdigit():
-                raise ParseError(f"unexpected character {char!r}", _span(_line_breaks(text), start))
-            if start == digits_end:
-                _, run, run_start, _ = tokens.pop()
-                append(("INT", run + char, run_start, end - run_start))
-            else:
-                append(("INT", char, start, 1))
-            digits_end = end
-        elif kind == "STRAY":
+        index = m.lastindex
+        if index is None:  # the end of input
+            break
+        word = m[index]
+        start = m.start(index)
+        kind = m.lastgroup or punctuation(word)
+        if kind is not None:
+            append((kind, word, start, len(word)))
+        elif word in "/\\":
             expected = frozenset({"/\\", "\\/"})
-            raise ParseError(f"stray {m[0]!r}", _span(_line_breaks(text), start), expected)
+            raise ParseError(f"stray {word!r}", _span(_line_breaks(text), start), expected)
+        elif not word.isdigit():
+            raise ParseError(f"unexpected character {word!r}", _span(_line_breaks(text), start))
         else:
-            append((kind, m[0], start, end - start))
+            if start == digits_end:  # the digit extends the INT before it
+                _, run, start, _ = tokens.pop()
+                word = run + word
+            append(("INT", word, start, len(word)))
+            digits_end = start + len(word)
     # A comment on the last line leaves the end of input at its "#".
     comment = text.find("#", text.rfind("\n") + 1)
     append(("EOF", "", len(text) if comment < 0 else comment, 1))
@@ -221,10 +236,10 @@ class _Parser:
         hold no leaf token, so they are read before the next base token."""
         kind, text, offset, _ = self.cur
         if kind in ("ATOM", "ACTION"):
-            spelled = [(m.lastgroup, m[0], offset + m.start(), m.end() - m.start())
-                       for m in _TOKEN_RE.finditer(text)]
+            spelled = [(token_kind, word, offset + start, length)
+                       for token_kind, word, start, length in _tokenize(text, _TOKEN_RE)]
             self.cur = spelled[0]
-            self._next = chain(spelled[1:], self._tokens).__next__
+            self._next = chain(spelled[1:-1], self._tokens).__next__  # not its EOF
 
     def _unexpected(self, *expected: str) -> ParseError:
         self._spell()
@@ -495,6 +510,7 @@ def _lexicon(p: _Parser) -> LexiconFile:
 _F_AND, _F_UNARY = 0, 1
 # Action levels, loosest to tightest: ";", "&", "|", star, primitive.
 _A_SEQ, _A_PAR, _A_CHOICE, _A_STAR, _A_PRIM = 0, 1, 2, 3, 4
+_BINARY = {Seq: (" ; ", _A_SEQ), Concurrent: (" & ", _A_PAR), Choice: (" | ", _A_CHOICE)}
 # Printing spells an articulator by its letter, a direction by its compass
 # name and a place or label as it is: "dir(%s,%s,%s)" % (subject._value_, ...).
 # A member's `_value_` and `_name_` are plain attributes; `Enum`'s `value`
@@ -526,23 +542,17 @@ def print_atomic_action(action: AtomicAction) -> str:
 
 
 def _print_action(action: Action, min_level: int) -> str:
-    match action:
-        case Atomic(a):
-            return print_atomic_action(a)
-        case Seq(l, r):
-            text = f"{_print_action(l, _A_SEQ)} ; {_print_action(r, _A_PAR)}"
-            level = _A_SEQ
-        case Concurrent(l, r):
-            text = f"{_print_action(l, _A_PAR)} & {_print_action(r, _A_CHOICE)}"
-            level = _A_PAR
-        case Choice(l, r):
-            text = f"{_print_action(l, _A_CHOICE)} | {_print_action(r, _A_STAR)}"
-            level = _A_CHOICE
-        case Star(body):
-            text = f"{_print_action(body, _A_PRIM)}*"
-            level = _A_STAR
-        case _:
-            raise TypeError(f"not an action node: {action!r}")
+    kind = type(action)
+    if kind is Atomic:
+        return print_atomic_action(action.action)
+    if kind is Star:
+        text, level = f"{_print_action(action.body, _A_PRIM)}*", _A_STAR
+    elif kind in _BINARY:  # the right operand binds one level tighter
+        operator, level = _BINARY[kind]
+        left, right = _print_action(action.left, level), _print_action(action.right, level + 1)
+        text = f"{left}{operator}{right}"
+    else:
+        raise TypeError(f"not an action node: {action!r}")
     return f"({text})" if level < min_level else text
 
 
@@ -563,20 +573,21 @@ def _print_formula(formula: Formula, min_level: int, texts: dict) -> str:
     text once printed, without the parentheses that a tighter level adds."""
     text = texts.get(formula)
     if text is None:
-        match formula:  # the commonest nodes first
-            case And(l, r):
-                left = _print_formula(l, _F_AND, texts)
-                text = f"{left} /\\ {_print_formula(r, _F_UNARY, texts)}"
-            case Not(body):
-                text = f"!{_print_formula(body, _F_UNARY, texts)}"
-            case Box(action, body):
-                text = f"[{print_action(action)}] {_print_formula(body, _F_UNARY, texts)}"
-            case AtomF(atom):
-                text = print_atom(atom)
-            case Top():
-                text = "true"
-            case _:
-                raise TypeError(f"not a formula node: {formula!r}")
+        kind = type(formula)  # the commonest nodes first
+        if kind is And:
+            left = _print_formula(formula.left, _F_AND, texts)
+            text = f"{left} /\\ {_print_formula(formula.right, _F_UNARY, texts)}"
+        elif kind is Not:
+            text = f"!{_print_formula(formula.body, _F_UNARY, texts)}"
+        elif kind is Box:
+            action = print_action(formula.action)
+            text = f"[{action}] {_print_formula(formula.body, _F_UNARY, texts)}"
+        elif kind is AtomF:
+            text = print_atom(formula.atom)
+        elif kind is Top:
+            text = "true"
+        else:
+            raise TypeError(f"not a formula node: {formula!r}")
         texts[formula] = text
     return f"({text})" if min_level > _F_AND and type(formula) is And else text
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -8,7 +9,17 @@ import pytest
 
 import pdlsl.cli
 
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "docs" / "examples"
+
+
+def bench_gen():
+    """The benchmark's seeded input generators, `bench/gen.py` (standard
+    library only)."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def stderr_records(err: str) -> list[dict]:

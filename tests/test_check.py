@@ -24,6 +24,7 @@ from pdlsl import (
     Touch,
     UnknownArticulator,
     UnknownState,
+    UtteranceModel,
     anchor_atoms,
     apply_overrides,
     atom_value,
@@ -288,6 +289,28 @@ def test_overrides_reject_unknown_state(route_setup):
     model, _ = route_setup
     with pytest.raises(UnknownState):
         apply_overrides(model, [Override(9, Touch(R, L), T)], RIGHT_DOM)
+    for state in (2, -1):
+        with pytest.raises(UnknownState, match=f"^override targets state {state}$"):
+            apply_overrides(model, [Override(0, Touch(R, L), T), Override(state, Touch(R, L), T)],
+                            RIGHT_DOM)
+
+
+def test_apply_overrides_checks_nothing_again(route_setup, monkeypatch):
+    # The copy swaps the valuation only: the relation, the actions and the
+    # observation bitsets were checked when the model was made.
+    model, _ = route_setup
+    checks = []
+    check = UtteranceModel.__post_init__
+    monkeypatch.setattr(UtteranceModel, "__post_init__",
+                        lambda self: checks.append(self) or check(self))
+    overridden = apply_overrides(model, parse_overrides("state 0: touch(D,W) = unknown"), RIGHT_DOM)
+    assert checks == []
+    assert atom_value(overridden, 0, Touch(R, L)) is U
+    checked = model._replace(valuation=overridden.valuation)
+    assert len(checks) == 1
+    assert overridden == checked and overridden is not model
+    for name in ("_observed", "_config_seen", "_config_label"):
+        assert getattr(overridden, name) == getattr(checked, name)
 
 
 def test_override_atoms_may_use_aliases(route_setup):

@@ -1,6 +1,9 @@
 import errno
 import json
 import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from pdlsl import (
 )
 from pdlsl.cli import _dump_json
 
-from conftest import EXAMPLES, main, stderr_records
+from conftest import EXAMPLES, ROOT, bench_gen, main, stderr_records
 
 TRACKING = str(EXAMPLES / "route_clean.tracking.json")
 LEXICON = str(EXAMPLES / "route.pdlsl")
@@ -61,7 +64,7 @@ def test_output_and_input_paths_that_cannot_be_opened(tmp_path, capsys):
     assert main(["extract", TRACKING, "-o", str(out)]) == 1
     reason = os.strerror(errno.ENOENT)
     assert stderr_records(capsys.readouterr().err) == error(
-        "pdlsl-error", f"cannot write {out}: {reason}")
+        "cannot-write", f"cannot write {out}: {reason}")
     missing = tmp_path / "missing.json"
     for output in (out, missing):  # an input that is also the output is still read first
         assert main(["extract", str(missing), "-o", str(output)]) == 1
@@ -78,7 +81,36 @@ def test_output_that_fails_while_written(capsys):
     assert main(["extract", TRACKING, "-o", "/dev/full"]) == 1
     reason = os.strerror(errno.ENOSPC)
     assert stderr_records(capsys.readouterr().err) == error(
-        "pdlsl-error", f"cannot write /dev/full: {reason}")
+        "cannot-write", f"cannot write /dev/full: {reason}")
+
+
+def run_into_closed_pipe(*argv):
+    """Run `pdlsl` in a child process whose stdout is a pipe that nothing
+    reads: its read end is closed before the child starts. Its exit code
+    and stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pdlsl.cli", *map(str, argv)], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_is_a_write_error(tmp_path, model_path):
+    # A 200-posture model overflows the stdout buffer, so `extract` fails
+    # while writing; `eval` writes one word, so it fails when it flushes.
+    doc, _ = bench_gen().gen_utterance(random.Random(21), 200)
+    tracking = tmp_path / "utterance.tracking.json"
+    tracking.write_text(json.dumps(doc), encoding="utf-8")
+    reason = os.strerror(errno.EPIPE)
+    for argv in (["extract", tracking], ["eval", model_path, "true", "0"]):
+        code, err = run_into_closed_pipe(*argv)
+        # Every stderr line is a record: no "Exception ignored" line at exit.
+        assert (code, stderr_records(err)) == (
+            1, error("cannot-write", f"cannot write <stdout>: {reason}")), argv
 
 
 def test_extract_non_monotone_frames(tmp_path, capsys):

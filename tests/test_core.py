@@ -1,7 +1,5 @@
 import copy
-import importlib.util
 import math
-import pathlib
 import pickle
 import random
 
@@ -43,6 +41,8 @@ from pdlsl import (
     resolve_direction,
 )
 from pdlsl import Rect, SourceSpan, core
+
+from conftest import bench_gen
 
 D, W, R, L = Articulator.DOMINANT, Articulator.WEAK, Articulator.RIGHT, Articulator.LEFT
 RIGHT_DOM, LEFT_DOM = Handedness.RIGHT_DOMINANT, Handedness.LEFT_DOMINANT
@@ -460,11 +460,8 @@ def test_positional_and_keyword_arguments_mix():
 
 
 def test_parsing_a_lexicon_again_interns_no_new_node():
-    # The benchmark's 300-sign lexicon, from its generator (standard library only).
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    # The benchmark's 300-sign lexicon.
+    gen = bench_gen()
     text = gen.lexicon_text(gen.gen_signs(random.Random(21), 300))
     first = parse_lexicon(text)
     count = _interned()

@@ -341,6 +341,7 @@ def test_text_file_that_is_not_utf8(argv, tmp_path, capsys):
     code, err = run(argv(tmp_path), capsys)
     assert code == 1 and one_line_error(err)
     assert "not UTF-8 text" in err and str(tmp_path) in err
+    assert stderr_records(err)[0]["diagnostic"] == "not-utf8"
 
 
 # --- mutated fixtures -----------------------------------------------------------------

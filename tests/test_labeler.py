@@ -62,6 +62,8 @@ from pdlsl import (
     model_from_json,
     parse_atom,
     parse_lexicon,
+    print_action,
+    print_formula,
     verify,
 )
 from pdlsl.errors import UngroundedFormula, UnknownState
@@ -490,6 +492,17 @@ def test_atom_value_keeps_its_errors():
         atom_value(model, 3, Touch(R, L))
     with pytest.raises(TypeError):
         atom_value(model, 0, AtomF(Touch(R, L)))
+
+
+@pytest.mark.parametrize("formula, action", [
+    (Touch(R, L), Thrill(R)), (Atomic(Thrill(R)), AtomF(Touch(R, L))), (None, None),
+])
+def test_a_non_node_is_a_type_error(formula, action):
+    labeler = Labeler(chain(3))
+    for call in (lambda: labeler.formula(formula), lambda: print_formula(formula),
+                 lambda: labeler.pre(action, 0b111), lambda: print_action(action)):
+        with pytest.raises(TypeError):
+            call()
 
 
 # --- labeling as parsed -------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""What each `pdlsl` process loads, and the package's public names.
+"""What each `pdlsl` process loads, the package's public names, and the
+oldest Python it supports.
 
 `import pdlsl` loads none of the package's modules; the first read of a
 public name loads all eight. Each command of `pdlsl.cli` imports only the
@@ -7,15 +8,18 @@ tests start fresh interpreters, so a module that an earlier test imported
 cannot hide a load.
 """
 
+import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import pdlsl
+from pdlsl import parsing
 
 from conftest import EXAMPLES
 
@@ -128,3 +132,23 @@ def test_every_exported_name_resolves_is_listed_and_star_imports():
             value = getattr(pdlsl, name)  # loads the API if nothing has yet
             assert value is getattr(sys.modules[f"pdlsl.{module}"], name), name
     assert pdlsl.__version__ == "0.1.0"
+
+
+# --- the oldest supported Python -------------------------------------------------------
+
+PYTHON_FLOOR = (3, 10)  # `requires-python` in pyproject.toml
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    modules = sorted((SRC / "pdlsl").glob("*.py"))
+    assert len(modules) == 10
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=PYTHON_FLOOR)
+
+
+def test_tokenizer_patterns_need_no_newer_python():
+    # Atomic groups and possessive quantifiers came with Python 3.11.
+    patterns = [v.pattern for v in vars(parsing).values() if isinstance(v, re.Pattern)]
+    assert len(patterns) >= 2
+    for pattern in patterns:
+        assert not re.search(r"\(\?>|(?<!\\)[*+?}]\+", pattern), pattern

@@ -11,8 +11,10 @@ exactly the tokens the reference gives in its place.
 """
 
 import re
+import time
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdlsl import ParseError, SourceSpan
@@ -146,6 +148,7 @@ def test_tokenizer_matches_reference_on_named_cases(route_lexicon_text):
         "format: 1\nsign X := touch(R,L) .\r\n",
         "12²٣ 3", "x /\\/ y", "x \\/\\ y", "a\tb\r\nc -> d", "a\n\n  @",
         "sign A := true . # done", "sign A :=\n  - 1",
+        "a  # (b) c,\nd", "a \t # (b\n  # c)\n( b )", "a \t\r\n ", "a(  # x)\n)  \n\n",
         route_lexicon_text,
     ]
     for text in cases:
@@ -159,3 +162,22 @@ def test_tokenizer_matches_reference_on_named_cases(route_lexicon_text):
     kinds = [kind for kind, *_ in parsing._tokenize(route_lexicon_text)]
     assert kinds.count("ATOM") == 10 and kinds.count("ACTION") == 2
     assert _current("a # end")[-1] == ("EOF", "", SourceSpan(1, 3))
+
+
+# Long runs of blanks and comments, which one match reads in front of the
+# next token: a tokenizer that reads them in one linear pass takes a few
+# milliseconds on each, and one that backtracks into them does not finish.
+_LONG_RUNS = {
+    "400,000 trailing blanks": "sign A := true ." + " \t\r\n" * 100_000,
+    "one 400,000-character comment": "a # " + "(b) " * 99_999 + "c\nd",
+    "100,000 comment lines": "a\n" + "# (b) c\n" * 100_000 + "d",
+    "200,000 blanks before a final comment": "a" + " " * 200_000 + "# (b",
+}
+
+
+@pytest.mark.parametrize("text", _LONG_RUNS.values(), ids=_LONG_RUNS.keys())
+def test_tokenizer_reads_long_blank_and_comment_runs_in_linear_time(text):
+    start = time.perf_counter()
+    tokens = parsing._tokenize(text)
+    assert time.perf_counter() - start < 2.0
+    assert _materialize(text, tokens) == _reference(text)
