@@ -30,9 +30,8 @@ _API = {
     ),
     "schema": (),
     "geometry": (
-        "DEFAULT_PLACE_MAP", "BodyFrame", "PlaceMap", "Vec2", "classify_direction",
-        "load_place_map", "normalize", "place_map_from_json", "places_containing",
-        "relative_direction", "rotation_angle",
+        "DEFAULT_PLACE_MAP", "PlaceMap", "Vec2", "classify_direction", "load_place_map",
+        "place_map_from_json", "relative_direction", "rotation_angle",
     ),
     "parsing": (
         "LexiconEntry", "LexiconFile", "lint_lexicon", "parse_action", "parse_atom",

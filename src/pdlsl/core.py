@@ -5,6 +5,7 @@ syntax trees whose nodes are hash-consed (Filliâtre & Conchon 2006,
 "Type-safe modular hash-consing"): building a node with the fields of an
 existing one returns that node, so two nodes are equal exactly when they
 are the same object, and comparing or hashing one takes constant time.
+A formula or action node carries its height, fixed when it is built.
 `ground_atom` resolves the dominant/weak hand aliases of a leaf, and `ground`
 those of a tree, so that evaluation only ever sees the right/left hands.
 """
@@ -211,23 +212,37 @@ LEAF_FIELDS: dict[type, tuple[str, ...]] = {
 }
 
 
-class Atomic(_Node):
+class _Tree(_Node):
+    """Base of the formula and action nodes. `_height` is the node's height,
+    set when it is built: 0 for a node with no formula or action child, else
+    1 + the largest height of its children. It is no field, so it takes no
+    part in matching, equality, hashing or `repr`, and a copy or an unpickled
+    node, being the interned one, has it already."""
+
+    __slots__ = ("_height",)
+
+    def __post_init__(self) -> None:
+        heights = [child._height for child in self._astuple() if isinstance(child, _Tree)]
+        object.__setattr__(self, "_height", max(heights) + 1 if heights else 0)
+
+
+class Atomic(_Tree):
     __slots__ = ("action",)
 
 
-class Concurrent(_Node):
+class Concurrent(_Tree):
     __slots__ = ("left", "right")
 
 
-class Choice(_Node):
+class Choice(_Tree):
     __slots__ = ("left", "right")
 
 
-class Seq(_Node):
+class Seq(_Tree):
     __slots__ = ("left", "right")
 
 
-class Star(_Node):
+class Star(_Tree):
     __slots__ = ("body",)
 
 
@@ -237,26 +252,26 @@ Action = Union[Atomic, Concurrent, Choice, Seq, Star]
 # --- Formulas ---------------------------------------------------------------
 
 
-class Top(_Node):
+class Top(_Tree):
     __slots__ = ()
 
 
 TOP = Top()
 
 
-class AtomF(_Node):
+class AtomF(_Tree):
     __slots__ = ("atom",)
 
 
-class Not(_Node):
+class Not(_Tree):
     __slots__ = ("body",)
 
 
-class And(_Node):
+class And(_Tree):
     __slots__ = ("left", "right")
 
 
-class Box(_Node):
+class Box(_Tree):
     """After every execution of `action`, `body` holds."""
 
     __slots__ = ("action", "body")

@@ -271,13 +271,17 @@ def load_json(path: str, build: Callable[[Any], Any], error: type[SchemaError] =
     accepts NaN and Infinity, reads literals such as 1e999 as infinity and
     keeps the last value of a key an object repeats; all three are refused
     here, so every float that reaches the toolkit is finite and no value is
-    dropped unseen. Any defect of the file's content, nesting too deep for the
-    decoder included, raises `error` at the document root. A toolkit error
-    raised on the way names the file."""
+    dropped unseen. Text that is not UTF-8 raises NotUtf8, as in `load_text`
+    (a ConfigError in a run configuration, all of whose faults are), and any
+    other defect of the content, nesting too deep for the decoder included,
+    `error` at the document root. A toolkit error raised on the way names the file."""
     with _about(path), open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_unique_keys,
                             parse_constant=_refuse_constant, parse_float=_finite_float)
+        except UnicodeDecodeError as exc:  # a ValueError, so caught first
+            message = f"not UTF-8 text ({exc.reason})"
+            raise (error("", message) if error is ConfigError else NotUtf8(message)) from None
         except (ValueError, RecursionError) as exc:
             raise error("", f"invalid JSON: {exc}") from None
         return build(doc)

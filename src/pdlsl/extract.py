@@ -41,8 +41,7 @@ from .core import (
     iter_atomic_actions,
 )
 from .errors import Diagnostic, NoKeyPosture, NonFinite, NonMonotoneTimestamps, Record
-from .geometry import (DEFAULT_PLACE_MAP, VEC, BodyFrame, PlaceMap, Vec2, classify_direction,
-                       relative_direction)
+from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, classify_direction, relative_direction
 from .model import SegmentationParams, ThreeVal, UtteranceModel, Valuation
 from .schema import array, boolean, check, choice, const, integer, number, optional, string, table
 
@@ -271,8 +270,10 @@ def normalize_sequence(
                 ox, oy = x, y - lift
             origin_x.append(ox)
             origin_y.append(oy)
-    # The first frame's body frame checks its origin, then the scale.
-    BodyFrame(Vec2(origin_x[0], origin_y[0]), scale)
+    # The first frame's origin is checked, then the scale.
+    Vec2(origin_x[0], origin_y[0])
+    if not (math.isfinite(scale) and scale > 0):
+        raise NonFinite("body frame scale must be finite and positive")
     _finite(origin_y)
 
     # Negating a difference, then scaling it, rounds as scaling it by -k.

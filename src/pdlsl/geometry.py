@@ -1,8 +1,7 @@
 """Planar math over the signer's body frame.
 
 Rotation angles, nearest-direction classification, relative directions
-between articulators, normalization of raw tracker coordinates, and place
-containment. All functions are pure.
+between articulators, and place maps. All functions are pure.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ class Vec2(Record):
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def scaled(self, k: float) -> "Vec2":
-        return Vec2(self.x * k, self.y * k)
-
     @property
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -87,25 +83,6 @@ def relative_direction(p1: Vec2, p2: Vec2) -> Direction:
     return classify_direction(p1 - p2)
 
 
-class BodyFrame(Record):
-    """Maps raw tracker coordinates into normalized body units."""
-
-    __slots__ = ("origin", "scale")
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise NonFinite("body frame scale must be finite and positive")
-
-
-def normalize(raw: Vec2, frame: BodyFrame, mirrored: bool = False) -> Vec2:
-    """Express a raw point in body units. With `mirrored`, the x offset is
-    negated first (camera-facing footage into the signer frame)."""
-    d = raw - frame.origin
-    if mirrored:
-        d = Vec2(-d.x, d.y)
-    return d.scaled(1.0 / frame.scale)
-
-
 class PlaceMap:
     """A set of uniquely named places of articulation."""
 
@@ -122,12 +99,6 @@ class PlaceMap:
 
     def __iter__(self):
         return iter(self.places)
-
-
-def places_containing(p: Vec2, place_map: PlaceMap) -> frozenset[str]:
-    """Names of every place whose region contains `p` (boundary inclusive).
-    May be empty; may hold several names where regions overlap."""
-    return frozenset(pl.name for pl in place_map if pl.region.contains(p.x, p.y))
 
 
 def _default_places() -> tuple[Place, ...]:

@@ -25,10 +25,10 @@ Formula grammar (low to high precedence):
     DIR      := "N" | "NE" | "E" | "SE" | "S" | "SW" | "W" | "NW"
 
 Implication, disjunction and the diamond are sugar and never appear in a
-stored tree. Nesting is limited to MAX_DEPTH levels, so every walk over a
-parsed tree stays well inside Python's recursion limit. Lexicon files hold
-entries `sign NAME := <formula> .` and an optional leading `format: 1`
-marker.
+stored tree. Nesting is limited to MAX_DEPTH levels, read off each node's
+height and the constructs the parser enters, so every walk over a parsed
+tree stays well inside Python's recursion limit. Lexicon files hold entries
+`sign NAME := <formula> .` and an optional leading `format: 1` marker.
 
 Tokens may be separated by blanks (space, tab, CR and LF) and by comments,
 each running from `#` to the end of its line. Any other character outside
@@ -193,8 +193,8 @@ def _tokenize(text: str, pattern: re.Pattern = _LEAF_RE) -> list[_Token]:
 
 #: Deepest nesting a formula may have. Each parenthesis, `!`, modality,
 #: implication arrow and action parenthesis the parser enters counts one
-#: level, and so does each level of the tree it builds, so long flat `/\`
-#: and `;` chains count too. Leaves have height 0.
+#: level, and no node it builds may be higher (`core._Tree`), so long flat
+#: `/\` and `;` chains count too.
 MAX_DEPTH = 100
 
 _ARTICULATORS = {a.value: a for a in Articulator}
@@ -267,60 +267,59 @@ class _Parser:
             raise self._too_deep(self.cur)
         return self._advance()
 
-    def _node(self, node, height: int, tok: _Token):
-        """A built node with its height, refused past MAX_DEPTH at `tok`."""
-        if height > MAX_DEPTH:
+    def _node(self, node, tok: _Token):
+        """A built node, refused at `tok` if it is higher than MAX_DEPTH."""
+        if node._height > MAX_DEPTH:
             raise self._too_deep(tok)
-        return node, height
+        return node
 
     def _too_deep(self, tok: _Token) -> ParseError:
         return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", self.span(tok))
 
     # -- formulas --
-    # Each level returns the node it parsed together with the node's height.
 
-    def formula(self) -> tuple[Formula, int]:
-        left, height = _or_level(self)
+    def formula(self) -> Formula:
+        left = _or_level(self)
         if self.cur[0] == "ARROW":
             tok = self._enter()
-            right, right_height = self.formula()
+            right = self.formula()
             self.depth -= 1
-            return self._node(implies(left, right), max(height, right_height + 1) + 2, tok)
-        return left, height
+            return self._node(implies(left, right), tok)
+        return left
 
-    def unary(self) -> tuple[Formula, int]:
+    def unary(self) -> Formula:
         tok = self.cur
         kind = tok[0]
         if kind == "BANG":
             self._enter()
-            body, height = self.unary()
+            body = self.unary()
             self.depth -= 1
-            return self._node(Not(body), height + 1, tok)
+            return self._node(Not(body), tok)
         if kind == "LBRACKET":
             self._enter()
-            action, action_height = _action(self)
+            action = _action(self)
             self._expect("RBRACKET", "]")
-            body, height = self.unary()
+            body = self.unary()
             self.depth -= 1
-            return self._node(Box(action, body), max(action_height, height) + 1, tok)
+            return self._node(Box(action, body), tok)
         if kind == "LANGLE":
             self._enter()
-            action, action_height = _action(self)
+            action = _action(self)
             self._expect("RANGLE", ">")
-            body, height = self.unary()
+            body = self.unary()
             self.depth -= 1
-            return self._node(diamond(action, body), max(action_height, height + 1) + 2, tok)
+            return self._node(diamond(action, body), tok)
         if kind == "LPAREN":
             self._enter()
-            node, height = self.formula()
+            node = self.formula()
             self._expect("RPAREN", ")")
             self.depth -= 1
-            return node, height
+            return node
         if self._at_word("true"):
             self._advance()
-            return TOP, 0
+            return TOP
         if kind == "ATOM" or self._at_word(*_ATOM_HEADS):
-            return AtomF(self.atom()), 0
+            return AtomF(self.atom())
         raise self._unexpected("!", "[", "<", "(", "true", *_ATOM_HEADS)
 
     def atom(self) -> Atom:
@@ -328,22 +327,22 @@ class _Parser:
 
     # -- actions --
 
-    def star_level(self) -> tuple[Action, int]:
-        node, height = self.prim()
+    def star_level(self) -> Action:
+        node = self.prim()
         if self.cur[0] == "STAR":
             tok = self._advance()
-            node, height = self._node(Star(node), height + 1, tok)
-        return node, height
+            node = self._node(Star(node), tok)
+        return node
 
-    def prim(self) -> tuple[Action, int]:
+    def prim(self) -> Action:
         if self.cur[0] == "LPAREN":
             self._enter()
-            node, height = _action(self)
+            node = _action(self)
             self._expect("RPAREN", ")")
             self.depth -= 1
-            return node, height
+            return node
         if self.cur[0] == "ACTION" or self._at_word(*_ACTION_HEADS):
-            return Atomic(self.atomic_action()), 0
+            return Atomic(self.atomic_action())
         raise self._unexpected(*_ACTION_HEADS, "(")
 
     def atomic_action(self) -> AtomicAction:
@@ -396,26 +395,23 @@ class _Parser:
         return table[word]
 
 
-def _chain(operand, kind: str, build, cost: int, parser: _Parser):
-    """A left-associative chain of `operand(parser)`s joined by `kind`
-    tokens; each join adds `cost` to the height (`\\/` desugars to three
-    nodes)."""
-    node, height = operand(parser)
+def _chain(operand, kind: str, build, parser: _Parser):
+    """A left-associative chain of `operand(parser)`s joined by `kind` tokens."""
+    node = operand(parser)
     while parser.cur[0] == kind:
         tok = parser._advance()
-        right, right_height = operand(parser)
-        node, height = parser._node(build(node, right), max(height, right_height) + cost, tok)
-    return node, height
+        node = parser._node(build(node, operand(parser)), tok)
+    return node
 
 
 # The left-associative levels, loosest first. They are partials rather than
 # methods, so that a level costs one Python frame and nesting to MAX_DEPTH
 # stays far inside the interpreter's recursion limit.
-_and_level = partial(_chain, _Parser.unary, "ANDOP", And, 1)
-_or_level = partial(_chain, _and_level, "OROP", or_, 3)
-_choice_level = partial(_chain, _Parser.star_level, "PIPE", Choice, 1)
-_par_level = partial(_chain, _choice_level, "AMP", Concurrent, 1)
-_action = partial(_chain, _par_level, "SEMI", Seq, 1)
+_and_level = partial(_chain, _Parser.unary, "ANDOP", And)
+_or_level = partial(_chain, _and_level, "OROP", or_)
+_choice_level = partial(_chain, _Parser.star_level, "PIPE", Choice)
+_par_level = partial(_chain, _choice_level, "AMP", Concurrent)
+_action = partial(_chain, _par_level, "SEMI", Seq)
 
 
 def _parse_all(text: str, rule, pattern: re.Pattern = _LEAF_RE):
@@ -431,11 +427,11 @@ def _parse_all(text: str, rule, pattern: re.Pattern = _LEAF_RE):
 
 def parse_formula(text: str) -> Formula:
     """Parse one formula; the result is fully desugared."""
-    return _parse_all(text, _Parser.formula)[0]
+    return _parse_all(text, _Parser.formula)
 
 
 def parse_action(text: str) -> Action:
-    return _parse_all(text, _action)[0]
+    return _parse_all(text, _action)
 
 
 def parse_atom(text: str) -> Atom:
@@ -478,29 +474,32 @@ def parse_lexicon(text: str) -> LexiconFile:
     return _parse_all(text, _lexicon)
 
 
-def _lexicon(p: _Parser) -> LexiconFile:
+def _lexicon(p: _Parser, duplicates: dict[str, list[SourceSpan]] | None = None) -> LexiconFile:
+    """The first definition of each sign. A later one raises DuplicateSign,
+    or, given `duplicates`, is read and its span listed after the first's."""
     if p._at_word("format"):
         p._advance()
         p._expect("COLON", ":")
         version = p._expect("INT", "format version")
         if version[1] != "1":
             raise ParseError(f"unsupported format version {version[1]}", p.span(version))
-    entries: list[LexiconEntry] = []
-    spans: dict[str, SourceSpan] = {}
+    entries: dict[str, LexiconEntry] = {}
     while p.cur[0] != "EOF":
         if not p._at_word("sign"):
             raise p._unexpected("sign")
         p._advance()
         name_tok = p._expect("IDENT", "sign name")
         name, span = name_tok[1], p.span(name_tok)
-        if name in spans:
-            raise DuplicateSign(name, spans[name], span)
+        if name in entries:
+            first = entries[name].span
+            if duplicates is None:
+                raise DuplicateSign(name, first, span)
+            duplicates.setdefault(name, [first]).append(span)
         p._expect("ASSIGN", ":=")
-        formula, _ = p.formula()
+        formula = p.formula()
         p._expect("DOT", ".")
-        entries.append(LexiconEntry(name, formula, span))
-        spans[name] = span
-    return LexiconFile(tuple(entries))
+        entries.setdefault(name, LexiconEntry(name, formula, span))
+    return LexiconFile(tuple(entries.values()))
 
 
 # --- Pretty printing ---------------------------------------------------------
@@ -602,19 +601,26 @@ def print_formula(formula: Formula) -> str:
 
 
 def lint_lexicon(text: str) -> tuple[LexiconFile | None, list[Diagnostic]]:
-    """Parse a lexicon and collect diagnostics. A parse failure yields one
-    error (a duplicate sign two) and no lexicon; warnings flag atoms that planar
+    """Parse a lexicon and collect diagnostics. A lexicon that `parse_lexicon`
+    refuses yields no lexicon and errors: if its only faults are signs defined
+    again, one at each first and each later definition, else its first fault's.
+    Warnings, for the first definition of each sign, flag atoms that planar
     tracking can never decide and pairwise atoms whose two articulators are
     one hand for a signer of either handedness, which `check` refuses."""
+    duplicates: dict[str, list[SourceSpan]] = {}
     try:
-        lexicon = parse_lexicon(text)
-    except DuplicateSign as exc:
-        message = f"duplicate sign {exc.name!r}"
-        first = Diagnostic(exc.code, "error", f"{message}, first defined here", span=exc.first)
-        return None, [first, Diagnostic(exc.code, "error", message, span=exc.second)]
+        lexicon = _parse_all(text, partial(_lexicon, duplicates=duplicates))
     except ParseError as exc:
-        return None, [Diagnostic(exc.code, "error", str(exc.args[0]), span=exc.span)]
+        if not duplicates:
+            return None, [Diagnostic(exc.code, "error", str(exc.args[0]), span=exc.span)]
+        name, spans = next(iter(duplicates.items()))  # the first fault alone
+        duplicates, lexicon = {name: spans[:2]}, LexiconFile(())
     issues: list[Diagnostic] = []
+    for name, (first, *later) in duplicates.items():
+        message = f"duplicate sign {name!r}"
+        issues.append(Diagnostic("duplicate-sign", "error", f"{message}, first defined here",
+                                 span=first))
+        issues += (Diagnostic("duplicate-sign", "error", message, span=span) for span in later)
     for entry in lexicon.entries:
         atoms = dict.fromkeys(iter_atoms(entry.formula))
         orient = next((atom for atom in atoms if isinstance(atom, Orient)), None)
@@ -631,4 +637,4 @@ def lint_lexicon(text: str) -> tuple[LexiconFile | None, list[Diagnostic]]:
                     message = (f"sign {entry.name!r} uses {print_atom(atom)}: {exc}; "
                                "check refuses this lexicon for such a signer")
                     issues.append(Diagnostic(exc.code, "warning", message, span=entry.span))
-    return lexicon, issues
+    return (None if duplicates else lexicon), issues

@@ -10,6 +10,7 @@ from pdlsl import (
     AtomF,
     Config,
     Direction,
+    DuplicateSign,
     Handedness,
     LexiconEntry,
     LexiconFile,
@@ -240,20 +241,44 @@ LINT_ATOMS = _gen.ATOM_POOL + _gen.ALIASED_ATOMS + (
 LINT_ACTIONS = _gen.ACTION_POOL + (Move(D, Direction.E), Thrill(W))
 
 
+def _lint_refuses_where_parsing_does(text):
+    """`lint_lexicon(text)`, after checking that it refuses `text` exactly
+    when `parse_lexicon` does, and that its first errors are at that error's
+    spans."""
+    lexicon, issues = lint_lexicon(text)
+    errors = [issue.span for issue in issues if issue.severity == "error"]
+    try:
+        parsed = parse_lexicon(text)
+    except ParseError as exc:
+        spans = [exc.first, exc.second] if isinstance(exc, DuplicateSign) else [exc.span]
+        assert lexicon is None and errors[:len(spans)] == spans, text
+    else:
+        assert lexicon == parsed and not errors, text
+    return lexicon, issues
+
+
 def test_lint_warns_for_a_signer_exactly_where_check_refuses():
-    """`lint` and `check` accept the same lexicons: for each signer, `verify`
+    """`lint` and `check` accept the same lexicons: `lint_lexicon` refuses a
+    lexicon exactly when `parse_lexicon` does, duplicate signs and syntax
+    errors before or after them included; and for each signer, `verify`
     refuses a lexicon exactly when `lint_lexicon` warns that two hands of an
     atom are one hand for that signer, and its message is the first such
     warning's, up to the note that check refuses it."""
     model = _gen.gen_model(random.Random(5), max_states=4)
     rng = random.Random(1707)
+    faults = random.Random(1708)
     refusals = 0
     for _ in range(200):
         text = "".join(
             f"sign S{i} := {print_formula(_gen.gen_formula(rng, 2, LINT_ATOMS, LINT_ACTIONS))} .\n"
             for i in range(rng.randint(1, 4))
         )
-        lexicon, issues = lint_lexicon(text)
+        lines = text.splitlines(keepends=True)
+        again, broken = faults.choice(lines), "sign Z := ( .\n"
+        for variant in (text + again, text + again + faults.choice(lines) + again,
+                        text + again + broken, broken + text + again):
+            assert _lint_refuses_where_parsing_does(variant)[0] is None
+        lexicon, issues = _lint_refuses_where_parsing_does(text)
         for handedness in Handedness:
             warnings = [issue.message for issue in issues if issue.code == "alias-collision"
                         and f"for a {handedness.value}-dominant signer;" in issue.message]

@@ -1,7 +1,10 @@
 import copy
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +33,7 @@ from pdlsl import (
     Top,
     Touch,
     contains_alias,
+    diamond,
     ground,
     implies,
     mirror_direction,
@@ -42,6 +46,7 @@ from pdlsl import (
 )
 from pdlsl import Rect, SourceSpan, core
 
+import _gen
 from conftest import bench_gen
 
 D, W, R, L = Articulator.DOMINANT, Articulator.WEAK, Articulator.RIGHT, Articulator.LEFT
@@ -122,9 +127,15 @@ def test_resolve_articulator(articulator, handedness, expected):
 # --- atom invariants -------------------------------------------------------------
 
 
+def _node_types(base=core._Node):
+    for node_type in base.__subclasses__():
+        yield node_type
+        yield from _node_types(node_type)
+
+
 def _interned():
     """How many nodes the node types' tables hold."""
-    return sum(len(node_type._interned) for node_type in core._Node.__subclasses__())
+    return sum(len(node_type._interned) for node_type in _node_types())
 
 
 def test_rel_dir_rejects_equal_articulators():
@@ -468,6 +479,72 @@ def test_parsing_a_lexicon_again_interns_no_new_node():
     second = parse_lexicon(text)
     assert _interned() == count
     assert all(a.formula is b.formula for a, b in zip(first.entries, second.entries))
+
+
+# --- heights -----------------------------------------------------------------------
+
+
+def _reference_height(node):
+    """The height of a formula or action by recursion over its node types,
+    reading no `_height`."""
+    match node:
+        case Top() | AtomF() | Atomic():
+            return 0
+        case Not(child) | Star(child):
+            return 1 + _reference_height(child)
+        case And(a, b) | Box(a, b) | Seq(a, b) | Choice(a, b) | Concurrent(a, b):
+            return 1 + max(_reference_height(a), _reference_height(b))
+    raise TypeError(node)
+
+
+def _subtrees(node):
+    yield node
+    for child in node._astuple():
+        if isinstance(child, core._Tree):
+            yield from _subtrees(child)
+
+
+def _height_samples():
+    """Seeded `_gen` formulas and actions with aliased leaves, their
+    grounded copies, and the sugar built from them."""
+    rng = random.Random(2306)
+    atoms = _gen.ATOM_POOL + _gen.ALIASED_ATOMS
+    actions = _gen.ACTION_POOL + (Move(D, Direction.E), Thrill(W))
+    for _ in range(150):
+        f, g = (_gen.gen_formula(rng, rng.randint(0, 6), atoms, actions) for _ in "fg")
+        action = _gen.gen_action(rng, rng.randint(0, 5), actions)
+        yield from (f, action, implies(f, g), or_(f, g), diamond(action, f))
+        for handedness in Handedness:
+            for node in (f, action):
+                try:
+                    yield ground(node, handedness)
+                except AliasCollision:
+                    pass
+
+
+def test_every_node_carries_its_reference_height():
+    samples = list(_height_samples())
+    assert max(node._height for node in samples) >= 8
+    for root in samples:
+        for node in _subtrees(root):
+            assert node._height == _reference_height(node), node
+    assert not hasattr(Touch(R, L), "_height") and not hasattr(Move(R, Direction.E), "_height")
+
+
+def test_copies_and_pickles_keep_the_height():
+    rng = random.Random(2307)
+    formulas = [_gen.gen_formula(rng, 6) for _ in range(20)]
+    for formula in formulas:
+        copied = copy.deepcopy(formula)
+        assert copied is formula and copied._height == _reference_height(formula)
+    # A fresh interpreter has interned none of them, so unpickling builds
+    # each node and sets its height there.
+    code = ("import pickle, sys\n"
+            "print(*(f._height for f in pickle.loads(sys.stdin.buffer.read())))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(formulas), env=env,
+                          capture_output=True, check=True)
+    assert proc.stdout.split() == [str(_reference_height(f)).encode() for f in formulas]
 
 
 # --- records -----------------------------------------------------------------------

@@ -5,19 +5,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pdlsl import (
     DEFAULT_PLACE_MAP,
-    BodyFrame,
     CoincidentPoints,
     Direction,
+    HandObservation,
+    NonFinite,
     Place,
     PlaceMap,
     Rect,
+    TrackingFrame,
+    TrackingSequence,
     Vec2,
     ZeroVector,
     classify_direction,
     mirror_direction,
-    normalize,
+    normalize_sequence,
     place_map_from_json,
-    places_containing,
     relative_direction,
     rotation_angle,
 )
@@ -59,11 +61,10 @@ def test_rotation_angle_symmetric_and_bounded(v1, v2):
 @given(vectors, st.floats(min_value=1e-3, max_value=1e3))
 def test_rotation_angle_scale_invariant(v, k):
     # acos loses about sqrt(eps) of precision near parallel vectors.
-    assert math.isclose(rotation_angle(v, v.scaled(k)), 0.0, abs_tol=1e-4)
+    scaled = Vec2(v.x * k, v.y * k)
+    assert math.isclose(rotation_angle(v, scaled), 0.0, abs_tol=1e-4)
     other = Vec2(-v.y, v.x)
-    assert math.isclose(
-        rotation_angle(v, other), rotation_angle(v.scaled(k), other), abs_tol=1e-4
-    )
+    assert math.isclose(rotation_angle(v, other), rotation_angle(scaled, other), abs_tol=1e-4)
 
 
 def test_vec2_rejects_non_finite():
@@ -211,49 +212,48 @@ def test_relative_direction_antisymmetric(p1, p2):
     assert relative_direction(p2, p1) is _OPPOSITE[relative_direction(p1, p2)]
 
 
-# --- normalize ----------------------------------------------------------------------
+# --- the body frame of normalize_sequence ------------------------------------------
+
+
+def _normalized(points, mirrored=False, **frame):
+    """The right-hand positions of one frame per point, in body units."""
+    frames = tuple(TrackingFrame(t, right=HandObservation(p)) for t, p in enumerate(points))
+    normalized, _ = normalize_sequence(TrackingSequence(frames, 25.0, mirrored), **frame)
+    return [f.right.pos for f in normalized.frames]
 
 
 def test_normalize_examples():
-    frame = BodyFrame(origin=Vec2(5, 7), scale=2.0)
-    assert normalize(Vec2(5, 7), frame) == Vec2(0, 0)
-    assert normalize(Vec2(7, 7), frame) == Vec2(1, 0)
-    assert normalize(Vec2(7, 7), frame, mirrored=True) == Vec2(-1, 0)
+    frame = dict(body_origin=Vec2(5, 7), body_scale=2.0)
+    assert _normalized([Vec2(5, 7), Vec2(7, 7)], **frame) == [Vec2(0, 0), Vec2(1, 0)]
+    assert _normalized([Vec2(7, 7)], mirrored=True, **frame) == [Vec2(-1, 0)]
 
 
 def test_body_frame_scale_must_be_positive():
-    with pytest.raises(ValueError):
-        BodyFrame(origin=Vec2(0, 0), scale=0.0)
+    with pytest.raises(NonFinite, match="^body frame scale must be finite and positive$"):
+        _normalized([Vec2(0, 0)], body_origin=Vec2(0, 0), body_scale=0.0)
 
 
 # --- places ---------------------------------------------------------------------------
+# The places containing a point are those whose `Rect.contains` it.
 
 
 def test_places_containing_center_and_outside():
-    torse = next(p for p in DEFAULT_PLACE_MAP if p.name == "TORSE")
-    center = Vec2(
-        (torse.region.x_min + torse.region.x_max) / 2,
-        (torse.region.y_min + torse.region.y_max) / 2,
-    )
-    assert "TORSE" in places_containing(center, DEFAULT_PLACE_MAP)
-    assert places_containing(Vec2(50, 50), DEFAULT_PLACE_MAP) == frozenset()
+    torse = next(p for p in DEFAULT_PLACE_MAP if p.name == "TORSE").region
+    assert torse.contains((torse.x_min + torse.x_max) / 2, (torse.y_min + torse.y_max) / 2)
+    assert not any(p.region.contains(50, 50) for p in DEFAULT_PLACE_MAP)
 
 
 def test_places_containing_shared_edge_inclusive():
-    pm = PlaceMap(
-        [
-            Place("LEFTBOX", Rect(-1.0, 0.0, 0.0, 1.0)),
-            Place("RIGHTBOX", Rect(0.0, 1.0, 0.0, 1.0)),
-        ]
-    )
-    assert places_containing(Vec2(0.0, 0.5), pm) == frozenset({"LEFTBOX", "RIGHTBOX"})
+    # Boundary inclusive: a point on a shared edge lies in both rectangles.
+    assert Rect(-1.0, 0.0, 0.0, 1.0).contains(0.0, 0.5)
+    assert Rect(0.0, 1.0, 0.0, 1.0).contains(0.0, 0.5)
 
 
 def test_places_containing_monotone_under_enlargement():
-    small = PlaceMap([Place("ZONE", Rect(0.0, 1.0, 0.0, 1.0))])
-    big = PlaceMap([Place("ZONE", Rect(-0.5, 1.5, -0.5, 1.5))])
-    for point in (Vec2(0.0, 0.0), Vec2(0.5, 0.5), Vec2(1.0, 1.0)):
-        assert places_containing(point, small) <= places_containing(point, big)
+    small, big = Rect(0.0, 1.0, 0.0, 1.0), Rect(-0.5, 1.5, -0.5, 1.5)
+    for x, y in ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.2, -0.4)):
+        assert big.contains(x, y) >= small.contains(x, y)
+        assert big.contains(x, y)
 
 
 def test_place_map_rejects_duplicates_and_degenerate_rects():

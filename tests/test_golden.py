@@ -9,8 +9,9 @@ diagnostic record:
   `pdlsl extract route_teleport.tracking.json` writes to stderr;
 * `lint.stderr` - the records of `pdlsl lint` on `lint_warnings.pdlsl`
   (an orientation and an alias-collision warning, exit code 0), then on
-  `lint_duplicate.pdlsl` (a duplicate sign, exit code 1), run from
-  `tests/golden/`;
+  `lint_duplicate.pdlsl` (a duplicate sign, exit code 1), then on
+  `lint_duplicates.pdlsl` (a sign defined three times beside the two
+  warnings, exit code 1), run from `tests/golden/`;
 * `<fixture>.<dominant>.report.json` - `pdlsl check` of that model with
   `route.pdlsl` and `route.overrides`, for both dominant hands;
 * `eval.tsv` - `pdlsl eval` of ROUTE sub-formulas at every state of each
@@ -127,7 +128,8 @@ def _lint_stderr() -> str:
     os.chdir(GOLDEN)
     try:
         return "".join(_main(["lint", name], code)[1]
-                       for name, code in (("lint_warnings.pdlsl", 0), ("lint_duplicate.pdlsl", 1)))
+                       for name, code in (("lint_warnings.pdlsl", 0), ("lint_duplicate.pdlsl", 1),
+                                          ("lint_duplicates.pdlsl", 1)))
     finally:
         os.chdir(cwd)
 
@@ -428,7 +430,10 @@ def test_lint_stderr_matches_golden():
     assert err.encode("utf-8") == (GOLDEN / "lint.stderr").read_bytes()
     assert [(d["diagnostic"], d["severity"], d["line"]) for d in stderr_records(err)] == [
         ("undecidable-orientation", "warning", 2), ("alias-collision", "warning", 3),
-        ("duplicate-sign", "error", 2), ("duplicate-sign", "error", 3)]
+        ("duplicate-sign", "error", 2), ("duplicate-sign", "error", 3),
+        ("duplicate-sign", "error", 3), ("duplicate-sign", "error", 4),
+        ("duplicate-sign", "error", 6), ("undecidable-orientation", "warning", 5),
+        ("alias-collision", "warning", 7)]
 
 
 @pytest.mark.parametrize("dominant", DOMINANTS)

@@ -315,9 +315,10 @@ def test_reading_a_valuation_takes_memory_by_the_size_of_the_file():
 # --- unreadable files -----------------------------------------------------------------
 
 
-def not_utf8(tmp_path, source):
+def not_utf8(tmp_path, source, after=b"("):
+    """A copy of `source` with a 0xff byte after the first `after`."""
     path = tmp_path / source.name
-    path.write_bytes(source.read_bytes().replace(b"(", b"(\xff", 1))
+    path.write_bytes(source.read_bytes().replace(after, after + b"\xff", 1))
     return path
 
 
@@ -342,6 +343,21 @@ def test_text_file_that_is_not_utf8(argv, tmp_path, capsys):
     assert code == 1 and one_line_error(err)
     assert "not UTF-8 text" in err and str(tmp_path) in err
     assert stderr_records(err)[0]["diagnostic"] == "not-utf8"
+
+
+@pytest.mark.parametrize("source, argv, code, diagnostic, prefix", [
+    (TRACKING, lambda p: ["extract", p], 1, "not-utf8", ""),
+    (MODEL, lambda p: ["check", p, LEXICON], 1, "not-utf8", ""),
+    (PLACEMAP, lambda p: ["extract", TRACKING, "--placemap", p], 1, "not-utf8", ""),
+    (CONFIG, lambda p: ["extract", TRACKING, "--config", p], 2, "config-error", "/: "),
+], ids=["tracking", "model", "placemap", "config"])
+def test_json_file_that_is_not_utf8(source, argv, code, diagnostic, prefix, tmp_path, capsys):
+    path = not_utf8(tmp_path, source, after=b'"')
+    got, err = run(argv(path), capsys)
+    assert got == code and one_line_error(err)
+    record = stderr_records(err)[0]
+    assert record["diagnostic"] == diagnostic and record["file"] == str(path)
+    assert record["message"] == f"{path}: {prefix}not UTF-8 text (invalid start byte)"
 
 
 # --- mutated fixtures -----------------------------------------------------------------

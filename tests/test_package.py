@@ -39,9 +39,8 @@ EXPORTED = {
         NoKeyPosture NonFinite NonMonotoneTimestamps ParseError PdlslError SchemaError
         SourceSpan UngroundedFormula UnknownArticulator UnknownDirection UnknownState
         ZeroVector""",
-    "geometry": """DEFAULT_PLACE_MAP BodyFrame PlaceMap Vec2 classify_direction
-        load_place_map normalize place_map_from_json places_containing relative_direction
-        rotation_angle""",
+    "geometry": """DEFAULT_PLACE_MAP PlaceMap Vec2 classify_direction load_place_map
+        place_map_from_json relative_direction rotation_angle""",
     "parsing": """LexiconEntry LexiconFile lint_lexicon parse_action parse_atom
         parse_atomic_action parse_formula parse_lexicon print_action print_atom
         print_atomic_action print_formula""",
@@ -68,12 +67,19 @@ def python(code, *args, cwd=None):
 
 
 # Runs one command; at exit prints the `pdlsl` modules, `hashlib`,
-# `dataclasses` and `inspect`, if they were loaded.
+# `dataclasses` and `inspect`, if they were loaded, each with the number of
+# lines of its file for a `pdlsl` module (`__init__.py` for the package) and
+# 0 for the others.
 COMMAND = """
 import atexit, json, sys
 OTHERS = ("hashlib", "dataclasses", "inspect")
-atexit.register(lambda: print(json.dumps([m for m in sys.modules
-                                          if m.startswith("pdlsl") or m in OTHERS])))
+def lines(name):
+    if not name.startswith("pdlsl"):
+        return 0
+    with open(sys.modules[name].__file__, encoding="utf-8") as fh:
+        return len(fh.readlines())
+atexit.register(lambda: print(json.dumps({m: lines(m) for m in list(sys.modules)
+                                          if m.startswith("pdlsl") or m in OTHERS})))
 from pdlsl.cli import main
 code = main(sys.argv[1:])
 assert code == 0, code
@@ -83,7 +89,7 @@ assert code == 0, code
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
     """The modules loaded by `extract`, `check`, `eval` and `lint` on
-    `route_clean`."""
+    `route_clean`, each with the lines it compiled (see COMMAND)."""
     tmp = tmp_path_factory.mktemp("commands")
     model = tmp / "model.json"
     argvs = {
@@ -92,20 +98,32 @@ def loaded(tmp_path_factory):
         "eval": ["eval", model, "touch(R,L)", "0"],
         "lint": ["lint", EXAMPLES / "route.pdlsl"],
     }
-    return {name: set(python(COMMAND, *argv, cwd=tmp)) for name, argv in argvs.items()}
+    return {name: python(COMMAND, *argv, cwd=tmp) for name, argv in argvs.items()}
 
 
 def test_commands_load_only_their_own_modules(loaded):
     for command in ("check", "eval", "lint"):
         assert "pdlsl.extract" not in loaded[command], command
     for command in ("extract", "lint"):
-        assert not loaded[command] & {"pdlsl.check", "hashlib"}, command
+        assert not loaded[command].keys() & {"pdlsl.check", "hashlib"}, command
     assert "pdlsl.extract" in loaded["extract"] and "pdlsl.check" in loaded["check"]
 
 
 def test_no_command_loads_dataclasses_or_inspect(loaded):
     for command, modules in loaded.items():
-        assert not modules & {"dataclasses", "inspect"}, command
+        assert not modules.keys() & {"dataclasses", "inspect"}, command
+
+
+#: The most lines of `pdlsl` source that each command may load. A process
+#: that writes no bytecode, as under PYTHONDONTWRITEBYTECODE=1, compiles
+#: every line it loads, so each costs start-up time. A change that raises a
+#: ceiling says why.
+LINE_CEILINGS = {"extract": 3427, "check": 2958, "eval": 2773, "lint": 2773}
+
+
+def test_commands_compile_no_more_lines_than_their_ceilings(loaded):
+    counts = {command: sum(modules.values()) for command, modules in loaded.items()}
+    assert all(counts[command] <= ceiling for command, ceiling in LINE_CEILINGS.items()), counts
 
 
 def test_import_loads_nothing_and_a_public_name_loads_all_eight_modules():
