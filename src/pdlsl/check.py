@@ -152,10 +152,11 @@ def verify(
     if overrides:
         model = apply_overrides(model, overrides, handedness)
     labels = _Labeler(model, None, handedness)
-    # Lists only for the states a sign is proposed at.
-    matches: defaultdict[int, list[Proposal]] = defaultdict(list)
-    possibles: defaultdict[int, list[Proposal]] = defaultdict(list)
-    for entry in lexicon.entries:
+    # Lists only for the states a sign is proposed at, of `proposals` indices.
+    matches: defaultdict[int, list[int]] = defaultdict(list)
+    possibles: defaultdict[int, list[int]] = defaultdict(list)
+    proposals = [Proposal(e.name, v) for v in (MATCH, POSSIBLE) for e in lexicon.entries]
+    for as_match, entry in enumerate(lexicon.entries):
         try:
             lo, hi = labels.formula(entry.formula)
         except AliasCollision as exc:
@@ -164,21 +165,20 @@ def verify(
         anchor_lo, anchor_hi = labels.anchor(entry.formula)
         lo &= anchor_lo
         hi &= anchor_hi
-        as_match, as_possible = Proposal(entry.name, MATCH), Proposal(entry.name, POSSIBLE)
+        as_possible = as_match + len(lexicon.entries)
         for state in _members(lo):
             matches[state].append(as_match)
         for state in _members(hi & ~lo):
             possibles[state].append(as_possible)
-    # States with equal proposals share one tuple, which keeps reports small.
-    per_state: list[tuple[Proposal, ...]] = [()] * model.state_count
-    shared: dict[tuple[Proposal, ...], tuple[Proposal, ...]] = {}
-    for state in matches.keys() | possibles.keys():
-        proposals = tuple(matches.get(state, []) + possibles.get(state, []))
-        per_state[state] = shared.setdefault(proposals, proposals)
+    # States with equal proposals share one tuple, built once, which keeps reports small.
+    keys = [tuple(matches.get(state, []) + possibles.get(state, []))
+            for state in range(model.state_count)]
+    rows = {key: tuple(map(proposals.__getitem__, key)) for key in dict.fromkeys(keys)}
+    per_state = tuple(map(rows.__getitem__, keys))
 
     thresholds = model.meta.get("segmentation", {}) if isinstance(model.meta, Mapping) else {}
     return ProposalReport(
-        per_state=tuple(per_state),
+        per_state=per_state,
         handedness=handedness,
         lexicon_hash=lexicon_hash(lexicon),
         thresholds=thresholds,

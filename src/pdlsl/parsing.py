@@ -1,11 +1,9 @@
 """Concrete textual syntax: parser, pretty-printer and lint diagnostics.
 
-Formula grammar (low to high precedence):
+Formula grammar; OP and AOP are binary operators, loosest first:
 
-    formula  := impl
-    impl     := or ("->" impl)?                  right associative
-    or       := and ("\\/" and)*
-    and      := unary ("/\\" unary)*
+    formula  := unary (OP unary)*                OP: "->" (right associative),
+                                                 "\\/", "/\\"
     unary    := "!" unary | "[" action "]" unary | "<" action ">" unary
               | "true" | atom | "(" formula ")"
     atom     := "dir(" art "," art "," DIR ")"   dir(b1,b2,d): b1 lies in
@@ -14,20 +12,19 @@ Formula grammar (low to high precedence):
               | "cfg(" art "," NAME ")"          transpose, watch out
               | "orient(" art "," DIR ")"
 
-    action   := seq
-    seq      := par (";" par)*
-    par      := choice ("&" choice)*             "&" is concurrent execution
-    choice   := star ("|" star)*                 "|" is nondeterministic choice
-    star     := prim "*"?
-    prim     := "move(" art "," DIR ")" | "thrill(" art ")" | "(" action ")"
-
+    action   := prim (AOP prim)*                 AOP: ";", "&" (concurrent
+                                                 execution), "|" (choice)
+    prim     := ("move(" art "," DIR ")" | "thrill(" art ")" | "(" action ")") "*"?
     art      := "D" | "W" | "R" | "L"
     DIR      := "N" | "NE" | "E" | "SE" | "S" | "SW" | "W" | "NW"
 
-Implication, disjunction and the diamond are sugar and never appear in a
-stored tree. Nesting is limited to MAX_DEPTH levels, read off each node's
-height and the constructs the parser enters, so every walk over a parsed
-tree stays well inside Python's recursion limit. Lexicon files hold entries
+Each syntax is read by one precedence-climbing loop over its operator table
+(`_FORMULA_OPERATORS`, `_ACTION_OPERATORS`), and `prim` reads the `*`. A
+leaf written without blanks is one token, read with one split. Implication,
+disjunction and the diamond are sugar and never appear in a stored tree.
+Nesting is limited to MAX_DEPTH levels, read off each node's height and the
+constructs the parser enters, so every walk over a parsed tree stays well
+inside Python's recursion limit. Lexicon files hold entries
 `sign NAME := <formula> .` and an optional leading `format: 1` marker.
 
 Tokens may be separated by blanks (space, tab, CR and LF) and by comments,
@@ -202,6 +199,34 @@ _DIRECTIONS = {d.name: d for d in Direction}
 #: Each leaf head and its node type, whose fields `LEAF_FIELDS` gives.
 _LEAVES = {"dir": RelDir, "at": At, "touch": Touch, "cfg": Config, "orient": Orient,
            "move": Move, "thrill": Thrill}
+#: The words of each leaf field, with the noun and error class of a word not
+#: among them; a `place` or `label` field, absent here, takes any name.
+_WORDS = {field: (_DIRECTIONS, "direction", UnknownDirection) if field == "direction"
+          else (_ARTICULATORS, "articulator", UnknownArticulator)
+          for fields in LEAF_FIELDS.values() for field in fields if field not in ("place", "label")}
+# The binary operators of each syntax: token kind -> (binding power, builder).
+# Power 0 is `->`, right associative, which opens one nesting level.
+_FORMULA_OPERATORS = {"ARROW": (0, implies), "OROP": (1, or_), "ANDOP": (2, And)}
+_ACTION_OPERATORS = {"SEMI": (1, Seq), "AMP": (2, Concurrent), "PIPE": (3, Choice)}
+
+
+def _split_leaf(text: str, heads: tuple[str, ...]):
+    """The leaf that a blank-free `head(word,...)` names, read with one split,
+    or None where reading its tokens is needed: another head or shape, a
+    word that is no IDENT or no table holds, or arguments its type refuses."""
+    head, _, rest = text.partition("(")
+    node = _LEAVES[head] if head in heads and rest[-1:] == ")" else None
+    words = rest[:-1].split(",")
+    if node is None or len(words) != len(LEAF_FIELDS[node]):
+        return None
+    args = {field: word if field not in _WORDS else _WORDS[field][0].get(word)
+            for field, word in zip(LEAF_FIELDS[node], words)}
+    if None in args.values() or not all(w.isascii() and w.isidentifier() for w in words):
+        return None
+    try:
+        return node(*map(args.__getitem__, node.__match_args__))
+    except ValueError:
+        return None
 
 
 class _Parser:
@@ -217,7 +242,7 @@ class _Parser:
         self.cur = self._next()  # the first token not consumed yet
         self.depth = 0  # nested constructs currently open
         self.breaks: list[int] | None = None  # _line_breaks(text), found on first use
-        self.leaf_nodes: dict[str, Atom | AtomicAction] = {}  # the node of each leaf token read
+        self.leaf_nodes: dict[str, AtomF | Atomic] = {}  # the wrapped node of each leaf token
 
     # -- token plumbing --
 
@@ -260,12 +285,12 @@ class _Parser:
     def _at_word(self, *words: str) -> bool:
         return self.cur[0] == "IDENT" and self.cur[1] in words
 
-    def _enter(self) -> _Token:
+    def _enter(self) -> None:
         """Open a nested construct at the current token and consume it."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise self._too_deep(self.cur)
-        return self._advance()
+        self.cur = self._next()
 
     def _node(self, node, tok: _Token):
         """A built node, refused at `tok` if it is higher than MAX_DEPTH."""
@@ -276,91 +301,108 @@ class _Parser:
     def _too_deep(self, tok: _Token) -> ParseError:
         return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", self.span(tok))
 
-    # -- formulas --
+    # -- operators --
+
+    def _climb(self, operand, operators: dict, floor: int = 0, node=None):
+        """Precedence climbing (Pratt 1973, "Top down operator precedence"):
+        `node`, else a first `operand()`, joined to further `operand()`s by
+        the `operators` whose power is at least `floor`. A right operand
+        costs a frame of its own only where a tighter operator follows it."""
+        if node is None:
+            node = operand()
+        while True:
+            tok = self.cur
+            operator = operators.get(tok[0])
+            if operator is None or operator[0] < floor:
+                return node
+            power, build = operator
+            if not power:  # `->`: the rest of the formula is its right operand
+                self._enter()
+                right = self._climb(operand, operators)
+                self.depth -= 1
+                return self._node(build(node, right), tok)
+            self.cur = self._next()
+            right = operand()
+            tighter = operators.get(self.cur[0])
+            if tighter is not None and tighter[0] > power:  # it takes `right` as its left
+                right = self._climb(operand, operators, power + 1, right)
+            node = self._node(build(node, right), tok)
 
     def formula(self) -> Formula:
-        left = _or_level(self)
-        if self.cur[0] == "ARROW":
-            tok = self._enter()
-            right = self.formula()
-            self.depth -= 1
-            return self._node(implies(left, right), tok)
-        return left
+        return self._climb(self.unary, _FORMULA_OPERATORS)
+
+    # -- operands --
 
     def unary(self) -> Formula:
         tok = self.cur
         kind = tok[0]
+        if kind == "ATOM":
+            return self._leaf(AtomF, _ATOM_HEADS, self.atom)
         if kind == "BANG":
             self._enter()
             body = self.unary()
             self.depth -= 1
             return self._node(Not(body), tok)
-        if kind == "LBRACKET":
+        if kind in ("LBRACKET", "LANGLE"):
             self._enter()
-            action = _action(self)
-            self._expect("RBRACKET", "]")
+            action = self._climb(self.prim, _ACTION_OPERATORS)
+            box = kind == "LBRACKET"
+            self._expect(*(("RBRACKET", "]") if box else ("RANGLE", ">")))
             body = self.unary()
             self.depth -= 1
-            return self._node(Box(action, body), tok)
-        if kind == "LANGLE":
-            self._enter()
-            action = _action(self)
-            self._expect("RANGLE", ">")
-            body = self.unary()
-            self.depth -= 1
-            return self._node(diamond(action, body), tok)
+            return self._node((Box if box else diamond)(action, body), tok)
         if kind == "LPAREN":
             self._enter()
-            node = self.formula()
+            node = self._climb(self.unary, _FORMULA_OPERATORS)
             self._expect("RPAREN", ")")
             self.depth -= 1
             return node
         if self._at_word("true"):
             self._advance()
             return TOP
-        if kind == "ATOM" or self._at_word(*_ATOM_HEADS):
+        if self._at_word(*_ATOM_HEADS):
             return AtomF(self.atom())
         raise self._unexpected("!", "[", "<", "(", "true", *_ATOM_HEADS)
 
-    def atom(self) -> Atom:
-        return self._leaf(_ATOM_HEADS, "atom", "atom")
-
-    # -- actions --
-
-    def star_level(self) -> Action:
-        node = self.prim()
-        if self.cur[0] == "STAR":
-            tok = self._advance()
-            node = self._node(Star(node), tok)
-        return node
-
     def prim(self) -> Action:
-        if self.cur[0] == "LPAREN":
+        """A primitive action, with the `*` that may follow it."""
+        kind = self.cur[0]
+        if kind == "ACTION":
+            node = self._leaf(Atomic, _ACTION_HEADS, self.atomic_action)
+        elif kind == "LPAREN":
             self._enter()
-            node = _action(self)
+            node = self._climb(self.prim, _ACTION_OPERATORS)
             self._expect("RPAREN", ")")
             self.depth -= 1
-            return node
-        if self.cur[0] == "ACTION" or self._at_word(*_ACTION_HEADS):
-            return Atomic(self.atomic_action())
-        raise self._unexpected(*_ACTION_HEADS, "(")
-
-    def atomic_action(self) -> AtomicAction:
-        return self._leaf(_ACTION_HEADS, "move or thrill", "action")
+        elif self._at_word(*_ACTION_HEADS):
+            node = Atomic(self.atomic_action())
+        else:
+            raise self._unexpected(*_ACTION_HEADS, "(")
+        if self.cur[0] == "STAR":
+            node = self._node(Star(node), self._advance())
+        return node
 
     # -- leaves --
 
-    def _leaf(self, heads: tuple[str, ...], what: str, noun: str):
-        kind, text, _, _ = self.cur
-        if kind not in ("ATOM", "ACTION"):
-            return self._leaf_from_tokens(heads, what, noun)
-        if text in self.leaf_nodes:
-            self._advance()
-            return self.leaf_nodes[text]
-        self._spell()  # built from the tokens it spells, once per text
-        node = self.leaf_nodes[text] = self._leaf_from_tokens(heads, what, noun)
-        self._next = self._tokens.__next__  # a built leaf has read them all
+    def _leaf(self, wrap, heads: tuple[str, ...], read):
+        """The `wrap`ped leaf of the current leaf token, read with one split
+        once per text; `read` reads a leaf by its tokens."""
+        text = self.cur[1]
+        node = self.leaf_nodes.get(text)
+        if node is None:
+            leaf = _split_leaf(text, heads)
+            if leaf is None:  # reading its tokens reports the fault
+                self._spell()
+                return wrap(read())
+            node = self.leaf_nodes[text] = wrap(leaf)
+        self.cur = self._next()
         return node
+
+    def atom(self) -> Atom:
+        return self._leaf_from_tokens(_ATOM_HEADS, "atom", "atom")
+
+    def atomic_action(self) -> AtomicAction:
+        return self._leaf_from_tokens(_ACTION_HEADS, "move or thrill", "action")
 
     def _leaf_from_tokens(self, heads: tuple[str, ...], what: str, noun: str):
         head_tok = self._expect("IDENT", what)
@@ -382,36 +424,14 @@ class _Parser:
             raise ParseError(str(exc), self.span(close)) from None
 
     def _argument(self, field: str):
-        if field in ("place", "label"):
+        if field not in _WORDS:
             return self._expect("IDENT", "name")[1]
-        what, table, error = (
-            ("direction", _DIRECTIONS, UnknownDirection) if field == "direction"
-            else ("articulator", _ARTICULATORS, UnknownArticulator)
-        )
+        table, what, error = _WORDS[field]
         tok = self._expect("IDENT", what)
         word = tok[1]
         if word not in table:
             raise error(f"unknown {what} {word!r}", self.span(tok), frozenset(table))
         return table[word]
-
-
-def _chain(operand, kind: str, build, parser: _Parser):
-    """A left-associative chain of `operand(parser)`s joined by `kind` tokens."""
-    node = operand(parser)
-    while parser.cur[0] == kind:
-        tok = parser._advance()
-        node = parser._node(build(node, operand(parser)), tok)
-    return node
-
-
-# The left-associative levels, loosest first. They are partials rather than
-# methods, so that a level costs one Python frame and nesting to MAX_DEPTH
-# stays far inside the interpreter's recursion limit.
-_and_level = partial(_chain, _Parser.unary, "ANDOP", And)
-_or_level = partial(_chain, _and_level, "OROP", or_)
-_choice_level = partial(_chain, _Parser.star_level, "PIPE", Choice)
-_par_level = partial(_chain, _choice_level, "AMP", Concurrent)
-_action = partial(_chain, _par_level, "SEMI", Seq)
 
 
 def _parse_all(text: str, rule, pattern: re.Pattern = _LEAF_RE):
@@ -431,15 +451,15 @@ def parse_formula(text: str) -> Formula:
 
 
 def parse_action(text: str) -> Action:
-    return _parse_all(text, _action)
+    return _parse_all(text, lambda parser: parser._climb(parser.prim, _ACTION_OPERATORS))
 
 
 def parse_atom(text: str) -> Atom:
-    return _parse_all(text, _Parser.atom, _TOKEN_RE)
+    return _split_leaf(text, _ATOM_HEADS) or _parse_all(text, _Parser.atom, _TOKEN_RE)
 
 
 def parse_atomic_action(text: str) -> AtomicAction:
-    return _parse_all(text, _Parser.atomic_action, _TOKEN_RE)
+    return _split_leaf(text, _ACTION_HEADS) or _parse_all(text, _Parser.atomic_action, _TOKEN_RE)
 
 
 # --- Lexicon files -----------------------------------------------------------

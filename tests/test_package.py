@@ -118,7 +118,7 @@ def test_no_command_loads_dataclasses_or_inspect(loaded):
 #: that writes no bytecode, as under PYTHONDONTWRITEBYTECODE=1, compiles
 #: every line it loads, so each costs start-up time. A change that raises a
 #: ceiling says why.
-LINE_CEILINGS = {"extract": 3427, "check": 2958, "eval": 2773, "lint": 2773}
+LINE_CEILINGS = {"extract": 3447, "check": 2978, "eval": 2793, "lint": 2793}
 
 
 def test_commands_compile_no_more_lines_than_their_ceilings(loaded):

@@ -1,4 +1,9 @@
-import contextlib
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,13 +33,18 @@ from pdlsl import (
     implies,
     parse_action,
     parse_atom,
+    parse_atomic_action,
     parse_formula,
     parse_lexicon,
     lint_lexicon,
     print_action,
     print_atom,
+    print_atomic_action,
     print_formula,
 )
+from pdlsl.check import parse_overrides
+from pdlsl.core import LEAF_FIELDS
+from pdlsl.parsing import MAX_DEPTH
 
 from pdlsl import parsing
 from test_core import formulas  # hypothesis strategy
@@ -359,36 +369,53 @@ def test_leaf_tokens_build_the_nodes_of_reading_token_by_token(route_lexicon_tex
     assert all(a.formula is b.formula for a, b in zip(leafy.entries, by_token.entries))
 
 
+def count_leaves_built(monkeypatch):
+    """The text of each leaf built from then on, whether read with one split
+    (`_split_leaf`) or from its tokens (`_Parser._leaf_from_tokens`)."""
+    built = []
+    split, from_tokens = parsing._split_leaf, parsing._Parser._leaf_from_tokens
+
+    def splitting(text, heads):
+        leaf = split(text, heads)
+        if leaf is not None:
+            built.append(text)
+        return leaf
+
+    def reading(parser, heads, what, noun):
+        leaf = from_tokens(parser, heads, what, noun)
+        built.append((print_atom if heads == parsing._ATOM_HEADS else print_atomic_action)(leaf))
+        return leaf
+
+    monkeypatch.setattr(parsing, "_split_leaf", splitting)
+    monkeypatch.setattr(parsing._Parser, "_leaf_from_tokens", reading)
+    return built
+
+
 def test_parsing_twice_builds_the_same_leaves(monkeypatch):
-    # Each distinct leaf token is spelled once, to build its node, so
-    # counting spelled leaves counts the leaves built; none is kept between
-    # calls.
-    spelled = []
-    spell = parsing._Parser._spell
-
-    def counting(parser):
-        if parser.cur[0] in ("ATOM", "ACTION"):
-            spelled.append(parser.cur[1])
-        spell(parser)
-
-    monkeypatch.setattr(parsing._Parser, "_spell", counting)
+    # Each distinct leaf token is built once per call, by one split; none is
+    # kept between calls.
+    built = count_leaves_built(monkeypatch)
     text = "".join(f"sign S{i} := {ROUTE_TEXT} .\n" for i in range(3))
     parse_lexicon(text)
-    first = sorted(spelled)
-    spelled.clear()
+    first = sorted(built)
+    built.clear()
     parse_lexicon(text)
-    assert sorted(spelled) == first
+    assert sorted(built) == first
     assert first == sorted({"at(R,FACE)", "at(L,FACE)", "dir(L,R,E)", "cfg(R,CLAMP)",
                             "cfg(L,CLAMP)", "touch(R,L)", "move(R,W)", "move(L,E)"})
 
 
 VALID = {"parse_formula": ROUTE_TEXT, "parse_action": "move(R,W) ; (move (L,E) & thrill(W))*",
          "parse_atom": "dir(L,R,E)", "parse_atomic_action": "move(D,SE)"}
+# The distinct leaves of each valid text: `move (L,E)` is read by its tokens.
+VALID_LEAVES = {"parse_formula": 8, "parse_action": 3, "parse_atom": 1,
+                "parse_atomic_action": 1, "parse_lexicon": 8}
 
 
 @pytest.mark.parametrize("entry", [*VALID, "parse_lexicon"])
 def test_each_parse_builds_one_parser(monkeypatch, route_lexicon_text, entry):
-    # A leaf token is built and an error reported by the parser that read it.
+    # A lone leaf is read with one split and no parser; any other text, and
+    # every text with an error, by one parser, which reports the error.
     made = []
 
     class Counting(parsing._Parser):
@@ -397,14 +424,127 @@ def test_each_parse_builds_one_parser(monkeypatch, route_lexicon_text, entry):
             super().__init__(text, *args)
 
     monkeypatch.setattr(parsing, "_Parser", Counting)
+    built = count_leaves_built(monkeypatch)
+    lone_leaf = entry in ("parse_atom", "parse_atomic_action")
     valid = VALID.get(entry, route_lexicon_text)
     getattr(parsing, entry)(valid)
-    assert made == [valid]
+    assert made == ([] if lone_leaf else [valid])
+    assert len(built) == len(set(built)) == VALID_LEAVES[entry]
     for _, text, *_ in LEAF_ERRORS:
         made.clear()
-        with contextlib.suppress(ParseError):
+        try:
             getattr(parsing, entry)(text)
-        assert made == [text]
+        except ParseError:
+            assert made == [text]
+        else:  # such as `move(R,E)`, a valid atomic action
+            assert made == ([] if lone_leaf else [text])
+
+
+# --- leaves read with one split ---------------------------------------------------
+# A leaf written without blanks is read with one split wherever that gives a
+# node, and otherwise from its tokens. Either way it reads as the same leaf
+# written with blanks, `touch( R , L )`, which is read from its tokens.
+
+WORDS = {"articulator": "DWRL", "direction": [d.name for d in Direction],
+         "name": ["FACE", "CLAMP", "x_1", "_", "true"]}
+UNKNOWN = {"articulator": ["Q", "r", "NE", "x_1"], "direction": ["Q", "ne", "NNE", "R"],
+           "name": ["1x", "x-y", "é", "a.b"]}
+SPLIT_ENTRIES = [  # each entry point, with the leaf in atom and in action position
+    (parse_formula, "{}"), (parse_formula, "[{}] true"),
+    (parse_lexicon, "sign A := {} ."), (parse_lexicon, "sign A := <{}> true ."),
+    (parse_atom, "{}"), (parse_atomic_action, "{}"), (parse_overrides, "state 0: {} = true"),
+]
+
+
+def kind_of(field):
+    return {"direction": "direction", "place": "name", "label": "name"}.get(field, "articulator")
+
+
+def leaf_arguments(rng, head):
+    """Argument lists for `head`: valid words, an unknown articulator or
+    direction or a name that is no IDENT in each place, one argument too few
+    and one too many, the same articulator twice, and the aliases D and W."""
+    kinds = [kind_of(field) for field in LEAF_FIELDS[parsing._LEAVES[head]]]
+    valid = lambda: [rng.choice(WORDS[kind]) for kind in kinds]  # noqa: E731
+    cases = [valid() for _ in range(3)]
+    for i, kind in enumerate(kinds):
+        cases.append(valid())
+        cases[-1][i] = rng.choice(UNKNOWN[kind])
+    cases += [valid()[:-1], valid() + [rng.choice(WORDS["articulator"])]]
+    if head in ("dir", "touch"):
+        twice = valid()
+        twice[1] = twice[0]
+        cases.append(twice)
+    cases.append([rng.choice("DW") if kind == "articulator" else rng.choice(WORDS[kind])
+                  for kind in kinds])
+    return cases
+
+
+def read_outcome(read, text):
+    """The result of `read(text)`; for a ParseError, its class, message and
+    expected set, with where its span starts when blanks are not counted and
+    the text it covers."""
+    try:
+        return read(text)
+    except ParseError as exc:
+        assert exc.span.line == 1
+        start = exc.span.column - 1
+        covered = text[start : start + exc.span.length]
+        return type(exc), exc.args[0], exc.expected, len(text[:start].replace(" ", "")), covered
+
+
+def test_a_split_leaf_reads_as_the_leaf_written_with_blanks():
+    rng = random.Random(24)
+    seen = set()
+    for head in (*parsing._ATOM_HEADS, *parsing._ACTION_HEADS):
+        for words in leaf_arguments(rng, head):
+            blank_free, spaced = f"{head}({','.join(words)})", f"{head}( {' , '.join(words)} )"
+            for read, where in SPLIT_ENTRIES:
+                outcome = read_outcome(read, where.format(blank_free))
+                assert outcome == read_outcome(read, where.format(spaced)), (blank_free, where)
+                seen.add(outcome[0] if isinstance(outcome, tuple) else "node")
+    assert seen == {"node", ParseError, UnknownArticulator, UnknownDirection}
+
+
+# --- nesting and the recursion limit ----------------------------------------------
+
+# Each construct nested k levels deep, and the deepest k that parses. An
+# implication is three nodes high, so 33 arrows make the deepest chain.
+NESTINGS = {
+    "parentheses": (lambda k: "(" * k + "true" + ")" * k, MAX_DEPTH),
+    "action parentheses": (
+        lambda k: "[" + "(" * (k - 1) + "move(R,E)" + ")" * (k - 1) + "] true", MAX_DEPTH),
+    "negations": (lambda k: "!" * k + "true", MAX_DEPTH),
+    "boxes": (lambda k: "[move(R,E)] " * k + "true", MAX_DEPTH),
+    "arrows": (lambda k: " -> ".join(["touch(R,L)"] * (k + 1)), MAX_DEPTH // 3),
+}
+HEADROOM = """
+import json, sys
+from pdlsl.parsing import ParseError, parse_formula
+sys.setrecursionlimit(300)
+outcomes = []
+for text in json.loads(sys.argv[1]):
+    try:
+        parse_formula(text)
+        outcomes.append("parsed")
+    except (ParseError, RecursionError) as exc:
+        outcomes.append(f"{type(exc).__name__}: {exc.args[0]}")
+print(json.dumps(outcomes))
+"""
+
+
+@pytest.mark.parametrize("construct", NESTINGS)
+def test_nesting_to_the_limit_needs_few_frames(construct):
+    # Each level costs at most two Python frames, so a recursion limit of
+    # 300 leaves room to nest to MAX_DEPTH, and to refuse one level more.
+    make, deepest = NESTINGS[construct]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(parsing.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", HEADROOM, json.dumps([make(deepest),
+                                                                       make(deepest + 1)])],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "parsed", f"ParseError: formula nests deeper than {MAX_DEPTH} levels"]
 
 
 # --- lint ----------------------------------------------------------------------
