@@ -2,7 +2,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -46,6 +48,17 @@ def main(argv):
     stderr_records(err.getvalue())
     sys.stderr.write(err.getvalue())
     return code
+
+
+def run_pdlsl(*argv, cwd=None, stderr_closed=False) -> subprocess.CompletedProcess:
+    """`python -m pdlsl.cli ARGV` in a fresh interpreter that finds this
+    `pdlsl`, with its stdout and stderr as bytes. With `stderr_closed` the
+    interpreter starts with file descriptor 2 closed, as `2>&-` leaves it."""
+    command = [sys.executable, "-m", "pdlsl.cli", *map(str, argv)]
+    if stderr_closed:
+        command = ["sh", "-c", 'exec "$0" "$@" 2>&-', *command]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, timeout=60)
 
 
 @pytest.fixture(scope="session")

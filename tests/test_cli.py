@@ -19,7 +19,7 @@ from pdlsl import (
 )
 from pdlsl.cli import _dump_json
 
-from conftest import EXAMPLES, ROOT, bench_gen, main, stderr_records
+from conftest import EXAMPLES, ROOT, bench_gen, main, run_pdlsl, stderr_records
 
 TRACKING = str(EXAMPLES / "route_clean.tracking.json")
 LEXICON = str(EXAMPLES / "route.pdlsl")
@@ -112,6 +112,16 @@ def test_closed_stdout_is_a_write_error(tmp_path, model_path):
         assert (code, stderr_records(err)) == (
             1, error("cannot-write", f"cannot write <stdout>: {reason}")), argv
 
+
+
+def test_diagnostics_are_dropped_when_stderr_is_closed():
+    # With file descriptor 2 closed, `sys.stderr` is None, and a record
+    # printed there would land on stdout, in front of the model.
+    proc = run_pdlsl("extract", EXAMPLES / "route_teleport.tracking.json", stderr_closed=True)
+    golden = (ROOT / "tests" / "golden" / "route_teleport.model.json").read_bytes()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden, b"")
+    proc = run_pdlsl("extract", "/nonexistent/input.json", stderr_closed=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"")
 
 def test_extract_non_monotone_frames(tmp_path, capsys):
     bad = tmp_path / "bad.json"

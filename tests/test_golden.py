@@ -2,7 +2,9 @@
 
 Each test runs `pdlsl` in-process and compares its output byte for byte
 with a file under `tests/golden/`; every line a run writes to stderr is a
-diagnostic record:
+diagnostic record. One test runs a command of each kind in a fresh
+interpreter, where no module that an earlier test imported can hide a
+missing import:
 
 * `<fixture>.model.json` - `pdlsl extract <fixture>.tracking.json`;
 * `route_teleport.extract.stderr` - the diagnostic records that
@@ -14,6 +16,8 @@ diagnostic record:
   warnings, exit code 1), run from `tests/golden/`;
 * `<fixture>.<dominant>.report.json` - `pdlsl check` of that model with
   `route.pdlsl` and `route.overrides`, for both dominant hands;
+* `route_dropout.<dominant>.report.txt` - the same `pdlsl check` of the
+  `route_dropout` model with `--format table`;
 * `eval.tsv` - `pdlsl eval` of ROUTE sub-formulas at every state of each
   model, one `fixture, dominant, state, formula, output` row per line;
 * `extract.tsv` - 200 seeded tracking documents from `_gen.gen_tracking`,
@@ -31,6 +35,14 @@ diagnostic record:
 * `parse.tsv` - about 1,500 seeded inputs built from grammar fragments,
   with the outcome of each parser entry point: the printed tree, or
   `Class line:col+len message (expected ...)` for a parse error.
+* `lexicon_spans.tsv` - 200 seeded lexicons laid out with random blanks,
+  tabs, CRLF line ends, comments (one on a last line without a line
+  break), leaves with and without blanks, and multi-digit and non-ASCII
+  digits, each also with one injected fault (a stray `/`, an unexpected
+  character, a bad format version or a duplicate sign): through
+  `parse_lexicon`, each sign's name and span or the parse error; through
+  `lint_lexicon`, each diagnostic and the name and span of each sign of
+  the lexicon it returns.
 
 A last test checks, on the runs of `labels.tsv`, that extraction lists no
 cell whose documented default (`test_labeler._reference_atom_value`)
@@ -60,6 +72,7 @@ from pdlsl.geometry import DEFAULT_PLACE_MAP
 from pdlsl.model import _Labeler, model_from_json, model_to_json
 from pdlsl.parsing import (
     MAX_DEPTH,
+    lint_lexicon,
     parse_action,
     parse_atom,
     parse_atomic_action,
@@ -72,7 +85,7 @@ from pdlsl.parsing import (
 )
 
 from _gen import MODEL_ATOM_TEXTS, gen_model_doc, gen_tracking, vocabulary
-from conftest import EXAMPLES, main, stderr_records
+from conftest import EXAMPLES, main, run_pdlsl, stderr_records
 from test_labeler import _reference_atom_value
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -114,10 +127,13 @@ def _extract(fixture: str, out: pathlib.Path) -> tuple[bytes, str]:
     return out.read_bytes(), err
 
 
-def _check(fixture: str, dominant: str, out: pathlib.Path) -> bytes:
-    argv = ["check", _model_path(fixture), LEXICON, "--overrides", OVERRIDES,
-            "--dominant", dominant, "-o", str(out)]
-    _main(argv)
+def _check_argv(fixture: str, dominant: str) -> list[str]:
+    return ["check", _model_path(fixture), LEXICON, "--overrides", OVERRIDES,
+            "--dominant", dominant]
+
+
+def _check(fixture: str, dominant: str, out: pathlib.Path, *options: str) -> bytes:
+    _main([*_check_argv(fixture, dominant), *options, "-o", str(out)])
     return out.read_bytes()
 
 
@@ -278,6 +294,113 @@ def _parse_rows() -> str:
     for text in _parse_inputs():
         cells = [json.dumps(text, ensure_ascii=False)]
         cells += [_parse_outcome(parse, show, text) for _, parse, show in PARSE_ENTRIES]
+        assert not any("\t" in c or "\n" in c for c in cells)
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# The layouts of `lexicon_spans.tsv`: what may stand for one blank between
+# two tokens, what may end a lexicon, and the faults that one row injects.
+SPAN_BLANKS = (" ", " ", " ", "  ", "\t", " \t", "\n", "\r\n", "\n\n", " # note\n",
+               "\t# (a, b) -> c\r\n", "\n#\n", " #\n  ")
+SPAN_ENDS = ("", "\n", "\r\n", " ", "\n# last line", "# last line", "\n#", "\t# 12 ٣")
+SPAN_FAULTS = ("stray /", "unexpected character", "bad format version", "duplicate sign")
+
+
+def _span_leaf(rng: random.Random, heads: tuple[str, ...]) -> str:
+    """A valid leaf, written with blanks after `(` and `,` or without."""
+    head = rng.choice(heads)
+    arts = rng.sample(ARTS, 2)
+    words = {"dir": arts + [rng.choice(DIRS)], "at": arts[:1] + [rng.choice(NAMES)],
+             "touch": arts, "cfg": arts[:1] + [rng.choice(NAMES)],
+             "orient": arts[:1] + [rng.choice(DIRS)], "move": arts[:1] + [rng.choice(DIRS)],
+             "thrill": arts[:1]}[head]
+    blank = rng.choice(("", "", " ", "\t", " \n"))
+    return f"{head}({blank}{(',' + blank).join(words)})"
+
+
+def _span_formula(rng: random.Random, depth: int) -> str:
+    sub = lambda: _span_formula(rng, depth - 1)  # noqa: E731
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(("true", _span_leaf(rng, ("dir", "at", "touch", "cfg", "orient"))))
+    action = lambda: rng.choice((  # noqa: E731
+        lambda: _span_leaf(rng, ("move", "thrill")),
+        lambda: f"{_span_leaf(rng, ('move', 'thrill'))} ; {_span_leaf(rng, ('move',))}*",
+        lambda: f"( {_span_leaf(rng, ('move',))} | {_span_leaf(rng, ('thrill',))} )",
+    ))()
+    return rng.choice((
+        lambda: f"!{sub()}", lambda: f"( {sub()} )", lambda: f"{sub()} /\\ {sub()}",
+        lambda: f"{sub()} \\/ {sub()}", lambda: f"{sub()} -> {sub()}",
+        lambda: f"[{action()}] {sub()}", lambda: f"<{action()}> {sub()}",
+    ))()
+
+
+def _span_lexicon(rng: random.Random) -> list[str]:
+    """A valid lexicon as its pieces, which `_span_text` joins with blanks."""
+    pieces = rng.choice(([], [], ["format", ":", "1"], ["format:", "1"], ["format", ":1"]))
+    names = rng.sample(("A", "B", "S1", "S12", "ROUTE", "B_2", "x1", "_q", "S2020"), 5)
+    for name in names[:rng.randint(1, 5)]:
+        pieces += ["sign", name, ":=", _span_formula(rng, 3), "."]
+    return pieces
+
+
+def _span_text(rng: random.Random, pieces: list[str]) -> str:
+    """The pieces, each after a blank, each of its own spaces a blank too."""
+    text = "".join(rng.choice(SPAN_BLANKS) + "".join(rng.choice(SPAN_BLANKS) if ch == " " else ch
+                                                     for ch in piece) for piece in pieces)
+    return text + rng.choice(SPAN_ENDS)
+
+
+def _span_fault(rng: random.Random, pieces: list[str], fault: str) -> list[str]:
+    pieces = list(pieces)
+    i = rng.randint(0, len(pieces))
+    if fault == "stray /":
+        pieces.insert(i, "/")
+    elif fault == "unexpected character":
+        pieces.insert(i, rng.choice(("@", "é", "$", "?", " ", "=", "\x0b", "-")))
+    elif fault == "bad format version":
+        if pieces[:1] == ["format"] or pieces[:1] == ["format:"]:
+            pieces = pieces[pieces.index("sign"):]
+        pieces[:0] = ["format", ":", rng.choice(("2", "01", "12", "²", "٣", "1²", "10"))]
+    else:  # a later sign takes the name of an earlier one, or a sign is defined again
+        signs = [j for j, piece in enumerate(pieces) if piece == "sign"]
+        first, *later = rng.sample(signs, len(signs))
+        if later:
+            pieces[later[0] + 1] = pieces[first + 1]
+        else:
+            pieces += pieces[first:first + 5]
+    return pieces
+
+
+def _span_inputs() -> list[tuple[str, str]]:
+    """The `(variant, text)` rows of `lexicon_spans.tsv`."""
+    rng = random.Random(2525)
+    inputs = []
+    for _ in range(200):
+        pieces = _span_lexicon(rng)
+        inputs.append(("valid", _span_text(rng, pieces)))
+        fault = rng.choice(SPAN_FAULTS)
+        inputs.append((fault, _span_text(rng, _span_fault(rng, pieces, fault))))
+    return inputs
+
+
+def _spans(lexicon) -> str:
+    return " ".join(f"{e.name}@{e.span.line}:{e.span.column}+{e.span.length}"
+                    for e in lexicon.entries) or "(no entries)"
+
+
+def _lint_outcome(text: str) -> str:
+    lexicon, diagnostics = lint_lexicon(text)
+    notes = [f"{d.code} {d.severity} {d.span.line}:{d.span.column}+{d.span.length} {d.message}"
+             for d in diagnostics]
+    return " | ".join([*notes, "no lexicon" if lexicon is None else _spans(lexicon)])
+
+
+def _span_rows() -> str:
+    lines = ["variant\tinput\tparse_lexicon\tlint_lexicon"]
+    for variant, text in _span_inputs():
+        cells = [variant, json.dumps(text, ensure_ascii=False),
+                 _parse_outcome(parse_lexicon, _spans, text), _lint_outcome(text)]
         assert not any("\t" in c or "\n" in c for c in cells)
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
@@ -490,6 +613,34 @@ def test_parse_matches_golden():
     assert _parse_rows().encode("utf-8") == (GOLDEN / "parse.tsv").read_bytes()
 
 
+def test_lexicon_spans_match_golden():
+    assert _span_rows().encode("utf-8") == (GOLDEN / "lexicon_spans.tsv").read_bytes()
+
+
+
+def test_golden_commands_in_fresh_interpreters():
+    runs = [(["extract", EXAMPLES / f"{fixture}.tracking.json"], f"{fixture}.model.json")
+            for fixture in FIXTURES]
+    for dominant in DOMINANTS:
+        check = _check_argv("route_dropout", dominant)
+        runs += [(check, f"route_dropout.{dominant}.report.json"),
+                 ([*check, "--format", "table"], f"route_dropout.{dominant}.report.txt")]
+    for argv, golden in runs:
+        proc = run_pdlsl(*argv)
+        teleport = "route_teleport" in str(argv[1])
+        err = (GOLDEN / "route_teleport.extract.stderr").read_bytes() if teleport else b""
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, (GOLDEN / golden).read_bytes(), err), argv
+    row = (GOLDEN / "eval.tsv").read_text().splitlines()[-1]
+    fixture, dominant, state, formula, out = row.split("\t")
+    proc = run_pdlsl("eval", _model_path(fixture), formula, state, "--dominant", dominant)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{out}\n".encode(), b"")
+    lints = [run_pdlsl("lint", name, cwd=GOLDEN) for name in
+             ("lint_warnings.pdlsl", "lint_duplicate.pdlsl", "lint_duplicates.pdlsl")]
+    assert [proc.returncode for proc in lints] == [0, 1, 1]
+    lint_out = b"".join(proc.stdout + proc.stderr for proc in lints)
+    assert lint_out == (GOLDEN / "lint.stderr").read_bytes()
+
 def regenerate() -> None:
     """Rewrite every golden file from the current code."""
     GOLDEN.mkdir(exist_ok=True)
@@ -500,12 +651,15 @@ def regenerate() -> None:
     for fixture in FIXTURES:
         for dominant in DOMINANTS:
             _check(fixture, dominant, GOLDEN / f"{fixture}.{dominant}.report.json")
+        _check("route_dropout", dominant, GOLDEN / f"route_dropout.{dominant}.report.txt",
+               "--format", "table")
     (GOLDEN / "lint.stderr").write_bytes(_lint_stderr().encode("utf-8"))
     (GOLDEN / "eval.tsv").write_bytes(_eval_rows(_run).encode("utf-8"))
     (GOLDEN / "extract.tsv").write_bytes(_extract_rows().encode("utf-8"))
     (GOLDEN / "labels.tsv").write_bytes(_labels_rows().encode("utf-8"))
     (GOLDEN / "load.tsv").write_bytes(_load_rows().encode("utf-8"))
     (GOLDEN / "parse.tsv").write_bytes(_parse_rows().encode("utf-8"))
+    (GOLDEN / "lexicon_spans.tsv").write_bytes(_span_rows().encode("utf-8"))
 
 
 if __name__ == "__main__":

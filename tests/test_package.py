@@ -21,7 +21,7 @@ import pytest
 import pdlsl
 from pdlsl import parsing
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, ROOT, run_pdlsl
 
 SRC = pathlib.Path(pdlsl.__file__).resolve().parent.parent
 MODULES = {"pdlsl." + m for m in
@@ -113,6 +113,47 @@ def test_no_command_loads_dataclasses_or_inspect(loaded):
     for command, modules in loaded.items():
         assert not modules.keys() & {"dataclasses", "inspect"}, command
 
+
+
+# A fault in a place map or body origin that `check` or `eval` is given:
+# the files the case writes, its options, the record it ends in, and its
+# exit code. The place map or body origin is read, and refused, before
+# anything else, however late these commands load `geometry`.
+BAD_PLACEMAP = '{"places": {"X": [0, 1, 0]}}'
+PLACEMAP_FAULTS = {
+    "missing --placemap": ({}, ["--placemap", "nope.json"], 1, {
+        "diagnostic": "file-not-found", "severity": "error",
+        "message": "file not found: nope.json", "file": "nope.json"}),
+    "malformed --placemap": ({"pm.json": BAD_PLACEMAP}, ["--placemap", "pm.json"], 1, {
+        "diagnostic": "schema-error", "severity": "error",
+        "message": "pm.json: /places/X: expected [x_min, x_max, y_min, y_max]",
+        "file": "pm.json", "pointer": "/places/X"}),
+    "config placemap not a string": ({"c.json": '{"placemap": 3}'}, ["--config", "c.json"], 2, {
+        "diagnostic": "config-error", "severity": "error",
+        "message": "c.json: /placemap: expected a string", "file": "c.json",
+        "pointer": "/placemap"}),
+    "config placemap malformed": (
+        {"c.json": '{"placemap": "pm.json"}', "pm.json": BAD_PLACEMAP}, ["--config", "c.json"], 1, {
+            "diagnostic": "schema-error", "severity": "error",
+            "message": "pm.json: /places/X: expected [x_min, x_max, y_min, y_max]",
+            "file": "pm.json", "pointer": "/places/X"}),
+    "config body_origin": ({"c.json": '{"body_origin": [1]}'}, ["--config", "c.json"], 2, {
+        "diagnostic": "config-error", "severity": "error",
+        "message": "c.json: /body_origin: expected [x, y]", "file": "c.json",
+        "pointer": "/body_origin"}),
+}
+
+
+@pytest.mark.parametrize("case", PLACEMAP_FAULTS.values(), ids=PLACEMAP_FAULTS.keys())
+def test_check_and_eval_refuse_a_bad_place_map_or_body_origin(case, tmp_path):
+    files, options, code, record = case
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    model = ROOT / "tests" / "golden" / "route_clean.model.json"
+    for argv in (["check", model, EXAMPLES / "route.pdlsl"], ["eval", model, "touch(R,L)", "0"]):
+        proc = run_pdlsl(*argv, *options, cwd=tmp_path)
+        expected = (code, b"", (json.dumps(record) + "\n").encode("utf-8"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv[0]
 
 #: The most lines of `pdlsl` source that each command may load. A process
 #: that writes no bytecode, as under PYTHONDONTWRITEBYTECODE=1, compiles
