@@ -11,16 +11,16 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 
 # The modules that the config table needs (`model` imports `parsing`).
-# `extract` and `check` are imported by the commands that run them, so
-# `check`, `eval` and `lint` never load `extract`, and `extract` and `lint`
-# never load `check`.
+# `extract`, `check` and `geometry` load where a command runs them or a run
+# names a place map or body origin, so `check`, `eval` and `lint` never load
+# `extract`, and `extract` and `lint` never load `check`.
 from .core import Handedness
 from .errors import AliasCollision, ConfigError, Diagnostic, PdlslError, Record, load_json, load_text
-from .geometry import DEFAULT_PLACE_MAP, VEC, load_place_map
 from .model import (
     SEGMENTATION_FIELDS,
     SegmentationParams,
@@ -43,16 +43,21 @@ class RunConfig(Record):
                  "body_origin", "body_scale")
 
 
+def _geometry(name: str):
+    """A node that `geometry`'s `name` checks a value with, loading it then."""
+    return lambda value: getattr(import_module(".geometry", __package__), name)(value)
+
+
 # In RunConfig's field order, which the table passes its values in.
 _CONFIG = table("config", {
     "dominant": optional(choice({h.value: h for h in Handedness}), Handedness.RIGHT_DOMINANT),
     "mirrored": optional(boolean()),  # None: use the tracking file's flag
-    "placemap": optional(string(load_place_map), DEFAULT_PLACE_MAP),
+    "placemap": optional(string(_geometry("load_place_map"))),
     "segmentation": optional(
         table("segmentation", SEGMENTATION_FIELDS, SegmentationParams), SegmentationParams()
     ),
     "format": optional(choice({"json": "json", "table": "table"}), "json"),
-    "body_origin": optional(VEC),
+    "body_origin": optional(_geometry("VEC")),
     "body_scale": optional(number(positive=True, build=float)),
 }, RunConfig)
 
@@ -72,8 +77,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(diagnostics: Iterable[Diagnostic]) -> None:
-    for d in diagnostics:
-        print(json.dumps(d.to_json()), file=sys.stderr)
+    if sys.stderr is not None:  # None with file descriptor 2 closed: `print` would use stdout
+        for d in diagnostics:
+            print(json.dumps(d.to_json()), file=sys.stderr)
 
 
 def _dump_json(obj: Any) -> str:

@@ -29,7 +29,8 @@ inside Python's recursion limit. Lexicon files hold entries
 
 Tokens may be separated by blanks (space, tab, CR and LF) and by comments,
 each running from `#` to the end of its line. Any other character outside
-a token is a digit of an INT, or an error.
+a token is a digit of an INT, or an error. One regex split reads each token
+as its text, whose offset is found only for an error or a sign's name.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import partial
-from itertools import chain
 from operator import attrgetter
 
 from .core import (
@@ -108,42 +108,30 @@ _ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
 _ACTION_HEADS = ("move", "thrill")
 _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 
-# Between tokens, the tokenizer skips blanks (space, tab, CR and LF) and `#`
-# comments, each running to the end of its line. One match reads the blanks
-# and comments in front of a token together with the token, and the `\Z`
-# branch reads those at the end of input. The prefix reads any run of them in
-# one linear pass and is never read again: a run of blanks is one character
-# class, each later repetition starts at a `#` and must reach the end of its
-# line, so no tail of a comment is read as tokens, and one of the branches
-# after the prefix always matches, so the engine never backtracks into it.
+# One `split` of the text by one pattern reads every token: per token, the
+# text skipped in front of it, the blanks and `#` comments in front of it,
+# and its text, which is all a token is; the end of input is the empty
+# token. The blanks read any run in one linear pass and are never read
+# again: a run of blanks is one character class, each later repetition
+# starts at a `#` and must reach the end of its line, so no tail of a
+# comment is read as tokens, and the empty token always follows, so the
+# engine never backtracks into them.
 #
-# An ATOM or ACTION token is a leaf without spaces, such as `move(D,SE)`;
-# `_TOKEN_RE`, which lacks the two, spells its text and tokenizes a lone
-# leaf. A word is an IDENT. One unnamed group reads the two-character
-# operators and any other character, and `_PUNCTUATION` gives its kind. A
-# character outside it is a digit of an INT token, or an error: a lone `/`
-# or `\` is stray and anything else unexpected. Digits that pass
-# str.isdigit and touch are joined into one INT, so digits such as "²" make
-# INT tokens too.
+# A leaf without spaces, such as `move(D,SE)`, is one token; `_TOKEN_RE`,
+# which lacks leaves, spells its text and tokenizes a lone leaf. A
+# character that no token starts with is skipped, one at a time, behind an
+# empty token: a digit of an INT, joined with the digits it touches (any
+# that pass str.isdigit, such as "²"), or an error: a lone `/` or `\` is
+# stray and anything else unexpected.
 _BLANKS = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
 
 
 def _token_re(leaves: str) -> re.Pattern:
-    return re.compile(rf"{_BLANKS}(?:{leaves}(?P<IDENT>{_IDENT})|(:=|->|/\\|\\/|.)|\Z)")
+    return re.compile(rf"({_BLANKS})({leaves}{_IDENT}|[0-9]+|:=|->|/\\|\\/|[()\[\]<>!|&;*.,:]|)")
 
 
-_LEAF_RE = _token_re("".join(rf"(?P<{kind}>(?:{'|'.join(heads)})\({_IDENT}(?:,{_IDENT})*\))|"
-                             for kind, heads in (("ATOM", _ATOM_HEADS), ("ACTION", _ACTION_HEADS))))
+_LEAF_RE = _token_re(rf"(?:{'|'.join(_ATOM_HEADS + _ACTION_HEADS)})\({_IDENT}(?:,{_IDENT})*\)|")
 _TOKEN_RE = _token_re("")
-_PUNCTUATION = {
-    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "/\\": "ANDOP", ":=": "ASSIGN", ".": "DOT",
-    "->": "ARROW", "[": "LBRACKET", "]": "RBRACKET", "!": "BANG", "|": "PIPE", "&": "AMP",
-    ";": "SEMI", "*": "STAR", "<": "LANGLE", ">": "RANGLE", "\\/": "OROP", ":": "COLON",
-}
-
-# A token is a plain tuple (kind, text, offset, length); its SourceSpan is
-# built only when one is read, by _span.
-_Token = tuple[str, str, int, int]
 
 
 def _line_breaks(text: str) -> list[int]:
@@ -157,35 +145,28 @@ def _span(breaks: list[int], offset: int, length: int = 1) -> SourceSpan:
     return SourceSpan(line, offset - breaks[line - 1], length)
 
 
-def _tokenize(text: str, pattern: re.Pattern = _LEAF_RE) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
-    punctuation = _PUNCTUATION.get
-    digits_end = -1  # end of the last INT token, which a next digit extends
-    for m in pattern.finditer(text):
-        index = m.lastindex
-        if index is None:  # the end of input
-            break
-        word = m[index]
-        start = m.start(index)
-        kind = m.lastgroup or punctuation(word)
-        if kind is not None:
-            append((kind, word, start, len(word)))
-        elif word in "/\\":
+def _tokenize(text: str, pattern: re.Pattern = _LEAF_RE) -> list[str]:
+    """The pieces of `pattern.split(text)`, three per token (skipped text,
+    blanks, token) and an empty last one, with each skipped character a
+    digit, joined into an INT token."""
+    parts = pattern.split(text)
+    if not any(parts[::3]):
+        return parts
+    found, offset, end = [], 0, 0  # the pieces of the tokens found, and where the last ends
+    for i, piece in enumerate(parts):
+        if i % 3 == 0 and piece in ("/", "\\"):
             expected = frozenset({"/\\", "\\/"})
-            raise ParseError(f"stray {word!r}", _span(_line_breaks(text), start), expected)
-        elif not word.isdigit():
-            raise ParseError(f"unexpected character {word!r}", _span(_line_breaks(text), start))
-        else:
-            if start == digits_end:  # the digit extends the INT before it
-                _, run, start, _ = tokens.pop()
-                word = run + word
-            append(("INT", word, start, len(word)))
-            digits_end = start + len(word)
-    # A comment on the last line leaves the end of input at its "#".
-    comment = text.find("#", text.rfind("\n") + 1)
-    append(("EOF", "", len(text) if comment < 0 else comment, 1))
-    return tokens
+            raise ParseError(f"stray {piece!r}", _span(_line_breaks(text), offset), expected)
+        if i % 3 == 0 and piece and not piece.isdigit():
+            raise ParseError(f"unexpected character {piece!r}", _span(_line_breaks(text), offset))
+        if piece and i % 3 != 1:  # a digit or a token, not the empty token before a digit
+            if offset == end and piece.isdigit() and found and found[-1].isdigit():
+                found[-1] += piece  # the digit extends the INT before it
+            else:
+                found += ("", text[end:offset], piece)
+            end = offset + len(piece)
+        offset += len(piece)
+    return found + ["", text[end:], "", ""]
 
 
 #: Deepest nesting a formula may have. Each parenthesis, `!`, modality,
@@ -204,10 +185,10 @@ _LEAVES = {"dir": RelDir, "at": At, "touch": Touch, "cfg": Config, "orient": Ori
 _WORDS = {field: (_DIRECTIONS, "direction", UnknownDirection) if field == "direction"
           else (_ARTICULATORS, "articulator", UnknownArticulator)
           for fields in LEAF_FIELDS.values() for field in fields if field not in ("place", "label")}
-# The binary operators of each syntax: token kind -> (binding power, builder).
+# The binary operators of each syntax: token -> (binding power, builder).
 # Power 0 is `->`, right associative, which opens one nesting level.
-_FORMULA_OPERATORS = {"ARROW": (0, implies), "OROP": (1, or_), "ANDOP": (2, And)}
-_ACTION_OPERATORS = {"SEMI": (1, Seq), "AMP": (2, Concurrent), "PIPE": (3, Choice)}
+_FORMULA_OPERATORS = {"->": (0, implies), "\\/": (1, or_), "/\\": (2, And)}
+_ACTION_OPERATORS = {";": (1, Seq), "&": (2, Concurrent), "|": (3, Choice)}
 
 
 def _split_leaf(text: str, heads: tuple[str, ...]):
@@ -231,75 +212,89 @@ def _split_leaf(text: str, heads: tuple[str, ...]):
 
 class _Parser:
     """Where a rule reads the tokens that a leaf token spells, `_spell` puts
-    them in its place, so errors and spans are those of reading by token."""
+    them in its place, so errors and spans are those of reading by token.
+    A token's offset is found only where its span is read."""
 
     def __init__(self, text: str, pattern: re.Pattern = _LEAF_RE):
         self.text = text
-        # Every caller checks the current token's kind before consuming it,
-        # and no rule consumes EOF, so reading never runs past the end.
-        self._tokens = iter(_tokenize(text, pattern))
-        self._next = self._tokens.__next__
-        self.cur = self._next()  # the first token not consumed yet
+        self.parts = _tokenize(text, pattern)
+        # Every caller checks the current token before consuming it, and no
+        # rule consumes the end of input, so reading never runs past it.
+        self.tokens = self.parts[2::3]
+        self.i = 0  # the index of the first token not consumed yet
+        self.cur = self.tokens[0]
         self.depth = 0  # nested constructs currently open
         self.breaks: list[int] | None = None  # _line_breaks(text), found on first use
-        self.leaf_nodes: dict[str, AtomF | Atomic] = {}  # the wrapped node of each leaf token
+        self.seen = (0, 0)  # a piece of `parts`, and the offset it starts at
+        self.atoms, self.actions = {}, {}  # the node of each leaf token read, by its text
 
     # -- token plumbing --
 
-    def span(self, tok: _Token) -> SourceSpan:
+    def span(self, index: int) -> SourceSpan:
+        """The span of a token, measured on from the last one measured; a
+        comment on the last line leaves the end of input at its "#"."""
+        word, text, end = self.tokens[index], self.text, 3 * index + 2
+        piece, offset = self.seen if self.seen[0] <= end else (0, 0)
+        offset += len("".join(self.parts[piece:end]))
+        self.seen = (end, offset)
+        if not word and (comment := text.find("#", text.rfind("\n") + 1)) >= 0:
+            offset = comment
         if self.breaks is None:
-            self.breaks = _line_breaks(self.text)
-        return _span(self.breaks, tok[2], tok[3])
+            self.breaks = _line_breaks(text)
+        return _span(self.breaks, offset, len(word) or 1)
 
-    def _advance(self) -> _Token:
-        tok = self.cur
-        self.cur = self._next()
-        return tok
+    def _advance(self) -> int:
+        """Consume the current token; its index."""
+        self.i += 1
+        self.cur = self.tokens[self.i]
+        return self.i - 1
 
     def _spell(self) -> None:
-        """Replace a current leaf token by the tokens its text spells. They
-        hold no leaf token, so they are read before the next base token."""
-        kind, text, offset, _ = self.cur
-        if kind in ("ATOM", "ACTION"):
-            spelled = [(token_kind, word, offset + start, length)
-                       for token_kind, word, start, length in _tokenize(text, _TOKEN_RE)]
+        """Replace a current leaf token by the tokens its text spells."""
+        word, i = self.cur, self.i
+        if "(" in word[1:]:
+            spelled = _TOKEN_RE.split(word)[2:-4]  # without the end of input
+            self.parts[3 * i + 2:3 * i + 3] = spelled
+            self.tokens[i:i + 1] = spelled[::3]
             self.cur = spelled[0]
-            self._next = chain(spelled[1:-1], self._tokens).__next__  # not its EOF
 
     def _unexpected(self, *expected: str) -> ParseError:
         self._spell()
-        tok = self.cur
-        message = f"unexpected {tok[1] or 'end of input'!r}"
-        return ParseError(message, self.span(tok), frozenset(expected))
+        message = f"unexpected {self.cur or 'end of input'!r}"
+        return ParseError(message, self.span(self.i), frozenset(expected))
 
-    def _expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.cur
-        if tok[0] != kind:
+    def _expect(self, word: str) -> int:
+        """Consume the current token, which must be `word`; its index."""
+        if self.cur != word:
+            return self._take(word, word.__eq__)
+        self.i += 1
+        self.cur = self.tokens[self.i]
+        return self.i - 1
+
+    def _take(self, what: str, test=str.isidentifier) -> int:
+        """Consume the current token, an IDENT or what passes `test`; its index."""
+        if not test(self.cur):
             self._spell()  # a leaf's first token may be the one expected
-            tok = self.cur
-            if tok[0] != kind:
-                raise self._unexpected(what or kind)
-        self.cur = self._next()
-        return tok
-
-    def _at_word(self, *words: str) -> bool:
-        return self.cur[0] == "IDENT" and self.cur[1] in words
+            if not test(self.cur):
+                raise self._unexpected(what)
+        return self._advance()
 
     def _enter(self) -> None:
         """Open a nested construct at the current token and consume it."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise self._too_deep(self.cur)
-        self.cur = self._next()
+            raise self._too_deep(self.i)
+        self.i += 1
+        self.cur = self.tokens[self.i]
 
-    def _node(self, node, tok: _Token):
-        """A built node, refused at `tok` if it is higher than MAX_DEPTH."""
+    def _node(self, node, index: int):
+        """A built node, refused at token `index` if it is higher than MAX_DEPTH."""
         if node._height > MAX_DEPTH:
-            raise self._too_deep(tok)
+            raise self._too_deep(index)
         return node
 
-    def _too_deep(self, tok: _Token) -> ParseError:
-        return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", self.span(tok))
+    def _too_deep(self, index: int) -> ParseError:
+        return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", self.span(index))
 
     # -- operators --
 
@@ -311,22 +306,23 @@ class _Parser:
         if node is None:
             node = operand()
         while True:
-            tok = self.cur
-            operator = operators.get(tok[0])
+            operator = operators.get(self.cur)
             if operator is None or operator[0] < floor:
                 return node
             power, build = operator
+            at = self.i
             if not power:  # `->`: the rest of the formula is its right operand
                 self._enter()
                 right = self._climb(operand, operators)
                 self.depth -= 1
-                return self._node(build(node, right), tok)
-            self.cur = self._next()
+                return self._node(build(node, right), at)
+            self.i += 1
+            self.cur = self.tokens[self.i]
             right = operand()
-            tighter = operators.get(self.cur[0])
+            tighter = operators.get(self.cur)
             if tighter is not None and tighter[0] > power:  # it takes `right` as its left
                 right = self._climb(operand, operators, power + 1, right)
-            node = self._node(build(node, right), tok)
+            node = self._node(build(node, right), at)
 
     def formula(self) -> Formula:
         return self._climb(self.unary, _FORMULA_OPERATORS)
@@ -334,68 +330,68 @@ class _Parser:
     # -- operands --
 
     def unary(self) -> Formula:
-        tok = self.cur
-        kind = tok[0]
-        if kind == "ATOM":
-            return self._leaf(AtomF, _ATOM_HEADS, self.atom)
-        if kind == "BANG":
+        tok, at = self.cur, self.i
+        node = self.atoms.get(tok)
+        if node is not None:
+            self._advance()
+            return node
+        if tok == "!":
             self._enter()
             body = self.unary()
             self.depth -= 1
-            return self._node(Not(body), tok)
-        if kind in ("LBRACKET", "LANGLE"):
+            return self._node(Not(body), at)
+        if tok == "[" or tok == "<":
             self._enter()
             action = self._climb(self.prim, _ACTION_OPERATORS)
-            box = kind == "LBRACKET"
-            self._expect(*(("RBRACKET", "]") if box else ("RANGLE", ">")))
+            self._expect("]" if tok == "[" else ">")
             body = self.unary()
             self.depth -= 1
-            return self._node((Box if box else diamond)(action, body), tok)
-        if kind == "LPAREN":
+            return self._node((Box if tok == "[" else diamond)(action, body), at)
+        if tok == "(":
             self._enter()
             node = self._climb(self.unary, _FORMULA_OPERATORS)
-            self._expect("RPAREN", ")")
+            self._expect(")")
             self.depth -= 1
             return node
-        if self._at_word("true"):
+        if tok == "true":
             self._advance()
             return TOP
-        if self._at_word(*_ATOM_HEADS):
-            return AtomF(self.atom())
+        if tok.partition("(")[0] in _ATOM_HEADS:
+            return self._leaf(self.atoms, AtomF, _ATOM_HEADS, self.atom)
         raise self._unexpected("!", "[", "<", "(", "true", *_ATOM_HEADS)
 
     def prim(self) -> Action:
         """A primitive action, with the `*` that may follow it."""
-        kind = self.cur[0]
-        if kind == "ACTION":
-            node = self._leaf(Atomic, _ACTION_HEADS, self.atomic_action)
-        elif kind == "LPAREN":
+        tok = self.cur
+        node = self.actions.get(tok)
+        if node is not None:
+            self._advance()
+        elif tok == "(":
             self._enter()
             node = self._climb(self.prim, _ACTION_OPERATORS)
-            self._expect("RPAREN", ")")
+            self._expect(")")
             self.depth -= 1
-        elif self._at_word(*_ACTION_HEADS):
-            node = Atomic(self.atomic_action())
+        elif tok.partition("(")[0] in _ACTION_HEADS:
+            node = self._leaf(self.actions, Atomic, _ACTION_HEADS, self.atomic_action)
         else:
             raise self._unexpected(*_ACTION_HEADS, "(")
-        if self.cur[0] == "STAR":
+        if self.cur == "*":
             node = self._node(Star(node), self._advance())
         return node
 
     # -- leaves --
 
-    def _leaf(self, wrap, heads: tuple[str, ...], read):
-        """The `wrap`ped leaf of the current leaf token, read with one split
-        once per text; `read` reads a leaf by its tokens."""
-        text = self.cur[1]
-        node = self.leaf_nodes.get(text)
-        if node is None:
-            leaf = _split_leaf(text, heads)
-            if leaf is None:  # reading its tokens reports the fault
-                self._spell()
-                return wrap(read())
-            node = self.leaf_nodes[text] = wrap(leaf)
-        self.cur = self._next()
+    def _leaf(self, nodes: dict, wrap, heads: tuple[str, ...], read):
+        """The `wrap`ped leaf that the current token starts: a leaf token is
+        read with one split, kept in `nodes` by its text; `read` reads a
+        leaf by its tokens."""
+        text = self.cur
+        leaf = _split_leaf(text, heads)
+        if leaf is None:  # reading its tokens reports the fault
+            self._spell()
+            return wrap(read())
+        nodes[text] = node = wrap(leaf)
+        self._advance()
         return node
 
     def atom(self) -> Atom:
@@ -405,18 +401,18 @@ class _Parser:
         return self._leaf_from_tokens(_ACTION_HEADS, "move or thrill", "action")
 
     def _leaf_from_tokens(self, heads: tuple[str, ...], what: str, noun: str):
-        head_tok = self._expect("IDENT", what)
-        self._expect("LPAREN", "(")
-        head = head_tok[1]
+        at = self._take(what)
+        self._expect("(")
+        head = self.tokens[at]
         if head not in heads:
-            raise ParseError(f"unknown {noun} {head!r}", self.span(head_tok), frozenset(heads))
+            raise ParseError(f"unknown {noun} {head!r}", self.span(at), frozenset(heads))
         node = _LEAVES[head]
         args = {}
         for i, field in enumerate(LEAF_FIELDS[node]):
             if i:
-                self._expect("COMMA", ",")
+                self._expect(",")
             args[field] = self._argument(field)
-        close = self._expect("RPAREN", ")")
+        close = self._expect(")")
         try:
             # Positional: a node built from keywords is filled before its table is read.
             return node(*map(args.__getitem__, node.__match_args__))
@@ -425,12 +421,12 @@ class _Parser:
 
     def _argument(self, field: str):
         if field not in _WORDS:
-            return self._expect("IDENT", "name")[1]
+            return self.tokens[self._take("name")]
         table, what, error = _WORDS[field]
-        tok = self._expect("IDENT", what)
-        word = tok[1]
+        at = self._take(what)
+        word = self.tokens[at]
         if word not in table:
-            raise error(f"unknown {what} {word!r}", self.span(tok), frozenset(table))
+            raise error(f"unknown {what} {word!r}", self.span(at), frozenset(table))
         return table[word]
 
 
@@ -438,10 +434,10 @@ def _parse_all(text: str, rule, pattern: re.Pattern = _LEAF_RE):
     """Parse the whole text with one rule of the grammar."""
     parser = _Parser(text, pattern)
     node = rule(parser)
-    if parser.cur[0] != "EOF":
+    if parser.cur:
         parser._spell()
-        tok = parser.cur
-        raise ParseError(f"trailing input {tok[1]!r}", parser.span(tok), frozenset({"end of input"}))
+        message = f"trailing input {parser.cur!r}"
+        raise ParseError(message, parser.span(parser.i), frozenset({"end of input"}))
     return node
 
 
@@ -497,27 +493,25 @@ def parse_lexicon(text: str) -> LexiconFile:
 def _lexicon(p: _Parser, duplicates: dict[str, list[SourceSpan]] | None = None) -> LexiconFile:
     """The first definition of each sign. A later one raises DuplicateSign,
     or, given `duplicates`, is read and its span listed after the first's."""
-    if p._at_word("format"):
+    if p.cur == "format":
         p._advance()
-        p._expect("COLON", ":")
-        version = p._expect("INT", "format version")
-        if version[1] != "1":
-            raise ParseError(f"unsupported format version {version[1]}", p.span(version))
+        p._expect(":")
+        at = p._take("format version", str.isdigit)
+        if p.tokens[at] != "1":
+            raise ParseError(f"unsupported format version {p.tokens[at]}", p.span(at))
     entries: dict[str, LexiconEntry] = {}
-    while p.cur[0] != "EOF":
-        if not p._at_word("sign"):
-            raise p._unexpected("sign")
-        p._advance()
-        name_tok = p._expect("IDENT", "sign name")
-        name, span = name_tok[1], p.span(name_tok)
+    while p.cur:
+        p._expect("sign")
+        at = p._take("sign name")
+        name, span = p.tokens[at], p.span(at)
         if name in entries:
             first = entries[name].span
             if duplicates is None:
                 raise DuplicateSign(name, first, span)
             duplicates.setdefault(name, [first]).append(span)
-        p._expect("ASSIGN", ":=")
+        p._expect(":=")
         formula = p.formula()
-        p._expect("DOT", ".")
+        p._expect(".")
         entries.setdefault(name, LexiconEntry(name, formula, span))
     return LexiconFile(tuple(entries.values()))
 

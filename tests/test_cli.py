@@ -123,6 +123,7 @@ def test_diagnostics_are_dropped_when_stderr_is_closed():
     proc = run_pdlsl("extract", "/nonexistent/input.json", stderr_closed=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"")
 
+
 def test_extract_non_monotone_frames(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

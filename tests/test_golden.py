@@ -641,6 +641,7 @@ def test_golden_commands_in_fresh_interpreters():
     lint_out = b"".join(proc.stdout + proc.stderr for proc in lints)
     assert lint_out == (GOLDEN / "lint.stderr").read_bytes()
 
+
 def regenerate() -> None:
     """Rewrite every golden file from the current code."""
     GOLDEN.mkdir(exist_ok=True)

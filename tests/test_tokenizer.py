@@ -1,13 +1,14 @@
-"""The offset tokenizer against the span-per-token tokenizer it replaced.
+"""The tokenizer against the span-per-token tokenizer it replaced.
 
-`_reference_tokenize` is the earlier `parsing._tokenize`, kept verbatim
+`_reference_tokenize` is an earlier `parsing._tokenize`, kept verbatim
 apart from its names: it builds a SourceSpan for every token. The current
-tokenizer keeps offsets and builds spans on demand, and must give the same
-kinds, texts and spans, or raise the same error at the same place. It
-gives a leaf written without spaces as one token, so it is compared with
-the reference on the text with a space after every `(` and `,` of each
-leaf, which it never joins. A parser that spells each leaf token must read
-exactly the tokens the reference gives in its place.
+tokenizer gives each token as its text, and a parser finds a token's span
+only where one is read; together they must give the same texts and spans,
+or raise the same error at the same place. The tokenizer gives a leaf
+written without spaces as one token, so it is compared with the reference
+on the text with a space after every `(` and `,` of each leaf, which it
+never joins. A parser that spells each leaf token must read exactly the
+tokens the reference gives in its place.
 """
 
 import re
@@ -68,33 +69,33 @@ def _reference_tokenize(text: str) -> list[_ReferenceToken]:
     return tokens
 
 
-def _outcome(tokenize, materialize, text):
+def _outcome(tokenize, text):
     try:
-        tokens = tokenize(text)
+        return tokenize(text)
     except ParseError as exc:
         return type(exc), exc.args[0], exc.span, exc.expected
-    return materialize(text, tokens)
 
 
 def _reference(text):
-    return _outcome(_reference_tokenize, lambda _, tokens: [tuple(t) for t in tokens], text)
+    return _outcome(lambda text: [(t.text, t.span) for t in _reference_tokenize(text)], text)
 
 
-def _materialize(text, tokens):
-    breaks = parsing._line_breaks(text)
-    return [(kind, word, parsing._span(breaks, offset, length))
-            for kind, word, offset, length in tokens]
+def _texts_and_spans(text):
+    """The text and span of each token up to the end of input, as a parser
+    finds them."""
+    parser = parsing._Parser(text)
+    return [(parser.tokens[i], parser.span(i)) for i in range(parser.tokens.index("") + 1)]
 
 
 def _current(text):
-    return _outcome(parsing._tokenize, _materialize, text)
+    return _outcome(_texts_and_spans, text)
 
 
 def spaced_leaves(text):
     """The text with a space after every `(` and `,` of each leaf token."""
     return parsing._LEAF_RE.sub(
-        lambda m: m[0].replace("(", "( ").replace(",", ", ")
-        if m.lastgroup in ("ATOM", "ACTION") else m[0], text)
+        lambda m: m[1] + m[2].replace("(", "( ").replace(",", ", ") if "(" in m[2][1:] else m[0],
+        text)
 
 
 def _spelled_leaves(text):
@@ -103,14 +104,14 @@ def _spelled_leaves(text):
     tokens = []
     while True:
         parser._spell()
-        tokens.append(parser.cur)
-        if parser.cur[0] == "EOF":
+        tokens.append((parser.cur, parser.span(parser.i)))
+        if not parser.cur:
             return tokens
         parser._advance()
 
 
 def _leafy(text):
-    return _outcome(_spelled_leaves, _materialize, text)
+    return _outcome(_spelled_leaves, text)
 
 
 # Every token kind, line ends (LF, CRLF), tabs, digit runs with non-ASCII
@@ -159,9 +160,11 @@ def test_tokenizer_matches_reference_on_named_cases(route_lexicon_text):
     outcomes = [_current(spaced_leaves(text)) for text in cases]
     assert any(isinstance(o, tuple) and "stray" in o[1] for o in outcomes)
     assert any(isinstance(o, tuple) and "unexpected" in o[1] for o in outcomes)
-    kinds = [kind for kind, *_ in parsing._tokenize(route_lexicon_text)]
-    assert kinds.count("ATOM") == 10 and kinds.count("ACTION") == 2
-    assert _current("a # end")[-1] == ("EOF", "", SourceSpan(1, 3))
+    heads = [word.partition("(")[0] for word in parsing._tokenize(route_lexicon_text)[2::3]
+             if "(" in word[1:]]
+    assert [sum(head in kind for head in heads)
+            for kind in (parsing._ATOM_HEADS, parsing._ACTION_HEADS)] == [10, 2]
+    assert _current("a # end")[-1] == ("", SourceSpan(1, 3))
 
 
 # Long runs of blanks and comments, which one match reads in front of the
@@ -172,12 +175,13 @@ _LONG_RUNS = {
     "one 400,000-character comment": "a # " + "(b) " * 99_999 + "c\nd",
     "100,000 comment lines": "a\n" + "# (b) c\n" * 100_000 + "d",
     "200,000 blanks before a final comment": "a" + " " * 200_000 + "# (b",
+    "200,000 blanks before a skipped character": "a" + " " * 200_000 + "²" + " " * 200_000 + "@",
 }
 
 
 @pytest.mark.parametrize("text", _LONG_RUNS.values(), ids=_LONG_RUNS.keys())
 def test_tokenizer_reads_long_blank_and_comment_runs_in_linear_time(text):
     start = time.perf_counter()
-    tokens = parsing._tokenize(text)
+    tokens = _current(text)
     assert time.perf_counter() - start < 2.0
-    assert _materialize(text, tokens) == _reference(text)
+    assert tokens == _reference(text)
