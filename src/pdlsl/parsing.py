@@ -108,14 +108,13 @@ _ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
 _ACTION_HEADS = ("move", "thrill")
 _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 
-# One `split` of the text by one pattern reads every token: per token, the
-# text skipped in front of it, the blanks and `#` comments in front of it,
-# and its text, which is all a token is; the end of input is the empty
-# token. The blanks read any run in one linear pass and are never read
-# again: a run of blanks is one character class, each later repetition
-# starts at a `#` and must reach the end of its line, so no tail of a
-# comment is read as tokens, and the empty token always follows, so the
-# engine never backtracks into them.
+# One `split` by one pattern reads every token: per token, the text skipped
+# in front of it, the blanks and `#` comments in front of it, and its text,
+# which is all a token is; the end of input is the empty token. The blanks
+# read any run in one linear pass and are never read again: a run of blanks
+# is one character class, each later repetition starts at a `#` and must
+# reach the end of its line, so no tail of a comment is read as tokens, and
+# the empty token always follows, so the engine never backtracks into them.
 #
 # A leaf without spaces, such as `move(D,SE)`, is one token; `_TOKEN_RE`,
 # which lacks leaves, spells its text and tokenizes a lone leaf. A
@@ -226,7 +225,7 @@ class _Parser:
         self.depth = 0  # nested constructs currently open
         self.breaks: list[int] | None = None  # _line_breaks(text), found on first use
         self.seen = (0, 0)  # a piece of `parts`, and the offset it starts at
-        self.atoms, self.actions = {}, {}  # the node of each leaf token read, by its text
+        self.atoms, self.actions = {}, {}  # the node of each leaf token read, by text
 
     # -- token plumbing --
 
@@ -272,7 +271,8 @@ class _Parser:
         return self.i - 1
 
     def _take(self, what: str, test=str.isidentifier) -> int:
-        """Consume the current token, an IDENT or what passes `test`; its index."""
+        """Consume the current token, which passes `test` (only an IDENT is an
+        identifier) or is an error that names `what`; its index."""
         if not test(self.cur):
             self._spell()  # a leaf's first token may be the one expected
             if not test(self.cur):

@@ -82,9 +82,11 @@ def _reference(text):
 
 def _texts_and_spans(text):
     """The text and span of each token up to the end of input, as a parser
-    finds them."""
+    finds them, measured from the last token back, where `_spelled_leaves`
+    measures them from the first on."""
     parser = parsing._Parser(text)
-    return [(parser.tokens[i], parser.span(i)) for i in range(parser.tokens.index("") + 1)]
+    indices = range(parser.tokens.index(""), -1, -1)
+    return [(parser.tokens[i], parser.span(i)) for i in indices][::-1]
 
 
 def _current(text):
