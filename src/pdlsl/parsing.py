@@ -126,7 +126,7 @@ _BLANKS = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
 
 
 def _token_re(leaves: str) -> re.Pattern:
-    return re.compile(rf"({_BLANKS})({leaves}{_IDENT}|[0-9]+|:=|->|/\\|\\/|[()\[\]<>!|&;*.,:]|)")
+    return re.compile(rf"({_BLANKS})([()\[\]<>!|&;*.,]|{leaves}{_IDENT}|:=?|->|/\\|\\/|[0-9]+|)")
 
 
 _LEAF_RE = _token_re(rf"(?:{'|'.join(_ATOM_HEADS + _ACTION_HEADS)})\({_IDENT}(?:,{_IDENT})*\)|")
@@ -271,8 +271,7 @@ class _Parser:
         return self.i - 1
 
     def _take(self, what: str, test=str.isidentifier) -> int:
-        """Consume the current token, which passes `test` (only an IDENT is an
-        identifier) or is an error that names `what`; its index."""
+        """Consume the current token, which must pass `test` (only an IDENT is an identifier)."""
         if not test(self.cur):
             self._spell()  # a leaf's first token may be the one expected
             if not test(self.cur):
@@ -305,10 +304,8 @@ class _Parser:
         costs a frame of its own only where a tighter operator follows it."""
         if node is None:
             node = operand()
-        while True:
-            operator = operators.get(self.cur)
-            if operator is None or operator[0] < floor:
-                return node
+        operator = operators.get(self.cur)
+        while operator is not None and operator[0] >= floor:
             power, build = operator
             at = self.i
             if not power:  # `->`: the rest of the formula is its right operand
@@ -319,10 +316,12 @@ class _Parser:
             self.i += 1
             self.cur = self.tokens[self.i]
             right = operand()
-            tighter = operators.get(self.cur)
-            if tighter is not None and tighter[0] > power:  # it takes `right` as its left
+            operator = operators.get(self.cur)
+            if operator is not None and operator[0] > power:  # it takes `right` as its left
                 right = self._climb(operand, operators, power + 1, right)
+                operator = operators.get(self.cur)
             node = self._node(build(node, right), at)
+        return node
 
     def formula(self) -> Formula:
         return self._climb(self.unary, _FORMULA_OPERATORS)
@@ -333,7 +332,8 @@ class _Parser:
         tok, at = self.cur, self.i
         node = self.atoms.get(tok)
         if node is not None:
-            self._advance()
+            self.i += 1
+            self.cur = self.tokens[self.i]
             return node
         if tok == "!":
             self._enter()
