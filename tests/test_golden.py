@@ -357,7 +357,7 @@ def _span_fault(rng: random.Random, pieces: list[str], fault: str) -> list[str]:
     if fault == "stray /":
         pieces.insert(i, "/")
     elif fault == "unexpected character":
-        pieces.insert(i, rng.choice(("@", "é", "$", "?", " ", "=", "\x0b", "-")))
+        pieces.insert(i, rng.choice(("@", "é", "$", "?", "\u00a0", "=", "\x0b", "-")))
     elif fault == "bad format version":
         if pieces[:1] == ["format"] or pieces[:1] == ["format:"]:
             pieces = pieces[pieces.index("sign"):]
@@ -615,7 +615,6 @@ def test_parse_matches_golden():
 
 def test_lexicon_spans_match_golden():
     assert _span_rows().encode("utf-8") == (GOLDEN / "lexicon_spans.tsv").read_bytes()
-
 
 
 def test_golden_commands_in_fresh_interpreters():

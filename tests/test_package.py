@@ -116,7 +116,6 @@ def test_no_command_loads_dataclasses_or_inspect(loaded):
         assert not modules.keys() & {"dataclasses", "inspect"}, command
 
 
-
 # A fault in a place map or body origin that `check` or `eval` is given:
 # the files the case writes, its options, the record it ends in, and its
 # exit code. The place map or body origin is read, and refused, before
