@@ -77,9 +77,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(diagnostics: Iterable[Diagnostic]) -> None:
+    """Write each record as a line of stderr. Records that cannot be written
+    are dropped, so the result still goes to stdout or `-o`."""
     if sys.stderr is not None:  # None with file descriptor 2 closed: `print` would use stdout
-        for d in diagnostics:
-            print(json.dumps(d.to_json()), file=sys.stderr)
+        try:
+            for d in diagnostics:
+                print(json.dumps(d.to_json()), file=sys.stderr)
+        except OSError:  # a pipe whose reader is gone
+            pass
 
 
 def _dump_json(obj: Any) -> str:

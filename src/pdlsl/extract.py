@@ -9,11 +9,11 @@ transition, and assembles the serial transition system.
 All thresholds live in SegmentationParams. The defaults are chosen to make
 the synthetic fixtures deterministic; they are not tuned to any corpus.
 
-A sequence keeps its frames as columns (`Frames`), and every stage reads
-and writes columns of floats, so extraction makes no record per frame.
-`tracking_from_json` checks a tracking file against the tracking table,
-each point finite, in one pass over the frames, and fills the columns from
-the checked rows.
+A sequence keeps its frames as columns (`Frames`), its one form, and every
+stage reads and writes columns of floats, so extraction makes no record
+per frame. `tracking_from_json`, the one way a sequence enters, checks a
+tracking file against the tracking table, each point finite, in one pass
+over the frames, and fills the columns from the checked rows.
 """
 
 from __future__ import annotations
@@ -52,31 +52,6 @@ _HANDS = (Articulator.RIGHT, Articulator.LEFT)
 _HEAD_HEIGHT = 1.2
 
 
-class HandObservation(Record):
-    """One hand in one frame: a `Vec2` position, a hand-shape label and a
-    `Direction`; every field may be missing (tracker dropout)."""
-
-    _defaults = {"pos": None, "config": None, "orient": None}
-    __slots__ = tuple(_defaults)
-
-
-_NO_HAND = HandObservation()
-
-
-class TrackingFrame(Record):
-    """One frame, for code that builds a sequence or reads it frame by frame."""
-
-    __slots__ = ("t", "head", "right", "left")
-    _defaults = {"head": None, "right": _NO_HAND, "left": _NO_HAND}
-
-    def hand(self, articulator: Articulator) -> HandObservation:
-        if articulator is Articulator.RIGHT:
-            return self.right
-        if articulator is Articulator.LEFT:
-            return self.left
-        raise ValueError(f"no track for {articulator}")
-
-
 class Track(Record):
     """The head or a hand over a sequence, as columns of one entry per
     frame: `x` and `y` hold the position, None in both where it is missing,
@@ -91,19 +66,19 @@ class Track(Record):
 
 class Frames(Record):
     """The frames of a sequence as columns: the frame indices `t` and a
-    Track for the head and each hand. The stages read the columns; other
-    code may index a frame, which builds its TrackingFrame."""
+    Track for the head and each hand."""
 
     __slots__ = ("t", "head", "right", "left")
-    hand = TrackingFrame.hand  # a hand's Track
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> TrackingFrame:
-        right, left = (HandObservation(h.point(i), h.config[i], h.orient[i])
-                       for h in (self.right, self.left))
-        return TrackingFrame(self.t[i], self.head.point(i), right, left)
+    def hand(self, articulator: Articulator) -> Track:
+        if articulator is Articulator.RIGHT:
+            return self.right
+        if articulator is Articulator.LEFT:
+            return self.left
+        raise ValueError(f"no track for {articulator}")
 
 
 def _finite(column: list[float | None]) -> None:
@@ -128,20 +103,17 @@ def _columns(rows: Iterable[tuple]) -> Frames:
 
 
 class TrackingSequence(Record):
-    """Frames at `fps`. `frames` given as TrackingFrame records is kept as
-    Frames columns."""
+    """Frames at `fps`, as `Frames` columns. A sequence enters from outside
+    through `tracking_from_json`, which checks every frame."""
 
     __slots__ = ("frames", "fps", "mirrored")
     _defaults = {"mirrored": False}
 
     def __post_init__(self) -> None:
+        if type(self.frames) is not Frames:
+            raise TypeError("frames must be Frames columns; build a sequence with tracking_from_json")
         if not self.frames:
             raise ValueError("a tracking sequence needs at least one frame")
-        if type(self.frames) is not Frames:
-            xy = lambda p: None if p is None else (p.x, p.y)  # noqa: E731
-            rows = ((f.t, xy(f.head), *((xy(h.pos), h.config, h.orient) for h in (f.right, f.left)))
-                    for f in self.frames)
-            object.__setattr__(self, "frames", _columns(rows))
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValueError("fps must be positive")
 

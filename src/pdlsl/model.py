@@ -565,20 +565,14 @@ def model_to_json(model: UtteranceModel) -> dict[str, Any]:
         for a, pairs in model.action_interp.items()
     ]
     actions.sort(key=lambda entry: entry["action"])
-    columns = []  # per atom, its text and the value listed at each state
-    for atom, bits in model.valuation.listed.items():
-        values = [None] * model.state_count
-        for value, states in zip(_TEXT_CODE, bits):  # the value texts, in the bitsets' order
-            for s in _members(states):
-                values[s] = value
-        columns.append((print_atom(atom), values))
-    columns.sort(key=lambda column: column[0])
-    valuation = [
-        {"state": s, "atom": text, "value": values[s]}
-        for s in model.states()
-        for text, values in columns
-        if values[s] is not None
-    ]
+    cells = sorted(  # (state, atom text, value text) of each listed cell
+        (s, text, value)
+        for atom, bits in model.valuation.listed.items()
+        for text in (print_atom(atom),)
+        for value, states in zip(_TEXT_CODE, bits)  # the value texts, in the bitsets' order
+        for s in _members(states)
+    )
+    valuation = [{"state": s, "atom": text, "value": value} for s, text, value in cells]
     observed = [
         sorted(a.value for a in model.observed_at(s)) for s in model.states()
     ]

@@ -37,11 +37,8 @@ from pdlsl import (
     ThreeVal,
     Thrill,
     Touch,
-    TrackingFrame,
-    TrackingSequence,
     UtteranceModel,
     Vec2,
-    HandObservation,
     eval_formula,
     eval_two_valued,
     extract_model,
@@ -222,9 +219,7 @@ def _planted_sequence(rng):
     for i in range(k):
         start = t
         for _ in range(rng.randint(3, 8)):
-            frames.append(
-                TrackingFrame(t=t, head=Vec2(0, 1.2), right=HandObservation(pos=pos))
-            )
+            frames.append({"t": t, "head": [0, 1.2], "right": {"pos": [pos.x, pos.y]}})
             t += 1
         bounds.append((start, t - 1))
         if i < k - 1:
@@ -233,11 +228,9 @@ def _planted_sequence(rng):
             step = Vec2(speed * math.cos(angle), speed * math.sin(angle))
             for _ in range(rng.randint(2, 6)):
                 pos = pos + step
-                frames.append(
-                    TrackingFrame(t=t, head=Vec2(0, 1.2), right=HandObservation(pos=pos))
-                )
+                frames.append({"t": t, "head": [0, 1.2], "right": {"pos": [pos.x, pos.y]}})
                 t += 1
-    return TrackingSequence(tuple(frames), fps=25.0), k, bounds
+    return tracking_from_json({"fps": 25.0, "frames": frames}), k, bounds
 
 
 @criterion(5, "segmentation recovery (100 planted sequences)")

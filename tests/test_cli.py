@@ -84,19 +84,20 @@ def test_output_that_fails_while_written(capsys):
         "cannot-write", f"cannot write /dev/full: {reason}")
 
 
-def run_into_closed_pipe(*argv):
-    """Run `pdlsl` in a child process whose stdout is a pipe that nothing
-    reads: its read end is closed before the child starts. Its exit code
-    and stderr."""
+def run_into_closed_pipe(*argv, stream="stdout"):
+    """Run `pdlsl` in a child process whose `stream`, stdout or stderr, is a
+    pipe that nothing reads: its read end is closed before the child starts.
+    Its exit code and the other stream."""
     read, write = os.pipe()
     os.close(read)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    other = "stderr" if stream == "stdout" else "stdout"
     try:
-        proc = subprocess.run([sys.executable, "-m", "pdlsl.cli", *map(str, argv)], stdout=write,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-m", "pdlsl.cli", *map(str, argv)], env=env,
+                              text=True, timeout=60, **{stream: write, other: subprocess.PIPE})
     finally:
         os.close(write)
-    return proc.returncode, proc.stderr
+    return proc.returncode, getattr(proc, other)
 
 
 def test_closed_stdout_is_a_write_error(tmp_path, model_path):
@@ -122,6 +123,24 @@ def test_diagnostics_are_dropped_when_stderr_is_closed():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden, b"")
     proc = run_pdlsl("extract", "/nonexistent/input.json", stderr_closed=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"")
+
+
+def test_diagnostics_are_dropped_when_stderr_is_a_closed_pipe():
+    # The `teleport` warning raises BrokenPipeError. It is dropped, and the
+    # model still goes to stdout.
+    golden = (ROOT / "tests" / "golden" / "route_teleport.model.json").read_text()
+    tracking = EXAMPLES / "route_teleport.tracking.json"
+    assert run_into_closed_pipe("extract", tracking, stream="stderr") == (0, golden)
+
+
+def test_a_failing_command_keeps_its_exit_code_when_stderr_is_a_closed_pipe(tmp_path):
+    # The error record is dropped. An exception out of `main` would exit 1
+    # too, so the usage error, exit 2, tells the two apart.
+    lexicon = EXAMPLES / "route.pdlsl"
+    missing = tmp_path / "missing.model.json"
+    assert run_into_closed_pipe("check", missing, lexicon, stream="stderr") == (1, "")
+    assert run_into_closed_pipe("check", missing, lexicon, "--format", "csv",
+                                stream="stderr") == (2, "")
 
 
 def test_extract_non_monotone_frames(tmp_path, capsys):

@@ -14,7 +14,6 @@ from pdlsl import (
     Config,
     Direction,
     EPSILON_MOVE,
-    HandObservation,
     Handedness,
     Move,
     NonMonotoneTimestamps,
@@ -27,7 +26,6 @@ from pdlsl import (
     ThreeVal,
     Thrill,
     Touch,
-    TrackingFrame,
     TrackingSequence,
     Vec2,
     apply_overrides,
@@ -55,16 +53,18 @@ T, F, U = ThreeVal.TRUE, ThreeVal.FALSE, ThreeVal.UNKNOWN
 
 
 def hand(x=None, y=None, config=None, orient=None):
-    pos = None if x is None else Vec2(x, y)
-    return HandObservation(pos=pos, config=config, orient=orient)
+    """A hand of a tracking document; without `x` it is a dropout."""
+    pos = None if x is None else [x, y]
+    return {"pos": pos, "config": config, "orient": orient and orient.name}
 
 
-def mk_frame(t, right=None, left=None, head=Vec2(0.0, 1.2)):
-    return TrackingFrame(t=t, head=head, right=right or hand(), left=left or hand())
+def mk_frame(t, right=None, left=None, head=(0.0, 1.2)):
+    """A frame of a tracking document; a hand or head left None is a dropout."""
+    return {"t": t, "head": head and list(head), "right": right, "left": left}
 
 
 def seq_of(frames, fps=25.0, mirrored=False):
-    return TrackingSequence(tuple(frames), fps=fps, mirrored=mirrored)
+    return tracking_from_json({"fps": fps, "mirrored": mirrored, "frames": list(frames)})
 
 
 def hold_then_move(still_a, move_n, still_b, step=Vec2(0.05, 0.0), start=Vec2(0.0, 0.0)):
@@ -132,6 +132,16 @@ def test_tracking_fixture_loads(route_tracking_doc):
     seq = tracking_from_json(route_tracking_doc)
     assert len(seq.frames) == 30
     assert seq.fps == 25.0
+
+
+def test_tracking_table_is_the_one_way_in(route_tracking_doc):
+    # A sequence is its columns; frames in any other form are refused, not
+    # converted around the tracking table's checks.
+    frames = tracking_from_json(route_tracking_doc).frames
+    with pytest.raises(TypeError, match="tracking_from_json"):
+        TrackingSequence(tuple(frames.t), 25.0)
+    with pytest.raises(ValueError, match="^no track for "):
+        frames.hand(Articulator.DOMINANT)
 
 
 # --- velocities ----------------------------------------------------------------
@@ -428,7 +438,7 @@ def test_validate_teleport_voids_position():
     cleaned, diags = validate_sequence(seq_of(frames), SegmentationParams())
     assert [d.code for d in diags] == ["teleport"]
     assert diags[0].frame == 3 and diags[0].hand == "R"
-    assert cleaned.frames[3].right.pos is None
+    assert cleaned.frames.right.point(3) is None
 
 
 def test_validate_clean_sequence_unchanged():
@@ -442,7 +452,7 @@ def test_validate_duplicate_frame_dropped():
     frames = [mk_frame(5, right=hand(0, 0)), mk_frame(5, right=hand(0.01, 0)), mk_frame(6, right=hand(0, 0))]
     cleaned, diags = validate_sequence(seq_of(frames), SegmentationParams())
     assert [d.code for d in diags] == ["duplicate-frame"]
-    assert [f.t for f in cleaned.frames] == [5, 6]
+    assert cleaned.frames.t == [5, 6]
 
 
 def test_validate_non_monotone_raises():
@@ -457,45 +467,43 @@ def test_validate_non_monotone_raises():
 def test_normalize_follows_head():
     # Head at (10, 13.2), scale 1: origin (10, 12); a hand at (10.5, 12.0)
     # lands half a unit right of the torso origin.
-    frames = [
-        TrackingFrame(t=0, head=Vec2(10.0, 13.2), right=hand(10.5, 12.0), left=hand())
-    ]
+    frames = [mk_frame(0, head=(10.0, 13.2), right=hand(10.5, 12.0))]
     normalized, diags = normalize_sequence(seq_of(frames))
     assert diags == []
-    assert normalized.frames[0].right.pos == Vec2(0.5, 0.0)
-    head = normalized.frames[0].head
+    assert normalized.frames.right.point(0) == Vec2(0.5, 0.0)
+    head = normalized.frames.head.point(0)
     assert abs(head.x) < 1e-9 and abs(head.y - 1.2) < 1e-9
 
 
 def test_normalize_reuses_origin_across_head_dropout():
     frames = [
-        TrackingFrame(t=0, head=Vec2(0.0, 1.2), right=hand(0.5, 0.0), left=hand()),
-        TrackingFrame(t=1, head=None, right=hand(0.5, 0.0), left=hand()),
+        mk_frame(0, head=(0.0, 1.2), right=hand(0.5, 0.0)),
+        mk_frame(1, head=None, right=hand(0.5, 0.0)),
     ]
     normalized, _ = normalize_sequence(seq_of(frames))
-    assert normalized.frames[1].right.pos == Vec2(0.5, 0.0)
+    assert normalized.frames.right.point(1) == Vec2(0.5, 0.0)
 
 
 def test_normalize_without_any_head_is_identity_with_diagnostic():
-    frames = [TrackingFrame(t=0, head=None, right=hand(0.25, 0.5), left=hand())]
+    frames = [mk_frame(0, head=None, right=hand(0.25, 0.5))]
     normalized, diags = normalize_sequence(seq_of(frames))
     assert [d.code for d in diags] == ["no-head-reference"]
-    assert normalized.frames[0].right.pos == Vec2(0.25, 0.5)
+    assert normalized.frames.right.point(0) == Vec2(0.25, 0.5)
 
 
 def test_normalize_explicit_origin_and_scale():
-    frames = [TrackingFrame(t=0, head=None, right=hand(20.0, 10.0), left=hand())]
+    frames = [mk_frame(0, head=None, right=hand(20.0, 10.0))]
     normalized, diags = normalize_sequence(
         seq_of(frames), body_origin=Vec2(10.0, 10.0), body_scale=10.0
     )
     assert diags == []
-    assert normalized.frames[0].right.pos == Vec2(1.0, 0.0)
+    assert normalized.frames.right.point(0) == Vec2(1.0, 0.0)
 
 
 def test_normalize_mirrored_negates_x():
-    frames = [TrackingFrame(t=0, head=Vec2(0.0, 1.2), right=hand(0.5, 0.0), left=hand())]
+    frames = [mk_frame(0, head=(0.0, 1.2), right=hand(0.5, 0.0))]
     normalized, _ = normalize_sequence(seq_of(frames, mirrored=True))
-    assert normalized.frames[0].right.pos == Vec2(-0.5, 0.0)
+    assert normalized.frames.right.point(0) == Vec2(-0.5, 0.0)
 
 
 # --- build_model ------------------------------------------------------------------------------
@@ -725,9 +733,9 @@ def test_reversal_burst_matches_reference(seed):
 
 
 def reference_velocities(seq, h):
-    """Whole-sequence velocities of hand `h` as Vec2s, read off the frame
-    records one frame at a time."""
-    positions = [frame.hand(h).pos for frame in seq.frames]
+    """Whole-sequence velocities of hand `h` as Vec2s, read off the
+    columns one frame at a time."""
+    positions = [seq.frames.hand(h).point(i) for i in range(len(seq.frames))]
     return [
         None if p is None else Vec2(0.0, 0.0) if i == 0
         else None if positions[i - 1] is None else p - positions[i - 1]
@@ -741,7 +749,7 @@ def reference_transition_action(seq, transition, params):
     window_first = max(transition.first - 1, 0)
     contributions = []
     for h in (R, L):
-        positions = [seq.frames[i].hand(h).pos for i in range(window_first, transition.last + 1)]
+        positions = [seq.frames.hand(h).point(i) for i in range(window_first, transition.last + 1)]
         present = [p for p in positions if p is not None]
         if len(present) < 2:
             continue

@@ -7,13 +7,10 @@ from pdlsl import (
     DEFAULT_PLACE_MAP,
     CoincidentPoints,
     Direction,
-    HandObservation,
     NonFinite,
     Place,
     PlaceMap,
     Rect,
-    TrackingFrame,
-    TrackingSequence,
     Vec2,
     ZeroVector,
     classify_direction,
@@ -22,6 +19,7 @@ from pdlsl import (
     place_map_from_json,
     relative_direction,
     rotation_angle,
+    tracking_from_json,
 )
 from pdlsl.errors import SchemaError
 
@@ -217,9 +215,10 @@ def test_relative_direction_antisymmetric(p1, p2):
 
 def _normalized(points, mirrored=False, **frame):
     """The right-hand positions of one frame per point, in body units."""
-    frames = tuple(TrackingFrame(t, right=HandObservation(p)) for t, p in enumerate(points))
-    normalized, _ = normalize_sequence(TrackingSequence(frames, 25.0, mirrored), **frame)
-    return [f.right.pos for f in normalized.frames]
+    frames = [{"t": t, "right": {"pos": [p.x, p.y]}} for t, p in enumerate(points)]
+    seq = tracking_from_json({"fps": 25.0, "mirrored": mirrored, "frames": frames})
+    normalized, _ = normalize_sequence(seq, **frame)
+    return [normalized.frames.right.point(i) for i in range(len(points))]
 
 
 def test_normalize_examples():

@@ -46,10 +46,9 @@ EXPORTED = {
         print_atomic_action print_formula""",
     "model": """ThreeVal UtteranceModel atom_value eval_formula eval_two_valued
         interpret_action model_from_json model_to_json""",
-    "extract": """EPSILON_MOVE EpsilonMove HandObservation Segment SegmentKind
-        SegmentationParams TrackingFrame TrackingSequence build_model compute_velocities
-        extract_model normalize_sequence posture_valuation segment tracking_from_json
-        transition_action validate_sequence""",
+    "extract": """EPSILON_MOVE EpsilonMove Segment SegmentKind SegmentationParams
+        TrackingSequence build_model compute_velocities extract_model normalize_sequence
+        posture_valuation segment tracking_from_json transition_action validate_sequence""",
     "check": """MATCH POSSIBLE Override Proposal ProposalReport anchor_atoms apply_overrides
         lexicon_hash parse_overrides verify""",
 }
@@ -161,7 +160,7 @@ def test_check_and_eval_refuse_a_bad_place_map_or_body_origin(case, tmp_path):
 #: that writes no bytecode, as under PYTHONDONTWRITEBYTECODE=1, compiles
 #: every line it loads, so each costs start-up time. A change that raises a
 #: ceiling says why.
-LINE_CEILINGS = {"extract": 3447, "check": 2835, "eval": 2650, "lint": 2650}
+LINE_CEILINGS = {"extract": 3418, "check": 2835, "eval": 2650, "lint": 2650}
 
 
 def test_commands_compile_no_more_lines_than_their_ceilings(loaded):

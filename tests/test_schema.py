@@ -220,9 +220,9 @@ def test_tracking_refusals(change, path):
 def test_tracking_null_reads_as_a_dropout():
     doc = changed(TRACKING_DOC, lambda d: d["frames"][2].update(head=None, right=None))
     doc["frames"][3]["left"].update(pos=None, config=None, orient=None)
-    seq = tracking_from_json(doc)
-    assert seq.frames[2].head is None and seq.frames[2].right.pos is None
-    assert seq.frames[3].left.pos is None and seq.frames[3].left.config is None
+    frames = tracking_from_json(doc).frames
+    assert frames.head.x[2] is None and frames.right.point(2) is None
+    assert frames.left.point(3) is None and frames.left.config[3] is None
 
 
 # --- model -------------------------------------------------------------------------------
