@@ -24,9 +24,9 @@ _API = {
     ),
     "errors": (
         "AliasCollision", "CoincidentPoints", "ConfigError", "Diagnostic", "DuplicateSign",
-        "NoKeyPosture", "NonFinite", "NonMonotoneTimestamps", "ParseError", "PdlslError",
-        "SchemaError", "SourceSpan", "UngroundedFormula", "UnknownArticulator",
-        "UnknownDirection", "UnknownState", "ZeroVector",
+        "NonFinite", "NonMonotoneTimestamps", "ParseError", "PdlslError", "SchemaError",
+        "SourceSpan", "UngroundedFormula", "UnknownArticulator", "UnknownDirection",
+        "UnknownState", "ZeroVector",
     ),
     "schema": (),
     "geometry": (

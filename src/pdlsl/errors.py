@@ -158,10 +158,6 @@ class ConfigError(SchemaError):
     usage error by the command line."""
 
 
-class NoKeyPosture(PdlslError):
-    """Segmentation produced no key posture to build states from."""
-
-
 class NonMonotoneTimestamps(PdlslError):
     """Frame indices decrease within a tracking sequence; unrecoverable."""
 

@@ -40,7 +40,7 @@ from .core import (
     Touch,
     iter_atomic_actions,
 )
-from .errors import Diagnostic, NoKeyPosture, NonFinite, NonMonotoneTimestamps, Record
+from .errors import Diagnostic, NonFinite, NonMonotoneTimestamps, Record
 from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, classify_direction, relative_direction
 from .model import SegmentationParams, ThreeVal, UtteranceModel, Valuation
 from .schema import array, boolean, check, choice, const, integer, number, optional, string, table
@@ -561,12 +561,10 @@ def build_model(
     segments = segment(seq, params)
     postures = [s for s in segments if s.kind == SegmentKind.KEY_POSTURE]
     transitions = [s for s in segments if s.kind == SegmentKind.TRANSITION]
-    if not postures:
-        raise NoKeyPosture("segmentation produced no key posture")
 
     states: list[tuple[dict[Atom, ThreeVal], frozenset[Articulator], dict]] = []
     edges: list[tuple[int, int, TransitionLabel]] = []
-    # The first posture has no transition before it.
+    # `segment` always starts with a key posture; the first has no transition before it.
     for transition, posture in zip((None, *transitions), postures):
         i = _representative(posture)
         state = (

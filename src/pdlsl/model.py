@@ -261,8 +261,11 @@ class UtteranceModel(Record):
         if type(valuation) is not Valuation or valuation.state_count != self.state_count:
             valuation = Valuation.of(self.state_count, valuation.items())
             object.__setattr__(self, "valuation", valuation)
-        for pair in self.relation:
-            self._check_pair(pair)
+        for s, t in self.relation:
+            if not (0 <= s < self.state_count and 0 <= t < self.state_count):
+                raise ValueError(
+                    f"edge {(s, t)} references a state outside 0..{self.state_count - 1}"
+                )
         sources = {s for s, _ in self.relation}
         for s in range(self.state_count):
             if s not in sources:
@@ -306,11 +309,6 @@ class UtteranceModel(Record):
             object.__setattr__(copy, name, getattr(self, name))
         object.__setattr__(copy, "valuation", valuation)
         return copy
-
-    def _check_pair(self, pair: Pair) -> None:
-        s, t = pair
-        if not (0 <= s < self.state_count and 0 <= t < self.state_count):
-            raise ValueError(f"edge {pair} references a state outside 0..{self.state_count - 1}")
 
     def states(self) -> range:
         return range(self.state_count)

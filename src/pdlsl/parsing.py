@@ -19,8 +19,9 @@ Formula grammar; OP and AOP are binary operators, loosest first:
     DIR      := "N" | "NE" | "E" | "SE" | "S" | "SW" | "W" | "NW"
 
 Each syntax is read by one precedence-climbing loop over its operator table
-(`_FORMULA_OPERATORS`, `_ACTION_OPERATORS`), and `prim` reads the `*`. A
-leaf written without blanks is one token, read with one split. Implication,
+(`_FORMULA_OPERATORS`, `_ACTION_OPERATORS`), and `prim` reads the `*`; the
+printer takes its action levels from the same table. A leaf written without
+blanks is one token, read with one split. Implication,
 disjunction and the diamond are sugar and never appear in a stored tree.
 Nesting is limited to MAX_DEPTH levels, read off each node's height and the
 constructs the parser enters, so every walk over a parsed tree stays well
@@ -29,8 +30,9 @@ inside Python's recursion limit. Lexicon files hold entries
 
 Tokens may be separated by blanks (space, tab, CR and LF) and by comments,
 each running from `#` to the end of its line. Any other character outside
-a token is a digit of an INT, or an error. One regex split reads each token
-as its text, whose offset is found only for an error or a sign's name.
+a token is a digit of an INT, or an error. One split by one regex, `_LEAF_RE`,
+reads each token as its text, whose offset is found only for an error or a
+sign's name.
 """
 
 from __future__ import annotations
@@ -84,24 +86,6 @@ from .errors import (
     UnknownDirection,
 )
 
-__all__ = [
-    "SourceSpan",
-    "LexiconEntry",
-    "LexiconFile",
-    "MAX_DEPTH",
-    "parse_formula",
-    "parse_action",
-    "parse_atom",
-    "parse_atomic_action",
-    "parse_lexicon",
-    "lint_lexicon",
-    "print_formula",
-    "print_action",
-    "print_atom",
-    "print_atomic_action",
-]
-
-
 # --- Tokens ------------------------------------------------------------------
 
 _ATOM_HEADS = ("dir", "at", "touch", "cfg", "orient")
@@ -116,21 +100,17 @@ _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 # reach the end of its line, so no tail of a comment is read as tokens, and
 # the empty token always follows, so the engine never backtracks into them.
 #
-# A leaf without spaces, such as `move(D,SE)`, is one token; `_TOKEN_RE`,
-# which lacks leaves, spells its text and tokenizes a lone leaf. A
+# A leaf without blanks, such as `move(D,SE)`, is one token. It holds no
+# blank and no comment, so splitting its text at `(`, `,` and `)`
+# (`_LEAF_PUNCTUATION`) spells the tokens that reading it with blanks gives. A
 # character that no token starts with is skipped, one at a time, behind an
 # empty token: a digit of an INT, joined with the digits it touches (any
 # that pass str.isdigit, such as "²"), or an error: a lone `/` or `\` is
 # stray and anything else unexpected.
 _BLANKS = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
-
-
-def _token_re(leaves: str) -> re.Pattern:
-    return re.compile(rf"({_BLANKS})([()\[\]<>!|&;*.,]|{leaves}{_IDENT}|:=?|->|/\\|\\/|[0-9]+|)")
-
-
-_LEAF_RE = _token_re(rf"(?:{'|'.join(_ATOM_HEADS + _ACTION_HEADS)})\({_IDENT}(?:,{_IDENT})*\)|")
-_TOKEN_RE = _token_re("")
+_LEAF = rf"(?:{'|'.join(_ATOM_HEADS + _ACTION_HEADS)})\({_IDENT}(?:,{_IDENT})*\)"
+_LEAF_RE = re.compile(rf"({_BLANKS})([()\[\]<>!|&;*.,]|{_LEAF}|{_IDENT}|:=?|->|/\\|\\/|[0-9]+|)")
+_LEAF_PUNCTUATION = re.compile("([(),])")
 
 
 def _line_breaks(text: str) -> list[int]:
@@ -144,11 +124,11 @@ def _span(breaks: list[int], offset: int, length: int = 1) -> SourceSpan:
     return SourceSpan(line, offset - breaks[line - 1], length)
 
 
-def _tokenize(text: str, pattern: re.Pattern = _LEAF_RE) -> list[str]:
-    """The pieces of `pattern.split(text)`, three per token (skipped text,
+def _tokenize(text: str) -> list[str]:
+    """The pieces of `_LEAF_RE.split(text)`, three per token (skipped text,
     blanks, token) and an empty last one, with each skipped character a
     digit, joined into an INT token."""
-    parts = pattern.split(text)
+    parts = _LEAF_RE.split(text)
     if not any(parts[::3]):
         return parts
     found, offset, end = [], 0, 0  # the pieces of the tokens found, and where the last ends
@@ -214,9 +194,9 @@ class _Parser:
     them in its place, so errors and spans are those of reading by token.
     A token's offset is found only where its span is read."""
 
-    def __init__(self, text: str, pattern: re.Pattern = _LEAF_RE):
+    def __init__(self, text: str):
         self.text = text
-        self.parts = _tokenize(text, pattern)
+        self.parts = _tokenize(text)
         # Every caller checks the current token before consuming it, and no
         # rule consumes the end of input, so reading never runs past it.
         self.tokens = self.parts[2::3]
@@ -252,9 +232,9 @@ class _Parser:
         """Replace a current leaf token by the tokens its text spells."""
         word, i = self.cur, self.i
         if "(" in word[1:]:
-            spelled = _TOKEN_RE.split(word)[2:-4]  # without the end of input
-            self.parts[3 * i + 2:3 * i + 3] = spelled
-            self.tokens[i:i + 1] = spelled[::3]
+            spelled = _LEAF_PUNCTUATION.split(word)[:-1]  # the last piece, after ")", is empty
+            self.parts[3 * i + 2:3 * i + 3] = [p for token in spelled for p in ("", "", token)][2:]
+            self.tokens[i:i + 1] = spelled
             self.cur = spelled[0]
 
     def _unexpected(self, *expected: str) -> ParseError:
@@ -430,9 +410,9 @@ class _Parser:
         return table[word]
 
 
-def _parse_all(text: str, rule, pattern: re.Pattern = _LEAF_RE):
+def _parse_all(text: str, rule):
     """Parse the whole text with one rule of the grammar."""
-    parser = _Parser(text, pattern)
+    parser = _Parser(text)
     node = rule(parser)
     if parser.cur:
         parser._spell()
@@ -451,11 +431,11 @@ def parse_action(text: str) -> Action:
 
 
 def parse_atom(text: str) -> Atom:
-    return _split_leaf(text, _ATOM_HEADS) or _parse_all(text, _Parser.atom, _TOKEN_RE)
+    return _split_leaf(text, _ATOM_HEADS) or _parse_all(text, _Parser.atom)
 
 
 def parse_atomic_action(text: str) -> AtomicAction:
-    return _split_leaf(text, _ACTION_HEADS) or _parse_all(text, _Parser.atomic_action, _TOKEN_RE)
+    return _split_leaf(text, _ACTION_HEADS) or _parse_all(text, _Parser.atomic_action)
 
 
 # --- Lexicon files -----------------------------------------------------------
@@ -521,9 +501,11 @@ def _lexicon(p: _Parser, duplicates: dict[str, list[SourceSpan]] | None = None) 
 # Formula precedence levels: a conjunction chain may appear bare only at the
 # top; everything to the right of /\ or under !/[] must be unary-tight.
 _F_AND, _F_UNARY = 0, 1
-# Action levels, loosest to tightest: ";", "&", "|", star, primitive.
-_A_SEQ, _A_PAR, _A_CHOICE, _A_STAR, _A_PRIM = 0, 1, 2, 3, 4
-_BINARY = {Seq: (" ; ", _A_SEQ), Concurrent: (" & ", _A_PAR), Choice: (" | ", _A_CHOICE)}
+# Action levels, loosest to tightest: each binary operator's binding power
+# in `_ACTION_OPERATORS`, then star, then primitive.
+_BINARY = {build: (f" {token} ", power) for token, (power, build) in _ACTION_OPERATORS.items()}
+_A_STAR = max(power for _, power in _BINARY.values()) + 1
+_A_PRIM = _A_STAR + 1
 # Printing spells an articulator by its letter, a direction by its compass
 # name and a place or label as it is: "dir(%s,%s,%s)" % (subject._value_, ...).
 # A member's `_value_` and `_name_` are plain attributes; `Enum`'s `value`
@@ -531,9 +513,10 @@ _BINARY = {Seq: (" ; ", _A_SEQ), Concurrent: (" & ", _A_PAR), Choice: (" | ", _A
 _SPELLING = {"direction": "._name_", "place": "", "label": ""}
 
 
-def _printers(heads: tuple[str, ...]) -> dict[type, tuple[str, attrgetter]]:
-    """The template and field getter of the leaf type of each head."""
-    return {
+def _leaf_printer(heads: tuple[str, ...], what: str):
+    """The printer of the leaf types of `heads`, by a template and field
+    getter per type; it refuses any other value as not `what`."""
+    printers = {
         node: (f"{head}({','.join(['%s'] * len(fields))})",
                attrgetter(*(f + _SPELLING.get(f, "._value_") for f in fields)))
         for head in heads
@@ -541,17 +524,18 @@ def _printers(heads: tuple[str, ...]) -> dict[type, tuple[str, attrgetter]]:
         for fields in (LEAF_FIELDS[node],)
     }
 
+    def print_leaf(leaf) -> str:
+        printer = printers.get(type(leaf))
+        if printer is None:
+            raise TypeError(f"not {what}: {leaf!r}")
+        template, spell = printer
+        return template % spell(leaf)
 
-_ATOM_PRINTERS = _printers(_ATOM_HEADS)
-_ACTION_PRINTERS = _printers(_ACTION_HEADS)
+    return print_leaf
 
 
-def print_atomic_action(action: AtomicAction) -> str:
-    printer = _ACTION_PRINTERS.get(type(action))
-    if printer is None:
-        raise TypeError(f"not an atomic action: {action!r}")
-    template, spell = printer
-    return template % spell(action)
+print_atom = _leaf_printer(_ATOM_HEADS, "an atom")
+print_atomic_action = _leaf_printer(_ACTION_HEADS, "an atomic action")
 
 
 def _print_action(action: Action, min_level: int) -> str:
@@ -570,15 +554,7 @@ def _print_action(action: Action, min_level: int) -> str:
 
 
 def print_action(action: Action) -> str:
-    return _print_action(action, _A_SEQ)
-
-
-def print_atom(atom: Atom) -> str:
-    printer = _ATOM_PRINTERS.get(type(atom))
-    if printer is None:
-        raise TypeError(f"not an atom: {atom!r}")
-    template, spell = printer
-    return template % spell(atom)
+    return _print_action(action, 0)  # below every level: no parentheses around the whole
 
 
 def _print_formula(formula: Formula, min_level: int, texts: dict) -> str:

@@ -8,14 +8,18 @@ by state in `_reference_atom_value` from a plain dict of the listed cells,
 on models built in code and on seeded 30-400 state model files, with and
 without overrides. A counting test checks that `verify`
 stores predecessor rows only for atomic and `&` actions and reads a number
-of rows linear in the length of a star chain. Last, a labeler given the
+of rows linear in the length of a star chain. A labeler given the
 signer's handedness labels formulas as parsed, and their anchors, as the
-handless labeler labels the trees `ground` makes.
+handless labeler labels the trees `ground` makes. Last, `verify` and
+`eval_formula` on chains and cycles of 63-65 and 127-129 states, on
+either side of the labeler's 64-bit words, are compared with a
+breadth-first search over Python sets.
 """
 
 import copy
 import pickle
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -534,3 +538,98 @@ def test_labeling_as_parsed_equals_labeling_the_grounded_tree(seed):
                 atom_lo, atom_hi = grounded.formula(AtomF(atom))
                 lo, hi = lo & atom_lo, hi & atom_hi
             assert parsed.anchor(formula) == (lo, hi)
+
+
+# --- 64-bit word boundaries ---------------------------------------------------------
+
+MOVE_E = Move(R, Direction.E)
+MODALITIES = ("<move(R,E)*>", "[move(R,E)*]", "<(move(R,E) ; move(R,E))*>",
+              "[move(R,E) & move(R,E)]")
+BOUNDARY_SIGNS = "".join(f"sign S{i} := {sign} .\n" for i, sign in enumerate(
+    f"{modality} {body}" for body in ("touch(R,L)", "!touch(R,L)") for modality in MODALITIES))
+KLEENE_ORDER = {F: 0, U: 1, T: 2}
+
+
+def boundary_model(shape: str, n: int) -> tuple[UtteranceModel, dict[int, ThreeVal]]:
+    """A move(R,E) chain of n states, with an unlabeled final self-loop, or
+    a move(R,E) cycle of n states, and the value of touch(R,L) at each
+    state. Seeded: it is listed True at up to three states, one in the
+    upper half, and Unknown at n // 16 others; as many more do not observe
+    L, so it is Unknown there too, and it is False everywhere else."""
+    rng = random.Random(2 * n + (shape == "cycle"))
+    edges = frozenset((s, s + 1) for s in range(n - 1))
+    edges, loop = (edges | {(n - 1, 0)}, set()) if shape == "cycle" else (edges, {(n - 1, n - 1)})
+    true = {rng.randrange(n // 2, n), *rng.sample(range(n), 2)}
+    unknown = rng.sample(sorted(set(range(n)) - true), 2 * (n // 16))
+    listed = [(s, T) for s in true] + [(s, U) for s in unknown[::2]]
+    model = UtteranceModel(
+        state_count=n,
+        relation=edges | loop,
+        action_interp={MOVE_E: edges},
+        valuation={(s, Touch(R, L)): value for s, value in listed},
+        observed=tuple(frozenset({R} if s in unknown[1::2] else {R, L}) for s in range(n)),
+    )
+    return model, {s: T if s in true else U if s in unknown else F for s in range(n)}
+
+
+def bfs_successors(edges: dict[int, set[int]], action, s: int) -> set[int]:
+    """The states that `action` leads to from `s` over the move(R,E)
+    `edges`; a star is a breadth-first search from `s`."""
+    kind = type(action)
+    if kind is Atomic:
+        assert action.action == MOVE_E
+        return edges.get(s, set())
+    if kind is Seq:
+        return {u for t in bfs_successors(edges, action.left, s)
+                for u in bfs_successors(edges, action.right, t)}
+    if kind is Concurrent:
+        return bfs_successors(edges, action.left, s) & bfs_successors(edges, action.right, s)
+    assert kind is Star
+    seen, queue = {s}, deque([s])
+    while queue:
+        for t in bfs_successors(edges, action.body, queue.popleft()) - seen:
+            seen.add(t)
+            queue.append(t)
+    return seen
+
+
+def bfs_value(edges: dict[int, set[int]], touch: dict[int, ThreeVal], formula, s: int):
+    """The strong Kleene value at `s` of a formula over touch(R,L)."""
+    kind = type(formula)
+    if kind is AtomF:
+        assert formula.atom == Touch(R, L)
+        return touch[s]
+    if kind is Not:
+        return {T: F, U: U, F: T}[bfs_value(edges, touch, formula.body, s)]
+    assert kind is Box
+    values = [bfs_value(edges, touch, formula.body, t)
+              for t in bfs_successors(edges, formula.action, s)]
+    return min(values, key=KLEENE_ORDER.get, default=T)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("shape", ["chain", "cycle"])
+def test_labels_match_a_breadth_first_reference_at_word_boundaries(shape, n):
+    """The labeler's bitsets hold 64 states a word. On chains and cycles
+    one state shorter than, as long as and one state longer than one and
+    two words, `verify` for both signers, and `eval_formula` at the states
+    next to each word boundary and at seeded others, give what a
+    breadth-first search over Python sets gives."""
+    model, touch = boundary_model(shape, n)
+    lexicon = parse_lexicon(BOUNDARY_SIGNS)
+    # With no anchor atoms, a sign matches where it is True and is possible where Unknown.
+    assert not any(anchor_atoms(entry.formula) for entry in lexicon.entries)
+    edges: dict[int, set[int]] = {}
+    for s, t in model.action_interp[MOVE_E]:
+        edges.setdefault(s, set()).add(t)
+    values = {entry.name: [bfs_value(edges, touch, entry.formula, s) for s in range(n)]
+              for entry in lexicon.entries}
+    expected = [[(name, verdict) for verdict, value in (("match", T), ("possible", U))
+                 for name in values if values[name][s] is value] for s in range(n)]
+    for handedness in Handedness:
+        report = verify(model, lexicon, handedness)
+        assert [[(p.sign, p.verdict) for p in ps] for ps in report.per_state] == expected
+    sampled = {0, 62, 63, 64, 65, 126, 127, 128, n - 1, *random.Random(n).sample(range(n), 5)}
+    for entry in lexicon.entries:
+        for s in sorted(sampled & set(range(n))):
+            assert eval_formula(model, s, entry.formula) is values[entry.name][s], (entry.name, s)
