@@ -43,10 +43,9 @@ _API = {
         "eval_two_valued", "interpret_action", "model_from_json", "model_to_json",
     ),
     "extract": (
-        "EPSILON_MOVE", "EpsilonMove", "Segment", "SegmentKind", "TrackingSequence",
-        "build_model", "compute_velocities", "extract_model", "normalize_sequence",
-        "posture_valuation", "segment", "tracking_from_json", "transition_action",
-        "validate_sequence",
+        "Segment", "SegmentKind", "TrackingSequence", "build_model", "compute_velocities",
+        "extract_model", "normalize_sequence", "posture_valuation", "segment",
+        "tracking_from_json", "transition_action", "validate_sequence",
     ),
     "check": (
         "MATCH", "POSSIBLE", "Override", "Proposal", "ProposalReport", "anchor_atoms",

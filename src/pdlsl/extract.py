@@ -4,7 +4,8 @@ The pipeline normalizes raw tracker coordinates into body units, repairs
 obvious tracking faults, cuts the sequence into alternating key postures
 and transitions on a per-frame stillness test, synthesizes a three-valued
 atomic valuation for every posture and an action label for every
-transition, and assembles the serial transition system.
+transition in which a hand moved, and assembles the serial transition
+system.
 
 All thresholds live in SegmentationParams. The defaults are chosen to make
 the synthetic fixtures deterministic; they are not tuned to any corpus.
@@ -42,10 +43,8 @@ from .core import (
 )
 from .errors import Diagnostic, NonFinite, NonMonotoneTimestamps, Record
 from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, classify_direction, relative_direction
-from .model import SegmentationParams, ThreeVal, UtteranceModel, Valuation
+from .model import _HANDS, SegmentationParams, ThreeVal, UtteranceModel, Valuation
 from .schema import array, boolean, check, choice, const, integer, number, optional, string, table
-
-_HANDS = (Articulator.RIGHT, Articulator.LEFT)
 
 # Normalized height of the head center above the torso origin; used when the
 # body frame is derived from the tracked head rather than configured.
@@ -132,20 +131,6 @@ class Segment(Record):
     def __post_init__(self) -> None:
         if self.first > self.last:
             raise ValueError("segment bounds out of order")
-
-
-class EpsilonMove:
-    """Label of a transition in which no hand met the movement criteria.
-    The edge keeps consecutive states connected but belongs to no atomic
-    action's interpretation. Its one instance is EPSILON_MOVE."""
-
-    def __repr__(self) -> str:
-        return "EPSILON_MOVE"
-
-
-EPSILON_MOVE = EpsilonMove()
-
-TransitionLabel = Action | EpsilonMove
 
 
 # --- Input parsing -----------------------------------------------------------
@@ -367,49 +352,37 @@ def segment(seq: TrackingSequence, params: SegmentationParams | None = None) -> 
     tau_still. Runs of at least min_still still frames are posture cores.
     A short burst of movement at either boundary is absorbed into the
     nearest posture; a long one gets a forced posture of min_still frames
-    at the boundary so the alternation invariant holds.
+    at the boundary so the alternation invariant holds. With no run at all,
+    the first and last min_still frames are the postures (the last shorter
+    if need be); a sequence with no room for a transition between them is
+    one posture.
     """
     params = params or SegmentationParams()
     n = len(seq.frames)
     right, left = compute_velocities(seq).values()
-    tau = params.tau_still
+    tau, min_still = params.tau_still, params.min_still
     still = [
         (rx is None or math.hypot(rx, ry) < tau) and (lx is None or math.hypot(lx, ly) < tau)
         for rx, ry, lx, ly in zip(right.x, right.y, left.x, left.y)
     ]
-    runs = _still_runs(still, params.min_still)
+    runs = _still_runs(still, min_still)
 
     key, trans = SegmentKind.KEY_POSTURE, SegmentKind.TRANSITION
     if not runs:
-        head_len = min(params.min_still, n)
-        if n - head_len < 2:
+        head = min(min_still, n)
+        if n - head < 2:
             return [Segment(key, 0, n - 1)]
-        tail_len = min(params.min_still, n - head_len - 1)
-        return [
-            Segment(key, 0, head_len - 1),
-            Segment(trans, head_len, n - tail_len - 1),
-            Segment(key, n - tail_len, n - 1),
-        ]
+        runs = [(0, head - 1), (n - min(min_still, n - head - 1), n - 1)]
+    if runs[0][0] > min_still:
+        runs.insert(0, (0, min_still - 1))
+    if n - 1 - runs[-1][1] > min_still:
+        runs.append((n - min_still, n - 1))
+    runs[0] = (0, runs[0][1])
+    runs[-1] = (runs[-1][0], n - 1)
 
-    segments: list[Segment] = []
-    first_start = runs[0][0]
-    if first_start > params.min_still:
-        segments.append(Segment(key, 0, params.min_still - 1))
-        segments.append(Segment(trans, params.min_still, first_start - 1))
-        segments.append(Segment(key, first_start, runs[0][1]))
-    else:
-        segments.append(Segment(key, 0, runs[0][1]))
-
-    for start, end in runs[1:]:
-        segments.append(Segment(trans, segments[-1].last + 1, start - 1))
-        segments.append(Segment(key, start, end))
-
-    trailing = (n - 1) - segments[-1].last
-    if trailing > params.min_still:
-        segments.append(Segment(trans, segments[-1].last + 1, n - params.min_still - 1))
-        segments.append(Segment(key, n - params.min_still, n - 1))
-    elif trailing > 0:
-        segments[-1] = Segment(key, segments[-1].first, n - 1)
+    segments = [Segment(key, *runs[0])]
+    for (_, end), (start, last) in zip(runs, runs[1:]):
+        segments += Segment(trans, end + 1, start - 1), Segment(key, start, last)
     return segments
 
 
@@ -492,13 +465,13 @@ def transition_action(
     seq: TrackingSequence,
     transition: Segment,
     params: SegmentationParams | None = None,
-) -> TransitionLabel:
+) -> Action | None:
     """Action label of a transition.
 
     Per hand: the net displacement over the segment classifies a move when
     large enough; otherwise a burst of velocity reversals at speed marks a
     thrill; otherwise the hand contributes nothing. Both hands combine
-    concurrently; with no contribution at all the label is the epsilon move.
+    concurrently; with no contribution at all there is no label (None).
 
     Only the transition's own window, the frame before it through its last
     frame, is read: velocities are computed over that slice alone, so
@@ -526,20 +499,13 @@ def transition_action(
         if mean_speed >= params.tau_still and _reversal_burst(velocity, params):
             contributions.append(Atomic(Thrill(hand)))
     if not contributions:
-        return EPSILON_MOVE
+        return None
     if len(contributions) == 1:
         return contributions[0]
     return Concurrent(contributions[0], contributions[1])
 
 
 # --- Model assembly ----------------------------------------------------------
-
-
-def _is_pure_thrill(label: TransitionLabel) -> bool:
-    if isinstance(label, EpsilonMove):
-        return False
-    actions = list(iter_atomic_actions(label))
-    return bool(actions) and all(isinstance(a, Thrill) for a in actions)
 
 
 def build_model(
@@ -552,9 +518,10 @@ def build_model(
     One state per key posture in temporal order, with the cells of
     `posture_valuation` and the hands and hand shapes its median frame
     observed. A pure-thrill transition between two postures equal in all
-    three collapses into a self-loop on the single shared state. The final
-    state gets an unlabeled self-loop so every state has a successor; that
-    loop belongs to no action's interpretation.
+    three collapses into a self-loop on the single shared state. A
+    transition with no label (no hand moved) and the self-loop that the
+    final state gets, so every state has a successor, are edges of the
+    relation in no action's interpretation.
     """
     params = params or SegmentationParams()
     place_map = place_map or DEFAULT_PLACE_MAP
@@ -563,7 +530,7 @@ def build_model(
     transitions = [s for s in segments if s.kind == SegmentKind.TRANSITION]
 
     states: list[tuple[dict[Atom, ThreeVal], frozenset[Articulator], dict]] = []
-    edges: list[tuple[int, int, TransitionLabel]] = []
+    edges: list[tuple[int, int, Action | None]] = []
     # `segment` always starts with a key posture; the first has no transition before it.
     for transition, posture in zip((None, *transitions), postures):
         i = _representative(posture)
@@ -575,7 +542,9 @@ def build_model(
         current = len(states) - 1
         if transition is not None:
             label = transition_action(seq, transition, params)
-            if _is_pure_thrill(label) and state == states[current]:
+            pure_thrill = label is not None and all(
+                isinstance(a, Thrill) for a in iter_atomic_actions(label))
+            if pure_thrill and state == states[current]:
                 edges.append((current, current, label))
                 continue
             edges.append((current, current + 1, label))
@@ -587,7 +556,7 @@ def build_model(
     relation.add((state_count - 1, state_count - 1))  # seriality repair
     interp: dict[AtomicAction, set[tuple[int, int]]] = {}
     for s, t, label in edges:
-        if isinstance(label, EpsilonMove):
+        if label is None:
             continue
         for atomic in iter_atomic_actions(label):
             interp.setdefault(atomic, set()).add((s, t))

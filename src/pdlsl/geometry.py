@@ -127,7 +127,6 @@ _PLACE_MAP = table("placemap", {
     "format": optional(const(1)),
     "places": mapping(
         fixed("[x_min, x_max, y_min, y_max]", 4, number(), build=lambda b: Rect(*map(float, b))),
-        non_empty=True,
     ),
 }, lambda _format, places: PlaceMap(Place(name, rect) for name, rect in places.items()))
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from enum import Enum
-from functools import partial, reduce
+from functools import partial
 from types import MappingProxyType
 from typing import Any
 
@@ -345,7 +345,7 @@ class _Labeler:
         self.full = (1 << model.state_count) - 1
         self.closed_world = closed_world
         self.handedness = handedness
-        self._pred: dict[Action, tuple[dict[int, int], int, int]] = {}
+        self._pred: dict[Action, tuple[dict[int, int], int]] = {}
         self._labels: dict[Formula, tuple[int, int]] = {}
         self._anchors: dict[Formula, tuple[int, int]] = {}
 
@@ -441,9 +441,7 @@ class _Labeler:
             if type(body) is Star:  # (α*)* = α*
                 return self.pre(body, targets)
             return self.reach(body, targets)
-        rows, has_pred, has_succ = self._stored(action)
-        if targets & has_pred == has_pred:  # Y holds every state with a predecessor
-            return has_succ
+        rows, has_pred = self._stored(action)
         found = 0
         for t in _members(targets & has_pred):
             found |= rows[t]
@@ -458,10 +456,10 @@ class _Labeler:
             return {t: bits for t in self.model.states() if (bits := pre(action, 1 << t))}
         return self._stored(action)[0]
 
-    def _stored(self, action: Action) -> tuple[dict[int, int], int, int]:
+    def _stored(self, action: Action) -> tuple[dict[int, int], int]:
         """An atomic or `&` action's rows, built once from the action's edges
-        or as the intersection of its operands' rows, with the bitsets of the
-        states that have a predecessor and of those that have a successor."""
+        or as the intersection of its operands' rows, with the bitset of the
+        states that have a predecessor."""
         stored = self._pred.get(action)
         if stored is None:
             match action:
@@ -475,8 +473,7 @@ class _Labeler:
                             if (both := bits & right.get(t, 0))}
                 case _:
                     raise TypeError(f"not an action node: {action!r}")
-            has_pred = _bitset(list(rows), self.model.state_count)
-            stored = self._pred[action] = rows, has_pred, reduce(int.__or__, rows.values(), 0)
+            stored = self._pred[action] = rows, _bitset(list(rows), self.model.state_count)
         return stored
 
 

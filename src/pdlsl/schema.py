@@ -145,14 +145,13 @@ def fixed(expected: str, length: int, item: Node, build: Callable = tuple) -> No
     return node
 
 
-def mapping(item: Node, non_empty: bool = False, build: Callable | None = None) -> Node:
-    """An object whose keys are data and whose values `item` accepts; the
-    result is `build` of the dict of their results, or that dict."""
-    expected = "a non-empty object" if non_empty else "an object"
+def mapping(item: Node) -> Node:
+    """A non-empty object whose keys are data and whose values `item`
+    accepts; the result is the dict of their results."""
 
     def node(value: Any) -> Any:
-        if type(value) is not dict or non_empty and not value:
-            raise Invalid(f"expected {expected}")
+        if type(value) is not dict or not value:
+            raise Invalid("expected a non-empty object")
         out = {}
         try:
             for key, element in value.items():
@@ -160,7 +159,7 @@ def mapping(item: Node, non_empty: bool = False, build: Callable | None = None) 
         except Invalid as exc:
             exc.where.append(key)
             raise
-        return out if build is None else _build(build, out)
+        return out
 
     return node
 

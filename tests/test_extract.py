@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from pdlsl import (
     Concurrent,
     Config,
     Direction,
-    EPSILON_MOVE,
     Handedness,
     Move,
     NonMonotoneTimestamps,
@@ -226,9 +226,59 @@ def test_segment_four_postures():
     assert [(p.first, p.last) for p in postures] == bounds
 
 
+def reference_segment(seq, params):
+    """The segments as three separate assemblies build them: one for a
+    sequence with no still run, one for a forced posture at the start and
+    one for a forced or stretched posture at the end."""
+    n = len(seq.frames)
+    right, left = compute_velocities(seq).values()
+    tau = params.tau_still
+    still = [
+        (rx is None or math.hypot(rx, ry) < tau) and (lx is None or math.hypot(lx, ly) < tau)
+        for rx, ry, lx, ly in zip(right.x, right.y, left.x, left.y)
+    ]
+    runs = pdlsl.extract._still_runs(still, params.min_still)
+
+    key, trans = SegmentKind.KEY_POSTURE, SegmentKind.TRANSITION
+    if not runs:
+        head_len = min(params.min_still, n)
+        if n - head_len < 2:
+            return [Segment(key, 0, n - 1)]
+        tail_len = min(params.min_still, n - head_len - 1)
+        return [
+            Segment(key, 0, head_len - 1),
+            Segment(trans, head_len, n - tail_len - 1),
+            Segment(key, n - tail_len, n - 1),
+        ]
+
+    segments = []
+    first_start = runs[0][0]
+    if first_start > params.min_still:
+        segments.append(Segment(key, 0, params.min_still - 1))
+        segments.append(Segment(trans, params.min_still, first_start - 1))
+        segments.append(Segment(key, first_start, runs[0][1]))
+    else:
+        segments.append(Segment(key, 0, runs[0][1]))
+
+    for start, end in runs[1:]:
+        segments.append(Segment(trans, segments[-1].last + 1, start - 1))
+        segments.append(Segment(key, start, end))
+
+    trailing = (n - 1) - segments[-1].last
+    if trailing > params.min_still:
+        segments.append(Segment(trans, segments[-1].last + 1, n - params.min_still - 1))
+        segments.append(Segment(key, n - params.min_still, n - 1))
+    elif trailing > 0:
+        segments[-1] = Segment(key, segments[-1].first, n - 1)
+    return segments
+
+
 def test_segment_partitions_and_alternates():
+    """On seeded random walks and min_still from 1 to 8, the segments
+    partition the frames into alternating postures and transitions, and
+    each has the bounds of the reference assembly."""
     rng = random.Random(5)
-    for _ in range(30):
+    for _ in range(300):
         frames = []
         pos = Vec2(0.0, 0.0)
         t = 0
@@ -237,7 +287,9 @@ def test_segment_partitions_and_alternates():
                 pos = pos + Vec2(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
             frames.append(mk_frame(t, right=hand(pos.x, pos.y)))
             t += 1
-        segs = segment(seq_of(frames))
+        seq, params = seq_of(frames), SegmentationParams(min_still=rng.randint(1, 8))
+        segs = segment(seq, params)
+        assert segs == reference_segment(seq, params)
         assert segs[0].first == 0
         assert segs[-1].last == len(frames) - 1
         assert segs[0].kind == SegmentKind.KEY_POSTURE
@@ -426,7 +478,7 @@ def test_transition_epsilon_when_nothing_qualifies():
     steps = [Vec2(0.025, 0.0), Vec2(-0.025, 0.0)]
     zero = [Vec2(0.0, 0.0)] * 2
     seq, tr = transition_fixture(steps, zero)
-    assert transition_action(seq, tr) is EPSILON_MOVE
+    assert transition_action(seq, tr) is None
 
 
 # --- validation ----------------------------------------------------------------------------
@@ -768,7 +820,7 @@ def reference_transition_action(seq, transition, params):
         ):
             contributions.append(Atomic(Thrill(h)))
     if not contributions:
-        return EPSILON_MOVE
+        return None
     if len(contributions) == 1:
         return contributions[0]
     return Concurrent(contributions[0], contributions[1])

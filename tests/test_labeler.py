@@ -12,8 +12,9 @@ of rows linear in the length of a star chain. A labeler given the
 signer's handedness labels formulas as parsed, and their anchors, as the
 handless labeler labels the trees `ground` makes. Last, `verify` and
 `eval_formula` on chains and cycles of 63-65 and 127-129 states, on
-either side of the labeler's 64-bit words, are compared with a
-breadth-first search over Python sets.
+either side of the labeler's 64-bit words, with a second action on a
+subset of the first's edges under `&`, are compared with a breadth-first
+search over Python sets.
 """
 
 import copy
@@ -542,9 +543,11 @@ def test_labeling_as_parsed_equals_labeling_the_grounded_tree(seed):
 
 # --- 64-bit word boundaries ---------------------------------------------------------
 
-MOVE_E = Move(R, Direction.E)
+MOVE_E, MOVE_LE = Move(R, Direction.E), Move(L, Direction.E)
+# Under `&` the superset, move(R,E), is the left operand, so rows that read
+# only the left operand give move(R,E)'s labels.
 MODALITIES = ("<move(R,E)*>", "[move(R,E)*]", "<(move(R,E) ; move(R,E))*>",
-              "[move(R,E) & move(R,E)]")
+              "[move(R,E) & move(R,E)]", "[move(R,E) & move(L,E)]", "<move(R,E) & move(L,E)>")
 BOUNDARY_SIGNS = "".join(f"sign S{i} := {sign} .\n" for i, sign in enumerate(
     f"{modality} {body}" for body in ("touch(R,L)", "!touch(R,L)") for modality in MODALITIES))
 KLEENE_ORDER = {F: 0, U: 1, T: 2}
@@ -555,30 +558,34 @@ def boundary_model(shape: str, n: int) -> tuple[UtteranceModel, dict[int, ThreeV
     a move(R,E) cycle of n states, and the value of touch(R,L) at each
     state. Seeded: it is listed True at up to three states, one in the
     upper half, and Unknown at n // 16 others; as many more do not observe
-    L, so it is Unknown there too, and it is False everywhere else."""
+    L, so it is Unknown there too, and it is False everywhere else. A
+    seeded third to two thirds of the move(R,E) edges are move(L,E) edges
+    too."""
     rng = random.Random(2 * n + (shape == "cycle"))
     edges = frozenset((s, s + 1) for s in range(n - 1))
     edges, loop = (edges | {(n - 1, 0)}, set()) if shape == "cycle" else (edges, {(n - 1, n - 1)})
     true = {rng.randrange(n // 2, n), *rng.sample(range(n), 2)}
     unknown = rng.sample(sorted(set(range(n)) - true), 2 * (n // 16))
     listed = [(s, T) for s in true] + [(s, U) for s in unknown[::2]]
+    left = sorted(edges)
+    left = frozenset(rng.sample(left, rng.randrange(len(left) // 3, 2 * len(left) // 3)))
     model = UtteranceModel(
         state_count=n,
         relation=edges | loop,
-        action_interp={MOVE_E: edges},
+        action_interp={MOVE_E: edges, MOVE_LE: left},
         valuation={(s, Touch(R, L)): value for s, value in listed},
         observed=tuple(frozenset({R} if s in unknown[1::2] else {R, L}) for s in range(n)),
     )
     return model, {s: T if s in true else U if s in unknown else F for s in range(n)}
 
 
-def bfs_successors(edges: dict[int, set[int]], action, s: int) -> set[int]:
-    """The states that `action` leads to from `s` over the move(R,E)
-    `edges`; a star is a breadth-first search from `s`."""
+def bfs_successors(edges: dict[Move, dict[int, set[int]]], action, s: int) -> set[int]:
+    """The states that `action` leads to from `s` over `edges`, the
+    successors of each state under each atomic action; a star is a
+    breadth-first search from `s`."""
     kind = type(action)
     if kind is Atomic:
-        assert action.action == MOVE_E
-        return edges.get(s, set())
+        return edges[action.action].get(s, set())
     if kind is Seq:
         return {u for t in bfs_successors(edges, action.left, s)
                 for u in bfs_successors(edges, action.right, t)}
@@ -593,7 +600,7 @@ def bfs_successors(edges: dict[int, set[int]], action, s: int) -> set[int]:
     return seen
 
 
-def bfs_value(edges: dict[int, set[int]], touch: dict[int, ThreeVal], formula, s: int):
+def bfs_value(edges: dict[Move, dict[int, set[int]]], touch: dict[int, ThreeVal], formula, s: int):
     """The strong Kleene value at `s` of a formula over touch(R,L)."""
     kind = type(formula)
     if kind is AtomF:
@@ -619,9 +626,10 @@ def test_labels_match_a_breadth_first_reference_at_word_boundaries(shape, n):
     lexicon = parse_lexicon(BOUNDARY_SIGNS)
     # With no anchor atoms, a sign matches where it is True and is possible where Unknown.
     assert not any(anchor_atoms(entry.formula) for entry in lexicon.entries)
-    edges: dict[int, set[int]] = {}
-    for s, t in model.action_interp[MOVE_E]:
-        edges.setdefault(s, set()).add(t)
+    edges: dict[Move, dict[int, set[int]]] = {}
+    for action, pairs in model.action_interp.items():
+        for s, t in pairs:
+            edges.setdefault(action, {}).setdefault(s, set()).add(t)
     values = {entry.name: [bfs_value(edges, touch, entry.formula, s) for s in range(n)]
               for entry in lexicon.entries}
     expected = [[(name, verdict) for verdict, value in (("match", T), ("possible", U))
