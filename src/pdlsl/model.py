@@ -19,10 +19,13 @@ Its one modal operator, `<α>`, follows the PDL reductions with `<α*>` as
 backward reachability (Lange 2006, "Model checking propositional dynamic
 logic with all extras"; Cleaveland & Steffen 1993, "A linear-time
 model-checking algorithm for the alternation-free modal mu-calculus");
-boxes are its duals. It keeps only predecessor rows, and reads any other
-relation per target state. `eval_formula`, `eval_two_valued`,
-`atom_value`, `interpret_action`, `pdlsl eval` and the verification loop
-in `check` all read its labels, and it alone refuses D and W.
+boxes are its duals. It stores only the edge sets of atomic and `&`
+actions, and labels `<α>` of one with a shift-and per edge offset
+(Baeza-Yates & Gonnet 1992, "A new approach to text searching") or, for
+few targets, an OR of predecessor rows; any other relation is read per
+target state. `eval_formula`, `eval_two_valued`, `atom_value`,
+`interpret_action`, `pdlsl eval` and the verification loop in `check`
+all read its labels, and it alone refuses D and W.
 
 A model file is read by `model_from_json`, which checks it against the
 model table of `schema` and builds the model in the same walk; what is not
@@ -68,21 +71,8 @@ from .core import (
 )
 from .errors import ParseError, Record, UngroundedFormula, UnknownState
 from .parsing import parse_atom, parse_atomic_action, print_atom, print_atomic_action
-from .schema import (
-    Invalid,
-    array,
-    boolean,
-    check,
-    choice,
-    const,
-    fixed,
-    given,
-    integer,
-    number,
-    optional,
-    string,
-    table,
-)
+from .schema import (Invalid, array, boolean, check, choice, const, fixed, given, integer, number,
+                     optional, string, table)
 
 Pair = tuple[int, int]
 
@@ -335,9 +325,9 @@ class _Labeler:
     The one modal operator is `<α>`, labeled by `pre`; a box is its dual,
     `[α]X = !<α>!X`. `<α;β>Y = <α><β>Y`, `<α|β>Y = <α>Y \\/ <β>Y` and
     `<α*>Y` is backward reachability from Y (Lange 2006; Cleaveland &
-    Steffen 1993). The only stored relations are the predecessor rows of
-    atomic and `&` actions, kept by `_stored`; the rows of any other action,
-    such as a star under `&`, are read per target state `t` as `<α>{t}`."""
+    Steffen 1993). Only atomic and `&` actions are stored, by `_stored`; any
+    other action under `&`, such as a star, is read per target state `t` as
+    `<α>{t}`."""
 
     def __init__(self, model: UtteranceModel, closed_world: bool | None = None,
                  handedness: Handedness | None = None):
@@ -345,7 +335,7 @@ class _Labeler:
         self.full = (1 << model.state_count) - 1
         self.closed_world = closed_world
         self.handedness = handedness
-        self._pred: dict[Action, tuple[dict[int, int], int]] = {}
+        self._pred: dict[Action, tuple[frozenset[Pair], int, int, dict, dict]] = {}
         self._labels: dict[Formula, tuple[int, int]] = {}
         self._anchors: dict[Formula, tuple[int, int]] = {}
 
@@ -430,7 +420,11 @@ class _Labeler:
         return reached
 
     def pre(self, action: Action, targets: int) -> int:
-        """<α>Y: the states with an α-successor in `targets`."""
+        """<α>Y: the states with an α-successor in `targets`. A stored action
+        ORs `(Y >> d) & sources` over its edge offsets d, where `sources` is
+        the bitset of the sources s of its edges (s, s + d); when fewer states
+        of Y have a predecessor than it has offsets other than 0, it ORs their
+        predecessor rows instead."""
         kind = type(action)
         if kind is Seq:
             return self.pre(action.left, self.pre(action.right, targets))
@@ -441,39 +435,45 @@ class _Labeler:
             if type(body) is Star:  # (α*)* = α*
                 return self.pre(body, targets)
             return self.reach(body, targets)
-        rows, has_pred = self._stored(action)
-        found = 0
-        for t in _members(targets & has_pred):
-            found |= rows[t]
+        pairs, has_pred, shifts, rows, diagonals = self._pred.get(action) or self._stored(action)
+        hit, found = targets & has_pred, 0
+        if hit.bit_count() < shifts:  # fewer targets than offsets to shift: OR their rows
+            if hit and not rows:
+                for s, t in pairs:
+                    rows[t] = rows.get(t, 0) | 1 << s
+            for t in _members(hit):
+                found |= rows[t]
+            return found
+        if not diagonals:
+            sources: dict[int, list[int]] = {}
+            for s, t in pairs:
+                sources.setdefault(t - s, []).append(s)
+            diagonals.update((d, _bitset(ss, self.model.state_count)) for d, ss in sources.items())
+        for d, diagonal in diagonals.items():
+            found |= (targets >> d if d >= 0 else targets << -d) & diagonal
         return found
 
-    def rows(self, action: Action) -> dict[int, int]:
-        """α's predecessor rows: each state with an α-predecessor, mapped to
-        the bitset of its predecessors. Those of an atomic or `&` action are
-        stored; any other action's are read per target state `t` as `<α>{t}`."""
-        if isinstance(action, (Seq, Choice, Star)):
-            pre = self.pre
-            return {t: bits for t in self.model.states() if (bits := pre(action, 1 << t))}
-        return self._stored(action)[0]
-
-    def _stored(self, action: Action) -> tuple[dict[int, int], int]:
-        """An atomic or `&` action's rows, built once from the action's edges
-        or as the intersection of its operands' rows, with the bitset of the
-        states that have a predecessor."""
+    def _stored(self, action: Action) -> tuple[frozenset[Pair], int, int, dict, dict]:
+        """An atomic or `&` action's edge set, the bitset of the states with a
+        predecessor, the number of its edge offsets other than 0, and the rows
+        and diagonals `pre` fills on first use. An `&` of two stored actions
+        intersects their edge sets; any other reads its operands per target."""
         stored = self._pred.get(action)
         if stored is None:
             match action:
                 case Atomic(a):
-                    rows = {}
-                    for s, t in self.model.action_interp.get(self.leaf(a), ()):
-                        rows[t] = rows.get(t, 0) | 1 << s
+                    pairs = frozenset(self.model.action_interp.get(self.leaf(a), ()))
+                case Concurrent(Atomic() | Concurrent() as l, Atomic() | Concurrent() as r):
+                    pairs = self._stored(l)[0] & self._stored(r)[0]
                 case Concurrent(l, r):
-                    right = self.rows(r)
-                    rows = {t: both for t, bits in self.rows(l).items()
-                            if (both := bits & right.get(t, 0))}
+                    pre = self.pre
+                    pairs = frozenset((s, t) for t in self.model.states()
+                                      for s in _members(pre(l, 1 << t) & pre(r, 1 << t)))
                 case _:
                     raise TypeError(f"not an action node: {action!r}")
-            stored = self._pred[action] = rows, _bitset(list(rows), self.model.state_count)
+            offsets = {t - s for s, t in pairs}
+            has_pred = _bitset({t for _, t in pairs}, self.model.state_count)
+            stored = self._pred[action] = pairs, has_pred, len(offsets) - (0 in offsets), {}, {}
         return stored
 
 
@@ -513,8 +513,10 @@ def _members(bits: int) -> Iterator[int]:
 def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
     """The set of state pairs the action relates. Star is the reflexive
     transitive closure, with identity pairs over every state; D and W are refused."""
-    rows = _Labeler(model).rows(action)
-    return frozenset((s, t) for t, bits in rows.items() for s in _members(bits))
+    labeler = _Labeler(model)
+    if isinstance(action, (Atomic, Concurrent)):
+        return frozenset(labeler._stored(action)[0])
+    return frozenset((s, t) for t in model.states() for s in _members(labeler.pre(action, 1 << t)))
 
 
 def _value(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:
@@ -568,12 +570,8 @@ def model_to_json(model: UtteranceModel) -> dict[str, Any]:
         for s in _members(states)
     )
     valuation = [{"state": s, "atom": text, "value": value} for s, text, value in cells]
-    observed = [
-        sorted(a.value for a in model.observed_at(s)) for s in model.states()
-    ]
-    configs = [
-        {h.value: model.config_at(s).get(h) for h in _HANDS} for s in model.states()
-    ]
+    observed = [sorted(a.value for a in model.observed_at(s)) for s in model.states()]
+    configs = [{h.value: model.config_at(s).get(h) for h in _HANDS} for s in model.states()]
     return {
         "format": 1,
         "states": model.state_count,

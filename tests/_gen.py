@@ -3,13 +3,16 @@ as oracles. The reference evaluators read each listed cell through the
 valuation's `(state, atom)` mapping view, never the labeler's defaults,
 and compute action relations with explicit loops and boolean matrix
 powering, so they share no code path with the implementations they
-check."""
+check. A second reference, the `bfs_` functions, scales to thousands of
+states: it reads plain dicts and sets, searches each star breadth-first
+and uses no `pdlsl.model` code."""
 
 from __future__ import annotations
 
 import copy
 import math
 import random
+from collections import deque
 
 from pdlsl import (
     TOP,
@@ -42,6 +45,8 @@ from pdlsl import (
     Touch,
     UtteranceModel,
     Vec2,
+    anchor_atoms,
+    ground,
 )
 
 R, L = Articulator.RIGHT, Articulator.LEFT
@@ -243,6 +248,98 @@ def _ref3(model: UtteranceModel, state: int, formula: Formula) -> str:
                 out = _AND_TABLE[(out, _ref3(model, t, formula.body))]
         return out
     raise TypeError(formula)
+
+
+# --- A reference that scales ---------------------------------------------------
+#
+# It takes a model as plain data: the listed cells as a dict from `(state,
+# atom)` to the value, and the edges of each atomic action. It keeps Python
+# sets, one dict per atomic action from each state to the states it is
+# reached from, and the strong Kleene tables above, and it searches each
+# star once per label breadth-first. It uses no int as a bitset and no
+# `pdlsl.model` code, so it can check the labeler at sizes where the matrix
+# oracle cannot run.
+
+Predecessors = dict[AtomicAction, dict[int, set[int]]]
+
+
+def bfs_predecessors(edges: dict[AtomicAction, frozenset[tuple[int, int]]]) -> Predecessors:
+    """For each atomic action, each state mapped to the states it is reached from."""
+    preds: Predecessors = {}
+    for action, pairs in edges.items():
+        per_state = preds.setdefault(action, {})
+        for s, t in pairs:
+            per_state.setdefault(t, set()).add(s)
+    return preds
+
+
+def bfs_pre(preds: Predecessors, action: Action, targets: set[int]) -> set[int]:
+    """The states with an `action`-successor in `targets`. A star is one
+    breadth-first search backwards from `targets`; `&` is read per target."""
+    if isinstance(action, Atomic):
+        per_state = preds.get(action.action, {})
+        return set().union(*(per_state.get(t, ()) for t in targets))
+    if isinstance(action, Seq):
+        return bfs_pre(preds, action.left, bfs_pre(preds, action.right, targets))
+    if isinstance(action, Choice):
+        return bfs_pre(preds, action.left, targets) | bfs_pre(preds, action.right, targets)
+    if isinstance(action, Concurrent):
+        return {s for t in targets
+                for s in bfs_pre(preds, action.left, {t}) & bfs_pre(preds, action.right, {t})}
+    if isinstance(action, Star):
+        seen, queue = set(targets), deque(targets)
+        while queue:
+            for s in bfs_pre(preds, action.body, {queue.popleft()}) - seen:
+                seen.add(s)
+                queue.append(s)
+        return seen
+    raise TypeError(action)
+
+
+def bfs_pairs(preds: Predecessors, n: int, action: Action) -> frozenset[tuple[int, int]]:
+    """The pairs `action` relates over the states 0..n-1, read per target."""
+    return frozenset((s, t) for t in range(n) for s in bfs_pre(preds, action, {t}))
+
+
+def bfs_values(preds: Predecessors, cells: dict, n: int, formula: Formula) -> list[str]:
+    """The value of a grounded formula at each state, as "t", "f" or "u",
+    reading every atom from `cells`. `[α]φ` is False where some
+    α-successor is False, else Unknown where some α-successor is Unknown,
+    else True: the Kleene AND over the successors."""
+    if isinstance(formula, type(TOP)):
+        return ["t"] * n
+    if isinstance(formula, AtomF):
+        return [_CODE[cells[s, formula.atom]] for s in range(n)]
+    if isinstance(formula, Not):
+        return [_NOT_TABLE[v] for v in bfs_values(preds, cells, n, formula.body)]
+    if isinstance(formula, And):
+        left = bfs_values(preds, cells, n, formula.left)
+        return [_AND_TABLE[pair] for pair in zip(left, bfs_values(preds, cells, n, formula.right))]
+    if isinstance(formula, Box):
+        body = bfs_values(preds, cells, n, formula.body)
+        false, unknown = (bfs_pre(preds, formula.action, {s for s, v in enumerate(body) if v == code})
+                          for code in "fu")
+        return ["f" if s in false else "u" if s in unknown else "t" for s in range(n)]
+    raise TypeError(formula)
+
+
+def bfs_verdicts(preds: Predecessors, cells: dict, n: int, lexicon, handedness) -> list:
+    """Per state, the `(sign, verdict)` pairs of `verify`: a sign grounded
+    for `handedness` is dropped where it or one of its anchor atoms is
+    False, matches where all of them are True, and is possible otherwise;
+    matches come first, each group in lexicon order."""
+    signs = []
+    for entry in lexicon.entries:
+        formula = ground(entry.formula, handedness)
+        tables = [bfs_values(preds, cells, n, f)
+                  for f in (formula, *map(AtomF, anchor_atoms(formula)))]
+        signs.append((entry.name, tables))
+    per_state = []
+    for s in range(n):
+        codes = [(name, {table[s] for table in tables}) for name, tables in signs]
+        per_state.append([(name, "match") for name, c in codes if c == {"t"}]
+                         + [(name, "possible") for name, c in codes if "f" not in c and "u" in c])
+    return per_state
 
 
 # --- Tracking documents --------------------------------------------------------

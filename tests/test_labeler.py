@@ -6,11 +6,11 @@ of `_gen` on seeded 30-60 state models, and `&` over `*`, `;` and `|`, and
 `atom_value` are compared with the documented defaults, written out state
 by state in `_reference_atom_value` from a plain dict of the listed cells,
 on models built in code and on seeded 30-400 state model files, with and
-without overrides. A counting test checks that `verify`
-stores predecessor rows only for atomic and `&` actions and reads a number
-of rows linear in the length of a star chain. A labeler given the
-signer's handedness labels formulas as parsed, and their anchors, as the
-handless labeler labels the trees `ground` makes. Last, `verify` and
+without overrides. A counting test checks that `verify` stores only
+atomic and `&` actions and builds no predecessor row on a chain, and a
+memory test that its `tracemalloc` peak grows linearly with the chain. A
+labeler given the signer's handedness labels formulas as parsed, and
+their anchors, as the handless labeler labels the trees `ground` makes. Last, `verify` and
 `eval_formula` on chains and cycles of 63-65 and 127-129 states, on
 either side of the labeler's 64-bit words, with a second action on a
 subset of the first's edges under `&`, are compared with a breadth-first
@@ -20,6 +20,7 @@ search over Python sets.
 import copy
 import pickle
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -190,10 +191,11 @@ STAR_UNDER_CONCURRENT = "sign STEP := [move(R,E)* & (move(R,E) ; move(R,E))] at(
 
 
 def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
-    """`verify` of the star signs stores predecessor rows only for atomic
-    and `&` actions, never for a star, `;` or `|`, and reads a number of
-    rows that grows linearly with the chain; a star under `&` is read per
-    target state and still matches the oracle."""
+    """`verify` of the star signs stores only atomic and `&` actions, never
+    a star, `;` or `|`; on a chain, whose one edge offset is 1, it builds
+    no predecessor row and walks no bitset state by state, with or without
+    a star under `&`, which is read per target state and still matches the
+    oracle."""
     labelers, read = [], [0]
     init, members = pdlsl.model._Labeler.__init__, pdlsl.model._members
 
@@ -223,13 +225,37 @@ def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
         labelers.clear()
         report = verify(model, parse_lexicon(text), Handedness.RIGHT_DOMINANT)
         assert stored() == kinds
+        assert not any(rows for labeler in labelers for _, _, _, rows, _ in labeler._pred.values())
         with memoized_oracles():
             assert [[(p.sign, p.verdict) for p in ps] for ps in report.per_state] == (
                 reference_verdicts(model, parse_lexicon(text))
             )
     labelers.clear()
-    assert rows_read(6400) <= 8.8 * rows_read(800)
+    assert rows_read(6400) == rows_read(800) == 0
     assert stored() == {Atomic}
+
+
+ONE_STEP = "sign MEET_NEXT := <move(R,E)> touch(R,L) .\n"
+
+
+@pytest.mark.parametrize("text", [STAR_SIGNS, ONE_STEP], ids=["star_signs", "one_step"])
+def test_verify_memory_grows_linearly_with_a_chain(text):
+    """The `tracemalloc` peak of `verify` grows at most 4.5 times from a
+    6,400-state chain to a 25,600-state one: the labeler keeps its stored
+    actions in space linear in their edges."""
+    lexicon = parse_lexicon(text)
+
+    def peak(n: int) -> int:
+        model = chain(n)
+        tracemalloc.start()
+        try:
+            verify(model, lexicon, Handedness.RIGHT_DOMINANT)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(6400), peak(25600)
+    assert large <= 4.5 * small, (small, large)
 
 
 def nested_stars(depth: int) -> str:
