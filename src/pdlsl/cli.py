@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 from .core import Handedness
 from .errors import AliasCollision, ConfigError, Diagnostic, PdlslError, Record, load_json, load_text
 from .model import (
-    SEGMENTATION_FIELDS,
+    SEGMENTATION,
     SegmentationParams,
     _Labeler,
     _value,
@@ -53,9 +53,7 @@ _CONFIG = table("config", {
     "dominant": optional(choice({h.value: h for h in Handedness}), Handedness.RIGHT_DOMINANT),
     "mirrored": optional(boolean()),  # None: use the tracking file's flag
     "placemap": optional(string(_geometry("load_place_map"))),
-    "segmentation": optional(
-        table("segmentation", SEGMENTATION_FIELDS, SegmentationParams), SegmentationParams()
-    ),
+    "segmentation": optional(SEGMENTATION, SegmentationParams()),
     "format": optional(choice({"json": "json", "table": "table"}), "json"),
     "body_origin": optional(_geometry("VEC")),
     "body_scale": optional(number(positive=True, build=float)),

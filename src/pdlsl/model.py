@@ -456,13 +456,18 @@ class _Labeler:
     def _stored(self, action: Action) -> tuple[frozenset[Pair], int, int, dict, dict]:
         """An atomic or `&` action's edge set, the bitset of the states with a
         predecessor, the number of its edge offsets other than 0, and the rows
-        and diagonals `pre` fills on first use. An `&` of two stored actions
-        intersects their edge sets; any other reads its operands per target."""
+        and diagonals `pre` fills on first use. An atomic action whose leaf
+        grounds to another is filed under the record of the grounded one. An
+        `&` of two stored actions intersects their edge sets; any other reads
+        its operands per target."""
         stored = self._pred.get(action)
         if stored is None:
             match action:
+                case Atomic(a) if (grounded := self.leaf(a)) is not a:
+                    stored = self._pred[action] = self._stored(Atomic(grounded))
+                    return stored
                 case Atomic(a):
-                    pairs = frozenset(self.model.action_interp.get(self.leaf(a), ()))
+                    pairs = frozenset(self.model.action_interp.get(a, ()))
                 case Concurrent(Atomic() | Concurrent() as l, Atomic() | Concurrent() as r):
                     pairs = self._stored(l)[0] & self._stored(r)[0]
                 case Concurrent(l, r):
@@ -513,10 +518,8 @@ def _members(bits: int) -> Iterator[int]:
 def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
     """The set of state pairs the action relates. Star is the reflexive
     transitive closure, with identity pairs over every state; D and W are refused."""
-    labeler = _Labeler(model)
-    if isinstance(action, (Atomic, Concurrent)):
-        return frozenset(labeler._stored(action)[0])
-    return frozenset((s, t) for t in model.states() for s in _members(labeler.pre(action, 1 << t)))
+    pre = _Labeler(model).pre
+    return frozenset((s, t) for t in model.states() for s in _members(pre(action, 1 << t)))
 
 
 def _value(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:
@@ -654,12 +657,12 @@ def _model(_format, states, relation, actions, valuation, observed, configs, met
 _PAIRS = array(fixed("[src, dst]", 2, integer()), build=frozenset)
 _HAND = choice({h.value: h for h in _HANDS})
 #: The segmentation thresholds a model's `meta` records, and a run
-#: configuration sets; every key is optional and defaults as in
-#: `SegmentationParams`.
-SEGMENTATION_FIELDS = {
+#: configuration sets, checked by `SegmentationParams`; every key is optional
+#: and defaults as there.
+SEGMENTATION = table("segmentation", {
     name: optional(integer() if type(default) is int else number(), default)
     for name, default in SegmentationParams._defaults.items()
-}
+}, SegmentationParams)
 _MODEL = table("model", {
     "format": const(1),
     "states": integer(1),
@@ -675,7 +678,7 @@ _MODEL = table("model", {
     "meta": optional(table("meta", {
         "fps": optional(number(positive=True)),
         "mirrored": optional(boolean()),
-        "segmentation": optional(table("segmentation", SEGMENTATION_FIELDS)),
+        "segmentation": optional(SEGMENTATION),
     }), {}),
 }, _model)
 
@@ -684,5 +687,6 @@ def model_from_json(obj: Any) -> UtteranceModel:
     """A model from its JSON structure, checked against the model table.
     Beyond shape, a file that lists one `(state, atom)` cell twice with
     different values, or one action twice with different edges, is refused,
-    and so are the hand aliases `D` and `W`, which a model never uses."""
+    and so are the hand aliases `D` and `W`, which a model never uses, and
+    segmentation thresholds that `SegmentationParams` refuses."""
     return check(_MODEL, obj)

@@ -1,14 +1,15 @@
 """One checker for the JSON input files.
 
-Each format is a table of nodes made by the constructors below. A node is a
-function that takes a decoded JSON value and returns its result or raises
-`Invalid`. Values are accepted by exact JSON type, so `true` is never an
-integer and `1.0` never the integer 1, and a `table` refuses every key it
-does not name. A `build` function given to a node makes the program's value
-out of the checked one; a `ValueError` or `OverflowError` it raises is
-reported at that node. Nodes keep no position while the input is valid: each
-container an `Invalid` passes on its way out adds its key or index, and
-`check` turns that path into an RFC 6901 JSON pointer only then.
+Each format is a table of nodes made by the constructors below. A node is
+only a function: it takes a decoded JSON value and returns its result or
+raises `Invalid`, and a table calls each of its nodes. Values are accepted
+by exact JSON type, so `true` is never an integer and `1.0` never the
+integer 1, and a `table` refuses every key it does not name. A `build`
+function given to a node makes the program's value out of the checked one;
+a `ValueError` or `OverflowError` it raises is reported at that node. Nodes
+keep no position while the input is valid: each container an `Invalid`
+passes on its way out adds its key or index, and `check` turns that path
+into an RFC 6901 JSON pointer only then.
 """
 
 from __future__ import annotations
@@ -63,15 +64,8 @@ def _leaf(types: set[type], expected: str, test: Callable | None = None,
     def node(value: Any) -> Any:
         if type(value) not in types or test is not None and not test(value):
             raise Invalid(f"expected {expected}")
-        if build is None:
-            return value
-        try:
-            return build(value)
-        except (ValueError, OverflowError) as exc:
-            raise Invalid(str(exc)) from None
+        return value if build is None else _build(build, value)
 
-    if test is None and build is None:
-        node.plain = (types, expected)  # a table tests the type in place of the call
     return node
 
 
@@ -197,10 +191,11 @@ def table(label: str, fields: Mapping[str, Node | _Optional | _Given],
     `build` of the keys' results in table order, with `build=tuple` their
     tuple, and without `build` the object itself.
 
-    The check is generated as straight-line Python, one block per key,
-    because it runs once per row of the largest lists, where a loop over the
-    keys made `model_from_json` about a fifth slower. It is compiled when
-    the table is built, and the compiled function is the node."""
+    The check is generated as straight-line Python, one block per key that
+    calls the key's node, because it runs once per row of the largest lists,
+    where a loop over the keys made `model_from_json` about a fifth slower.
+    It is compiled when the table is built, and the compiled function is the
+    node."""
     env = {"Invalid": Invalid, "ABSENT": object(), "build": build, "names": frozenset(fields)}
     env["unknown"] = partial(_unknown, label, env["names"])
     code = ["def check(value):",
@@ -223,10 +218,6 @@ def table(label: str, fields: Mapping[str, Node | _Optional | _Given],
             env[f"node{i}"] = field.node
             results = "".join(f", v{list(fields).index(key)}" for key in field.keys)
             code.append(f"{indent}v{i} = node{i}(v{i}{results})")
-        elif hasattr(field, "plain"):
-            env[f"types{i}"], expected = field.plain
-            code += [f"{indent}if type(v{i}) not in types{i}:",
-                     f"{indent}    raise Invalid({'expected ' + expected!r})"]
         else:
             env[f"node{i}"] = field
             code.append(f"{indent}v{i} = node{i}(v{i})")

@@ -5,7 +5,8 @@ and compute action relations with explicit loops and boolean matrix
 powering, so they share no code path with the implementations they
 check. A second reference, the `bfs_` functions, scales to thousands of
 states: it reads plain dicts and sets, searches each star breadth-first
-and uses no `pdlsl.model` code."""
+and uses no `pdlsl.model` code. The mirror helpers turn a tracking document
+into the signer's mirror image and rename a model to match it."""
 
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from pdlsl import (
     Vec2,
     anchor_atoms,
     ground,
+    mirror_direction,
 )
 
 R, L = Articulator.RIGHT, Articulator.LEFT
@@ -487,6 +489,78 @@ def gen_tracking(rng: random.Random) -> tuple[dict, dict]:
         doc["mirrored"] = mirrored
     return doc, options
 
+
+# --- Mirror images -------------------------------------------------------------
+
+
+def _negated(point):
+    return point if point is None else [-point[0], point[1]]
+
+
+def negate_x(doc: dict) -> dict:
+    """A copy of a tracking document with the x of every head and hand
+    position negated, faults included."""
+    frames = []
+    for frame in doc["frames"]:
+        frame = dict(frame)
+        if "head" in frame:
+            frame["head"] = _negated(frame["head"])
+        for key in ("right", "left"):
+            if frame.get(key) and "pos" in frame[key]:
+                frame[key] = dict(frame[key], pos=_negated(frame[key]["pos"]))
+        frames.append(frame)
+    return dict(doc, frames=frames)
+
+
+def mirror_tracking(doc: dict) -> dict:
+    """The tracking document of the signer's mirror image: every x negated
+    (the head's too), the `right` and `left` tracks swapped, and each
+    labelled orientation mirrored."""
+    frames = []
+    for frame in negate_x(doc)["frames"]:
+        mirrored = {key: value for key, value in frame.items() if key not in ("right", "left")}
+        for key, other in (("right", "left"), ("left", "right")):
+            if other in frame:
+                hand = frame[other]
+                if hand and hand.get("orient") is not None:
+                    hand = dict(hand, orient=mirror_direction(Direction[hand["orient"]]).name)
+                mirrored[key] = hand
+        frames.append(mirrored)
+    return dict(doc, frames=frames)
+
+
+_OTHER_HAND = {R: L, L: R}
+
+
+def mirror_leaf(leaf: Atom | AtomicAction) -> Atom | AtomicAction:
+    """A grounded atom or atomic action renamed for the mirror image: R and
+    L swapped, each direction by `mirror_direction`, and an `R_` place
+    named `L_` and the reverse."""
+    fields = []
+    for value in leaf._astuple():
+        if type(value) is Articulator:
+            value = _OTHER_HAND[value]
+        elif type(value) is Direction:
+            value = mirror_direction(value)
+        elif type(leaf) is At and value[:2] in ("R_", "L_"):
+            value = {"R": "L", "L": "R"}[value[0]] + value[1:]
+        fields.append(value)
+    return type(leaf)(*fields)
+
+
+def mirror_model(model: UtteranceModel) -> UtteranceModel:
+    """The model renamed by `mirror_leaf`, with the hands of `observed` and
+    `configs` swapped; states, edges and `meta` are kept."""
+    return UtteranceModel(
+        state_count=model.state_count,
+        relation=model.relation,
+        action_interp={mirror_leaf(a): pairs for a, pairs in model.action_interp.items()},
+        valuation={(s, mirror_leaf(atom)): value for (s, atom), value in model.valuation.items()},
+        observed=tuple(frozenset(map(_OTHER_HAND.get, hands)) for hands in model.observed),
+        config_observed=tuple({_OTHER_HAND[h]: label for h, label in per_hand.items()}
+                              for per_hand in model.config_observed),
+        meta=model.meta,
+    )
 
 
 def vocabulary(model: UtteranceModel, place_map: PlaceMap) -> tuple[Atom, ...]:

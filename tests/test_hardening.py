@@ -246,6 +246,21 @@ def test_model_file_with_non_object_segmentation_is_refused(segmentation, tmp_pa
     assert code == 1 and one_line_error(err) and "/meta/segmentation" in err
 
 
+@pytest.mark.parametrize("thresholds, message", [
+    ({"min_still": 0}, "frame counts must be at least 1"),
+    ({"tau_still": -1}, "thresholds must be positive"),
+], ids=["min_still 0", "tau_still -1"])
+def test_model_file_with_invalid_segmentation_thresholds_is_refused(thresholds, message, tmp_path,
+                                                                    capsys):
+    # The run configuration's threshold rules hold for a model's `meta` too.
+    path = inconsistent_model(tmp_path, lambda doc: doc["meta"]["segmentation"].update(thresholds))
+    code, err = run(["check", path, EXAMPLES / "route.pdlsl"], capsys)
+    assert code == 1 and stderr_records(err) == [
+        {"diagnostic": "schema-error", "severity": "error",
+         "message": f"{path}: /meta/segmentation: {message}", "file": str(path),
+         "pointer": "/meta/segmentation"}]
+
+
 def test_model_refuses_valuation_outside_its_states():
     # Checked at construction, so every way of building a model is covered.
     with pytest.raises(ValueError, match="state 2"):

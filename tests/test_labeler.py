@@ -7,7 +7,8 @@ of `_gen` on seeded 30-60 state models, and `&` over `*`, `;` and `|`, and
 by state in `_reference_atom_value` from a plain dict of the listed cells,
 on models built in code and on seeded 30-400 state model files, with and
 without overrides. A counting test checks that `verify` stores only
-atomic and `&` actions and builds no predecessor row on a chain, and a
+atomic and `&` actions and builds no predecessor row on a chain, another
+that an action written with D/W and with R/L is stored once, and a
 memory test that its `tracemalloc` peak grows linearly with the chain. A
 labeler given the signer's handedness labels formulas as parsed, and
 their anchors, as the handless labeler labels the trees `ground` makes. Last, `verify` and
@@ -233,6 +234,35 @@ def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
     labelers.clear()
     assert rows_read(6400) == rows_read(800) == 0
     assert stored() == {Atomic}
+
+
+def test_an_action_written_with_aliases_and_with_hands_is_stored_once(monkeypatch):
+    """For a right-dominant signer `move(D,E)` and `move(R,E)` are one
+    action: the labeler files both keys under one record, whose edge set
+    and diagonals are built once, and the verdicts are those of the
+    lexicon written with hands only."""
+    built = [0]
+    bitset = pdlsl.model._bitset
+
+    def counting(states, state_count):
+        built[0] += 1
+        return bitset(states, state_count)
+
+    model = chain(40)
+    monkeypatch.setattr(pdlsl.model, "_bitset", counting)
+    labeler = Labeler(model, None, Handedness.RIGHT_DOMINANT)
+    aliased = parse_lexicon("sign NEXT := <move(D,E)> touch(R,L) .\n"
+                            "sign STAY_APART := [move(R,E)*] !touch(R,L) .\n")
+    for entry in aliased.entries:
+        labeler.formula(entry.formula)
+    assert labeler._pred.keys() == {Atomic(Move(D, Direction.E)), Atomic(Move(R, Direction.E))}
+    assert len({id(record) for record in labeler._pred.values()}) == 1
+    # One `has_pred` bitset and one diagonal, for the one edge offset.
+    assert built[0] == 2
+    handed = parse_lexicon("sign NEXT := <move(R,E)> touch(R,L) .\n"
+                           "sign STAY_APART := [move(R,E)*] !touch(R,L) .\n")
+    assert [labeler.formula(e.formula) for e in aliased.entries] == [
+        Labeler(model).formula(e.formula) for e in handed.entries]
 
 
 ONE_STEP = "sign MEET_NEXT := <move(R,E)> touch(R,L) .\n"

@@ -320,6 +320,9 @@ def test_place_map_decode_error_names_the_file(tmp_path, capsys):
     ({"segmentation": {"min_still": 0}}, "/segmentation: frame counts must be at least 1"),
     ({"placemap": 3}, "/placemap: expected a string"),
     ([], "/: expected an object"),
+    ({"segmentation": {"tau_still": -1}}, "/segmentation: thresholds must be positive"),
+    ({"segmentation": {"touch_unknown_band": -0.5}},
+     "/segmentation: touch_unknown_band must be nonnegative"),
 ])
 def test_config_errors_carry_a_pointer(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
