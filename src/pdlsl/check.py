@@ -15,19 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import defaultdict
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from .core import (
-    And,
-    Atom,
-    AtomF,
-    Formula,
-    Handedness,
-    Not,
-    ground_atom,
-)
+from .core import And, Atom, AtomF, Formula, Handedness, Not, ground_atom
 from .errors import AliasCollision, ParseError, Record, SourceSpan, UnknownState
 from .model import ThreeVal, UtteranceModel, _Labeler, _members
 from .parsing import LexiconFile, parse_atom, print_atom
@@ -152,11 +143,8 @@ def verify(
     if overrides:
         model = apply_overrides(model, overrides, handedness)
     labels = _Labeler(model, None, handedness)
-    # Lists only for the states a sign is proposed at, of `proposals` indices.
-    matches: defaultdict[int, list[int]] = defaultdict(list)
-    possibles: defaultdict[int, list[int]] = defaultdict(list)
-    proposals = [Proposal(e.name, v) for v in (MATCH, POSSIBLE) for e in lexicon.entries]
-    for as_match, entry in enumerate(lexicon.entries):
+    labeled = []
+    for entry in lexicon.entries:
         try:
             lo, hi = labels.formula(entry.formula)
         except AliasCollision as exc:
@@ -164,15 +152,18 @@ def verify(
             raise AliasCollision(message, exc.atom) from None
         anchor_lo, anchor_hi = labels.anchor(entry.formula)
         lo &= anchor_lo
-        hi &= anchor_hi
-        as_possible = as_match + len(lexicon.entries)
-        for state in _members(lo):
-            matches[state].append(as_match)
-        for state in _members(hi & ~lo):
-            possibles[state].append(as_possible)
+        labeled.append((entry.name, lo, hi & anchor_hi & ~lo))
+    # A proposal only for a (sign, verdict) that some state holds: each sign's match, then each
+    # sign's possible. One list per state, of indices of `held`, is filled in one pass.
+    held = [(Proposal(sign[0], verdict), sign[at]) for verdict, at in ((MATCH, 1), (POSSIBLE, 2))
+            for sign in labeled if sign[at]]
+    keys = [[] for _ in range(model.state_count)]
+    for i, (_, states) in enumerate(held):
+        for state in _members(states):
+            keys[state].append(i)
     # States with equal proposals share one tuple, built once, which keeps reports small.
-    keys = [tuple(matches.get(state, []) + possibles.get(state, []))
-            for state in range(model.state_count)]
+    keys = list(map(tuple, keys))
+    proposals = [proposal for proposal, _ in held]
     rows = {key: tuple(map(proposals.__getitem__, key)) for key in dict.fromkeys(keys)}
     per_state = tuple(map(rows.__getitem__, keys))
 

@@ -24,23 +24,8 @@ import operator
 from collections.abc import Iterable
 from typing import Any
 
-from .core import (
-    Action,
-    Articulator,
-    At,
-    Atom,
-    Atomic,
-    AtomicAction,
-    Concurrent,
-    Config,
-    Direction,
-    Move,
-    Orient,
-    RelDir,
-    Thrill,
-    Touch,
-    iter_atomic_actions,
-)
+from .core import (Action, Articulator, At, Atom, Atomic, AtomicAction, Concurrent, Config,
+                   Direction, Move, Orient, RelDir, Thrill, Touch, iter_atomic_actions)
 from .errors import Diagnostic, NonFinite, NonMonotoneTimestamps, Record
 from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, classify_direction, relative_direction
 from .model import _HANDS, SegmentationParams, ThreeVal, UtteranceModel, Valuation
@@ -521,7 +506,8 @@ def build_model(
     three collapses into a self-loop on the single shared state. A
     transition with no label (no hand moved) and the self-loop that the
     final state gets, so every state has a successor, are edges of the
-    relation in no action's interpretation.
+    relation in no action's interpretation. The edges go to the model as
+    lists of pairs, which it reads into bitsets by offset (`model.Edges`).
     """
     params = params or SegmentationParams()
     place_map = place_map or DEFAULT_PLACE_MAP
@@ -552,19 +538,19 @@ def build_model(
     valuations, observed, configs = zip(*states)
 
     state_count = len(states)
-    relation = {(s, t) for s, t, _ in edges}
-    relation.add((state_count - 1, state_count - 1))  # seriality repair
-    interp: dict[AtomicAction, set[tuple[int, int]]] = {}
+    relation = [(s, t) for s, t, _ in edges]
+    relation.append((state_count - 1, state_count - 1))  # seriality repair
+    interp: dict[AtomicAction, list[tuple[int, int]]] = {}
     for s, t, label in edges:
         if label is None:
             continue
         for atomic in iter_atomic_actions(label):
-            interp.setdefault(atomic, set()).add((s, t))
+            interp.setdefault(atomic, []).append((s, t))
 
     return UtteranceModel(
         state_count=state_count,
-        relation=frozenset(relation),
-        action_interp={a: frozenset(pairs) for a, pairs in interp.items()},
+        relation=relation,
+        action_interp=interp,
         valuation=Valuation.of(state_count, (
             ((s, atom), value) for s, val in enumerate(valuations) for atom, value in val.items()
         )),

@@ -4,10 +4,12 @@ A model is a finite serial transition system over integer states, with an
 interpretation of atomic actions as edge sets and a three-valued atomic
 valuation. Formulas follow standard relational box semantics with strong
 Kleene connectives, so missing tracking data degrades answers to Unknown
-instead of guessing. The valuation is held in one form from the model file
-or extraction to the labeler: per atom, the bitsets of the states listed
-True, Unknown and False (`Valuation`), which also reads as a mapping from
-`(state, atom)` to the value.
+instead of guessing. The valuation and the edges are each held in one form
+from the model file or extraction to the labeler: per atom, the bitsets of
+the states listed True, Unknown and False (`Valuation`), which reads as a
+mapping from `(state, atom)` to the value; and for the relation and each
+atomic action, per edge offset d, the bitset of the sources s of its edges
+(s, s + d) (`Edges`), which reads as the set of those pairs.
 
 One labeler evaluates formulas, labeling every state at once in the manner
 of CTL labeling (Clarke, Emerson & Sistla 1986). Three-valued truth is the
@@ -19,56 +21,35 @@ Its one modal operator, `<α>`, follows the PDL reductions with `<α*>` as
 backward reachability (Lange 2006, "Model checking propositional dynamic
 logic with all extras"; Cleaveland & Steffen 1993, "A linear-time
 model-checking algorithm for the alternation-free modal mu-calculus");
-boxes are its duals. It stores only the edge sets of atomic and `&`
-actions, and labels `<α>` of one with a shift-and per edge offset
-(Baeza-Yates & Gonnet 1992, "A new approach to text searching") or, for
-few targets, an OR of predecessor rows; any other relation is read per
-target state. `eval_formula`, `eval_two_valued`, `atom_value`,
-`interpret_action`, `pdlsl eval` and the verification loop in `check`
-all read its labels, and it alone refuses D and W.
+boxes are its duals. It stores only the `Edges` of atomic actions, the
+model's own, and of `&` actions, and labels `<α>` of one with a shift-and
+per edge offset (Baeza-Yates & Gonnet 1992, "A new approach to text
+searching") or, for few targets, an OR of predecessor rows; any other
+relation is read per target state. `eval_formula`, `eval_two_valued`,
+`atom_value`, `interpret_action`, `pdlsl eval` and the verification loop
+in `check` all read its labels, and it alone refuses D and W.
 
 A model file is read by `model_from_json`, which checks it against the
 model table of `schema` and builds the model in the same walk; what is not
 about shape (a cell or action listed twice with different contents, the
 hand aliases, atom syntax, seriality and state ranges) is checked here.
-Its valuation rows are read straight into the bitsets, with no record per
-row or cell.
+Its valuation rows and edge pairs are read straight into the bitsets, with
+no record per row, cell or pair.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator, Mapping, Set
 from enum import Enum
 from functools import partial
 from types import MappingProxyType
 from typing import Any
 
-from .core import (
-    And,
-    Articulator,
-    At,
-    Atom,
-    AtomF,
-    Atomic,
-    AtomicAction,
-    Box,
-    Choice,
-    Concurrent,
-    Config,
-    Formula,
-    Handedness,
-    Not,
-    Orient,
-    RelDir,
-    Seq,
-    Star,
-    Top,
-    Touch,
-    Action,
-    articulators,
-    ground_atom,
-)
+from .core import (Action, And, Articulator, At, Atom, AtomF, Atomic, AtomicAction, Box, Choice,
+                   Concurrent, Config, Formula, Handedness, Not, Orient, RelDir, Seq, Star, Top,
+                   Touch, articulators, ground_atom)
 from .errors import ParseError, Record, UngroundedFormula, UnknownState
 from .parsing import parse_atom, parse_atomic_action, print_atom, print_atomic_action
 from .schema import (Invalid, array, boolean, check, choice, const, fixed, given, integer, number,
@@ -111,12 +92,7 @@ class SegmentationParams(Record):
     __slots__ = tuple(_defaults)
 
     def __post_init__(self) -> None:
-        positives = (
-            self.tau_still,
-            self.tau_touch,
-            self.thrill_net_disp,
-            self.max_jump,
-        )
+        positives = (self.tau_still, self.tau_touch, self.thrill_net_disp, self.max_jump)
         if any(not (math.isfinite(v) and v > 0) for v in positives):
             raise ValueError("thresholds must be positive")
         if self.touch_unknown_band < 0:
@@ -149,9 +125,7 @@ class Valuation(Mapping):
 
     def __init__(self, state_count: int, listed: dict[Atom, tuple[int, int, int]],
                  outside: tuple[tuple[int, Atom], ...] = ()):
-        self.state_count = state_count
-        self.listed = listed
-        self.outside = outside
+        self.state_count, self.listed, self.outside = state_count, listed, outside
 
     @classmethod
     def of(cls, state_count: int,
@@ -217,13 +191,78 @@ class Valuation(Mapping):
         return f"Valuation({dict(self)!r})"
 
 
+class Edges(Set):
+    """Edges over the states 0..state_count-1 by offset: `diagonals` maps
+    each offset d to the bitset, never empty, of the sources s of the edges
+    (s, s + d). `has_pred` and `has_succ`, the bitsets of their targets and
+    of their sources, are computed once, when the edges are made. It reads
+    as the set of its pairs. `outside` holds the pairs listed with a state
+    outside the range; a model refuses any outside its own states."""
+
+    __slots__ = ("state_count", "diagonals", "outside", "has_pred", "has_succ")
+    _from_iterable = frozenset  # what `|`, `&` and `-` return
+
+    def __init__(self, state_count: int, diagonals: dict[int, int], outside: tuple[Pair, ...] = ()):
+        self.state_count, self.diagonals, self.outside = state_count, diagonals, outside
+        self.has_pred = self.has_succ = 0
+        for d, sources in diagonals.items():
+            self.has_succ |= sources
+            self.has_pred |= sources << d if d >= 0 else sources >> -d
+
+    @classmethod
+    def of(cls, state_count: int, pairs: Iterable[Pair]) -> Edges:
+        """The edges of `(s, t)` pairs listed in any order, any number of times."""
+        by_offset, outside = defaultdict(list), []  # each offset's sources, and the pairs outside
+        for s, t in pairs:
+            if 0 <= s < state_count and 0 <= t < state_count:
+                by_offset[t - s].append(s)
+            else:
+                outside.append((s, t))
+        diagonals = {d: _bitset(sources, state_count) for d, sources in by_offset.items()}
+        return cls(state_count, diagonals, tuple(outside))
+
+    def __contains__(self, pair: object) -> bool:
+        s, t = pair
+        return s >= 0 and self.diagonals.get(t - s, 0) >> s & 1 == 1
+
+    def __iter__(self) -> Iterator[Pair]:
+        for d, sources in self.diagonals.items():
+            if sources.bit_count() < 64:  # few (see `_bitset`): the top one, a copy of it each
+                while sources:
+                    s = sources.bit_length() - 1
+                    yield s, s + d
+                    sources ^= 1 << s
+            else:
+                for s in _members(sources):
+                    yield s, s + d
+
+    def __len__(self) -> int:
+        return sum(sources.bit_count() for sources in self.diagonals.values())
+
+    def bad(self, state_count: int, within: Edges | None = None) -> Pair | None:
+        """The edge of lowest offset, then lowest source, with a state outside
+        0..state_count-1 or, given `within`, not in it (as no pair kept
+        `outside` is): one bitset operation per offset."""
+        found = [(t - s, s) for s, t in self.outside
+                 if within is not None or not (0 <= s < state_count and 0 <= t < state_count)]
+        for d, sources in self.diagonals.items():
+            floor = max(state_count - max(d, 0), 0)  # the lowest source whose target is outside
+            wrong = (sources >> floor << floor if within is None
+                     else sources & ~within.diagonals.get(d, 0))
+            if wrong:
+                found.append((d, (wrong & -wrong).bit_length() - 1))
+        return next(((s, s + d) for d, s in sorted(found)), None)
+
+
+_NO_EDGES = Edges(0, {})
+
+
 class UtteranceModel(Record):
-    """States 0..state_count-1, a serial transition relation, the edges of
-    each atomic action, and a three-valued atomic valuation, held as a
-    `Valuation`: per atom, the bitsets of the states listed True, Unknown
-    and False. A model may be given its valuation as any mapping from
-    `(state, atom)` to `ThreeVal`; construction reads its items into a
-    `Valuation` through `Valuation.of`.
+    """States 0..state_count-1, a serial transition relation and the edges
+    of each atomic action, held as `Edges`, and a three-valued atomic
+    valuation, held as a `Valuation`. A model may be given its edges as any
+    collections of `(s, t)` pairs and its valuation as any mapping from
+    `(state, atom)` to `ThreeVal`; construction reads them into these forms.
 
     `observed` records which hands had a tracked position at each state and
     `config_observed` the hand-shape label seen there, if any; both drive
@@ -236,8 +275,9 @@ class UtteranceModel(Record):
     Construction checks that the fields agree with each other: every edge,
     action edge and valued state lies inside the state range, the relation
     is serial, and `observed` and `config_observed` list no more states than
-    the model has. It then keeps the two as bitsets too, in slots that are
-    not fields, for `_Labeler.atom`.
+    the model has; a bad edge is reported by its offset, then its lowest
+    source. It then keeps the two as bitsets too, in slots that are not
+    fields, for `_Labeler.atom`.
     """
 
     __slots__ = ("state_count", "relation", "action_interp", "valuation", "observed",
@@ -245,37 +285,37 @@ class UtteranceModel(Record):
     _defaults = {"observed": (), "config_observed": (), "meta": MappingProxyType({})}
 
     def __post_init__(self) -> None:
-        if self.state_count < 1:
+        n = self.state_count
+        if n < 1:
             raise ValueError("a model needs at least one state")
         valuation = self.valuation
-        if type(valuation) is not Valuation or valuation.state_count != self.state_count:
-            valuation = Valuation.of(self.state_count, valuation.items())
+        if type(valuation) is not Valuation or valuation.state_count != n:
+            valuation = Valuation.of(n, valuation.items())
             object.__setattr__(self, "valuation", valuation)
-        for s, t in self.relation:
-            if not (0 <= s < self.state_count and 0 <= t < self.state_count):
-                raise ValueError(
-                    f"edge {(s, t)} references a state outside 0..{self.state_count - 1}"
-                )
-        sources = {s for s, _ in self.relation}
-        for s in range(self.state_count):
-            if s not in sources:
-                raise ValueError(f"state {s} has no outgoing transition (seriality)")
-        for action, pairs in self.action_interp.items():
-            for pair in pairs:
-                if pair not in self.relation:
-                    raise ValueError(
-                        f"{print_atomic_action(action)} maps edge {pair} outside the relation"
-                    )
+        relation = self.relation
+        if type(relation) is not Edges:  # bitsets up to its pair count: see the seriality check
+            relation = Edges.of(min(n, len(relation)), relation)
+        interp = {action: edges if type(edges) is Edges else Edges.of(relation.state_count, edges)
+                  for action, edges in self.action_interp.items()}
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "action_interp", interp)
+        if bad := relation.bad(n):
+            raise ValueError(f"edge {bad} references a state outside 0..{n - 1}")
+        # With fewer pairs than states a relation is not serial, so its bitsets stop at the pair
+        # count, which a model file's size bounds; the pairs past them are kept outside.
+        has_succ = relation.has_succ | _bitset(
+            [s for s, _ in relation.outside if s < relation.state_count], relation.state_count)
+        if (s := (~has_succ & (has_succ + 1)).bit_length() - 1) < n:  # the lowest state with none
+            raise ValueError(f"state {s} has no outgoing transition (seriality)")
+        for action, edges in interp.items():
+            if bad := edges.bad(n, relation):
+                raise ValueError(f"{print_atomic_action(action)} maps edge {bad} outside the relation")
         if valuation.outside:
             s, atom = valuation.outside[0]
-            raise ValueError(
-                f"{print_atom(atom)} is valued at state {s}, outside 0..{self.state_count - 1}"
-            )
+            raise ValueError(f"{print_atom(atom)} is valued at state {s}, outside 0..{n - 1}")
         for name, per_state in (("observed", self.observed), ("configs", self.config_observed)):
-            if len(per_state) > self.state_count:
-                raise ValueError(
-                    f"{name} lists {len(per_state)} states, the model has {self.state_count}"
-                )
+            if len(per_state) > n:
+                raise ValueError(f"{name} lists {len(per_state)} states, the model has {n}")
         # The states that observed each hand, that saw a label on it, and that saw each label.
         observed, seen, labels = {}, {}, {}
         for s, hands in enumerate(self.observed):
@@ -287,7 +327,7 @@ class UtteranceModel(Record):
                     seen.setdefault(hand, []).append(s)
                     labels.setdefault((hand, label), []).append(s)
         for name, per_key in (("_observed", observed), ("_config_seen", seen), ("_config_label", labels)):
-            object.__setattr__(self, name, {k: _bitset(v, self.state_count) for k, v in per_key.items()})
+            object.__setattr__(self, name, {k: _bitset(v, n) for k, v in per_key.items()})
 
     def _with_valuation(self, valuation: Valuation) -> UtteranceModel:
         """A copy with `valuation`, a `Valuation` of the same states that
@@ -325,17 +365,16 @@ class _Labeler:
     The one modal operator is `<α>`, labeled by `pre`; a box is its dual,
     `[α]X = !<α>!X`. `<α;β>Y = <α><β>Y`, `<α|β>Y = <α>Y \\/ <β>Y` and
     `<α*>Y` is backward reachability from Y (Lange 2006; Cleaveland &
-    Steffen 1993). Only atomic and `&` actions are stored, by `_stored`; any
-    other action under `&`, such as a star, is read per target state `t` as
-    `<α>{t}`."""
+    Steffen 1993). Only atomic and `&` actions are stored, by `_stored`, as
+    `Edges` and the predecessor rows built from them; an atomic action's are
+    the model's own. Any other action under `&`, such as a star, is read per
+    target state `t` as `<α>{t}`."""
 
     def __init__(self, model: UtteranceModel, closed_world: bool | None = None,
                  handedness: Handedness | None = None):
-        self.model = model
+        self.model, self.closed_world, self.handedness = model, closed_world, handedness
         self.full = (1 << model.state_count) - 1
-        self.closed_world = closed_world
-        self.handedness = handedness
-        self._pred: dict[Action, tuple[frozenset[Pair], int, int, dict, dict]] = {}
+        self._pred: dict[Action, tuple[Edges, dict[int, int]]] = {}
         self._labels: dict[Formula, tuple[int, int]] = {}
         self._anchors: dict[Formula, tuple[int, int]] = {}
 
@@ -420,11 +459,12 @@ class _Labeler:
         return reached
 
     def pre(self, action: Action, targets: int) -> int:
-        """<α>Y: the states with an α-successor in `targets`. A stored action
-        ORs `(Y >> d) & sources` over its edge offsets d, where `sources` is
-        the bitset of the sources s of its edges (s, s + d); when fewer states
-        of Y have a predecessor than it has offsets other than 0, it ORs their
-        predecessor rows instead."""
+        """<α>Y: the states with an α-successor in `targets`. When Y holds
+        every state with a predecessor under a stored action, that is the
+        states with a successor; otherwise it ORs `(Y >> d) & sources` over
+        the action's edge offsets d, where `sources` is its diagonal of
+        offset d, or, when fewer states of Y have a predecessor than it has
+        offsets other than 0, the predecessor rows of those states."""
         kind = type(action)
         if kind is Seq:
             return self.pre(action.left, self.pre(action.right, targets))
@@ -435,50 +475,46 @@ class _Labeler:
             if type(body) is Star:  # (α*)* = α*
                 return self.pre(body, targets)
             return self.reach(body, targets)
-        pairs, has_pred, shifts, rows, diagonals = self._pred.get(action) or self._stored(action)
-        hit, found = targets & has_pred, 0
-        if hit.bit_count() < shifts:  # fewer targets than offsets to shift: OR their rows
+        edges, rows = self._pred.get(action) or self._stored(action)
+        hit, found, diagonals = targets & edges.has_pred, 0, edges.diagonals
+        if hit == edges.has_pred:
+            return edges.has_succ
+        if hit.bit_count() < len(diagonals) - (0 in diagonals):  # fewer targets than shifts
             if hit and not rows:
-                for s, t in pairs:
+                for s, t in edges:
                     rows[t] = rows.get(t, 0) | 1 << s
             for t in _members(hit):
                 found |= rows[t]
             return found
-        if not diagonals:
-            sources: dict[int, list[int]] = {}
-            for s, t in pairs:
-                sources.setdefault(t - s, []).append(s)
-            diagonals.update((d, _bitset(ss, self.model.state_count)) for d, ss in sources.items())
         for d, diagonal in diagonals.items():
             found |= (targets >> d if d >= 0 else targets << -d) & diagonal
         return found
 
-    def _stored(self, action: Action) -> tuple[frozenset[Pair], int, int, dict, dict]:
-        """An atomic or `&` action's edge set, the bitset of the states with a
-        predecessor, the number of its edge offsets other than 0, and the rows
-        and diagonals `pre` fills on first use. An atomic action whose leaf
-        grounds to another is filed under the record of the grounded one. An
-        `&` of two stored actions intersects their edge sets; any other reads
-        its operands per target."""
+    def _stored(self, action: Action) -> tuple[Edges, dict[int, int]]:
+        """An atomic or `&` action's `Edges` and the predecessor rows that
+        `pre` fills on first use. An atomic action's edges are the model's,
+        and one whose leaf grounds to another is filed under the record of
+        the grounded one. An `&` of two stored actions ANDs their diagonals
+        at the offsets they share; any other reads its operands per target."""
         stored = self._pred.get(action)
         if stored is None:
+            n = self.model.state_count
             match action:
                 case Atomic(a) if (grounded := self.leaf(a)) is not a:
                     stored = self._pred[action] = self._stored(Atomic(grounded))
                     return stored
                 case Atomic(a):
-                    pairs = frozenset(self.model.action_interp.get(a, ()))
+                    edges = self.model.action_interp.get(a, _NO_EDGES)
                 case Concurrent(Atomic() | Concurrent() as l, Atomic() | Concurrent() as r):
-                    pairs = self._stored(l)[0] & self._stored(r)[0]
+                    left, right = self._stored(l)[0].diagonals, self._stored(r)[0].diagonals
+                    edges = Edges(n, {d: both for d, sources in left.items()
+                                      if (both := sources & right.get(d, 0))})
                 case Concurrent(l, r):
-                    pre = self.pre
-                    pairs = frozenset((s, t) for t in self.model.states()
-                                      for s in _members(pre(l, 1 << t) & pre(r, 1 << t)))
+                    edges = Edges.of(n, [(s, t) for t in range(n) for s in _members(
+                        self.pre(l, 1 << t) & self.pre(r, 1 << t))])
                 case _:
                     raise TypeError(f"not an action node: {action!r}")
-            offsets = {t - s for s, t in pairs}
-            has_pred = _bitset({t for _, t in pairs}, self.model.state_count)
-            stored = self._pred[action] = pairs, has_pred, len(offsets) - (0 in offsets), {}, {}
+            stored = self._pred[action] = edges, {}
         return stored
 
 
@@ -486,15 +522,18 @@ _WORD = (1 << 64) - 1
 
 
 def _bitset(states: list[int], state_count: int) -> int:
-    """The bitset of the listed states, states of 0..state_count-1, in one
-    pass: OR-ing them in one by one would copy a growing integer per
-    state."""
-    digits = bytearray(b"0" * state_count)
+    """The bitset of the listed states, states of 0..state_count-1: fewer
+    than a word has bits are OR-ed in, each a copy of the integer so far,
+    and more written as one digit per state of the range, in one pass."""
+    bits, digits = 0, bytearray(b"0" * state_count) if len(states) >= 64 else None
     for s in states:
         if not 0 <= s < state_count:
             raise ValueError(f"state {s} outside 0..{state_count - 1}")
-        digits[state_count - 1 - s] = 49  # ord("1")
-    return int(digits, 2)
+        if digits is None:
+            bits |= 1 << s
+        else:
+            digits[state_count - 1 - s] = 49  # ord("1")
+    return bits if digits is None else int(digits, 2)
 
 
 def _members(bits: int) -> Iterator[int]:
@@ -516,10 +555,14 @@ def _members(bits: int) -> Iterator[int]:
 
 
 def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
-    """The set of state pairs the action relates. Star is the reflexive
-    transitive closure, with identity pairs over every state; D and W are refused."""
-    pre = _Labeler(model).pre
-    return frozenset((s, t) for t in model.states() for s in _members(pre(action, 1 << t)))
+    """The set of state pairs the action relates: an atomic or `&` action's
+    read off its diagonals, any other's per target state. Star is the
+    reflexive transitive closure, with identity pairs over every state; D
+    and W are refused."""
+    labeler = _Labeler(model)
+    if type(action) in (Atomic, Concurrent):
+        return frozenset(labeler._stored(action)[0])
+    return frozenset((s, t) for t in model.states() for s in _members(labeler.pre(action, 1 << t)))
 
 
 def _value(labeler: _Labeler, state: int, formula: Formula) -> ThreeVal:
@@ -545,9 +588,8 @@ def eval_formula(model: UtteranceModel, state: int, formula: Formula) -> ThreeVa
     return _value(_Labeler(model), state, formula)
 
 
-def eval_two_valued(
-    model: UtteranceModel, state: int, formula: Formula, closed_world: bool = True
-) -> bool:
+def eval_two_valued(model: UtteranceModel, state: int, formula: Formula,
+                    closed_world: bool = True) -> bool:
     """Classical evaluation: Unknown atoms collapse to False under the
     closed-world flag (to True with it unset), then the formula is labeled."""
     return _value(_Labeler(model, closed_world), state, formula) is ThreeVal.TRUE
@@ -560,11 +602,8 @@ _HANDS = (Articulator.RIGHT, Articulator.LEFT)
 
 def model_to_json(model: UtteranceModel) -> dict[str, Any]:
     """Stable, versioned structure for dump files and golden tests."""
-    actions = [
-        {"action": print_atomic_action(a), "edges": [list(p) for p in sorted(pairs)]}
-        for a, pairs in model.action_interp.items()
-    ]
-    actions.sort(key=lambda entry: entry["action"])
+    actions = sorted(({"action": print_atomic_action(a), "edges": [list(p) for p in sorted(edges)]}
+                      for a, edges in model.action_interp.items()), key=lambda entry: entry["action"])
     cells = sorted(  # (state, atom text, value text) of each listed cell
         (s, text, value)
         for atom, bits in model.valuation.listed.items()
@@ -575,16 +614,10 @@ def model_to_json(model: UtteranceModel) -> dict[str, Any]:
     valuation = [{"state": s, "atom": text, "value": value} for s, text, value in cells]
     observed = [sorted(a.value for a in model.observed_at(s)) for s in model.states()]
     configs = [{h.value: model.config_at(s).get(h) for h in _HANDS} for s in model.states()]
-    return {
-        "format": 1,
-        "states": model.state_count,
-        "relation": [list(p) for p in sorted(model.relation)],
-        "actions": actions,
-        "valuation": valuation,
-        "observed": observed,
-        "configs": configs,
-        "meta": dict(model.meta),
-    }
+    return {"format": 1, "states": model.state_count,
+            "relation": [list(p) for p in sorted(model.relation)], "actions": actions,
+            "valuation": valuation, "observed": observed, "configs": configs,
+            "meta": dict(model.meta)}
 
 
 def _hands_only(parse: Callable[[str], Any], text: str) -> Atom | AtomicAction:
@@ -598,10 +631,11 @@ def _hands_only(parse: Callable[[str], Any], text: str) -> Atom | AtomicAction:
     return leaf
 
 
-def _actions(entries: list[tuple[AtomicAction, frozenset[Pair]]]) -> dict:
-    interp: dict[AtomicAction, frozenset[Pair]] = {}
+def _actions(entries: list[tuple[AtomicAction, list[Pair]]]) -> dict:
+    interp: dict[AtomicAction, list[Pair]] = {}
     for i, (action, edges) in enumerate(entries):
-        if interp.setdefault(action, edges) != edges:
+        listed = interp.setdefault(action, edges)
+        if listed is not edges and {*map(tuple, listed)} != {*map(tuple, edges)}:
             raise Invalid(f"{print_atomic_action(action)} is listed again with other edges", i)
     return interp
 
@@ -611,7 +645,7 @@ _ROWS = array(table("valuation", {
 }))
 
 
-def _valuation(rows: Any, state_count: int, relation: frozenset[Pair]) -> Valuation:
+def _valuation(rows: Any, state_count: int, relation: list[Pair]) -> Valuation:
     """The valuation rows read straight into per-state bytes per atom. Every
     row's shape is checked first; then, in file order, each atom text (once
     per distinct text) and each cell listed again. A cell outside the states
@@ -654,7 +688,17 @@ def _model(_format, states, relation, actions, valuation, observed, configs, met
     return UtteranceModel(states, relation, actions, valuation, observed, configs, dict(meta))
 
 
-_PAIRS = array(fixed("[src, dst]", 2, integer()), build=frozenset)
+_PAIRS = array(fixed("[src, dst]", 2, integer()))
+
+
+def _pairs(value: Any) -> list:
+    """A list of `[src, dst]` integer pairs, tested in one pass; a list that
+    fails is walked by the nodes of `_PAIRS`, for its first bad pair."""
+    plain = type(value) is list and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in value)
+    return value if plain else _PAIRS(value)
+
+
 _HAND = choice({h.value: h for h in _HANDS})
 #: The segmentation thresholds a model's `meta` records, and a run
 #: configuration sets, checked by `SegmentationParams`; every key is optional
@@ -666,9 +710,9 @@ SEGMENTATION = table("segmentation", {
 _MODEL = table("model", {
     "format": const(1),
     "states": integer(1),
-    "relation": _PAIRS,
+    "relation": _pairs,
     "actions": optional(array(table("action", {
-        "action": string(partial(_hands_only, parse_atomic_action)), "edges": _PAIRS,
+        "action": string(partial(_hands_only, parse_atomic_action)), "edges": _pairs,
     }, tuple), build=_actions), {}),
     "valuation": optional(given(_valuation, "states", "relation"), {}),
     "observed": optional(array(array(_HAND, build=frozenset), build=tuple), ()),

@@ -311,6 +311,25 @@ def test_a_declared_state_count_is_not_allocated_before_the_checks(relation, row
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("relation, actions, message", [
+    ([[5 * 10**7, 0]], [], "/: state 0 has no outgoing transition (seriality)"),
+    ([[0, 5 * 10**7]], [], "/: state 1 has no outgoing transition (seriality)"),
+    ([[0, 0]], [[5 * 10**7, 5 * 10**7 + 1]], "/: state 1 has no outgoing transition (seriality)"),
+])
+def test_reading_edges_takes_memory_by_the_size_of_the_file(relation, actions, message):
+    # The edge bitsets cover no more states than the relation has pairs.
+    doc = {"format": 1, "states": 10**8, "relation": relation,
+           "actions": [{"action": "move(R,E)", "edges": actions}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError) as info:
+            model_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message and peak < 100_000
+
+
 def test_reading_a_valuation_takes_memory_by_the_size_of_the_file():
     doc = {"format": 1, "states": 10**7, "relation": [[0, 0]], "valuation": [
         {"state": s, "atom": ATOM, "value": "true"} for s in (0, 10**7 - 1)

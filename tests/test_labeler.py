@@ -226,7 +226,7 @@ def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
         labelers.clear()
         report = verify(model, parse_lexicon(text), Handedness.RIGHT_DOMINANT)
         assert stored() == kinds
-        assert not any(rows for labeler in labelers for _, _, _, rows, _ in labeler._pred.values())
+        assert not any(rows for labeler in labelers for _, rows in labeler._pred.values())
         with memoized_oracles():
             assert [[(p.sign, p.verdict) for p in ps] for ps in report.per_state] == (
                 reference_verdicts(model, parse_lexicon(text))
@@ -238,9 +238,9 @@ def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
 
 def test_an_action_written_with_aliases_and_with_hands_is_stored_once(monkeypatch):
     """For a right-dominant signer `move(D,E)` and `move(R,E)` are one
-    action: the labeler files both keys under one record, whose edge set
-    and diagonals are built once, and the verdicts are those of the
-    lexicon written with hands only."""
+    action: the labeler files both keys under one record, which holds the
+    model's own edges, so labeling builds no bitset of them, and the
+    verdicts are those of the lexicon written with hands only."""
     built = [0]
     bitset = pdlsl.model._bitset
 
@@ -257,12 +257,31 @@ def test_an_action_written_with_aliases_and_with_hands_is_stored_once(monkeypatc
         labeler.formula(entry.formula)
     assert labeler._pred.keys() == {Atomic(Move(D, Direction.E)), Atomic(Move(R, Direction.E))}
     assert len({id(record) for record in labeler._pred.values()}) == 1
-    # One `has_pred` bitset and one diagonal, for the one edge offset.
-    assert built[0] == 2
+    # The diagonals and `has_pred` were built with the model.
+    assert labeler._pred[Atomic(Move(R, Direction.E))][0] is model.action_interp[Move(R, Direction.E)]
+    assert built[0] == 0
     handed = parse_lexicon("sign NEXT := <move(R,E)> touch(R,L) .\n"
                            "sign STAY_APART := [move(R,E)*] !touch(R,L) .\n")
     assert [labeler.formula(e.formula) for e in aliased.entries] == [
         Labeler(model).formula(e.formula) for e in handed.entries]
+
+
+def test_interpret_action_reads_a_stored_action_off_its_diagonals(monkeypatch):
+    """The pairs of an atomic or `&` action come off its diagonals, in
+    O(edges): on a 25,600-state chain, with no `<α>` per target state."""
+    calls = [0]
+    pre = Labeler.pre
+
+    def counting(labeler, action, targets):
+        calls[0] += 1
+        return pre(labeler, action, targets)
+
+    model, move = chain(25600), Atomic(Move(R, Direction.E))
+    monkeypatch.setattr(Labeler, "pre", counting)
+    edges = frozenset((s, s + 1) for s in range(25599))
+    assert interpret_action(model, move) == edges
+    assert interpret_action(model, Concurrent(move, move)) == edges
+    assert calls[0] == 0
 
 
 ONE_STEP = "sign MEET_NEXT := <move(R,E)> touch(R,L) .\n"

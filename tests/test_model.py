@@ -540,3 +540,70 @@ def test_model_from_json_accepts_an_action_repeated_with_the_same_edges():
     entry = doc["actions"][0]
     doc["actions"].append({"action": entry["action"], "edges": list(reversed(entry["edges"]))})
     assert model_from_json(doc) == expected
+
+
+# --- edges by offset --------------------------------------------------------------------------
+
+# Each holds two bad edges. The reported one has the lowest offset, then the
+# lowest source, whatever order the pairs are listed or hashed in.
+CHAIN_4 = [(0, 1), (1, 2), (2, 3), (3, 3)]
+BAD_EDGES = [
+    # Out of range: offset -9 comes before offset 5, though its source is higher.
+    (CHAIN_4 + [(0, 5), (9, 0)], [(0, 1)], "edge (9, 0) references a state outside 0..3"),
+    (CHAIN_4 + [(9, 0), (0, 5)], [(0, 1)], "edge (9, 0) references a state outside 0..3"),
+    # Outside the relation: two of offset -1, of which the lower source is named.
+    (CHAIN_4, [(0, 1), (2, 1), (1, 0)], "move(R,E) maps edge (1, 0) outside the relation"),
+    (CHAIN_4, [(1, 0), (0, 1), (2, 1)], "move(R,E) maps edge (1, 0) outside the relation"),
+    # An action edge out of range follows the same rule: offset 7 after offset -1.
+    (CHAIN_4, [(0, 7), (2, 1)], "move(R,E) maps edge (2, 1) outside the relation"),
+]
+
+
+@pytest.mark.parametrize("relation, action, message", BAD_EDGES)
+def test_a_constructed_model_reports_the_bad_edge_of_lowest_offset_then_source(
+        relation, action, message):
+    for build in (list, frozenset):
+        with pytest.raises(ValueError) as info:
+            UtteranceModel(state_count=4, relation=build(relation),
+                           action_interp={MOVE_A: build(action)}, valuation={})
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("relation, action, message", BAD_EDGES)
+def test_a_model_file_reports_the_bad_edge_of_lowest_offset_then_source(relation, action, message):
+    doc = {"format": 1, "states": 4, "relation": [list(p) for p in relation],
+           "actions": [{"action": "move(R,E)", "edges": [list(p) for p in action]}]}
+    with pytest.raises(SchemaError) as info:
+        model_from_json(doc)
+    assert str(info.value) == f"/: {message}"
+
+
+def _shaped_relation(shape, n):
+    """The shaped model of `test_scaling`, and the relation it was made from."""
+    from test_scaling import shaped_model
+
+    model, _, edges = shaped_model(shape, n)
+    pairs = edges[MOVE_A] | edges[Move(L, Direction.E)]
+    sources = {s for s, _ in pairs}
+    return model, pairs | {(s, s) for s in range(n) if s not in sources}, edges
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 1000])
+@pytest.mark.parametrize("shape", ["chain", "backward", "band", "sparse", "cycles"])
+def test_edges_read_as_the_pairs_they_were_built_from(shape, n):
+    """A model built from pairs holds its edges by offset, and gives back
+    the same pairs, count, membership and equality with a frozenset; its
+    file reads back to the same file."""
+    model, relation, edges = _shaped_relation(shape, n)
+    rng = random.Random(n)
+    strangers = [(-1, 0), (0, -1), (0, n), (n, n - 1)] + [
+        (rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+    for pairs, held in [(relation, model.relation)] + [
+            (edges[action], model.action_interp[action]) for action in edges]:
+        assert type(held) is pdlsl.model.Edges
+        assert set(held) == pairs and len(held) == len(pairs)
+        assert held == frozenset(pairs) and frozenset(pairs) == held
+        assert all(pair in held for pair in pairs)
+        assert [pair in held for pair in strangers] == [pair in pairs for pair in strangers]
+    doc = model_to_json(model)
+    assert model_to_json(model_from_json(json.loads(json.dumps(doc)))) == doc
