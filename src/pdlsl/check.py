@@ -18,7 +18,15 @@ import re
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from .core import And, Atom, AtomF, Formula, Handedness, Not, ground_atom
+from .core import (
+    And,
+    Atom,
+    AtomF,
+    Formula,
+    Handedness,
+    Not,
+    ground_atom,
+)
 from .errors import AliasCollision, ParseError, Record, SourceSpan, UnknownState
 from .model import ThreeVal, UtteranceModel, _Labeler, _members
 from .parsing import LexiconFile, parse_atom, print_atom

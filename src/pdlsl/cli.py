@@ -21,7 +21,14 @@ from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 # `extract`, and `extract` and `lint` never load `check`.
 from .core import Handedness
 from .errors import AliasCollision, ConfigError, Diagnostic, PdlslError, Record, load_json, load_text
-from .model import SEGMENTATION, SegmentationParams, _Labeler, _value, model_from_json, model_to_json
+from .model import (
+    SEGMENTATION,
+    SegmentationParams,
+    _Labeler,
+    _value,
+    model_from_json,
+    model_to_json,
+)
 from .parsing import lint_lexicon, parse_formula, parse_lexicon, print_atom
 from .schema import boolean, check, choice, number, optional, string, table
 

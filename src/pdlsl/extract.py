@@ -24,8 +24,23 @@ import operator
 from collections.abc import Iterable
 from typing import Any
 
-from .core import (Action, Articulator, At, Atom, Atomic, AtomicAction, Concurrent, Config,
-                   Direction, Move, Orient, RelDir, Thrill, Touch, iter_atomic_actions)
+from .core import (
+    Action,
+    Articulator,
+    At,
+    Atom,
+    Atomic,
+    AtomicAction,
+    Concurrent,
+    Config,
+    Direction,
+    Move,
+    Orient,
+    RelDir,
+    Thrill,
+    Touch,
+    iter_atomic_actions,
+)
 from .errors import Diagnostic, NonFinite, NonMonotoneTimestamps, Record
 from .geometry import DEFAULT_PLACE_MAP, VEC, PlaceMap, Vec2, classify_direction, relative_direction
 from .model import _HANDS, SegmentationParams, ThreeVal, UtteranceModel, Valuation

@@ -9,7 +9,8 @@ from the model file or extraction to the labeler: per atom, the bitsets of
 the states listed True, Unknown and False (`Valuation`), which reads as a
 mapping from `(state, atom)` to the value; and for the relation and each
 atomic action, per edge offset d, the bitset of the sources s of its edges
-(s, s + d) (`Edges`), which reads as the set of those pairs.
+(s, s + d) (`Edges`), which reads as the set of those pairs. Edges whose
+bitsets could take more 64-bit words than they have pairs keep the pairs.
 
 One labeler evaluates formulas, labeling every state at once in the manner
 of CTL labeling (Clarke, Emerson & Sistla 1986). Three-valued truth is the
@@ -33,23 +34,45 @@ A model file is read by `model_from_json`, which checks it against the
 model table of `schema` and builds the model in the same walk; what is not
 about shape (a cell or action listed twice with different contents, the
 hand aliases, atom syntax, seriality and state ranges) is checked here.
-Its valuation rows and edge pairs are read straight into the bitsets, with
-no record per row, cell or pair.
+Its valuation rows are read straight into the bitsets, with no record per
+row or cell, and its edge pairs go to `Edges` as read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator, Mapping, Set
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Set
 from enum import Enum
 from functools import partial
 from types import MappingProxyType
 from typing import Any
 
-from .core import (Action, And, Articulator, At, Atom, AtomF, Atomic, AtomicAction, Box, Choice,
-                   Concurrent, Config, Formula, Handedness, Not, Orient, RelDir, Seq, Star, Top,
-                   Touch, articulators, ground_atom)
+from .core import (
+    And,
+    Articulator,
+    At,
+    Atom,
+    AtomF,
+    Atomic,
+    AtomicAction,
+    Box,
+    Choice,
+    Concurrent,
+    Config,
+    Formula,
+    Handedness,
+    Not,
+    Orient,
+    RelDir,
+    Seq,
+    Star,
+    Top,
+    Touch,
+    Action,
+    articulators,
+    ground_atom,
+)
 from .errors import ParseError, Record, UngroundedFormula, UnknownState
 from .parsing import parse_atom, parse_atomic_action, print_atom, print_atomic_action
 from .schema import (Invalid, array, boolean, check, choice, const, fixed, given, integer, number,
@@ -92,7 +115,12 @@ class SegmentationParams(Record):
     __slots__ = tuple(_defaults)
 
     def __post_init__(self) -> None:
-        positives = (self.tau_still, self.tau_touch, self.thrill_net_disp, self.max_jump)
+        positives = (
+            self.tau_still,
+            self.tau_touch,
+            self.thrill_net_disp,
+            self.max_jump,
+        )
         if any(not (math.isfinite(v) and v > 0) for v in positives):
             raise ValueError("thresholds must be positive")
         if self.touch_unknown_band < 0:
@@ -125,7 +153,9 @@ class Valuation(Mapping):
 
     def __init__(self, state_count: int, listed: dict[Atom, tuple[int, int, int]],
                  outside: tuple[tuple[int, Atom], ...] = ()):
-        self.state_count, self.listed, self.outside = state_count, listed, outside
+        self.state_count = state_count
+        self.listed = listed
+        self.outside = outside
 
     @classmethod
     def of(cls, state_count: int,
@@ -194,23 +224,33 @@ class Valuation(Mapping):
 class Edges(Set):
     """Edges over the states 0..state_count-1 by offset: `diagonals` maps
     each offset d to the bitset, never empty, of the sources s of the edges
-    (s, s + d). `has_pred` and `has_succ`, the bitsets of their targets and
-    of their sources, are computed once, when the edges are made. It reads
-    as the set of its pairs. `outside` holds the pairs listed with a state
-    outside the range; a model refuses any outside its own states."""
+    (s, s + d). Edges whose diagonals could take more 64-bit words than
+    they have pairs, as a relation with an offset of its own for most pairs
+    would, keep their `pairs` instead, and `diagonals` is None; so either
+    form takes memory by the number of pairs. `has_pred` and `has_succ`,
+    the bitsets of their targets and of their sources, are computed once,
+    when the edges are made. It reads as the set of its pairs. `outside`
+    holds the pairs listed with a state outside the range; a model refuses
+    any outside its own states."""
 
-    __slots__ = ("state_count", "diagonals", "outside", "has_pred", "has_succ")
+    __slots__ = ("state_count", "diagonals", "pairs", "outside", "has_pred", "has_succ")
     _from_iterable = frozenset  # what `|`, `&` and `-` return
 
-    def __init__(self, state_count: int, diagonals: dict[int, int], outside: tuple[Pair, ...] = ()):
-        self.state_count, self.diagonals, self.outside = state_count, diagonals, outside
+    def __init__(self, state_count: int, diagonals: dict[int, int] | None,
+                 outside: tuple[Pair, ...] = (), pairs: frozenset[Pair] = frozenset()):
+        self.state_count, self.diagonals, self.pairs, self.outside = (
+            state_count, diagonals, pairs, outside)
+        if diagonals is None:
+            self.has_pred = _bitset([t for _, t in pairs], state_count)
+            self.has_succ = _bitset([s for s, _ in pairs], state_count)
+            return
         self.has_pred = self.has_succ = 0
         for d, sources in diagonals.items():
             self.has_succ |= sources
             self.has_pred |= sources << d if d >= 0 else sources >> -d
 
     @classmethod
-    def of(cls, state_count: int, pairs: Iterable[Pair]) -> Edges:
+    def of(cls, state_count: int, pairs: Collection[Pair]) -> Edges:
         """The edges of `(s, t)` pairs listed in any order, any number of times."""
         by_offset, outside = defaultdict(list), []  # each offset's sources, and the pairs outside
         for s, t in pairs:
@@ -218,39 +258,41 @@ class Edges(Set):
                 by_offset[t - s].append(s)
             else:
                 outside.append((s, t))
+        if len(by_offset) * (state_count // 64 + 1) > len(pairs) - len(outside):  # words > edges
+            return cls(state_count, None, tuple(outside), frozenset(pairs).difference(outside))
         diagonals = {d: _bitset(sources, state_count) for d, sources in by_offset.items()}
         return cls(state_count, diagonals, tuple(outside))
 
     def __contains__(self, pair: object) -> bool:
+        if self.diagonals is None:
+            return pair in self.pairs
         s, t = pair
         return s >= 0 and self.diagonals.get(t - s, 0) >> s & 1 == 1
 
     def __iter__(self) -> Iterator[Pair]:
-        for d, sources in self.diagonals.items():
-            if sources.bit_count() < 64:  # few (see `_bitset`): the top one, a copy of it each
-                while sources:
-                    s = sources.bit_length() - 1
-                    yield s, s + d
-                    sources ^= 1 << s
-            else:
-                for s in _members(sources):
-                    yield s, s + d
+        if self.diagonals is None:
+            return iter(self.pairs)
+        return ((s, s + d) for d, sources in self.diagonals.items() for s in _members(sources))
 
     def __len__(self) -> int:
+        if self.diagonals is None:
+            return len(self.pairs)
         return sum(sources.bit_count() for sources in self.diagonals.values())
 
-    def bad(self, state_count: int, within: Edges | None = None) -> Pair | None:
-        """The edge of lowest offset, then lowest source, with a state outside
-        0..state_count-1 or, given `within`, not in it (as no pair kept
-        `outside` is): one bitset operation per offset."""
-        found = [(t - s, s) for s, t in self.outside
-                 if within is not None or not (0 <= s < state_count and 0 <= t < state_count)]
-        for d, sources in self.diagonals.items():
-            floor = max(state_count - max(d, 0), 0)  # the lowest source whose target is outside
-            wrong = (sources >> floor << floor if within is None
-                     else sources & ~within.diagonals.get(d, 0))
-            if wrong:
-                found.append((d, (wrong & -wrong).bit_length() - 1))
+    def __repr__(self) -> str:
+        return f"Edges({set(self)!r})"
+
+    def bad(self, within: Edges) -> Pair | None:
+        """The edge of lowest offset, then lowest source, not in `within` (as
+        no pair kept `outside` is): one bitset operation per offset when both
+        hold diagonals, a set difference otherwise."""
+        found = [(t - s, s) for s, t in self.outside]
+        if self.diagonals is None or within.diagonals is None:
+            found += [(t - s, s) for s, t in frozenset(self).difference(within)]
+        else:
+            for d, sources in self.diagonals.items():
+                if wrong := sources & ~within.diagonals.get(d, 0):
+                    found.append((d, (wrong & -wrong).bit_length() - 1))
         return next(((s, s + d) for d, s in sorted(found)), None)
 
 
@@ -285,22 +327,22 @@ class UtteranceModel(Record):
     _defaults = {"observed": (), "config_observed": (), "meta": MappingProxyType({})}
 
     def __post_init__(self) -> None:
-        n = self.state_count
-        if n < 1:
+        if self.state_count < 1:
             raise ValueError("a model needs at least one state")
         valuation = self.valuation
-        if type(valuation) is not Valuation or valuation.state_count != n:
-            valuation = Valuation.of(n, valuation.items())
+        if type(valuation) is not Valuation or valuation.state_count != self.state_count:
+            valuation = Valuation.of(self.state_count, valuation.items())
             object.__setattr__(self, "valuation", valuation)
-        relation = self.relation
-        if type(relation) is not Edges:  # bitsets up to its pair count: see the seriality check
+        n, relation = self.state_count, self.relation
+        if type(relation) is not Edges or relation.state_count > n:  # see the seriality check
             relation = Edges.of(min(n, len(relation)), relation)
         interp = {action: edges if type(edges) is Edges else Edges.of(relation.state_count, edges)
                   for action, edges in self.action_interp.items()}
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "action_interp", interp)
-        if bad := relation.bad(n):
-            raise ValueError(f"edge {bad} references a state outside 0..{n - 1}")
+        if wrong := [(t - s, s) for s, t in relation.outside if not (0 <= s < n and 0 <= t < n)]:
+            d, s = min(wrong)  # the lowest offset, then source
+            raise ValueError(f"edge {(s, s + d)} references a state outside 0..{n - 1}")
         # With fewer pairs than states a relation is not serial, so its bitsets stop at the pair
         # count, which a model file's size bounds; the pairs past them are kept outside.
         has_succ = relation.has_succ | _bitset(
@@ -308,14 +350,20 @@ class UtteranceModel(Record):
         if (s := (~has_succ & (has_succ + 1)).bit_length() - 1) < n:  # the lowest state with none
             raise ValueError(f"state {s} has no outgoing transition (seriality)")
         for action, edges in interp.items():
-            if bad := edges.bad(n, relation):
-                raise ValueError(f"{print_atomic_action(action)} maps edge {bad} outside the relation")
+            if bad := edges.bad(relation):
+                raise ValueError(
+                    f"{print_atomic_action(action)} maps edge {bad} outside the relation"
+                )
         if valuation.outside:
             s, atom = valuation.outside[0]
-            raise ValueError(f"{print_atom(atom)} is valued at state {s}, outside 0..{n - 1}")
+            raise ValueError(
+                f"{print_atom(atom)} is valued at state {s}, outside 0..{self.state_count - 1}"
+            )
         for name, per_state in (("observed", self.observed), ("configs", self.config_observed)):
-            if len(per_state) > n:
-                raise ValueError(f"{name} lists {len(per_state)} states, the model has {n}")
+            if len(per_state) > self.state_count:
+                raise ValueError(
+                    f"{name} lists {len(per_state)} states, the model has {self.state_count}"
+                )
         # The states that observed each hand, that saw a label on it, and that saw each label.
         observed, seen, labels = {}, {}, {}
         for s, hands in enumerate(self.observed):
@@ -327,7 +375,7 @@ class UtteranceModel(Record):
                     seen.setdefault(hand, []).append(s)
                     labels.setdefault((hand, label), []).append(s)
         for name, per_key in (("_observed", observed), ("_config_seen", seen), ("_config_label", labels)):
-            object.__setattr__(self, name, {k: _bitset(v, n) for k, v in per_key.items()})
+            object.__setattr__(self, name, {k: _bitset(v, self.state_count) for k, v in per_key.items()})
 
     def _with_valuation(self, valuation: Valuation) -> UtteranceModel:
         """A copy with `valuation`, a `Valuation` of the same states that
@@ -372,8 +420,10 @@ class _Labeler:
 
     def __init__(self, model: UtteranceModel, closed_world: bool | None = None,
                  handedness: Handedness | None = None):
-        self.model, self.closed_world, self.handedness = model, closed_world, handedness
+        self.model = model
         self.full = (1 << model.state_count) - 1
+        self.closed_world = closed_world
+        self.handedness = handedness
         self._pred: dict[Action, tuple[Edges, dict[int, int]]] = {}
         self._labels: dict[Formula, tuple[int, int]] = {}
         self._anchors: dict[Formula, tuple[int, int]] = {}
@@ -464,7 +514,8 @@ class _Labeler:
         states with a successor; otherwise it ORs `(Y >> d) & sources` over
         the action's edge offsets d, where `sources` is its diagonal of
         offset d, or, when fewer states of Y have a predecessor than it has
-        offsets other than 0, the predecessor rows of those states."""
+        offsets other than 0, or the action keeps its pairs, the
+        predecessor rows of those states."""
         kind = type(action)
         if kind is Seq:
             return self.pre(action.left, self.pre(action.right, targets))
@@ -479,7 +530,7 @@ class _Labeler:
         hit, found, diagonals = targets & edges.has_pred, 0, edges.diagonals
         if hit == edges.has_pred:
             return edges.has_succ
-        if hit.bit_count() < len(diagonals) - (0 in diagonals):  # fewer targets than shifts
+        if diagonals is None or hit.bit_count() < len(diagonals) - (0 in diagonals):
             if hit and not rows:
                 for s, t in edges:
                     rows[t] = rows.get(t, 0) | 1 << s
@@ -495,7 +546,8 @@ class _Labeler:
         `pre` fills on first use. An atomic action's edges are the model's,
         and one whose leaf grounds to another is filed under the record of
         the grounded one. An `&` of two stored actions ANDs their diagonals
-        at the offsets they share; any other reads its operands per target."""
+        at the offsets they share, or intersects their pairs when one keeps
+        pairs; any other reads its operands per target."""
         stored = self._pred.get(action)
         if stored is None:
             n = self.model.state_count
@@ -506,9 +558,12 @@ class _Labeler:
                 case Atomic(a):
                     edges = self.model.action_interp.get(a, _NO_EDGES)
                 case Concurrent(Atomic() | Concurrent() as l, Atomic() | Concurrent() as r):
-                    left, right = self._stored(l)[0].diagonals, self._stored(r)[0].diagonals
-                    edges = Edges(n, {d: both for d, sources in left.items()
-                                      if (both := sources & right.get(d, 0))})
+                    left, right = self._stored(l)[0], self._stored(r)[0]
+                    if left.diagonals is None or right.diagonals is None:
+                        edges = Edges.of(n, left & right)
+                    else:
+                        edges = Edges(n, {d: both for d, sources in left.diagonals.items()
+                                          if (both := sources & right.diagonals.get(d, 0))})
                 case Concurrent(l, r):
                     edges = Edges.of(n, [(s, t) for t in range(n) for s in _members(
                         self.pre(l, 1 << t) & self.pre(r, 1 << t))])
@@ -522,18 +577,15 @@ _WORD = (1 << 64) - 1
 
 
 def _bitset(states: list[int], state_count: int) -> int:
-    """The bitset of the listed states, states of 0..state_count-1: fewer
-    than a word has bits are OR-ed in, each a copy of the integer so far,
-    and more written as one digit per state of the range, in one pass."""
-    bits, digits = 0, bytearray(b"0" * state_count) if len(states) >= 64 else None
+    """The bitset of the listed states, states of 0..state_count-1, in one
+    pass: OR-ing them in one by one would copy a growing integer per
+    state."""
+    digits = bytearray(b"0" * state_count)
     for s in states:
         if not 0 <= s < state_count:
             raise ValueError(f"state {s} outside 0..{state_count - 1}")
-        if digits is None:
-            bits |= 1 << s
-        else:
-            digits[state_count - 1 - s] = 49  # ord("1")
-    return bits if digits is None else int(digits, 2)
+        digits[state_count - 1 - s] = 49  # ord("1")
+    return int(digits, 2) if digits else 0
 
 
 def _members(bits: int) -> Iterator[int]:
@@ -556,7 +608,7 @@ def _members(bits: int) -> Iterator[int]:
 
 def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
     """The set of state pairs the action relates: an atomic or `&` action's
-    read off its diagonals, any other's per target state. Star is the
+    read off its stored `Edges`, any other's per target state. Star is the
     reflexive transitive closure, with identity pairs over every state; D
     and W are refused."""
     labeler = _Labeler(model)
@@ -588,8 +640,9 @@ def eval_formula(model: UtteranceModel, state: int, formula: Formula) -> ThreeVa
     return _value(_Labeler(model), state, formula)
 
 
-def eval_two_valued(model: UtteranceModel, state: int, formula: Formula,
-                    closed_world: bool = True) -> bool:
+def eval_two_valued(
+    model: UtteranceModel, state: int, formula: Formula, closed_world: bool = True
+) -> bool:
     """Classical evaluation: Unknown atoms collapse to False under the
     closed-world flag (to True with it unset), then the formula is labeled."""
     return _value(_Labeler(model, closed_world), state, formula) is ThreeVal.TRUE
@@ -602,8 +655,11 @@ _HANDS = (Articulator.RIGHT, Articulator.LEFT)
 
 def model_to_json(model: UtteranceModel) -> dict[str, Any]:
     """Stable, versioned structure for dump files and golden tests."""
-    actions = sorted(({"action": print_atomic_action(a), "edges": [list(p) for p in sorted(edges)]}
-                      for a, edges in model.action_interp.items()), key=lambda entry: entry["action"])
+    actions = [
+        {"action": print_atomic_action(a), "edges": [list(p) for p in sorted(pairs)]}
+        for a, pairs in model.action_interp.items()
+    ]
+    actions.sort(key=lambda entry: entry["action"])
     cells = sorted(  # (state, atom text, value text) of each listed cell
         (s, text, value)
         for atom, bits in model.valuation.listed.items()
@@ -614,10 +670,16 @@ def model_to_json(model: UtteranceModel) -> dict[str, Any]:
     valuation = [{"state": s, "atom": text, "value": value} for s, text, value in cells]
     observed = [sorted(a.value for a in model.observed_at(s)) for s in model.states()]
     configs = [{h.value: model.config_at(s).get(h) for h in _HANDS} for s in model.states()]
-    return {"format": 1, "states": model.state_count,
-            "relation": [list(p) for p in sorted(model.relation)], "actions": actions,
-            "valuation": valuation, "observed": observed, "configs": configs,
-            "meta": dict(model.meta)}
+    return {
+        "format": 1,
+        "states": model.state_count,
+        "relation": [list(p) for p in sorted(model.relation)],
+        "actions": actions,
+        "valuation": valuation,
+        "observed": observed,
+        "configs": configs,
+        "meta": dict(model.meta),
+    }
 
 
 def _hands_only(parse: Callable[[str], Any], text: str) -> Atom | AtomicAction:
@@ -635,7 +697,7 @@ def _actions(entries: list[tuple[AtomicAction, list[Pair]]]) -> dict:
     interp: dict[AtomicAction, list[Pair]] = {}
     for i, (action, edges) in enumerate(entries):
         listed = interp.setdefault(action, edges)
-        if listed is not edges and {*map(tuple, listed)} != {*map(tuple, edges)}:
+        if listed is not edges and set(listed) != set(edges):
             raise Invalid(f"{print_atomic_action(action)} is listed again with other edges", i)
     return interp
 
@@ -689,16 +751,6 @@ def _model(_format, states, relation, actions, valuation, observed, configs, met
 
 
 _PAIRS = array(fixed("[src, dst]", 2, integer()))
-
-
-def _pairs(value: Any) -> list:
-    """A list of `[src, dst]` integer pairs, tested in one pass; a list that
-    fails is walked by the nodes of `_PAIRS`, for its first bad pair."""
-    plain = type(value) is list and all(
-        type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in value)
-    return value if plain else _PAIRS(value)
-
-
 _HAND = choice({h.value: h for h in _HANDS})
 #: The segmentation thresholds a model's `meta` records, and a run
 #: configuration sets, checked by `SegmentationParams`; every key is optional
@@ -710,9 +762,9 @@ SEGMENTATION = table("segmentation", {
 _MODEL = table("model", {
     "format": const(1),
     "states": integer(1),
-    "relation": _pairs,
+    "relation": _PAIRS,
     "actions": optional(array(table("action", {
-        "action": string(partial(_hands_only, parse_atomic_action)), "edges": _pairs,
+        "action": string(partial(_hands_only, parse_atomic_action)), "edges": _PAIRS,
     }, tuple), build=_actions), {}),
     "valuation": optional(given(_valuation, "states", "relation"), {}),
     "observed": optional(array(array(_HAND, build=frozenset), build=tuple), ()),

@@ -42,12 +42,49 @@ from bisect import bisect_left
 from functools import partial
 from operator import attrgetter
 
-from .core import (LEAF_FIELDS, TOP, Action, And, Articulator, At, Atom, AtomF, Atomic,
-                   AtomicAction, Box, Choice, Concurrent, Config, Direction, Formula, Handedness,
-                   Move, Not, Orient, RelDir, Seq, Star, Thrill, Top, Touch, diamond, ground_atom,
-                   implies, iter_atoms, or_)
-from .errors import (AliasCollision, Diagnostic, DuplicateSign, ParseError, Record, SourceSpan,
-                     UnknownArticulator, UnknownDirection)
+from .core import (
+    LEAF_FIELDS,
+    TOP,
+    Action,
+    And,
+    Articulator,
+    At,
+    Atom,
+    AtomF,
+    Atomic,
+    AtomicAction,
+    Box,
+    Choice,
+    Concurrent,
+    Config,
+    Direction,
+    Formula,
+    Handedness,
+    Move,
+    Not,
+    Orient,
+    RelDir,
+    Seq,
+    Star,
+    Thrill,
+    Top,
+    Touch,
+    diamond,
+    ground_atom,
+    implies,
+    iter_atoms,
+    or_,
+)
+from .errors import (
+    AliasCollision,
+    Diagnostic,
+    DuplicateSign,
+    ParseError,
+    Record,
+    SourceSpan,
+    UnknownArticulator,
+    UnknownDirection,
+)
 
 # --- Tokens ------------------------------------------------------------------
 

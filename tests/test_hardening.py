@@ -330,6 +330,27 @@ def test_reading_edges_takes_memory_by_the_size_of_the_file(relation, actions, m
     assert str(info.value) == message and peak < 100_000
 
 
+def test_a_relation_with_an_offset_per_pair_takes_memory_by_its_pairs():
+    """The reversal s -> n-1-s gives each pair an offset of its own, so
+    bitsets by offset would take memory by the square of the states: the
+    relation and an action on the same edges keep their pairs, and the peak
+    of reading them grows with the pairs."""
+    peaks = []
+    for n in (12_500, 100_000):
+        pairs = [[s, n - 1 - s] for s in range(n)]
+        doc = {"format": 1, "states": n, "relation": pairs,
+               "actions": [{"action": MOVE, "edges": pairs}]}
+        model_from_json({"format": 1, "states": 1, "relation": [[0, 0]]})  # compiles the table
+        tracemalloc.start()
+        try:
+            model = model_from_json(doc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert model.relation.diagonals is None and len(model.relation) == n
+    assert peaks[1] < 12 * peaks[0]  # 8 times the pairs; by their square it would be 64
+
+
 def test_reading_a_valuation_takes_memory_by_the_size_of_the_file():
     doc = {"format": 1, "states": 10**7, "relation": [[0, 0]], "valuation": [
         {"state": s, "atom": ATOM, "value": "true"} for s in (0, 10**7 - 1)

@@ -284,6 +284,26 @@ def test_interpret_action_reads_a_stored_action_off_its_diagonals(monkeypatch):
     assert calls[0] == 0
 
 
+def test_an_and_of_diagonals_and_of_kept_pairs_is_their_intersection():
+    """A chain action holds diagonals, and an action with an offset for
+    most of its edges keeps its pairs; their `&`, either way round, relates
+    the pairs both relate, and `<α & β>` of any targets reads it."""
+    rng, n = random.Random(7), 300
+    steps = {(s, s + 1) for s in range(n - 1)}
+    jumps = {(s, rng.randrange(n)) for s in range(n)} | set(rng.sample(sorted(steps), 100))
+    a, b = Move(R, Direction.E), Move(L, Direction.E)
+    model = UtteranceModel(state_count=n, relation=steps | jumps | {(n - 1, n - 1)},
+                           action_interp={a: steps, b: jumps}, valuation={})
+    assert model.action_interp[a].diagonals is not None and model.action_interp[b].diagonals is None
+    labeler = Labeler(model)
+    for action in (Concurrent(Atomic(a), Atomic(b)), Concurrent(Atomic(b), Atomic(a))):
+        assert interpret_action(model, action) == steps & jumps
+        for _ in range(20):
+            targets = rng.getrandbits(n)
+            assert labeler.pre(action, targets) == sum(
+                {1 << s for s, t in steps & jumps if targets >> t & 1})
+
+
 ONE_STEP = "sign MEET_NEXT := <move(R,E)> touch(R,L) .\n"
 
 

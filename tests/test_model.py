@@ -605,5 +605,6 @@ def test_edges_read_as_the_pairs_they_were_built_from(shape, n):
         assert held == frozenset(pairs) and frozenset(pairs) == held
         assert all(pair in held for pair in pairs)
         assert [pair in held for pair in strangers] == [pair in pairs for pair in strangers]
+        assert eval(repr(held), {"Edges": set}) == pairs
     doc = model_to_json(model)
     assert model_to_json(model_from_json(json.loads(json.dumps(doc)))) == doc
