@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from itertools import compress
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
@@ -28,7 +29,7 @@ from .core import (
     ground_atom,
 )
 from .errors import AliasCollision, ParseError, Record, SourceSpan, UnknownState
-from .model import ThreeVal, UtteranceModel, _Labeler, _members
+from .model import ThreeVal, UtteranceModel, _Labeler
 from .parsing import LexiconFile, parse_atom, print_atom
 
 
@@ -38,6 +39,7 @@ class Proposal(Record):
 
 MATCH = "match"
 POSSIBLE = "possible"
+_BYTES = bytes.maketrans(b"01", b"\0\1")  # a bitset's digits as the bytes `compress` reads
 
 
 class ProposalReport(Record):
@@ -162,17 +164,17 @@ def verify(
         lo &= anchor_lo
         labeled.append((entry.name, lo, hi & anchor_hi & ~lo))
     # A proposal only for a (sign, verdict) that some state holds: each sign's match, then each
-    # sign's possible. One list per state, of indices of `held`, is filled in one pass.
+    # sign's possible. Each held bitset becomes one 0/1 byte per state, proposal after proposal,
+    # so a state's row is every n-th byte; states with equal rows share one tuple of proposals,
+    # built once, which keeps reports small.
     held = [(Proposal(sign[0], verdict), sign[at]) for verdict, at in ((MATCH, 1), (POSSIBLE, 2))
             for sign in labeled if sign[at]]
-    keys = [[] for _ in range(model.state_count)]
-    for i, (_, states) in enumerate(held):
-        for state in _members(states):
-            keys[state].append(i)
-    # States with equal proposals share one tuple, built once, which keeps reports small.
-    keys = list(map(tuple, keys))
+    n = model.state_count
+    digits = "".join(format(states, "b").zfill(n)[::-1] for _, states in held)  # state 0 first
+    data = digits.encode().translate(_BYTES)
+    keys = [data[s::n] for s in range(n)]
     proposals = [proposal for proposal, _ in held]
-    rows = {key: tuple(map(proposals.__getitem__, key)) for key in dict.fromkeys(keys)}
+    rows = {key: tuple(compress(proposals, key)) for key in dict.fromkeys(keys)}
     per_state = tuple(map(rows.__getitem__, keys))
 
     thresholds = model.meta.get("segmentation", {}) if isinstance(model.meta, Mapping) else {}

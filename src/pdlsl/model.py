@@ -25,7 +25,10 @@ model-checking algorithm for the alternation-free modal mu-calculus");
 boxes are its duals. It stores only the `Edges` of atomic actions, the
 model's own, and of `&` actions, and labels `<α>` of one with a shift-and
 per edge offset (Baeza-Yates & Gonnet 1992, "A new approach to text
-searching") or, for few targets, an OR of predecessor rows; any other
+searching") or, for few targets, an OR of predecessor rows. `<α*>` of one
+whose edges all have one offset other than 0 is closed by doubling (Kogge
+& Stone 1973, "A parallel algorithm for the efficient solution of a
+general class of recurrence equations"), in O(log n) shift-ands; any other
 relation is read per target state. `eval_formula`, `eval_two_valued`,
 `atom_value`, `interpret_action`, `pdlsl eval` and the verification loop
 in `check` all read its labels, and it alone refuses D and W.
@@ -41,7 +44,6 @@ row or cell, and its edge pairs go to `Edges` as read.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Set
 from enum import Enum
 from functools import partial
@@ -251,17 +253,27 @@ class Edges(Set):
 
     @classmethod
     def of(cls, state_count: int, pairs: Collection[Pair]) -> Edges:
-        """The edges of `(s, t)` pairs listed in any order, any number of times."""
-        by_offset, outside = defaultdict(list), []  # each offset's sources, and the pairs outside
+        """The edges of `(s, t)` pairs listed in any order, any number of
+        times, grouped by offset until one more offset would take more words
+        than there are pairs; then the pairs are kept."""
+        n, words = state_count, state_count // 64 + 1
+        by_offset, outside = {}, []  # each offset's sources, and the pairs outside
         for s, t in pairs:
-            if 0 <= s < state_count and 0 <= t < state_count:
-                by_offset[t - s].append(s)
-            else:
+            if not (0 <= s < n and 0 <= t < n):
                 outside.append((s, t))
-        if len(by_offset) * (state_count // 64 + 1) > len(pairs) - len(outside):  # words > edges
-            return cls(state_count, None, tuple(outside), frozenset(pairs).difference(outside))
-        diagonals = {d: _bitset(sources, state_count) for d, sources in by_offset.items()}
-        return cls(state_count, diagonals, tuple(outside))
+                continue
+            try:
+                by_offset[t - s].append(s)
+            except KeyError:  # a new offset
+                if (len(by_offset) + 1) * words > len(pairs):
+                    break
+                by_offset[t - s] = [s]
+        else:
+            if len(by_offset) * words <= len(pairs) - len(outside):  # no more words than edges
+                diagonals = {d: _bitset(sources, n) for d, sources in by_offset.items()}
+                return cls(n, diagonals, tuple(outside))
+        outside = [(s, t) for s, t in pairs if not (0 <= s < n and 0 <= t < n)]
+        return cls(n, None, tuple(outside), frozenset(pairs).difference(outside))
 
     def __contains__(self, pair: object) -> bool:
         if self.diagonals is None:
@@ -413,10 +425,11 @@ class _Labeler:
     The one modal operator is `<α>`, labeled by `pre`; a box is its dual,
     `[α]X = !<α>!X`. `<α;β>Y = <α><β>Y`, `<α|β>Y = <α>Y \\/ <β>Y` and
     `<α*>Y` is backward reachability from Y (Lange 2006; Cleaveland &
-    Steffen 1993). Only atomic and `&` actions are stored, by `_stored`, as
-    `Edges` and the predecessor rows built from them; an atomic action's are
-    the model's own. Any other action under `&`, such as a star, is read per
-    target state `t` as `<α>{t}`."""
+    Steffen 1993), closed by doubling where α is stored with one edge
+    offset (Kogge & Stone 1973). Only atomic and `&` actions are stored, by
+    `_stored`, as `Edges` and the predecessor rows built from them; an
+    atomic action's are the model's own. Any other action under `&`, such
+    as a star, is read per target state `t` as `<α>{t}`."""
 
     def __init__(self, model: UtteranceModel, closed_world: bool | None = None,
                  handedness: Handedness | None = None):
@@ -498,10 +511,26 @@ class _Labeler:
         return label
 
     def reach(self, action: Action, targets: int) -> int:
-        """<α*>Y: the states with an α-path into `targets`. Each state joins
-        the frontier at most once, and α is read at least once, so a D or W
-        in it is refused even when `targets` is empty."""
+        """<α*>Y: the states with an α-path into `targets`; α is read at least
+        once, so a D or W in it is refused even when `targets` is empty. A
+        stored α of one edge offset d other than 0 is closed by doubling
+        (Kogge & Stone 1973): with S its sources, each step ORs `(Y >> d) & S`
+        into Y, then ANDs S with `S >> d` and doubles d. Each state has one
+        successor at most, so a step that adds no state ends it. Any other α
+        is searched backwards, and each state joins the frontier once."""
         reached = targets
+        if type(action) in (Atomic, Concurrent):
+            diagonals = self._stored(action)[0].diagonals
+            if diagonals is not None and len(diagonals) == 1 and 0 not in diagonals:
+                [(d, sources)] = diagonals.items()
+                while sources:
+                    found = (reached >> d if d > 0 else reached << -d) & sources
+                    if not found & ~reached:
+                        break
+                    reached |= found
+                    sources &= sources >> d if d > 0 else sources << -d
+                    d *= 2
+                return reached
         frontier = self.pre(action, targets) & ~reached
         while frontier:
             reached |= frontier

@@ -304,6 +304,30 @@ def test_an_and_of_diagonals_and_of_kept_pairs_is_their_intersection():
                 {1 << s for s, t in steps & jumps if targets >> t & 1})
 
 
+def test_a_one_offset_star_is_closed_in_a_handful_of_steps(monkeypatch):
+    """`[move(R,E)*] !touch(R,L)` on a 102,400-state chain whose one
+    `touch` is at the last state: the star's one edge offset is closed by
+    doubling, with a handful of `<α>` calls, not one per state, and every
+    state reaches the touch, so none is proposed."""
+    n = 102_400
+    edges = [(s, s + 1) for s in range(n - 1)]
+    model = UtteranceModel(state_count=n, relation=edges + [(n - 1, n - 1)],
+                           action_interp={Move(R, Direction.E): edges},
+                           valuation={(n - 1, Touch(R, L)): T}, observed=(frozenset((R, L)),) * n)
+    calls = [0]
+    pre = Labeler.pre
+
+    def counting(labeler, action, targets):
+        calls[0] += 1
+        return pre(labeler, action, targets)
+
+    monkeypatch.setattr(Labeler, "pre", counting)
+    lexicon = parse_lexicon("sign STAY_APART := [move(R,E)*] !touch(R,L) .\n")
+    report = verify(model, lexicon, Handedness.RIGHT_DOMINANT)
+    assert calls[0] <= 4
+    assert report.per_state == ((),) * n
+
+
 ONE_STEP = "sign MEET_NEXT := <move(R,E)> touch(R,L) .\n"
 
 

@@ -9,7 +9,9 @@ The reference is first checked against the matrix oracle on the seeded
 offsets -3..3, random sparse relations (about as many offsets as edges, so
 that `pre` ORs predecessor rows) and many small cycles. The signs put few
 and many states under `pre`, and `&` joins two actions whose offset sets
-differ.
+differ. Chains of one edge offset (+1, -1 and +2, and +1 with one
+self-loop) whose only touch is at the far end make the stars closed by
+doubling take long strides and negative shifts.
 """
 
 import random
@@ -159,3 +161,49 @@ def test_labels_match_the_bfs_reference(shape, n):
     actions = [A, Concurrent(A, B), Concurrent(B, A)]
     for action in actions + ([Concurrent(Star(A), B)] if n < 1000 else []):
         assert interpret_action(model, action) == _gen.bfs_pairs(preds, n, action)
+
+
+# One edge offset per action: the shape whose stars are closed by doubling.
+ONE_OFFSET = {"+1": 1, "-1": -1, "+2": 2, "self-loop": 1}
+TOGETHER = "sign TOGETHER := <(move(R,E) & move(L,E))*> touch(R,L) .\n"
+
+
+def one_offset_model(shape: str, n: int) -> tuple[UtteranceModel, dict, dict]:
+    """A chain of one edge offset d whose only touch(R,L) is at its far
+    end, n - 1 or, for d = -1, 0. move(R,E) relates every s to s + d, and
+    move(L,E) the same edges less about a tenth, so that its stars and
+    those of `&` stop at gaps. "self-loop" adds a self-loop at one
+    middle state to move(R,E), which then has two offsets."""
+    rng, d = random.Random(f"{shape}:{n}"), ONE_OFFSET[shape]
+    right = {(s, s + d) for s in range(n) if 0 <= s + d < n}
+    left = {p for p in right if rng.random() < 0.9}
+    if shape == "self-loop":
+        right.add((n // 2, n // 2))
+    edges = {MOVE_R: frozenset(right), MOVE_L: frozenset(left)}
+    sources = {s for s, _ in right}
+    relation = frozenset(right | {(s, s) for s in range(n) if s not in sources})
+    far = 0 if d < 0 else n - 1
+    cells = {}
+    for s in range(n):
+        for atom in TOUCHES:
+            cells[s, atom] = T if (s, atom) == (far, Touch(R, L)) else F
+        for atom in PLACES:
+            cells[s, atom] = rng.choices((F, U, T), (3, 3, 94))[0]
+    model = UtteranceModel(state_count=n, relation=relation, action_interp=edges,
+                           valuation=cells)
+    return model, cells, edges
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 1000, 5000])
+@pytest.mark.parametrize("shape", ONE_OFFSET)
+def test_one_offset_stars_match_the_bfs_reference(shape, n):
+    model, cells, edges = one_offset_model(shape, n)
+    preds = _gen.bfs_predecessors(edges)
+    lexicon = parse_lexicon(SIGNS + TOGETHER)
+    for handedness in Handedness:
+        report = verify(model, lexicon, handedness)
+        got = [[(p.sign, p.verdict) for p in ps] for ps in report.per_state]
+        assert got == _gen.bfs_verdicts(preds, cells, n, lexicon, handedness), handedness
+    if n < 1000:  # a star relates about n²/2 pairs
+        for action in (Star(A), Star(B), Star(Concurrent(A, B))):
+            assert interpret_action(model, action) == _gen.bfs_pairs(preds, n, action)
