@@ -5,12 +5,10 @@ interpretation of atomic actions as edge sets and a three-valued atomic
 valuation. Formulas follow standard relational box semantics with strong
 Kleene connectives, so missing tracking data degrades answers to Unknown
 instead of guessing. The valuation and the edges are each held in one form
-from the model file or extraction to the labeler: per atom, the bitsets of
-the states listed True, Unknown and False (`Valuation`), which reads as a
-mapping from `(state, atom)` to the value; and for the relation and each
-atomic action, per edge offset d, the bitset of the sources s of its edges
-(s, s + d) (`Edges`), which reads as the set of those pairs. Edges whose
-bitsets could take more 64-bit words than they have pairs keep the pairs.
+from the model file or extraction to the labeler, which reads as the
+mapping or set it holds: per atom, the bitsets of the states listed True,
+Unknown and False (`Valuation`); for the relation and each atomic action,
+per edge offset, the bitset of its edges' sources, or its pairs (`Edges`).
 
 One labeler evaluates formulas, labeling every state at once in the manner
 of CTL labeling (Clarke, Emerson & Sistla 1986). Three-valued truth is the
@@ -23,15 +21,13 @@ backward reachability (Lange 2006, "Model checking propositional dynamic
 logic with all extras"; Cleaveland & Steffen 1993, "A linear-time
 model-checking algorithm for the alternation-free modal mu-calculus");
 boxes are its duals. It stores only the `Edges` of atomic actions, the
-model's own, and of `&` actions, and labels `<α>` of one with a shift-and
-per edge offset (Baeza-Yates & Gonnet 1992, "A new approach to text
-searching") or, for few targets, an OR of predecessor rows. `<α*>` of one
-whose edges all have one offset other than 0 is closed by doubling (Kogge
-& Stone 1973, "A parallel algorithm for the efficient solution of a
-general class of recurrence equations"), in O(log n) shift-ands; any other
-relation is read per target state. `eval_formula`, `eval_two_valued`,
-`atom_value`, `interpret_action`, `pdlsl eval` and the verification loop
-in `check` all read its labels, and it alone refuses D and W.
+model's own, and of `&` actions. Their step is a shift-and per edge
+offset (Baeza-Yates & Gonnet 1992, "A new approach to text searching"),
+or an OR of each target's sources, and their star, with one offset other
+than 0, is closed by doubling (Kogge & Stone 1973, "A parallel algorithm
+for the efficient solution of a general class of recurrence equations").
+`eval_formula`, `eval_two_valued`, `atom_value`, `interpret_action`,
+`pdlsl eval` and `check` all read its labels, and it alone refuses D and W.
 
 A model file is read by `model_from_json`, which checks it against the
 model table of `schema` and builds the model in the same walk; what is not
@@ -47,6 +43,7 @@ import math
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Set
 from enum import Enum
 from functools import partial
+from itertools import chain, compress, count
 from types import MappingProxyType
 from typing import Any
 
@@ -202,13 +199,12 @@ class Valuation(Mapping):
         return Valuation(self.state_count, listed)
 
     def __getitem__(self, key: tuple[int, Atom]) -> ThreeVal:
-        state, atom = key
-        bits = self.listed.get(atom)
-        if bits is not None and state >= 0:
-            for value, states in zip(_VALUES, bits):
-                if states >> state & 1:
-                    return value
-        raise KeyError(key)
+        match key:
+            case (int() as state, atom) if state >= 0:
+                for value, states in zip(_VALUES, self.listed.get(atom, ())):
+                    if states >> state & 1:
+                        return value
+        raise KeyError(key)  # also for a key that is not a pair of an int and an atom
 
     def __iter__(self) -> Iterator[tuple[int, Atom]]:
         for atom, (true, unknown, false) in self.listed.items():
@@ -224,24 +220,21 @@ class Valuation(Mapping):
 
 
 class Edges(Set):
-    """Edges over the states 0..state_count-1 by offset: `diagonals` maps
-    each offset d to the bitset, never empty, of the sources s of the edges
-    (s, s + d). Edges whose diagonals could take more 64-bit words than
-    they have pairs, as a relation with an offset of its own for most pairs
-    would, keep their `pairs` instead, and `diagonals` is None; so either
-    form takes memory by the number of pairs. `has_pred` and `has_succ`,
-    the bitsets of their targets and of their sources, are computed once,
-    when the edges are made. It reads as the set of its pairs. `outside`
-    holds the pairs listed with a state outside the range; a model refuses
-    any outside its own states."""
+    """Edges over the states 0..state_count-1: `diagonals` maps each offset d
+    to the bitset, never empty, of the sources s of the edges (s, s + d), or
+    is None, and `pairs` keeps them, where that could take more 64-bit words
+    than there are pairs; so either takes memory by the pairs. `has_pred` and
+    `has_succ` are the bitsets of targets and sources. It reads as the set of
+    its pairs; only `pre` and `&` read its forms. `outside` holds the pairs
+    listed with a state outside the range; a model refuses any outside its own."""
 
-    __slots__ = ("state_count", "diagonals", "pairs", "outside", "has_pred", "has_succ")
-    _from_iterable = frozenset  # what `|`, `&` and `-` return
+    __slots__ = ("state_count", "diagonals", "pairs", "outside", "has_pred", "has_succ", "_into")
+    _from_iterable = frozenset  # what `|`, `-` and `&` with a non-`Edges` return
 
     def __init__(self, state_count: int, diagonals: dict[int, int] | None,
                  outside: tuple[Pair, ...] = (), pairs: frozenset[Pair] = frozenset()):
-        self.state_count, self.diagonals, self.pairs, self.outside = (
-            state_count, diagonals, pairs, outside)
+        self.state_count, self.diagonals, self.pairs, self.outside, self._into = (
+            state_count, diagonals, pairs, outside, None)
         if diagonals is None:
             self.has_pred = _bitset([t for _, t in pairs], state_count)
             self.has_succ = _bitset([s for s, _ in pairs], state_count)
@@ -276,10 +269,11 @@ class Edges(Set):
         return cls(n, None, tuple(outside), frozenset(pairs).difference(outside))
 
     def __contains__(self, pair: object) -> bool:
-        if self.diagonals is None:
-            return pair in self.pairs
-        s, t = pair
-        return s >= 0 and self.diagonals.get(t - s, 0) >> s & 1 == 1
+        if type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int:
+            s, t = pair
+            return (pair in self.pairs if self.diagonals is None
+                    else s >= 0 and self.diagonals.get(t - s, 0) >> s & 1 == 1)
+        return False  # not a pair of ints
 
     def __iter__(self) -> Iterator[Pair]:
         if self.diagonals is None:
@@ -307,8 +301,43 @@ class Edges(Set):
                     found.append((d, (wrong & -wrong).bit_length() - 1))
         return next(((s, s + d) for d, s in sorted(found)), None)
 
+    def __and__(self, other: Iterable) -> Set:
+        """The pairs in both: `Edges`, ANDed per offset where both hold diagonals, if `other` is."""
+        if type(other) is not Edges:
+            return super().__and__(other)
+        if self.diagonals is None or other.diagonals is None:
+            return Edges.of(self.state_count, frozenset(self).intersection(other))
+        return Edges(self.state_count, {d: both for d, sources in self.diagonals.items()
+                                        if (both := sources & other.diagonals.get(d, 0))})
+
+    def pre(self, targets: int) -> int:
+        """The sources of the edges into `targets`: all if `targets` holds every target;
+        else a shift-and per offset, or, for kept pairs or few hits, each hit's sources."""
+        hit, diagonals, found = targets & self.has_pred, self.diagonals, 0
+        if not hit or hit == self.has_pred:
+            return hit and self.has_succ
+        if diagonals is not None and hit.bit_count() >= len(diagonals) - (0 in diagonals):
+            for d, sources in diagonals.items():
+                found |= (targets >> d if d >= 0 else targets << -d) & sources
+            return found
+        if (into := self._into) is None:  # each target's sources, built on first need
+            into = {}  # and published whole, so a concurrent reader sees all of it or none
+            for s, t in self:
+                into.setdefault(t, []).append(s)
+            self._into = into
+        hits = (_members(hit) if hit.bit_count() <= self.state_count >> 5  # else its digits, walked in C
+                else compress(count(), format(hit, "b").encode().translate(_UNBITS)[::-1]))
+        sources = list(chain.from_iterable(map(into.__getitem__, hits)))
+        if len(sources) <= self.state_count >> 6:  # few: a sum copies less than digits
+            return sum(1 << s for s in set(sources))
+        digits = bytearray(b"0" * self.state_count)
+        for s in sources:
+            digits[s] = 49  # ord("1")
+        return int(digits[::-1], 2)
+
 
 _NO_EDGES = Edges(0, {})
+_UNBITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class UtteranceModel(Record):
@@ -427,9 +456,8 @@ class _Labeler:
     `<α*>Y` is backward reachability from Y (Lange 2006; Cleaveland &
     Steffen 1993), closed by doubling where α is stored with one edge
     offset (Kogge & Stone 1973). Only atomic and `&` actions are stored, by
-    `_stored`, as `Edges` and the predecessor rows built from them; an
-    atomic action's are the model's own. Any other action under `&`, such
-    as a star, is read per target state `t` as `<α>{t}`."""
+    `_stored`, as `Edges`, whose `pre` takes their step. Any other action
+    under `&`, such as a star, is read per target state `t` as `<α>{t}`."""
 
     def __init__(self, model: UtteranceModel, closed_world: bool | None = None,
                  handedness: Handedness | None = None):
@@ -437,7 +465,7 @@ class _Labeler:
         self.full = (1 << model.state_count) - 1
         self.closed_world = closed_world
         self.handedness = handedness
-        self._pred: dict[Action, tuple[Edges, dict[int, int]]] = {}
+        self._pred: dict[Action, Edges] = {}
         self._labels: dict[Formula, tuple[int, int]] = {}
         self._anchors: dict[Formula, tuple[int, int]] = {}
 
@@ -520,8 +548,7 @@ class _Labeler:
         is searched backwards, and each state joins the frontier once."""
         reached = targets
         if type(action) in (Atomic, Concurrent):
-            diagonals = self._stored(action)[0].diagonals
-            if diagonals is not None and len(diagonals) == 1 and 0 not in diagonals:
+            if len(diagonals := self._stored(action).diagonals or ()) == 1 and 0 not in diagonals:
                 [(d, sources)] = diagonals.items()
                 while sources:
                     found = (reached >> d if d > 0 else reached << -d) & sources
@@ -538,13 +565,7 @@ class _Labeler:
         return reached
 
     def pre(self, action: Action, targets: int) -> int:
-        """<α>Y: the states with an α-successor in `targets`. When Y holds
-        every state with a predecessor under a stored action, that is the
-        states with a successor; otherwise it ORs `(Y >> d) & sources` over
-        the action's edge offsets d, where `sources` is its diagonal of
-        offset d, or, when fewer states of Y have a predecessor than it has
-        offsets other than 0, or the action keeps its pairs, the
-        predecessor rows of those states."""
+        """<α>Y: the states with an α-successor in `targets`."""
         kind = type(action)
         if kind is Seq:
             return self.pre(action.left, self.pre(action.right, targets))
@@ -555,50 +576,29 @@ class _Labeler:
             if type(body) is Star:  # (α*)* = α*
                 return self.pre(body, targets)
             return self.reach(body, targets)
-        edges, rows = self._pred.get(action) or self._stored(action)
-        hit, found, diagonals = targets & edges.has_pred, 0, edges.diagonals
-        if hit == edges.has_pred:
-            return edges.has_succ
-        if diagonals is None or hit.bit_count() < len(diagonals) - (0 in diagonals):
-            if hit and not rows:
-                for s, t in edges:
-                    rows[t] = rows.get(t, 0) | 1 << s
-            for t in _members(hit):
-                found |= rows[t]
-            return found
-        for d, diagonal in diagonals.items():
-            found |= (targets >> d if d >= 0 else targets << -d) & diagonal
-        return found
+        stored = self._pred.get(action)
+        return (self._stored(action) if stored is None else stored).pre(targets)
 
-    def _stored(self, action: Action) -> tuple[Edges, dict[int, int]]:
-        """An atomic or `&` action's `Edges` and the predecessor rows that
-        `pre` fills on first use. An atomic action's edges are the model's,
-        and one whose leaf grounds to another is filed under the record of
-        the grounded one. An `&` of two stored actions ANDs their diagonals
-        at the offsets they share, or intersects their pairs when one keeps
-        pairs; any other reads its operands per target."""
+    def _stored(self, action: Action) -> Edges:
+        """An atomic or `&` action's `Edges`: an atomic action's are the model's,
+        also under a key that grounds to it; an `&` of stored actions is their
+        `&`, and any other `&` reads its operands per target."""
         stored = self._pred.get(action)
         if stored is None:
-            n = self.model.state_count
             match action:
                 case Atomic(a) if (grounded := self.leaf(a)) is not a:
-                    stored = self._pred[action] = self._stored(Atomic(grounded))
-                    return stored
+                    stored = self._stored(Atomic(grounded))
                 case Atomic(a):
-                    edges = self.model.action_interp.get(a, _NO_EDGES)
+                    stored = self.model.action_interp.get(a, _NO_EDGES)
                 case Concurrent(Atomic() | Concurrent() as l, Atomic() | Concurrent() as r):
-                    left, right = self._stored(l)[0], self._stored(r)[0]
-                    if left.diagonals is None or right.diagonals is None:
-                        edges = Edges.of(n, left & right)
-                    else:
-                        edges = Edges(n, {d: both for d, sources in left.diagonals.items()
-                                          if (both := sources & right.diagonals.get(d, 0))})
+                    stored = self._stored(l) & self._stored(r)
                 case Concurrent(l, r):
-                    edges = Edges.of(n, [(s, t) for t in range(n) for s in _members(
+                    n = self.model.state_count
+                    stored = Edges.of(n, [(s, t) for t in range(n) for s in _members(
                         self.pre(l, 1 << t) & self.pre(r, 1 << t))])
                 case _:
                     raise TypeError(f"not an action node: {action!r}")
-            stored = self._pred[action] = edges, {}
+            self._pred[action] = stored
         return stored
 
 
@@ -642,7 +642,7 @@ def interpret_action(model: UtteranceModel, action: Action) -> frozenset[Pair]:
     and W are refused."""
     labeler = _Labeler(model)
     if type(action) in (Atomic, Concurrent):
-        return frozenset(labeler._stored(action)[0])
+        return frozenset(labeler._stored(action))
     return frozenset((s, t) for t in model.states() for s in _members(labeler.pre(action, 1 << t)))
 
 

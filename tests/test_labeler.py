@@ -7,11 +7,13 @@ of `_gen` on seeded 30-60 state models, and `&` over `*`, `;` and `|`, and
 by state in `_reference_atom_value` from a plain dict of the listed cells,
 on models built in code and on seeded 30-400 state model files, with and
 without overrides. A counting test checks that `verify` stores only
-atomic and `&` actions and builds no predecessor row on a chain, another
+atomic and `&` actions and builds no source list on a chain, another
 that an action written with D/W and with R/L is stored once, and a
-memory test that its `tracemalloc` peak grows linearly with the chain. A
-labeler given the signer's handedness labels formulas as parsed, and
-their anchors, as the handless labeler labels the trees `ground` makes. Last, `verify` and
+memory test that its `tracemalloc` peak grows linearly with the chain, and
+with a reversal and a chain of two offsets, whose targets are read one by
+one. A labeler given the signer's handedness labels formulas as parsed,
+and their anchors, as the handless labeler labels the trees `ground`
+makes. Last, `verify` and
 `eval_formula` on chains and cycles of 63-65 and 127-129 states, on
 either side of the labeler's 64-bit words, with a second action on a
 subset of the first's edges under `&`, are compared with a breadth-first
@@ -193,10 +195,10 @@ STAR_UNDER_CONCURRENT = "sign STEP := [move(R,E)* & (move(R,E) ; move(R,E))] at(
 
 def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
     """`verify` of the star signs stores only atomic and `&` actions, never
-    a star, `;` or `|`; on a chain, whose one edge offset is 1, it builds
-    no predecessor row and walks no bitset state by state, with or without
-    a star under `&`, which is read per target state and still matches the
-    oracle."""
+    a star, `;` or `|`, and an atomic action as the model's own `Edges`; on
+    a chain, whose one edge offset is 1, it builds no source list and walks
+    no bitset state by state, with or without a star under `&`, which is
+    read per target state and still matches the oracle."""
     labelers, read = [], [0]
     init, members = pdlsl.model._Labeler.__init__, pdlsl.model._members
 
@@ -215,7 +217,7 @@ def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
     monkeypatch.setattr(pdlsl.model._Labeler, "__init__", recording)
     monkeypatch.setattr(pdlsl.model, "_members", counting)
 
-    def rows_read(n: int) -> int:
+    def states_walked(n: int) -> int:
         read[0] = 0
         verify(chain(n), parse_lexicon(STAR_SIGNS), Handedness.RIGHT_DOMINANT)
         return read[0]
@@ -226,21 +228,25 @@ def test_verify_stores_rows_only_for_atomic_and_concurrent_actions(monkeypatch):
         labelers.clear()
         report = verify(model, parse_lexicon(text), Handedness.RIGHT_DOMINANT)
         assert stored() == kinds
-        assert not any(rows for labeler in labelers for _, rows in labeler._pred.values())
+        for labeler in labelers:
+            for action, edges in labeler._pred.items():
+                assert edges._into is None
+                if type(action) is Atomic:
+                    assert edges is model.action_interp[action.action]
         with memoized_oracles():
             assert [[(p.sign, p.verdict) for p in ps] for ps in report.per_state] == (
                 reference_verdicts(model, parse_lexicon(text))
             )
     labelers.clear()
-    assert rows_read(6400) == rows_read(800) == 0
+    assert states_walked(6400) == states_walked(800) == 0
     assert stored() == {Atomic}
 
 
 def test_an_action_written_with_aliases_and_with_hands_is_stored_once(monkeypatch):
     """For a right-dominant signer `move(D,E)` and `move(R,E)` are one
-    action: the labeler files both keys under one record, which holds the
-    model's own edges, so labeling builds no bitset of them, and the
-    verdicts are those of the lexicon written with hands only."""
+    action: the labeler files both keys under the model's own `Edges`, so
+    labeling builds no bitset of them, and the verdicts are those of the
+    lexicon written with hands only."""
     built = [0]
     bitset = pdlsl.model._bitset
 
@@ -256,9 +262,8 @@ def test_an_action_written_with_aliases_and_with_hands_is_stored_once(monkeypatc
     for entry in aliased.entries:
         labeler.formula(entry.formula)
     assert labeler._pred.keys() == {Atomic(Move(D, Direction.E)), Atomic(Move(R, Direction.E))}
-    assert len({id(record) for record in labeler._pred.values()}) == 1
     # The diagonals and `has_pred` were built with the model.
-    assert labeler._pred[Atomic(Move(R, Direction.E))][0] is model.action_interp[Move(R, Direction.E)]
+    assert all(edges is model.action_interp[Move(R, Direction.E)] for edges in labeler._pred.values())
     assert built[0] == 0
     handed = parse_lexicon("sign NEXT := <move(R,E)> touch(R,L) .\n"
                            "sign STAY_APART := [move(R,E)*] !touch(R,L) .\n")
@@ -349,6 +354,42 @@ def test_verify_memory_grows_linearly_with_a_chain(text):
 
     small, large = peak(6400), peak(25600)
     assert large <= 4.5 * small, (small, large)
+
+
+def wide_step_model(shape: str, n: int) -> UtteranceModel:
+    """An n-state model whose one `touch(R,L)` is at its last state and
+    whose move(R,E) edges are the relation's: the reversal s -> n-1-s, each
+    pair of its own offset, or a chain with offsets +1 and +2."""
+    if shape == "reversal":
+        edges = relation = [(s, n - 1 - s) for s in range(n)]
+    else:
+        edges = [(s, s + d) for d in (1, 2) for s in range(n - d)]
+        relation = edges + [(n - 1, n - 1)]
+    return UtteranceModel(state_count=n, relation=relation,
+                          action_interp={Move(R, Direction.E): edges},
+                          valuation={(n - 1, Touch(R, L)): T}, observed=(frozenset((R, L)),) * n)
+
+
+@pytest.mark.parametrize("shape", ["reversal", "offsets 1 and 2"])
+def test_verify_memory_grows_linearly_where_targets_are_read_one_by_one(shape):
+    """Where few targets are hit, or the edges keep their pairs, `<α>` ORs
+    the sources of each target hit. Its `tracemalloc` peak in `verify`
+    grows under 6 times from 5,000 states to 20,000; bitset rows per
+    target grew it 12 to 13 times, by the square of the states."""
+    lexicon = parse_lexicon("sign NEXT := <move(R,E)> touch(R,L) .\n"
+                            "sign STAY_APART := [move(R,E)*] !touch(R,L) .\n")
+
+    def peak(n: int) -> int:
+        model = wide_step_model(shape, n)
+        tracemalloc.start()
+        try:
+            verify(model, lexicon, Handedness.RIGHT_DOMINANT)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(5000), peak(20000)
+    assert large < 6 * small, (small, large)
 
 
 def nested_stars(depth: int) -> str:
@@ -663,8 +704,8 @@ def test_labeling_as_parsed_equals_labeling_the_grounded_tree(seed):
 # --- 64-bit word boundaries ---------------------------------------------------------
 
 MOVE_E, MOVE_LE = Move(R, Direction.E), Move(L, Direction.E)
-# Under `&` the superset, move(R,E), is the left operand, so rows that read
-# only the left operand give move(R,E)'s labels.
+# Under `&` the superset, move(R,E), is the left operand, so an `&` that read
+# only its left operand would give move(R,E)'s labels.
 MODALITIES = ("<move(R,E)*>", "[move(R,E)*]", "<(move(R,E) ; move(R,E))*>",
               "[move(R,E) & move(R,E)]", "[move(R,E) & move(L,E)]", "<move(R,E) & move(L,E)>")
 BOUNDARY_SIGNS = "".join(f"sign S{i} := {sign} .\n" for i, sign in enumerate(

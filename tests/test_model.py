@@ -608,3 +608,18 @@ def test_edges_read_as_the_pairs_they_were_built_from(shape, n):
         assert eval(repr(held), {"Edges": set}) == pairs
     doc = model_to_json(model)
     assert model_to_json(model_from_json(json.loads(json.dumps(doc)))) == doc
+
+
+@pytest.mark.parametrize("value", [5, (1, 2, 3), ("a", "b"), (0.0, 1.0)], ids=repr)
+def test_a_value_that_is_not_a_pair_of_ints_is_in_no_edges_and_no_valuation(value):
+    """Membership answers False, and raises nothing, for a value that is not
+    a pair of ints: in `Edges` that hold diagonals, in `Edges` that keep
+    their pairs, both holding the edge (0, 1), and in a valuation."""
+    n = 100
+    diagonals = pdlsl.model.Edges.of(n, [(s, s + 1) for s in range(n - 1)])
+    pairs = pdlsl.model.Edges.of(n, [(s, n - 1 - s) for s in range(n)] + [(0, 1)])
+    valuation = chain_model(2, {}, {(0, Touch(R, L)): T}).valuation
+    assert diagonals.diagonals is not None and pairs.diagonals is None
+    assert (0, 1) in diagonals and (0, 1) in pairs and (0, Touch(R, L)) in valuation
+    for container in (diagonals, pairs, valuation):
+        assert value not in container
