@@ -43,7 +43,6 @@ import math
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Set
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, count
 from types import MappingProxyType
 from typing import Any
 
@@ -200,7 +199,7 @@ class Valuation(Mapping):
 
     def __getitem__(self, key: tuple[int, Atom]) -> ThreeVal:
         match key:
-            case (int() as state, atom) if state >= 0:
+            case (int() as state, atom) if state >= 0 and isinstance(atom, Atom):
                 for value, states in zip(_VALUES, self.listed.get(atom, ())):
                     if states >> state & 1:
                         return value
@@ -269,10 +268,10 @@ class Edges(Set):
         return cls(n, None, tuple(outside), frozenset(pairs).difference(outside))
 
     def __contains__(self, pair: object) -> bool:
-        if type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int:
-            s, t = pair
-            return (pair in self.pairs if self.diagonals is None
-                    else s >= 0 and self.diagonals.get(t - s, 0) >> s & 1 == 1)
+        match pair:
+            case (int() as s, int() as t):
+                return ((s, t) in self.pairs if self.diagonals is None
+                        else s >= 0 and self.diagonals.get(t - s, 0) >> s & 1 == 1)
         return False  # not a pair of ints
 
     def __iter__(self) -> Iterator[Pair]:
@@ -325,19 +324,13 @@ class Edges(Set):
             for s, t in self:
                 into.setdefault(t, []).append(s)
             self._into = into
-        hits = (_members(hit) if hit.bit_count() <= self.state_count >> 5  # else its digits, walked in C
-                else compress(count(), format(hit, "b").encode().translate(_UNBITS)[::-1]))
-        sources = list(chain.from_iterable(map(into.__getitem__, hits)))
-        if len(sources) <= self.state_count >> 6:  # few: a sum copies less than digits
+        sources = [s for t in _members(hit) for s in into[t]]
+        if len(sources) <= self.state_count >> 6:  # few: a sum of shifts, not a digit per state
             return sum(1 << s for s in set(sources))
-        digits = bytearray(b"0" * self.state_count)
-        for s in sources:
-            digits[s] = 49  # ord("1")
-        return int(digits[::-1], 2)
+        return _bitset(sources, self.state_count)
 
 
 _NO_EDGES = Edges(0, {})
-_UNBITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class UtteranceModel(Record):

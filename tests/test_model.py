@@ -610,16 +610,17 @@ def test_edges_read_as_the_pairs_they_were_built_from(shape, n):
     assert model_to_json(model_from_json(json.loads(json.dumps(doc)))) == doc
 
 
-@pytest.mark.parametrize("value", [5, (1, 2, 3), ("a", "b"), (0.0, 1.0)], ids=repr)
+@pytest.mark.parametrize("value", [5, (1, 2, 3), ("a", "b"), (0.0, 1.0), (0, [])], ids=repr)
 def test_a_value_that_is_not_a_pair_of_ints_is_in_no_edges_and_no_valuation(value):
     """Membership answers False, and raises nothing, for a value that is not
     a pair of ints: in `Edges` that hold diagonals, in `Edges` that keep
-    their pairs, both holding the edge (0, 1), and in a valuation."""
+    their pairs, both holding the edges (0, 1) and (1, 1), and in a
+    valuation. A pair of an int subclass, such as bool, is still found."""
     n = 100
-    diagonals = pdlsl.model.Edges.of(n, [(s, s + 1) for s in range(n - 1)])
-    pairs = pdlsl.model.Edges.of(n, [(s, n - 1 - s) for s in range(n)] + [(0, 1)])
-    valuation = chain_model(2, {}, {(0, Touch(R, L)): T}).valuation
+    diagonals = pdlsl.model.Edges.of(n, [(s, s + 1) for s in range(n - 1)] + [(1, 1)])
+    pairs = pdlsl.model.Edges.of(n, [(s, n - 1 - s) for s in range(n)] + [(0, 1), (1, 1)])
+    valuation = chain_model(2, {}, {(1, Touch(R, L)): T}).valuation
     assert diagonals.diagonals is not None and pairs.diagonals is None
-    assert (0, 1) in diagonals and (0, 1) in pairs and (0, Touch(R, L)) in valuation
-    for container in (diagonals, pairs, valuation):
+    for container, pair in ((diagonals, (0, 1)), (pairs, (0, 1)), (valuation, (1, Touch(R, L)))):
+        assert pair in container and (True, pair[1]) in container
         assert value not in container
