@@ -2,13 +2,13 @@
 once, grounding only its atoms and atomic actions under the signer's
 handedness, and emit per-state proposals.
 
-A sign is proposed at a state only when the state can anchor it: the
-positive atoms of the sign's opening conjunction (the antecedent, for
-implication-shaped descriptions) must not be refuted there. On top of the
-anchor test, three-valued evaluation decides the verdict: Match when the
-formula is true and the anchor atoms are all established, Possible when
-partial tracking information leaves either undetermined. Both tests read
-the True and True-or-Unknown state sets of the model's labeler.
+A sign is proposed at a state only when the state can anchor it. Its
+anchor atoms are the positive atoms of its top-level conjunction, outside
+any modality; for the implication encoding `!(a /\\ !b)` they are those of
+the antecedent `a`. `_anchors` is the one walk of this rule. A sign
+matches where it and all its anchor atoms are True, and is possible where
+none of them is False but it does not match; both read the True and
+True-or-Unknown state sets of the model's labeler.
 """
 
 from __future__ import annotations
@@ -65,19 +65,21 @@ class ProposalReport(Record):
         }
 
 
+def _anchors(formula: Formula, found: list[AtomF]) -> list[AtomF]:
+    """`found`, with the formula's anchor atom nodes appended in order."""
+    kind = type(formula)  # `match` class patterns here took about a tenth of `verify`
+    if kind is AtomF:
+        found.append(formula)
+    elif kind is And:
+        _anchors(formula.right, _anchors(formula.left, found))
+    elif kind is Not and type(body := formula.body) is And and type(body.right) is Not:
+        _anchors(body.left, found)  # the antecedent of an implication
+    return found
+
+
 def anchor_atoms(formula: Formula) -> frozenset[Atom]:
-    """Positive atoms of the formula's top-level conjunction, outside any
-    modality. Sees through the implication encoding !(a /\\ !b), whose
-    anchor is the antecedent's."""
-    match formula:
-        case AtomF(atom):
-            return frozenset((atom,))
-        case And(l, r):
-            return anchor_atoms(l) | anchor_atoms(r)
-        case Not(And(antecedent, Not(_))):
-            return anchor_atoms(antecedent)
-        case _:
-            return frozenset()
+    """The formula's anchor atoms (see the module docstring), as a set."""
+    return frozenset(node.atom for node in _anchors(formula, []))
 
 
 def lexicon_hash(lexicon: LexiconFile) -> str:
@@ -144,11 +146,8 @@ def verify(
     handedness: Handedness,
     overrides: Iterable[Override] = (),
 ) -> ProposalReport:
-    """Label every sign over all states at once and collect the proposals.
-
-    A sign matches where it and all its anchor atoms are True, and is
-    possible where none of them is False but it does not match.
-    """
+    """Label every sign over all states at once and collect the proposals;
+    a sign's anchor is read off the labels of the nodes `_anchors` returns."""
     overrides = list(overrides)
     if overrides:
         model = apply_overrides(model, overrides, handedness)
@@ -160,9 +159,10 @@ def verify(
         except AliasCollision as exc:
             message = f"sign {entry.name!r} uses {print_atom(exc.atom)}: {exc}"
             raise AliasCollision(message, exc.atom) from None
-        anchor_lo, anchor_hi = labels.anchor(entry.formula)
-        lo &= anchor_lo
-        labeled.append((entry.name, lo, hi & anchor_hi & ~lo))
+        for node in _anchors(entry.formula, []):  # subformulas, so labeled already
+            node_lo, node_hi = labels.formula(node)
+            lo, hi = lo & node_lo, hi & node_hi
+        labeled.append((entry.name, lo, hi & ~lo))
     # A proposal only for a (sign, verdict) that some state holds: each sign's match, then each
     # sign's possible. Each held bitset becomes one 0/1 byte per state, proposal after proposal,
     # so a state's row is every n-th byte; states with equal rows share one tuple of proposals,

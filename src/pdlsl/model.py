@@ -460,7 +460,6 @@ class _Labeler:
         self.handedness = handedness
         self._pred: dict[Action, Edges] = {}
         self._labels: dict[Formula, tuple[int, int]] = {}
-        self._anchors: dict[Formula, tuple[int, int]] = {}
 
     def leaf(self, leaf: Atom | AtomicAction) -> Atom | AtomicAction:
         if self.handedness is None and any(hand.is_alias for hand in articulators(leaf)):
@@ -511,24 +510,6 @@ class _Labeler:
         else:
             raise TypeError(f"not a formula node: {formula!r}")
         self._labels[formula] = label
-        return label
-
-    def anchor(self, formula: Formula) -> tuple[int, int]:
-        """The AND of the labels of the formula's anchor atoms (see
-        `check.anchor_atoms`), read off its own and its children's labels."""
-        label = self._anchors.get(formula)
-        if label is None:
-            kind = type(formula)
-            if kind is AtomF:
-                label = self.formula(formula)
-            elif kind is And:
-                (l_lo, l_hi), (r_lo, r_hi) = self.anchor(formula.left), self.anchor(formula.right)
-                label = l_lo & r_lo, l_hi & r_hi
-            elif kind is Not and type(formula.body) is And and type(formula.body.right) is Not:
-                label = self.anchor(formula.body.left)  # the antecedent of an implication
-            else:
-                label = self.full, self.full
-            self._anchors[formula] = label
         return label
 
     def reach(self, action: Action, targets: int) -> int:

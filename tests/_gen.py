@@ -4,8 +4,11 @@ valuation's `(state, atom)` mapping view, never the labeler's defaults,
 and compute action relations with explicit loops and boolean matrix
 powering, so they share no code path with the implementations they
 check. A second reference, the `bfs_` functions, scales to thousands of
-states: it reads plain dicts and sets, searches each star breadth-first
-and uses no `pdlsl.model` code. The mirror helpers turn a tracking document
+states: it reads plain dicts and sets, where `BfsCells` gives an unlisted
+cell its documented default, searches each star breadth-first and uses no
+`pdlsl.model` code. Both verdict references take a sign's anchor from
+`ref_anchor_atoms`, the anchor rule written out again, so they share no
+anchor code with `verify`. The mirror helpers turn a tracking document
 into the signer's mirror image and rename a model to match it."""
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from pdlsl import (
     Touch,
     UtteranceModel,
     Vec2,
-    anchor_atoms,
     ground,
     mirror_direction,
 )
@@ -254,13 +256,13 @@ def _ref3(model: UtteranceModel, state: int, formula: Formula) -> str:
 
 # --- A reference that scales ---------------------------------------------------
 #
-# It takes a model as plain data: the listed cells as a dict from `(state,
-# atom)` to the value, and the edges of each atomic action. It keeps Python
-# sets, one dict per atomic action from each state to the states it is
-# reached from, and the strong Kleene tables above, and it searches each
-# star once per label breadth-first. It uses no int as a bitset and no
-# `pdlsl.model` code, so it can check the labeler at sizes where the matrix
-# oracle cannot run.
+# It takes a model as plain data: the cells as a dict from `(state, atom)`
+# to the value (a `BfsCells` gives the unlisted ones their defaults), and
+# the edges of each atomic action. It keeps Python sets, one dict per
+# atomic action from each state to the states it is reached from, and the
+# strong Kleene tables above, and it searches each star once per label
+# breadth-first. It uses no int as a bitset and no `pdlsl.model` code, so
+# it can check the labeler at sizes where the matrix oracle cannot run.
 
 Predecessors = dict[AtomicAction, dict[int, set[int]]]
 
@@ -303,6 +305,37 @@ def bfs_pairs(preds: Predecessors, n: int, action: Action) -> frozenset[tuple[in
     return frozenset((s, t) for t in range(n) for s in bfs_pre(preds, action, {t}))
 
 
+class BfsCells(dict):
+    """The listed `(state, atom)` cells, read as a dict in which an
+    unlisted cell has its documented default, taken from plain per-state
+    records: `observed[s]`, the hands tracked at state s, and `configs[s]`,
+    each hand's shape label seen there (None for none). A state past a
+    record observed nothing. A `dir`, `at` or `touch` atom defaults to
+    False where each of its hands was observed, a `cfg` atom to False only
+    where its hand showed another label, and an `orient` atom to Unknown;
+    every other default is Unknown."""
+
+    def __init__(self, listed: dict, observed: tuple = (), configs: tuple = ()):
+        super().__init__(listed)
+        self.observed, self.configs = observed, configs
+
+    def __missing__(self, key: tuple[int, Atom]) -> ThreeVal:
+        s, atom = key
+        if isinstance(atom, Config):
+            seen = self.configs[s].get(atom.articulator) if s < len(self.configs) else None
+            return ThreeVal.FALSE if seen not in (None, atom.label) else ThreeVal.UNKNOWN
+        if isinstance(atom, RelDir):
+            hands = {atom.subject, atom.anchor}
+        elif isinstance(atom, Touch):
+            hands = {atom.a, atom.b}
+        elif isinstance(atom, At):
+            hands = {atom.articulator}
+        else:
+            return ThreeVal.UNKNOWN
+        observed = self.observed[s] if s < len(self.observed) else ()
+        return ThreeVal.FALSE if hands <= set(observed) else ThreeVal.UNKNOWN
+
+
 def bfs_values(preds: Predecessors, cells: dict, n: int, formula: Formula) -> list[str]:
     """The value of a grounded formula at each state, as "t", "f" or "u",
     reading every atom from `cells`. `[α]φ` is False where some
@@ -325,6 +358,23 @@ def bfs_values(preds: Predecessors, cells: dict, n: int, formula: Formula) -> li
     raise TypeError(formula)
 
 
+def ref_anchor_atoms(formula: Formula) -> set[Atom]:
+    """A formula's anchor atoms, by the rule of the `check` module
+    docstring: the positive atoms of its top-level conjunction, outside any
+    modality, where an implication `!(a /\\ !b)` stands for its antecedent
+    `a`."""
+    atoms, todo = set(), [formula]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, And):
+            todo += [f.left, f.right]
+        elif isinstance(f, AtomF):
+            atoms.add(f.atom)
+        elif isinstance(f, Not) and isinstance(f.body, And) and isinstance(f.body.right, Not):
+            todo.append(f.body.left)
+    return atoms
+
+
 def bfs_verdicts(preds: Predecessors, cells: dict, n: int, lexicon, handedness) -> list:
     """Per state, the `(sign, verdict)` pairs of `verify`: a sign grounded
     for `handedness` is dropped where it or one of its anchor atoms is
@@ -334,7 +384,7 @@ def bfs_verdicts(preds: Predecessors, cells: dict, n: int, lexicon, handedness) 
     for entry in lexicon.entries:
         formula = ground(entry.formula, handedness)
         tables = [bfs_values(preds, cells, n, f)
-                  for f in (formula, *map(AtomF, anchor_atoms(formula)))]
+                  for f in (formula, *map(AtomF, ref_anchor_atoms(formula)))]
         signs.append((entry.name, tables))
     per_state = []
     for s in range(n):

@@ -218,6 +218,21 @@ def test_ground_rejects_alias_collision():
     assert ground(degenerate, LEFT_DOM) == AtomF(Touch(L, R))
 
 
+def test_walks_read_every_node_and_refuse_a_non_node():
+    move, thrill = Move(D, Direction.E), Thrill(R)
+    action = Seq(Star(Atomic(thrill)), Choice(Atomic(move), Concurrent(Atomic(move), Atomic(thrill))))
+    assert list(core.iter_atomic_actions(action)) == [thrill, move, move, thrill]
+    formula = And(Box(action, AtomF(Touch(D, W))), Not(And(TOP, AtomF(At(R, "FACE")))))
+    assert list(core.iter_atoms(formula)) == [Touch(D, W), At(R, "FACE")]
+    for walk in (core.iter_atoms, core.iter_atomic_actions):
+        for node in (Touch(R, L), thrill, None):
+            with pytest.raises(TypeError):
+                list(walk(node))
+    for node in (Touch(R, L), thrill, None):
+        with pytest.raises(TypeError):
+            ground(node, RIGHT_DOM)
+
+
 # Hypothesis strategies over full formula trees. Pairwise atoms draw from
 # pairs that stay distinct under both handedness values.
 

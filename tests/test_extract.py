@@ -140,6 +140,11 @@ def test_tracking_table_is_the_one_way_in(route_tracking_doc):
     frames = tracking_from_json(route_tracking_doc).frames
     with pytest.raises(TypeError, match="tracking_from_json"):
         TrackingSequence(tuple(frames.t), 25.0)
+    with pytest.raises(ValueError, match="at least one frame"):
+        TrackingSequence(frames._replace(t=[]), 25.0)
+    for fps in (0.0, -25.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="fps must be positive"):
+            TrackingSequence(frames, fps)
     with pytest.raises(ValueError, match="^no track for "):
         frames.hand(Articulator.DOMINANT)
 
@@ -453,6 +458,15 @@ def test_transition_single_hand_move():
     step = Vec2(0.05, 0.05)
     seq, tr = transition_fixture([zero] * 6, [step] * 6)
     assert transition_action(seq, tr) == Atomic(Move(L, Direction.NE))
+    # A segment of the wrong kind, or out of order, is refused.
+    posture = segment(seq)[0]
+    assert posture.kind == SegmentKind.KEY_POSTURE
+    with pytest.raises(ValueError, match="defined on key postures"):
+        posture_valuation(seq, tr, DEFAULT_PLACE_MAP)
+    with pytest.raises(ValueError, match="defined on transitions"):
+        transition_action(seq, posture)
+    with pytest.raises(ValueError, match="out of order"):
+        Segment(SegmentKind.KEY_POSTURE, 3, 2)
 
 
 def test_transition_concurrent_moves():

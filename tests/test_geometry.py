@@ -260,6 +260,9 @@ def test_place_map_rejects_duplicates_and_degenerate_rects():
         PlaceMap([Place("X", Rect(0, 1, 0, 1)), Place("X", Rect(0, 2, 0, 2))])
     with pytest.raises(ValueError):
         Rect(0, 0, 0, 1)  # zero width
+    for bounds in ((0, math.inf, 0, 1), (-math.inf, 1, 0, 1), (0, 1, math.nan, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            Rect(*bounds)
 
 
 def test_place_map_file_matches_default(tmp_path):

@@ -75,6 +75,7 @@ from pdlsl import (
     print_formula,
     verify,
 )
+from pdlsl.check import _anchors
 from pdlsl.errors import UngroundedFormula, UnknownState
 from pdlsl.model import _Labeler as Labeler
 
@@ -665,7 +666,8 @@ def test_atom_value_keeps_its_errors():
 def test_a_non_node_is_a_type_error(formula, action):
     labeler = Labeler(chain(3))
     for call in (lambda: labeler.formula(formula), lambda: print_formula(formula),
-                 lambda: labeler.pre(action, 0b111), lambda: print_action(action)):
+                 lambda: labeler.pre(action, 0b111), lambda: print_action(action),
+                 lambda: labeler.atom(action)):
         with pytest.raises(TypeError):
             call()
 
@@ -675,12 +677,22 @@ def test_a_non_node_is_a_type_error(formula, action):
 ALIASED_ACTIONS = (Move(D, Direction.E), Thrill(W))
 
 
+def anded(labeler: Labeler, formulas) -> tuple[int, int]:
+    """The AND of the labels of the formulas."""
+    lo = hi = labeler.full
+    for formula in formulas:
+        f_lo, f_hi = labeler.formula(formula)
+        lo, hi = lo & f_lo, hi & f_hi
+    return lo, hi
+
+
 @settings(SEEDS, max_examples=40)
 @given(st.integers(0, 2**32 - 1))
 def test_labeling_as_parsed_equals_labeling_the_grounded_tree(seed):
     """A labeler given the signer grounds only leaves, and labels a formula
-    as the handless labeler labels the formula `ground` makes; its anchor
-    label is the AND of the labels of the grounded formula's anchor atoms."""
+    as the handless labeler labels the formula `ground` makes, and the AND
+    of the labels of its anchor atoms (`check._anchors`) is the AND of the
+    labels of the grounded formula's anchor atoms."""
     rng = random.Random(seed)
     atoms, actions = _gen.ATOM_POOL + _gen.ALIASED_ATOMS, _gen.ACTION_POOL + ALIASED_ACTIONS
     valued = tuple({ground_atom(a, h): None for a in atoms for h in Handedness})
@@ -694,11 +706,8 @@ def test_labeling_as_parsed_equals_labeling_the_grounded_tree(seed):
         for formula in formulas:
             tree = ground(formula, handedness)
             assert parsed.formula(formula) == grounded.formula(tree)
-            lo = hi = grounded.full
-            for atom in anchor_atoms(tree):
-                atom_lo, atom_hi = grounded.formula(AtomF(atom))
-                lo, hi = lo & atom_lo, hi & atom_hi
-            assert parsed.anchor(formula) == (lo, hi)
+            assert (anded(parsed, _anchors(formula, []))
+                    == anded(grounded, map(AtomF, anchor_atoms(tree))))
 
 
 # --- 64-bit word boundaries ---------------------------------------------------------

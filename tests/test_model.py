@@ -77,6 +77,8 @@ def test_model_requires_seriality():
             action_interp={},
             valuation={},
         )
+    with pytest.raises(ValueError, match="at least one state"):
+        UtteranceModel(state_count=0, relation=frozenset(), action_interp={}, valuation={})
 
 
 def test_action_interp_must_stay_inside_relation():
@@ -606,6 +608,7 @@ def test_edges_read_as_the_pairs_they_were_built_from(shape, n):
         assert all(pair in held for pair in pairs)
         assert [pair in held for pair in strangers] == [pair in pairs for pair in strangers]
         assert eval(repr(held), {"Edges": set}) == pairs
+        assert held & set(strangers) == pairs & set(strangers)  # a set, not `Edges`
     doc = model_to_json(model)
     assert model_to_json(model_from_json(json.loads(json.dumps(doc)))) == doc
 

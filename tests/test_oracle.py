@@ -39,7 +39,6 @@ from pdlsl import (
     Top,
     Touch,
     UtteranceModel,
-    anchor_atoms,
     atom_value,
     eval_formula,
     eval_two_valued,
@@ -165,7 +164,7 @@ def reference_verdicts(model, lexicon, handedness=Handedness.RIGHT_DOMINANT):
         matches, possibles = [], []
         for name, formula in signs:
             value = _gen.ref_eval_three(model, state, formula)
-            anchors = [atom_value(model, state, a) for a in anchor_atoms(formula)]
+            anchors = [atom_value(model, state, a) for a in _gen.ref_anchor_atoms(formula)]
             if value is F or F in anchors:
                 continue
             if value is T and all(v is T for v in anchors):

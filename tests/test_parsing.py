@@ -190,6 +190,8 @@ def test_print_examples():
         == "[move(L,NE)*] at(L,HEAD)"
     )
     assert print_atom(RelDir(L, E, R)) == "dir(L,R,E)"
+    with pytest.raises(TypeError, match="not an atom"):
+        print_atom(Move(R, E))
     assert print_action(Seq(am1, Seq(am2, am3))) == "move(R,N) ; (move(L,N) ; move(R,S))"
 
 
@@ -222,6 +224,7 @@ def test_minimal_lexicon():
     lex = parse_lexicon("sign ROUTE := true .")
     assert lex.names() == ("ROUTE",)
     assert lex.get("ROUTE") == TOP
+    assert lex.get("OTHER") is None
 
 
 def test_duplicate_sign_reports_both_spans():

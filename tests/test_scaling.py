@@ -11,7 +11,9 @@ that `pre` ORs predecessor rows) and many small cycles. The signs put few
 and many states under `pre`, and `&` joins two actions whose offset sets
 differ. Chains of one edge offset (+1, -1 and +2, and +1 with one
 self-loop) whose only touch is at the far end make the stars closed by
-doubling take long strides and negative shifts.
+doubling take long strides and negative shifts. Every model leaves cells
+unlisted, at states that miss a hand or see another hand shape, so the
+documented defaults are compared at every size too.
 """
 
 import random
@@ -24,9 +26,11 @@ from pdlsl import (
     Atomic,
     Articulator,
     Concurrent,
+    Config,
     Direction,
     Handedness,
     Move,
+    Orient,
     Star,
     ThreeVal,
     Touch,
@@ -75,6 +79,7 @@ sign BOTH := [move(R,E) & move(L,E)] touch(R,L) .
 sign BOTH_SOME := <move(L,E) & move(R,E)> at(R,FACE) .
 sign EITHER := [(move(R,E) | move(L,E))*] !touch(R,L) .
 sign DOMINANT := at(D,FACE) -> [move(D,E)*] (at(W,FACE) \\/ !touch(D,W)) .
+sign SHAPE := cfg(D,CLAMP) /\\ !cfg(W,FLAT) -> <move(D,E)> (orient(D,N) \\/ dir(R,L,E)) .
 """
 # Stars under a star or under `&` cost the reference a search per state,
 # so they run on the smaller models only.
@@ -116,12 +121,30 @@ def shaped_edges(shape: str, n: int, rng: random.Random) -> tuple[set, set]:
     return right, left
 
 
+def partly_observed(rng: random.Random, n: int, listed: dict, kept=()) -> _gen.BfsCells:
+    """The cells with about a tenth of those not of the `kept` atoms
+    unlisted, and seeded records of observation: each hand unobserved at
+    about a tenth of the states and each hand's label CLAMP, FLAT or none,
+    where the last n // 64 states have no record of either."""
+    cells = {key: value for key, value in listed.items() if key[1] in kept or rng.random() >= 0.1}
+    observed = tuple(frozenset(h for h in (R, L) if rng.random() < 0.9) for _ in range(n - n // 64))
+    configs = tuple({h: rng.choice((None, "CLAMP", "FLAT")) for h in (R, L)} for _ in observed)
+    return _gen.BfsCells(cells, observed, configs)
+
+
+def model_of(n: int, relation, edges: dict, cells: _gen.BfsCells) -> UtteranceModel:
+    return UtteranceModel(state_count=n, relation=relation, action_interp=edges,
+                          valuation=dict(cells), observed=cells.observed,
+                          config_observed=cells.configs)
+
+
 def shaped_model(shape: str, n: int) -> tuple[UtteranceModel, dict, dict]:
     """A seeded model of the shape, with the cells and edges it was made
     from as plain data. touch is mostly False and at(…,FACE) mostly True,
     each with some Unknown cells, so that a label and its complement hold
-    few states; the relation adds a self-loop at each state that no action
-    leaves."""
+    few states; cfg(R,CLAMP) is listed True and orient(R,N) True or False
+    at about one state in fifty. The cells are `partly_observed`, and the
+    relation adds a self-loop at each state that no action leaves."""
     rng = random.Random(f"{shape}:{n}")
     right, left = shaped_edges(shape, n, rng)
     edges = {MOVE_R: frozenset(right), MOVE_L: frozenset(left)}
@@ -134,9 +157,11 @@ def shaped_model(shape: str, n: int) -> tuple[UtteranceModel, dict, dict]:
         for atom in PLACES:
             cells[s, atom] = rng.choices((F, U, T), (3, 3, 94))[0]
     cells[rng.randrange(n // 2, n), Touch(R, L)] = T
-    model = UtteranceModel(state_count=n, relation=relation, action_interp=edges,
-                           valuation=cells)
-    return model, cells, edges
+    for s in rng.sample(range(n), n // 50):
+        cells[s, Config(R, "CLAMP")] = T
+        cells[s, Orient(R, Direction.N)] = rng.choice((T, F))
+    cells = partly_observed(rng, n, cells)
+    return model_of(n, relation, edges, cells), cells, edges
 
 
 SHAPES = ("chain", "backward", "band", "sparse", "cycles")
@@ -173,7 +198,8 @@ def one_offset_model(shape: str, n: int) -> tuple[UtteranceModel, dict, dict]:
     end, n - 1 or, for d = -1, 0. move(R,E) relates every s to s + d, and
     move(L,E) the same edges less about a tenth, so that its stars and
     those of `&` stop at gaps. "self-loop" adds a self-loop at one
-    middle state to move(R,E), which then has two offsets."""
+    middle state to move(R,E), which then has two offsets. The at(…,FACE)
+    cells are `partly_observed`; every touch cell is listed."""
     rng, d = random.Random(f"{shape}:{n}"), ONE_OFFSET[shape]
     right = {(s, s + d) for s in range(n) if 0 <= s + d < n}
     left = {p for p in right if rng.random() < 0.9}
@@ -189,9 +215,8 @@ def one_offset_model(shape: str, n: int) -> tuple[UtteranceModel, dict, dict]:
             cells[s, atom] = T if (s, atom) == (far, Touch(R, L)) else F
         for atom in PLACES:
             cells[s, atom] = rng.choices((F, U, T), (3, 3, 94))[0]
-    model = UtteranceModel(state_count=n, relation=relation, action_interp=edges,
-                           valuation=cells)
-    return model, cells, edges
+    cells = partly_observed(rng, n, cells, kept=TOUCHES)
+    return model_of(n, relation, edges, cells), cells, edges
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 129, 1000, 5000])
